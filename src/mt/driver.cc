@@ -1,48 +1,126 @@
 #include "src/mt/driver.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cmath>
 #include <span>
 #include <string>
 
 namespace cffs::mt {
 
-MtParams MtParams::FromConfig(const sim::SimConfig& config) {
-  MtParams p;
-  if (config.mt_clients > 0) p.clients = config.mt_clients;
-  if (!ParseSchedulerKind(config.mt_scheduler, &p.scheduler)) {
-    p.scheduler = SchedulerKind::kDrr;
+namespace {
+
+std::string FileName(uint32_t n) { return "f" + std::to_string(n); }
+
+// devtree sources: log-normal, median 3 KB, capped at 64 KB (the shape
+// workload/devtree.cc uses for the single-disk tree).
+uint32_t DevTreeSize(Rng* rng) {
+  const double b = rng->NextLogNormal(std::log(3072.0), 1.0);
+  return static_cast<uint32_t>(std::clamp(b, 256.0, 65536.0));
+}
+
+Status CheckParams(const MtParams& p) {
+  if (p.clients == 0) return InvalidArgument("mt: clients must be >= 1");
+  if (p.dirs_per_client == 0) {
+    return InvalidArgument("mt: dirs_per_client must be >= 1");
   }
-  p.backpressure = config.mt_backpressure;
-  return p;
+  if (uint64_t{p.create_pct} + p.read_pct + p.rename_pct > 100) {
+    return InvalidArgument("mt: create_pct + read_pct + rename_pct > 100");
+  }
+  if (p.rename_pct > 0 && p.dirs_per_client < 2) {
+    return InvalidArgument("mt: rename_pct needs dirs_per_client >= 2");
+  }
+  return OkStatus();
+}
+
+Namespace SingleEnvNamespace(sim::SimEnv* env) {
+  Namespace ns;
+  ns.make_dir = [env](uint32_t client, uint32_t dir) -> Result<ClientDir> {
+    ClientDir d;
+    d.path = "/t" + std::to_string(client);
+    if (dir > 0) d.path += "/d" + std::to_string(dir);
+    env->ChargeCpu();
+    ASSIGN_OR_RETURN(d.ino, env->path().MkdirAll(d.path));
+    return d;
+  };
+  ns.rename = [env](const std::string& from, const std::string& to) {
+    env->ChargeCpu();
+    return env->path().Rename(from, to);
+  };
+  return ns;
+}
+
+}  // namespace
+
+Result<MtParams> MtParams::FromConfig(const sim::SimConfig& config,
+                                      MtParams base) {
+  if (config.mt_clients > 0) base.clients = config.mt_clients;
+  if (!ParseSchedulerKind(config.mt_scheduler, &base.scheduler)) {
+    return InvalidArgument("unknown mt_scheduler \"" + config.mt_scheduler +
+                           "\" (fifo | drr)");
+  }
+  base.backpressure = config.mt_backpressure;
+  return base;
 }
 
 MtDriver::MtDriver(sim::SimEnv* env, MtParams params)
-    : env_(env), params_(params) {
-  if (params_.clients == 0) params_.clients = 1;
-  if (params_.create_pct + params_.read_pct > 100) {
-    params_.create_pct = 40;
-    params_.read_pct = 40;
+    : MtDriver(std::vector<sim::SimEnv*>{env}, params,
+               SingleEnvNamespace(env)) {}
+
+MtDriver::MtDriver(std::vector<sim::SimEnv*> envs, MtParams params,
+                   Namespace ns)
+    : params_(params), ns_(std::move(ns)) {
+  loops_.resize(envs.size());
+  loop_stats_.resize(envs.size());
+  for (uint32_t s = 0; s < envs.size(); ++s) {
+    loops_[s].env = envs[s];
+    loops_[s].scheduler = MakeScheduler(params_.scheduler, params_.clients,
+                                        params_.drr_quantum_ns);
+    loop_stats_[s].shard_id = s;
   }
-  scheduler_ = MakeScheduler(params_.scheduler, params_.clients,
-                             params_.drr_quantum_ns);
   clients_.resize(params_.clients);
-  suspended_.assign(params_.clients, 0);
+  none_suspended_.assign(params_.clients, 0);
 }
 
-MtDriver::~MtDriver() {
-  env_->set_sample_hook(nullptr);
-  if (env_->syncer() != nullptr) env_->syncer()->set_deferred_throttle(false);
-  env_->spans()->set_client_id(0);
+MtDriver::~MtDriver() { Detach(); }
+
+void MtDriver::Detach() {
+  for (Loop& loop : loops_) {
+    loop.env->set_sample_hook(nullptr);
+    if (loop.env->syncer() != nullptr) {
+      loop.env->syncer()->set_deferred_throttle(false);
+    }
+    loop.env->spans()->set_client_id(0);
+  }
 }
 
-bool MtDriver::AboveWatermark() const {
-  return env_->syncer() != nullptr && env_->syncer()->AboveWatermark();
+int64_t MtDriver::AlignClocks() {
+  int64_t now = 0;
+  for (const Loop& loop : loops_) {
+    now = std::max(now, loop.env->clock().now().nanos());
+  }
+  for (Loop& loop : loops_) loop.env->clock().AdvanceTo(SimTime::Nanos(now));
+  return now;
 }
 
-Status MtDriver::Setup() {
-  fs::PathOps& p = env_->path();
-  payload_.assign(std::max<uint32_t>(params_.file_bytes, 1), 0xC5);
+Status MtDriver::CreateFile(DirSlot* d, uint32_t bytes) {
+  sim::SimEnv* env = EnvOf(*d);
+  env->ChargeCpu();
+  ASSIGN_OR_RETURN(fs::InodeNum ino,
+                   env->fs()->Create(d->ino, FileName(d->next_file)));
+  env->ChargeCpu(bytes);
+  ASSIGN_OR_RETURN(
+      uint64_t n,
+      env->fs()->Write(ino, 0,
+                       std::span<const uint8_t>(payload_.data(), bytes)));
+  (void)n;
+  d->live.push_back({d->next_file++, bytes});
+  return OkStatus();
+}
+
+Status MtDriver::Populate() {
+  payload_.assign(
+      params_.devtree ? 65536u : std::max<uint32_t>(params_.file_bytes, 1),
+      0xC5);
   if (params_.antagonist) {
     big_payload_.assign(
         static_cast<size_t>(params_.antagonist_write_kb) * 1024, 0x5C);
@@ -53,118 +131,143 @@ Status MtDriver::Setup() {
     // splitmix64 seeding decorrelates nearby (seed, id) pairs.
     c.rng.Seed(params_.seed + 0x9e3779b97f4a7c15ULL * (i + 1));
     c.ops_left = params_.ops_per_client;
-    env_->ChargeCpu();
-    ASSIGN_OR_RETURN(c.dir, p.MkdirAll("/t" + std::to_string(i)));
+    for (uint32_t j = 0; j < params_.dirs_per_client; ++j) {
+      ASSIGN_OR_RETURN(ClientDir made, ns_.make_dir(i, j));
+      DirSlot& d = c.dirs.emplace_back(std::move(made));
+      if (IsAntagonist(c) || params_.devtree) continue;
+      for (uint32_t f = 0; f < params_.prepopulate_files; ++f) {
+        RETURN_IF_ERROR(CreateFile(&d, params_.file_bytes));
+      }
+    }
     if (IsAntagonist(c)) {
       // One bounded bulk file, fully materialized so every antagonist op
       // is an overwrite (the block map never deepens mid-measurement).
-      env_->ChargeCpu();
-      ASSIGN_OR_RETURN(c.big_ino, env_->fs()->Create(c.dir, "big"));
+      sim::SimEnv* env = EnvOf(c.dirs[0]);
+      env->ChargeCpu();
+      ASSIGN_OR_RETURN(c.big_ino, env->fs()->Create(c.dirs[0].ino, "big"));
       const size_t file_bytes =
           static_cast<size_t>(params_.antagonist_file_kb) * 1024;
       std::vector<uint8_t> fill(file_bytes, 0x5C);
-      env_->ChargeCpu(file_bytes);
-      ASSIGN_OR_RETURN(uint64_t n, env_->fs()->Write(c.big_ino, 0, fill));
+      env->ChargeCpu(file_bytes);
+      ASSIGN_OR_RETURN(uint64_t n, env->fs()->Write(c.big_ino, 0, fill));
       (void)n;
-      continue;
-    }
-    for (uint32_t f = 0; f < params_.prepopulate_files; ++f) {
-      char name[16];
-      std::snprintf(name, sizeof name, "f%u", c.next_file);
-      env_->ChargeCpu();
-      ASSIGN_OR_RETURN(fs::InodeNum ino, env_->fs()->Create(c.dir, name));
-      env_->ChargeCpu(params_.file_bytes);
-      ASSIGN_OR_RETURN(uint64_t n, env_->fs()->Write(ino, 0, payload_));
-      (void)n;
-      c.live.push_back(c.next_file);
-      ++c.next_file;
     }
   }
-  RETURN_IF_ERROR(env_->ColdCache());
-
-  env_->spans()->EnableClientBreakdown();
-  if (params_.backpressure && env_->syncer() != nullptr) {
-    env_->syncer()->set_deferred_throttle(true);
-  }
-  env_->set_sample_hook([this](obs::TimeSample* s) {
-    s->mt_ready = scheduler_->ready_count();
-    s->mt_suspended = suspended_count_;
-  });
-  env_->ResetStats();
-
-  stats_.Reset();
-  stats_.enabled = true;
-  stats_.clients = params_.clients;
-  stats_.scheduler = SchedulerKindName(params_.scheduler);
-  stats_.backpressure = params_.backpressure;
-  stats_.per_client.resize(params_.clients);
-  for (uint32_t i = 0; i < params_.clients; ++i) {
-    stats_.per_client[i].client_id = i;
-  }
-  return OkStatus();
+  return ns_.populated ? ns_.populated() : OkStatus();
 }
 
 void MtDriver::GenerateNextOp(Client* c) {
+  NextOp op;
   if (IsAntagonist(*c)) {
-    c->next_kind = OpKind::kWrite;
+    op.kind = OpKind::kWrite;
+    c->next = op;
     return;
   }
+  // One draw picks the directory. A lone directory costs none, so a
+  // one-directory client keeps the op stream its seed has always drawn.
+  if (c->dirs.size() > 1) {
+    op.dir = static_cast<uint32_t>(c->rng.Below(c->dirs.size()));
+  }
+  if (params_.devtree) {
+    const uint64_t issued = params_.ops_per_client - c->ops_left;
+    const bool create_phase =
+        issued * 100 < params_.ops_per_client * params_.devtree_create_pct;
+    if (!create_phase && c->dirs[op.dir].live.empty()) {
+      // The read phase can land on an empty dir: read the first populated
+      // one instead, else create.
+      for (uint32_t j = 0; j < c->dirs.size(); ++j) {
+        if (!c->dirs[j].live.empty()) {
+          op.dir = j;
+          break;
+        }
+      }
+    }
+    const std::vector<LiveFile>& live = c->dirs[op.dir].live;
+    if (create_phase || live.empty()) {
+      op.kind = OpKind::kCreate;
+      op.bytes = DevTreeSize(&c->rng);
+    } else {
+      op.kind = OpKind::kRead;
+      op.target = static_cast<size_t>(c->rng.Below(live.size()));
+    }
+    c->next = op;
+    return;
+  }
+
   const uint64_t roll = c->rng.Below(100);
-  OpKind kind;
+  const std::vector<LiveFile>& live = c->dirs[op.dir].live;
   if (roll < params_.create_pct) {
-    kind = OpKind::kCreate;
+    op.kind = OpKind::kCreate;
   } else if (roll < params_.create_pct + params_.read_pct) {
-    kind = OpKind::kRead;
+    op.kind = OpKind::kRead;
+  } else if (roll < params_.create_pct + params_.read_pct +
+                        params_.rename_pct) {
+    op.kind = OpKind::kRename;
   } else {
-    kind = OpKind::kDelete;
+    op.kind = OpKind::kDelete;
   }
-  if (c->live.empty()) {
-    kind = OpKind::kCreate;
-  } else if (kind == OpKind::kCreate &&
-             c->live.size() >= params_.max_live_files) {
-    kind = OpKind::kDelete;
+  if (live.empty()) {
+    op.kind = OpKind::kCreate;
+  } else if (op.kind == OpKind::kCreate &&
+             live.size() >= params_.max_live_files) {
+    op.kind = OpKind::kDelete;
   }
-  c->next_kind = kind;
-  if (kind == OpKind::kRead || kind == OpKind::kDelete) {
-    c->next_target = static_cast<size_t>(c->rng.Below(c->live.size()));
+  if (op.kind != OpKind::kCreate) {
+    op.target = static_cast<size_t>(c->rng.Below(live.size()));
   }
+  if (op.kind == OpKind::kRename) {
+    op.to_dir = static_cast<uint32_t>(c->rng.Below(c->dirs.size() - 1));
+    if (op.to_dir >= op.dir) ++op.to_dir;  // any dir but the source
+  }
+  op.bytes = params_.file_bytes;
+  c->next = op;
 }
 
-Status MtDriver::ExecuteOp(Client* c) {
-  fs::FileSystem* fs = env_->fs();
-  char name[16];
-  switch (c->next_kind) {
-    case OpKind::kCreate: {
-      std::snprintf(name, sizeof name, "f%u", c->next_file);
-      env_->ChargeCpu();
-      ASSIGN_OR_RETURN(fs::InodeNum ino, fs->Create(c->dir, name));
-      env_->ChargeCpu(params_.file_bytes);
-      ASSIGN_OR_RETURN(uint64_t n, fs->Write(ino, 0, payload_));
-      (void)n;
-      c->live.push_back(c->next_file);
-      ++c->next_file;
+Status MtDriver::ExecuteOp(Client* c, int64_t* end_ns) {
+  const NextOp& op = c->next;
+  DirSlot& d = c->dirs[op.dir];
+  sim::SimEnv* env = EnvOf(d);
+  fs::FileSystem* fs = env->fs();
+  switch (op.kind) {
+    case OpKind::kCreate:
+      RETURN_IF_ERROR(CreateFile(&d, op.bytes));
       break;
-    }
     case OpKind::kRead: {
-      std::snprintf(name, sizeof name, "f%u", c->live[c->next_target]);
-      env_->ChargeCpu();
-      ASSIGN_OR_RETURN(fs::InodeNum ino, fs->Lookup(c->dir, name));
-      env_->ChargeCpu(params_.file_bytes);
-      std::vector<uint8_t> buf(params_.file_bytes);
+      const LiveFile f = d.live[op.target];
+      env->ChargeCpu();
+      ASSIGN_OR_RETURN(fs::InodeNum ino, fs->Lookup(d.ino, FileName(f.name)));
+      env->ChargeCpu(f.bytes);
+      std::vector<uint8_t> buf(f.bytes);
       ASSIGN_OR_RETURN(uint64_t n, fs->Read(ino, 0, buf));
       (void)n;
       break;
     }
-    case OpKind::kDelete: {
-      std::snprintf(name, sizeof name, "f%u", c->live[c->next_target]);
-      env_->ChargeCpu();
-      RETURN_IF_ERROR(fs->Unlink(c->dir, name));
-      c->live[c->next_target] = c->live.back();
-      c->live.pop_back();
+    case OpKind::kDelete:
+      env->ChargeCpu();
+      RETURN_IF_ERROR(fs->Unlink(d.ino, FileName(d.live[op.target].name)));
+      d.live[op.target] = d.live.back();
+      d.live.pop_back();
+      break;
+    case OpKind::kRename: {
+      // The namespace charges the CPU itself (on both loops when the dirs
+      // sit on two).
+      DirSlot& t = c->dirs[op.to_dir];
+      const LiveFile f = d.live[op.target];
+      RETURN_IF_ERROR(ns_.rename(d.path + "/" + FileName(f.name),
+                                 t.path + "/" + FileName(t.next_file)));
+      d.live[op.target] = d.live.back();
+      d.live.pop_back();
+      t.live.push_back({t.next_file++, f.bytes});
+      if (t.loop != d.loop) {
+        ++loop_stats_[t.loop].renames_in;
+        *end_ns = std::max(env->clock().now().nanos(),
+                           EnvOf(t)->clock().now().nanos());
+        return OkStatus();
+      }
       break;
     }
     case OpKind::kWrite: {
-      env_->ChargeCpu(big_payload_.size());
+      env->ChargeCpu(big_payload_.size());
       ASSIGN_OR_RETURN(uint64_t n,
                        fs->Write(c->big_ino, c->big_off, big_payload_));
       (void)n;
@@ -176,161 +279,223 @@ Status MtDriver::ExecuteOp(Client* c) {
       break;
     }
   }
+  *end_ns = env->clock().now().nanos();
   return OkStatus();
 }
 
-void MtDriver::RecordOp(Client* c, OpKind kind, int64_t queue_ns,
-                        int64_t service_ns) {
-  const int64_t full = queue_ns + service_ns;
-  MtClientStats& cs = stats_.per_client[c->id];
+void MtDriver::RecordOp(uint32_t loop, const Client& c, OpKind kind,
+                        int64_t queue_ns, int64_t service_ns) {
+  const SimTime full = SimTime::Nanos(queue_ns + service_ns);
+  MtClientStats& cs = stats_.per_client[c.id];
   ++cs.ops;
   cs.service_ns += service_ns;
   cs.queue_wait_ns += queue_ns;
-  cs.latency.Record(SimTime::Nanos(full));
+  cs.latency.Record(full);
   ++stats_.ops_serviced;
   stats_.service_ns += service_ns;
   stats_.queue_wait_ns += queue_ns;
-  stats_.latency.Record(SimTime::Nanos(full));
+  stats_.latency.Record(full);
   stats_.queue_wait.Record(SimTime::Nanos(queue_ns));
   switch (kind) {
     case OpKind::kCreate:
       ++cs.creates;
-      stats_.create_latency.Record(SimTime::Nanos(full));
+      stats_.create_latency.Record(full);
       break;
     case OpKind::kRead:
       ++cs.reads;
-      stats_.read_latency.Record(SimTime::Nanos(full));
+      stats_.read_latency.Record(full);
       break;
     case OpKind::kDelete:
       ++cs.deletes;
-      stats_.delete_latency.Record(SimTime::Nanos(full));
+      stats_.delete_latency.Record(full);
       break;
     case OpKind::kWrite:
       ++cs.writes;
-      stats_.write_latency.Record(SimTime::Nanos(full));
+      stats_.write_latency.Record(full);
+      break;
+    case OpKind::kRename:
+      ++cs.renames;
+      stats_.rename_latency.Record(full);
       break;
   }
+  LoopStats& ls = loop_stats_[loop];
+  ++ls.ops;
+  ls.service_ns += service_ns;
+  ls.queue_wait_ns += queue_ns;
+  ls.latency.Record(full);
 }
 
-void MtDriver::Suspend(Client* c) {
-  if (suspended_[c->id]) return;
-  suspended_[c->id] = 1;
-  ++suspended_count_;
+void MtDriver::Enqueue(Client* c, int64_t ready_ns) {
+  Loop& loop = loops_[c->dirs[c->next.dir].loop];
+  c->ready_ns = ready_ns;
+  loop.scheduler->Enqueue(c->id, ready_ns);
+  loop.ready.emplace_back(ready_ns, c->id);
+  std::push_heap(loop.ready.begin(), loop.ready.end(), std::greater<>{});
+  stats_.max_ready =
+      std::max<uint64_t>(stats_.max_ready, loop.scheduler->ready_count());
+}
+
+bool MtDriver::PickLoop(uint32_t* picked) {
+  bool found = false;
+  int64_t best_start = 0;
+  for (uint32_t s = 0; s < loops_.size(); ++s) {
+    Loop& loop = loops_[s];
+    // Lazy pruning: an entry is live iff the loop's scheduler still holds
+    // that client at that ready time (a client is ready on one loop at a
+    // time, so stale entries are strictly older).
+    while (!loop.ready.empty()) {
+      const auto [ready, client] = loop.ready.front();
+      if (loop.scheduler->IsReady(client) &&
+          loop.scheduler->ready_ns(client) == ready) {
+        break;
+      }
+      std::pop_heap(loop.ready.begin(), loop.ready.end(), std::greater<>{});
+      loop.ready.pop_back();
+    }
+    if (loop.ready.empty()) continue;
+    const int64_t start =
+        std::max(loop.env->clock().now().nanos(), loop.ready.front().first);
+    if (!found || start < best_start) {
+      found = true;
+      best_start = start;
+      *picked = s;
+    }
+  }
+  return found;
+}
+
+bool MtDriver::AboveWatermark(uint32_t loop) const {
+  const io::Syncer* syncer = loops_[loop].env->syncer();
+  return syncer != nullptr && syncer->AboveWatermark();
+}
+
+bool MtDriver::MustThrottle(uint32_t loop, OpKind kind) const {
+  return params_.backpressure && kind != OpKind::kRead && AboveWatermark(loop);
+}
+
+void MtDriver::Suspend(uint32_t loop, const Client& c) {
   ++stats_.suspensions;
-  ++stats_.per_client[c->id].suspensions;
-  if (!owner_set_) {
-    owner_set_ = true;
-    owner_ = c->id;
-  }
+  ++stats_.per_client[c.id].suspensions;
+  handoff_ = Handoff{loop, c.id};
 }
 
-void MtDriver::MaybeSuspendAfter(Client* c, OpKind executed) {
-  if (!params_.backpressure || env_->syncer() == nullptr) return;
-  if (!Mutates(executed) || !AboveWatermark()) return;
-  if (c->ops_left == 0) return;  // no next op to park
-  Suspend(c);
-}
-
-Status MtDriver::ServiceOne(uint64_t id) {
-  Client* c = &clients_[id];
-  const int64_t ready = c->ready_ns;
-  env_->spans()->set_client_id(id);
-  const int64_t start = env_->clock().now().nanos();
-  const OpKind kind = c->next_kind;
-  RETURN_IF_ERROR(ExecuteOp(c));
-  const int64_t end = env_->clock().now().nanos();
-  scheduler_->NoteServiced(id, end - start);
-  ++c->done;
-  if (c->done > params_.warmup_ops) {
-    RecordOp(c, kind, start - ready, end - start);
+Status MtDriver::ServiceOne(uint32_t loop, uint64_t id) {
+  Client& c = clients_[id];
+  sim::SimEnv* env = loops_[loop].env;
+  env->spans()->set_client_id(id);
+  // An idle loop waits for the request to arrive; a busy one queues it.
+  const int64_t start = std::max(env->clock().now().nanos(), c.ready_ns);
+  env->clock().AdvanceTo(SimTime::Nanos(start));
+  const OpKind kind = c.next.kind;
+  int64_t end = start;
+  RETURN_IF_ERROR(ExecuteOp(&c, &end));
+  loops_[loop].scheduler->NoteServiced(id, end - start);
+  if (++c.done > params_.warmup_ops) {
+    RecordOp(loop, c, kind, start - c.ready_ns, end - start);
   }
-  --c->ops_left;
   --remaining_;
-  if (c->ops_left > 0) {
-    GenerateNextOp(c);
-    c->ready_ns = end;
-    scheduler_->Enqueue(id, end);
-    stats_.max_ready =
-        std::max<uint64_t>(stats_.max_ready, scheduler_->ready_count());
+  if (--c.ops_left > 0) {
+    GenerateNextOp(&c);
+    Enqueue(&c, end);
+    // The op pushed its loop over the watermark: park the client before
+    // its next op.
+    if (MustThrottle(loop, kind)) Suspend(loop, c);
   }
-  MaybeSuspendAfter(c, kind);
   return OkStatus();
 }
 
 Status MtDriver::HandleThrottleHandoff() {
-  // Wake everyone; the owning client (the first watermark crosser) runs
-  // first so the syncer's deferred flush lands in its pre-op boundary
-  // window and the whole stall is attributed to its span.
-  std::fill(suspended_.begin(), suspended_.end(), 0);
-  suspended_count_ = 0;
+  const Handoff h = *handoff_;
+  handoff_.reset();
   ++stats_.resumes;
-  const uint64_t owner = owner_;
-  owner_set_ = false;
-  if (env_->syncer() != nullptr && AboveWatermark()) {
-    env_->syncer()->RequestThrottleFlush(owner);
+  Loop& loop = loops_[h.loop];
+  if (AboveWatermark(h.loop)) {
+    loop.env->syncer()->RequestThrottleFlush(h.client);
   }
-  if (scheduler_->IsReady(owner) && clients_[owner].ops_left > 0) {
-    scheduler_->Take(owner);
-    return ServiceOne(owner);
-  }
-  return OkStatus();
+  if (!loop.scheduler->IsReady(h.client)) return OkStatus();
+  loop.scheduler->Take(h.client);
+  return ServiceOne(h.loop, h.client);
 }
 
 Status MtDriver::Run() {
   if (ran_) return InvalidArgument("MtDriver::Run called twice");
   ran_ = true;
-  RETURN_IF_ERROR(Setup());
+  RETURN_IF_ERROR(CheckParams(params_));
+  RETURN_IF_ERROR(Populate());
+  for (uint32_t s = 0; s < loops_.size(); ++s) {
+    sim::SimEnv* env = loops_[s].env;
+    RETURN_IF_ERROR(env->ColdCache());
+    env->spans()->EnableClientBreakdown();
+    if (params_.backpressure && env->syncer() != nullptr) {
+      env->syncer()->set_deferred_throttle(true);
+    }
+    env->set_sample_hook([this, s](obs::TimeSample* sample) {
+      sample->shard_id = s;
+      sample->mt_ready = loops_[s].scheduler->ready_count();
+      sample->mt_suspended = handoff_ && handoff_->loop == s ? 1 : 0;
+    });
+    env->ResetStats();
+  }
+  // The loops start measuring at one instant (a no-op for a single loop).
+  const int64_t start = AlignClocks();
 
-  remaining_ = 0;
-  const int64_t now = env_->clock().now().nanos();
+  stats_.Reset();
+  stats_.enabled = true;
+  stats_.clients = params_.clients;
+  stats_.scheduler = SchedulerKindName(params_.scheduler);
+  stats_.backpressure = params_.backpressure;
+  stats_.per_client.resize(params_.clients);
+  for (uint32_t i = 0; i < params_.clients; ++i) {
+    stats_.per_client[i].client_id = i;
+  }
   for (Client& c : clients_) {
     if (c.ops_left == 0) continue;
     GenerateNextOp(&c);
-    c.ready_ns = now;
-    scheduler_->Enqueue(c.id, now);
+    Enqueue(&c, start);
     remaining_ += c.ops_left;
   }
-  stats_.max_ready =
-      std::max<uint64_t>(stats_.max_ready, scheduler_->ready_count());
 
   while (remaining_ > 0) {
-    // A parked crosser owes a flush; hand it off promptly. Deferring it
-    // (e.g. to let readers run ahead) is a trap: the flush cost is paid
-    // either way, but meanwhile cache misses evict dirty blocks one at a
-    // time — expensive inline writeback billed to innocent clients.
-    if (owner_set_) {
+    // A suspended crosser owes its loop a flush; hand it off promptly.
+    // Deferring it (e.g. to let readers run ahead) is a trap: the flush
+    // cost is paid either way, but meanwhile cache misses evict dirty
+    // blocks one at a time — expensive inline writeback billed to innocent
+    // clients.
+    if (handoff_) {
       RETURN_IF_ERROR(HandleThrottleHandoff());
       continue;
     }
+    uint32_t loop = 0;
     uint64_t id = 0;
-    if (!scheduler_->PickNext(suspended_, &id)) {
-      if (owner_set_) {
-        RETURN_IF_ERROR(HandleThrottleHandoff());
-        continue;
-      }
+    if (!PickLoop(&loop) ||
+        !loops_[loop].scheduler->PickNext(none_suspended_, &id)) {
       return IoError("mt: no runnable client but ops remain");
     }
-    Client* c = &clients_[id];
+    Client& c = clients_[id];
     // Pick-time backpressure: never run a mutating op above the
-    // watermark — park the client (keeping its queue position) instead.
+    // watermark — suspend the client (keeping its queue position) instead.
     // This bounds dirty-set overshoot to zero additional mutating ops.
-    if (params_.backpressure && env_->syncer() != nullptr &&
-        Mutates(c->next_kind) && AboveWatermark()) {
-      scheduler_->Enqueue(id, c->ready_ns);
-      Suspend(c);
+    if (MustThrottle(loop, c.next.kind)) {
+      loops_[loop].scheduler->Enqueue(id, c.ready_ns);
+      Suspend(loop, c);
       continue;
     }
-    RETURN_IF_ERROR(ServiceOne(id));
+    RETURN_IF_ERROR(ServiceOne(loop, id));
   }
 
-  // Close the run under a neutral client id: the final Sync commits work
-  // from every tenant.
-  env_->spans()->set_client_id(0);
-  env_->ChargeCpu();
-  RETURN_IF_ERROR(env_->fs()->Sync());
-  RETURN_IF_ERROR(env_->syncer_status());
-  env_->set_sample_hook(nullptr);
-  if (env_->syncer() != nullptr) env_->syncer()->set_deferred_throttle(false);
+  // Close under a neutral client id: the final Sync commits work from
+  // every tenant.
+  for (Loop& loop : loops_) {
+    loop.env->spans()->set_client_id(0);
+    loop.env->ChargeCpu();
+    RETURN_IF_ERROR(loop.env->fs()->Sync());
+    RETURN_IF_ERROR(loop.env->syncer_status());
+  }
+  stats_.elapsed_ns = AlignClocks() - start;
+  for (uint32_t s = 0; s < loops_.size(); ++s) {
+    loop_stats_[s].clock_end_ns = loops_[s].env->clock().now().nanos();
+  }
+  Detach();
   return OkStatus();
 }
 

@@ -26,6 +26,7 @@ struct MtClientStats {
   uint64_t reads = 0;
   uint64_t deletes = 0;
   uint64_t writes = 0;       // antagonist bulk writes
+  uint64_t renames = 0;      // moves between the client's directories
   uint64_t suspensions = 0;  // times backpressure parked this client
   int64_t service_ns = 0;    // exact sum of service times
   int64_t queue_wait_ns = 0; // exact sum of ready->service waits
@@ -34,6 +35,7 @@ struct MtClientStats {
 
 // Embedded as MetricsSnapshot::mt. Invariants (CheckInvariants):
 //   - sum of per-client ops == ops_serviced
+//   - each client's op kinds sum to its ops
 //   - aggregate latency histogram has exactly ops_serviced samples
 //   - Jain's fairness index lies in (0, 1]
 struct MtStats {
@@ -44,9 +46,12 @@ struct MtStats {
   uint64_t ops_serviced = 0;
   uint64_t suspensions = 0;  // client-suspension events (backpressure)
   uint64_t resumes = 0;      // throttle handoffs back to the owning client
-  uint64_t max_ready = 0;    // high-water mark of queued ready ops
+  uint64_t max_ready = 0;    // high-water mark of queued ready ops (per loop)
   int64_t service_ns = 0;
   int64_t queue_wait_ns = 0;
+  // Simulated time from the loops' common start to the end of the closing
+  // sync, on the latest loop's clock.
+  int64_t elapsed_ns = 0;
   LatencyHistogram latency;     // full latency, all clients
   LatencyHistogram queue_wait;  // ready->service wait, all clients
   // Full latency by op kind (all clients): the bench gates on create p99.
@@ -54,6 +59,7 @@ struct MtStats {
   LatencyHistogram read_latency;
   LatencyHistogram delete_latency;
   LatencyHistogram write_latency;
+  LatencyHistogram rename_latency;
   std::vector<MtClientStats> per_client;
 
   // Jain's fairness index over per-client service-time shares:
@@ -75,6 +81,19 @@ struct MtStats {
   }
 
   void Reset() { *this = MtStats{}; }
+};
+
+// One service loop's share of a run (mt::MtDriver runs one loop per SimEnv;
+// src/shard reports them as shard::ShardOpStats). Invariant: per-loop ops
+// sum to MtStats::ops_serviced, since every serviced op runs on one loop.
+struct LoopStats {
+  uint32_t shard_id = 0;       // the loop's env index (its shard id)
+  uint64_t ops = 0;            // ops serviced on this loop
+  uint64_t renames_in = 0;     // renames from another loop into this one
+  int64_t service_ns = 0;      // exact sum of service times on this loop
+  int64_t queue_wait_ns = 0;   // exact sum of ready->service waits
+  int64_t clock_end_ns = 0;    // loop clock when the run finished
+  LatencyHistogram latency;    // full latency of ops serviced here
 };
 
 }  // namespace cffs::mt

@@ -1,419 +1,53 @@
 #include "src/shard/driver.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <span>
+#include <string>
+#include <vector>
 
 namespace cffs::shard {
 
 namespace {
 
-// Min-heap ordering for (ready_ns, client) pairs: earliest ready first,
-// ties by lowest client id (determinism).
-struct ReadyLater {
-  bool operator()(const std::pair<int64_t, uint64_t>& a,
-                  const std::pair<int64_t, uint64_t>& b) const {
-    return a > b;
+std::vector<sim::SimEnv*> ShardEnvs(ShardRouter* router) {
+  std::vector<sim::SimEnv*> envs;
+  for (uint32_t s = 0; s < router->shards(); ++s) {
+    envs.push_back(router->env(s));
   }
-};
+  return envs;
+}
 
-// devtree sources: log-normal, median 3 KB, capped at 64 KB (the shape
-// workload/devtree.cc uses for the single-disk tree).
-uint32_t DevTreeSize(Rng* rng) {
-  const double b = rng->NextLogNormal(std::log(3072.0), 1.0);
-  return static_cast<uint32_t>(std::clamp(b, 256.0, 65536.0));
+mt::Namespace RouterNamespace(ShardRouter* router) {
+  mt::Namespace ns;
+  ns.make_dir = [router](uint32_t client,
+                         uint32_t dir) -> Result<mt::ClientDir> {
+    mt::ClientDir d;
+    d.path = "/c" + std::to_string(client) + "/d" + std::to_string(dir);
+    RETURN_IF_ERROR(router->MkdirAll(d.path));
+    d.loop = router->OwnerOfDir(d.path);
+    ASSIGN_OR_RETURN(d.ino, router->env(d.loop)->path().Resolve(d.path));
+    return d;
+  };
+  ns.rename = [router](const std::string& from, const std::string& to) {
+    return router->Rename(from, to);
+  };
+  ns.populated = [router] { return router->SyncAll(); };
+  return ns;
 }
 
 }  // namespace
 
-ShardDriverParams ShardDriverParams::FromConfig(const sim::SimConfig& config) {
-  ShardDriverParams p;
-  if (config.mt_clients > 0) p.clients = config.mt_clients;
-  if (!mt::ParseSchedulerKind(config.mt_scheduler, &p.scheduler)) {
-    p.scheduler = mt::SchedulerKind::kDrr;
-  }
-  return p;
-}
-
-ShardDriver::ShardDriver(ShardRouter* router, ShardDriverParams params)
-    : router_(router), params_(params) {
-  if (params_.clients == 0) params_.clients = 1;
-  if (params_.dirs_per_client == 0) params_.dirs_per_client = 1;
-  if (params_.create_pct + params_.read_pct + params_.rename_pct > 100) {
-    params_.create_pct = 40;
-    params_.read_pct = 40;
-    params_.rename_pct = 0;
-  }
-  const uint32_t shards = router_->shards();
-  schedulers_.reserve(shards);
-  ready_heaps_.resize(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
-    schedulers_.push_back(mt::MakeScheduler(params_.scheduler, params_.clients,
-                                            params_.drr_quantum_ns));
-  }
-  clients_.resize(params_.clients);
-  not_suspended_.assign(params_.clients, 0);
-}
-
-ShardDriver::~ShardDriver() {
-  for (uint32_t s = 0; s < router_->shards(); ++s) {
-    router_->env(s)->set_sample_hook(nullptr);
-  }
-}
-
-Status ShardDriver::Setup() {
-  payload_.assign(
-      params_.devtree ? 65536u : std::max<uint32_t>(params_.file_bytes, 1),
-      0xC5);
-  for (uint32_t i = 0; i < params_.clients; ++i) {
-    Client& c = clients_[i];
-    c.id = i;
-    c.rng.Seed(params_.seed + 0x9e3779b97f4a7c15ULL * (i + 1));
-    c.ops_left = params_.ops_per_client;
-    c.dirs.resize(params_.dirs_per_client);
-    for (uint32_t j = 0; j < params_.dirs_per_client; ++j) {
-      DirSlot& d = c.dirs[j];
-      d.path = "/c" + std::to_string(i) + "/d" + std::to_string(j);
-      RETURN_IF_ERROR(router_->MkdirAll(d.path));
-      d.shard = router_->OwnerOfDir(d.path);
-      ASSIGN_OR_RETURN(d.ino, router_->env(d.shard)->path().Resolve(d.path));
-      if (!params_.devtree) {
-        sim::SimEnv* env = router_->env(d.shard);
-        for (uint32_t f = 0; f < params_.prepopulate_files; ++f) {
-          char name[16];
-          std::snprintf(name, sizeof name, "f%u", d.next_file);
-          env->ChargeCpu();
-          ASSIGN_OR_RETURN(fs::InodeNum ino, env->fs()->Create(d.ino, name));
-          env->ChargeCpu(params_.file_bytes);
-          ASSIGN_OR_RETURN(
-              uint64_t n,
-              env->fs()->Write(
-                  ino, 0,
-                  std::span<const uint8_t>(payload_.data(),
-                                           params_.file_bytes)));
-          (void)n;
-          d.live.push_back(d.next_file);
-          ++d.next_file;
-        }
-      }
-    }
-  }
-  RETURN_IF_ERROR(router_->SyncAll());
-  for (uint32_t s = 0; s < router_->shards(); ++s) {
-    sim::SimEnv* env = router_->env(s);
-    RETURN_IF_ERROR(env->ColdCache());
-    env->spans()->EnableClientBreakdown();
-    env->set_sample_hook([this, s](obs::TimeSample* sample) {
-      sample->shard_id = s;
-      sample->mt_ready = schedulers_[s]->ready_count();
-    });
-    env->ResetStats();
-  }
-  // Align the clocks before measurement so elapsed time is a common delta.
-  router_->AdvanceAllTo(router_->MaxClockNs());
-
-  stats_ = ShardDriverStats{};
-  stats_.shards = router_->shards();
-  stats_.per_shard.resize(router_->shards());
-  for (uint32_t s = 0; s < router_->shards(); ++s) {
-    stats_.per_shard[s].shard_id = s;
-  }
-  stats_.mt.enabled = true;
-  stats_.mt.clients = params_.clients;
-  stats_.mt.scheduler = mt::SchedulerKindName(params_.scheduler);
-  stats_.mt.per_client.resize(params_.clients);
-  for (uint32_t i = 0; i < params_.clients; ++i) {
-    stats_.mt.per_client[i].client_id = i;
-  }
-  return OkStatus();
-}
-
-uint32_t ShardDriver::PayloadBytes(Client* c) {
-  return params_.devtree ? DevTreeSize(&c->rng) : params_.file_bytes;
-}
-
-void ShardDriver::GenerateNextOp(Client* c) {
-  NextOp op;
-  op.dir = static_cast<uint32_t>(c->rng.Below(c->dirs.size()));
-  if (params_.devtree) {
-    const uint64_t issued = params_.ops_per_client - c->ops_left;
-    const bool create_phase =
-        issued * 100 < params_.ops_per_client * params_.devtree_create_pct;
-    if (create_phase || c->dirs[op.dir].live.empty()) {
-      // Read phase can still land on an empty dir; fall back to the first
-      // populated one, else create.
-      if (!create_phase) {
-        for (uint32_t j = 0; j < c->dirs.size(); ++j) {
-          if (!c->dirs[j].live.empty()) {
-            op.dir = j;
-            break;
-          }
-        }
-      }
-      if (!c->dirs[op.dir].live.empty() && !create_phase) {
-        op.kind = OpKind::kRead;
-        op.target = static_cast<size_t>(
-            c->rng.Below(c->dirs[op.dir].live.size()));
-      } else {
-        op.kind = OpKind::kCreate;
-        op.bytes = PayloadBytes(c);
-      }
-    } else {
-      op.kind = OpKind::kRead;
-      op.target =
-          static_cast<size_t>(c->rng.Below(c->dirs[op.dir].live.size()));
-    }
-    c->next = op;
-    return;
-  }
-
-  const uint64_t roll = c->rng.Below(100);
-  DirSlot& d = c->dirs[op.dir];
-  if (roll < params_.create_pct) {
-    op.kind = OpKind::kCreate;
-  } else if (roll < params_.create_pct + params_.read_pct) {
-    op.kind = OpKind::kRead;
-  } else if (roll < params_.create_pct + params_.read_pct +
-                        params_.rename_pct) {
-    op.kind = OpKind::kRename;
-  } else {
-    op.kind = OpKind::kDelete;
-  }
-  if (d.live.empty()) {
-    op.kind = OpKind::kCreate;
-  } else if (op.kind == OpKind::kCreate &&
-             d.live.size() >= params_.max_live_files) {
-    op.kind = OpKind::kDelete;
-  } else if (op.kind == OpKind::kRename && c->dirs.size() < 2) {
-    op.kind = OpKind::kRead;
-  }
-  if (op.kind == OpKind::kRead || op.kind == OpKind::kDelete ||
-      op.kind == OpKind::kRename) {
-    op.target = static_cast<size_t>(c->rng.Below(d.live.size()));
-  }
-  if (op.kind == OpKind::kRename) {
-    op.to_dir = static_cast<uint32_t>(c->rng.Below(c->dirs.size() - 1));
-    if (op.to_dir >= op.dir) ++op.to_dir;  // any dir but the source
-  }
-  op.bytes = params_.file_bytes;
-  c->next = op;
-}
-
-Status ShardDriver::ExecuteOp(Client* c, int64_t* end_ns) {
-  DirSlot& d = c->dirs[c->next.dir];
-  sim::SimEnv* env = router_->env(d.shard);
-  fs::FileSystem* fs = env->fs();
-  char name[16];
-  switch (c->next.kind) {
-    case OpKind::kCreate: {
-      std::snprintf(name, sizeof name, "f%u", d.next_file);
-      env->ChargeCpu();
-      ASSIGN_OR_RETURN(fs::InodeNum ino, fs->Create(d.ino, name));
-      env->ChargeCpu(c->next.bytes);
-      ASSIGN_OR_RETURN(
-          uint64_t n,
-          fs->Write(ino, 0,
-                    std::span<const uint8_t>(payload_.data(), c->next.bytes)));
-      (void)n;
-      d.live.push_back(d.next_file);
-      ++d.next_file;
-      break;
-    }
-    case OpKind::kRead: {
-      std::snprintf(name, sizeof name, "f%u", d.live[c->next.target]);
-      env->ChargeCpu();
-      ASSIGN_OR_RETURN(fs::InodeNum ino, fs->Lookup(d.ino, name));
-      ASSIGN_OR_RETURN(fs::Attr attr, fs->GetAttr(ino));
-      env->ChargeCpu(attr.size);
-      std::vector<uint8_t> buf(attr.size);
-      if (attr.size > 0) {
-        ASSIGN_OR_RETURN(uint64_t n, fs->Read(ino, 0, buf));
-        (void)n;
-      }
-      break;
-    }
-    case OpKind::kDelete: {
-      std::snprintf(name, sizeof name, "f%u", d.live[c->next.target]);
-      env->ChargeCpu();
-      RETURN_IF_ERROR(fs->Unlink(d.ino, name));
-      d.live[c->next.target] = d.live.back();
-      d.live.pop_back();
-      break;
-    }
-    case OpKind::kRename: {
-      DirSlot& t = c->dirs[c->next.to_dir];
-      std::snprintf(name, sizeof name, "f%u", d.live[c->next.target]);
-      const std::string from = d.path + "/" + name;
-      std::snprintf(name, sizeof name, "f%u", t.next_file);
-      const std::string to = t.path + "/" + name;
-      // The router runs the two-phase protocol when the dirs hash to
-      // different shards (and charges the CPU on both sides itself).
-      RETURN_IF_ERROR(router_->Rename(from, to));
-      d.live[c->next.target] = d.live.back();
-      d.live.pop_back();
-      t.live.push_back(t.next_file);
-      ++t.next_file;
-      if (t.shard != d.shard) {
-        ++stats_.per_shard[t.shard].renames_in;
-        *end_ns = std::max(env->clock().now().nanos(),
-                           router_->env(t.shard)->clock().now().nanos());
-        return OkStatus();
-      }
-      break;
-    }
-  }
-  *end_ns = env->clock().now().nanos();
-  return OkStatus();
-}
-
-void ShardDriver::RecordOp(Client* c, uint32_t shard, OpKind kind,
-                           int64_t queue_ns, int64_t service_ns) {
-  const int64_t full = queue_ns + service_ns;
-  mt::MtClientStats& cs = stats_.mt.per_client[c->id];
-  ++cs.ops;
-  cs.service_ns += service_ns;
-  cs.queue_wait_ns += queue_ns;
-  cs.latency.Record(SimTime::Nanos(full));
-  ++stats_.mt.ops_serviced;
-  stats_.mt.service_ns += service_ns;
-  stats_.mt.queue_wait_ns += queue_ns;
-  stats_.mt.latency.Record(SimTime::Nanos(full));
-  stats_.mt.queue_wait.Record(SimTime::Nanos(queue_ns));
-  switch (kind) {
-    case OpKind::kCreate:
-      ++cs.creates;
-      stats_.mt.create_latency.Record(SimTime::Nanos(full));
-      break;
-    case OpKind::kRead:
-      ++cs.reads;
-      stats_.mt.read_latency.Record(SimTime::Nanos(full));
-      break;
-    case OpKind::kDelete:
-      ++cs.deletes;
-      stats_.mt.delete_latency.Record(SimTime::Nanos(full));
-      break;
-    case OpKind::kRename:
-      // MtStats has no rename slot; sharded runs repurpose the write slot
-      // (the bulk-antagonist kind, which the shard driver never issues).
-      ++cs.writes;
-      stats_.mt.write_latency.Record(SimTime::Nanos(full));
-      break;
-  }
-  ShardOpStats& ss = stats_.per_shard[shard];
-  ++ss.ops;
-  ss.service_ns += service_ns;
-  ss.queue_wait_ns += queue_ns;
-  ss.latency.Record(SimTime::Nanos(full));
-}
-
-void ShardDriver::EnqueueClient(Client* c, int64_t ready_ns) {
-  const uint32_t shard = c->dirs[c->next.dir].shard;
-  schedulers_[shard]->Enqueue(c->id, ready_ns);
-  auto& heap = ready_heaps_[shard];
-  heap.emplace_back(ready_ns, c->id);
-  std::push_heap(heap.begin(), heap.end(), ReadyLater{});
-  stats_.mt.max_ready = std::max<uint64_t>(
-      stats_.mt.max_ready, schedulers_[shard]->ready_count());
-}
-
-bool ShardDriver::PickShard(uint32_t* shard) {
-  bool found = false;
-  int64_t best_start = 0;
-  for (uint32_t s = 0; s < router_->shards(); ++s) {
-    auto& heap = ready_heaps_[s];
-    // Lazy pruning: an entry is live iff the shard's scheduler still holds
-    // that client at that ready time (a client is ready on one shard at a
-    // time, so stale entries are strictly older duplicates).
-    while (!heap.empty()) {
-      const auto& [ready, client] = heap.front();
-      if (schedulers_[s]->IsReady(client) &&
-          schedulers_[s]->ready_ns(client) == ready) {
-        break;
-      }
-      std::pop_heap(heap.begin(), heap.end(), ReadyLater{});
-      heap.pop_back();
-    }
-    if (heap.empty()) continue;
-    const int64_t start =
-        std::max(router_->env(s)->clock().now().nanos(), heap.front().first);
-    if (!found || start < best_start) {
-      found = true;
-      best_start = start;
-      *shard = s;
-    }
-  }
-  return found;
-}
-
-Status ShardDriver::ServiceOne(uint32_t shard, uint64_t client_id) {
-  Client* c = &clients_[client_id];
-  const int64_t ready = c->ready_ns;
-  sim::SimEnv* env = router_->env(shard);
-  env->spans()->set_client_id(client_id);
-  // An idle shard waits for the request to arrive; a busy one queues it.
-  const int64_t start = std::max(env->clock().now().nanos(), ready);
-  router_->AdvanceShardTo(shard, start);
-  const OpKind kind = c->next.kind;
-  int64_t end = start;
-  RETURN_IF_ERROR(ExecuteOp(c, &end));
-  schedulers_[shard]->NoteServiced(client_id, end - start);
-  ++c->done;
-  if (c->done > params_.warmup_ops) {
-    RecordOp(c, shard, kind, start - ready, end - start);
-  }
-  --c->ops_left;
-  --remaining_;
-  if (c->ops_left > 0) {
-    GenerateNextOp(c);
-    c->ready_ns = end;
-    EnqueueClient(c, end);
-  }
-  return OkStatus();
-}
+ShardDriver::ShardDriver(ShardRouter* router, mt::MtParams params)
+    : router_(router),
+      loop_(ShardEnvs(router), params, RouterNamespace(router)) {}
 
 Status ShardDriver::Run() {
-  if (ran_) return InvalidArgument("ShardDriver::Run called twice");
-  ran_ = true;
-  RETURN_IF_ERROR(Setup());
-
-  const int64_t start_ns = router_->MaxClockNs();
   const uint64_t renames_before = router_->stats().renames_cross;
-  remaining_ = 0;
-  for (Client& c : clients_) {
-    if (c.ops_left == 0) continue;
-    GenerateNextOp(&c);
-    c.ready_ns = start_ns;
-    EnqueueClient(&c, start_ns);
-    remaining_ += c.ops_left;
-  }
-
-  while (remaining_ > 0) {
-    uint32_t shard = 0;
-    if (!PickShard(&shard)) {
-      return IoError("shard driver: no ready client but ops remain");
-    }
-    uint64_t id = 0;
-    if (!schedulers_[shard]->PickNext(not_suspended_, &id)) {
-      return IoError("shard driver: picked shard has no eligible client");
-    }
-    RETURN_IF_ERROR(ServiceOne(shard, id));
-  }
-
-  for (uint32_t s = 0; s < router_->shards(); ++s) {
-    router_->env(s)->spans()->set_client_id(0);
-    router_->env(s)->ChargeCpu();
-  }
-  RETURN_IF_ERROR(router_->SyncAll());
-  for (uint32_t s = 0; s < router_->shards(); ++s) {
-    RETURN_IF_ERROR(router_->env(s)->syncer_status());
-    stats_.per_shard[s].clock_end_ns =
-        router_->env(s)->clock().now().nanos();
-    router_->env(s)->set_sample_hook(nullptr);
-  }
-  stats_.elapsed_ns = router_->MaxClockNs() - start_ns;
+  const Status s = loop_.Run();
+  stats_.shards = router_->shards();
+  stats_.mt = loop_.TakeStats();
+  stats_.per_shard = loop_.TakeLoopStats();
+  stats_.elapsed_ns = stats_.mt.elapsed_ns;
   stats_.renames_cross = router_->stats().renames_cross - renames_before;
-  return OkStatus();
+  return s;
 }
 
 }  // namespace cffs::shard

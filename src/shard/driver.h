@@ -1,144 +1,50 @@
-// Sharded multi-client driver: N logically-concurrent clients fanned out
-// across the M shards of a ShardRouter.
+// Sharded multi-client driver: the mt closed-loop driver (mt/driver.h) with
+// one service loop per shard of a ShardRouter.
 //
-// This is the mt closed-loop model (mt/driver.h) composed with the router:
-// each client owns `dirs_per_client` directories whose placement hash
-// scatters them over the shards, and every generated op targets one of
-// those directories — so the op's service shard is decided by placement,
-// not by the client. Each SHARD runs its own actor-style service loop with
-// its own mt::OpScheduler (FIFO or DRR, exactly the src/mt policies): a
-// client's next op enqueues on its target shard, and the M loops advance
-// concurrently in simulated time. The driver always services the shard
-// whose next service-start time is smallest (ties by shard id), which is
-// the event-driven schedule of M independent servers: while shard 0's disk
-// seeks, shards 1..M-1 service their own queues at earlier timestamps —
-// the disks genuinely overlap, nothing round-robins through one device.
-//
-// An op's measured latency is queue wait (ready -> service start on its
-// shard) plus service time, as in src/mt. Cross-shard renames run the
-// router's two-phase protocol and are charged to the source shard's queue
-// (the protocol itself serializes the two shards' clocks).
-//
-// Workload modes:
-//   postmark — per-dir create/read/delete mix with fixed small payloads,
-//              plus an optional rename share (rename_pct) that moves files
-//              between the client's directories, cross-shard when the two
-//              dirs hash apart.
-//   devtree  — a create phase populating each directory with log-normal
-//              (median 3 KB) source files, then a read phase over them:
-//              the paper's software-tree shape.
-//
-// Determinism: per-client xoshiro streams seeded (seed, client id), the
-// shard pick and every tie rule are by lowest id, and each shard's service
-// loop is sequential — same params => same op order on every shard.
+// Each client owns `dirs_per_client` directories /c<i>/d<j> whose placement
+// hash scatters them over the shards, so an op's service shard is decided by
+// placement, not by the client. Everything else — op generation (the
+// postmark mix with its rename share, or devtree) and execution, one
+// mt::OpScheduler per shard and the earliest-start shard pick, per-shard
+// backpressure, warmup exclusion and the stats — is mt::MtDriver's. This
+// driver adds only what needs the router: it builds the directories, hands
+// the loop the router's Rename (a rename between directories that hash to
+// different shards runs the two-phase journal protocol), and syncs every
+// shard before measurement.
 #ifndef CFFS_SHARD_DRIVER_H_
 #define CFFS_SHARD_DRIVER_H_
 
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "src/mt/scheduler.h"
+#include "src/mt/driver.h"
 #include "src/shard/router.h"
 #include "src/shard/shard_stats.h"
-#include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace cffs::shard {
 
-struct ShardDriverParams {
-  uint32_t clients = 16;
-  uint64_t ops_per_client = 64;
-  uint32_t dirs_per_client = 2;
-  mt::SchedulerKind scheduler = mt::SchedulerKind::kDrr;
-  int64_t drr_quantum_ns = mt::DrrScheduler::kDefaultQuantumNs;
-  uint64_t seed = 42;
-
-  // postmark mode op mix (percent; remainder after create+read+rename is
-  // delete). rename_pct needs dirs_per_client >= 2 to ever cross shards.
-  uint32_t create_pct = 40;
-  uint32_t read_pct = 40;
-  uint32_t rename_pct = 0;
-  uint32_t file_bytes = 1024;
-  uint32_t max_live_files = 64;    // per directory
-  uint32_t prepopulate_files = 2;  // per directory, before measurement
-  uint64_t warmup_ops = 0;         // per client, serviced but not recorded
-
-  // devtree mode: create phase then read phase, log-normal sizes.
-  bool devtree = false;
-  uint32_t devtree_create_pct = 50;  // leading share of ops that create
-
-  // Fills clients/scheduler from the SimConfig mt knobs (mt_clients,
-  // mt_scheduler); shard count and placement come from the router.
-  static ShardDriverParams FromConfig(const sim::SimConfig& config);
+// mt::MtParams with the sharded defaults: two directories per client (a
+// rename needs two) and up to 64 live files in each.
+struct ShardDriverParams : mt::MtParams {
+  ShardDriverParams() {
+    dirs_per_client = 2;
+    max_live_files = 64;
+  }
 };
 
 class ShardDriver {
  public:
-  ShardDriver(ShardRouter* router, ShardDriverParams params);
-  ~ShardDriver();
+  ShardDriver(ShardRouter* router, mt::MtParams params);
 
-  // Builds the per-client directories (outside measurement), cold-caches
-  // and resets every shard, then services all op streams to completion and
-  // ends with a router-wide sync. Call once.
+  // Builds the per-client directories (outside measurement), syncs every
+  // shard, then runs the loop (mt::MtDriver::Run). Call once.
   Status Run();
 
   const ShardDriverStats& stats() const { return stats_; }
   ShardDriverStats TakeStats() { return std::move(stats_); }
 
  private:
-  enum class OpKind : uint8_t { kCreate, kRead, kDelete, kRename };
-
-  struct DirSlot {
-    uint32_t shard = 0;
-    fs::InodeNum ino = 0;  // resolved once; ops then call the fs directly
-    std::string path;
-    std::vector<uint32_t> live;  // live file name sequence numbers
-    uint32_t next_file = 0;
-  };
-
-  struct NextOp {
-    OpKind kind = OpKind::kCreate;
-    uint32_t dir = 0;        // index into Client::dirs
-    uint32_t to_dir = 0;     // rename destination dir index
-    size_t target = 0;       // index into live (read/delete/rename)
-    uint32_t bytes = 0;      // payload size (devtree: log-normal)
-  };
-
-  struct Client {
-    uint64_t id = 0;
-    Rng rng{0};
-    std::vector<DirSlot> dirs;
-    uint64_t ops_left = 0;
-    uint64_t done = 0;
-    int64_t ready_ns = 0;
-    NextOp next;
-  };
-
-  Status Setup();
-  void GenerateNextOp(Client* c);
-  uint32_t PayloadBytes(Client* c);
-  Status ExecuteOp(Client* c, int64_t* end_ns);
-  Status ServiceOne(uint32_t shard, uint64_t client_id);
-  // Shard whose next service would start earliest; false if nothing ready.
-  bool PickShard(uint32_t* shard);
-  void EnqueueClient(Client* c, int64_t ready_ns);
-  void RecordOp(Client* c, uint32_t shard, OpKind kind, int64_t queue_ns,
-                int64_t service_ns);
-
   ShardRouter* router_;
-  ShardDriverParams params_;
-  std::vector<std::unique_ptr<mt::OpScheduler>> schedulers_;  // per shard
-  // Per-shard min-heap of (ready_ns, client), lazily pruned against the
-  // shard's scheduler, so the shard pick costs O(log N) instead of O(N*M).
-  std::vector<std::vector<std::pair<int64_t, uint64_t>>> ready_heaps_;
-  std::vector<Client> clients_;
-  std::vector<uint8_t> not_suspended_;  // all-zero; mt pick needs the vector
-  uint64_t remaining_ = 0;
-  std::vector<uint8_t> payload_;
+  mt::MtDriver loop_;
   ShardDriverStats stats_;
-  bool ran_ = false;
 };
 
 }  // namespace cffs::shard

@@ -3,11 +3,12 @@
 // them without linking the driver.
 //
 // Client-level accounting reuses mt::MtStats verbatim — the shard driver IS
-// the mt closed-loop model fanned out over M service loops — and this header
-// adds the per-shard axis: how much work each shard's disk absorbed, its
-// latency distribution, and how far its clock advanced. Aggregate elapsed
-// time for a sharded run is the MAX over per-shard clocks (the disks overlap
-// in simulated time), which is what makes the scaling curve meaningful:
+// the mt closed-loop driver with one service loop per shard — and the
+// per-shard axis is the driver's per-loop view: how much work each shard's
+// disk absorbed, its latency distribution, and how far its clock advanced.
+// Aggregate elapsed time for a sharded run is the MAX over per-shard clocks
+// (the disks overlap in simulated time), which is what makes the scaling
+// curve meaningful:
 //   speedup(M) = elapsed(1) / elapsed(M) at equal total work.
 #ifndef CFFS_SHARD_SHARD_STATS_H_
 #define CFFS_SHARD_SHARD_STATS_H_
@@ -16,19 +17,10 @@
 #include <vector>
 
 #include "src/mt/mt_stats.h"
-#include "src/util/histogram.h"
 
 namespace cffs::shard {
 
-struct ShardOpStats {
-  uint32_t shard_id = 0;
-  uint64_t ops = 0;            // ops serviced on this shard
-  uint64_t renames_in = 0;     // cross-shard renames this shard received
-  int64_t service_ns = 0;      // exact sum of service times on this shard
-  int64_t queue_wait_ns = 0;   // exact sum of ready->service waits
-  int64_t clock_end_ns = 0;    // shard clock when the run finished
-  LatencyHistogram latency;    // full latency of ops serviced here
-};
+using ShardOpStats = mt::LoopStats;
 
 // Returned by shard::ShardDriver::Run. Invariant: sum of per_shard ops ==
 // mt.ops_serviced (every serviced op lands on exactly one shard).

@@ -63,6 +63,10 @@ void SimEnv::WireFs(fs::FsBase* fs) {
 
 Result<std::unique_ptr<SimEnv>> SimEnv::Create(FsKind kind,
                                                const SimConfig& config) {
+  if (config.device != "spinning" && config.device != "flash") {
+    return InvalidArgument("unknown device \"" + config.device +
+                           "\" (spinning | flash)");
+  }
   auto env = std::unique_ptr<SimEnv>(new SimEnv(kind, config));
   if (kind == FsKind::kFfs) {
     fs::FfsParams params;

@@ -44,7 +44,8 @@ struct SimConfig {
   // Device backend: "spinning" (the mechanical model above, the paper's
   // 1996 hardware) or "flash" (src/flash channel/queue-depth model, the
   // ablation hardware). Both back their sectors with disk_spec's geometry,
-  // so capacity and images are identical across backends.
+  // so capacity and images are identical across backends. Any other value
+  // makes SimEnv::Create return InvalidArgument.
   std::string device = "spinning";
   flash::FlashSpec flash_spec = flash::DefaultFlash();
   size_t cache_blocks = 2048;  // 8 MB file cache
@@ -96,9 +97,10 @@ struct SimConfig {
 
   // Consumed by mt::MtParams::FromConfig, not by SimEnv itself: the number
   // of logically-concurrent clients the MtDriver interleaves (0 keeps the
-  // MtParams default), the inter-client scheduler ("fifo" | "drr"), and
-  // whether the dirty-watermark throttle suspends only the offending
-  // client instead of stalling every tenant (see mt/driver.h).
+  // MtParams default), the inter-client scheduler ("fifo" | "drr"; anything
+  // else is InvalidArgument), and whether the dirty-watermark throttle
+  // suspends only the offending client instead of stalling every tenant
+  // (see mt/driver.h).
   uint32_t mt_clients = 0;
   std::string mt_scheduler = "drr";
   bool mt_backpressure = true;

@@ -97,6 +97,7 @@ Json ToJson(const mt::MtStats& s) {
   by_kind.Set("read", HistogramJson(s.read_latency));
   by_kind.Set("delete", HistogramJson(s.delete_latency));
   by_kind.Set("write", HistogramJson(s.write_latency));
+  by_kind.Set("rename", HistogramJson(s.rename_latency));
   j.Set("by_kind", std::move(by_kind));
   // Per-client detail stays out of the report (1024 tenants would dwarf
   // it); the worst tails surface via spans.per_client and cffs_prof.
@@ -376,11 +377,12 @@ std::vector<std::string> MetricsSnapshot::CheckInvariants() const {
              static_cast<unsigned long long>(c.latency.count()),
              static_cast<unsigned long long>(c.ops));
       }
-      if (c.creates + c.reads + c.deletes + c.writes != c.ops) {
+      const uint64_t kinds =
+          c.creates + c.reads + c.deletes + c.writes + c.renames;
+      if (kinds != c.ops) {
         fail("mt: client %llu op kinds (%llu) != ops (%llu)",
              static_cast<unsigned long long>(c.client_id),
-             static_cast<unsigned long long>(c.creates + c.reads +
-                                             c.deletes + c.writes),
+             static_cast<unsigned long long>(kinds),
              static_cast<unsigned long long>(c.ops));
       }
     }

@@ -143,6 +143,25 @@ TEST(SchedulerKindTest, ParseRoundTrips) {
   EXPECT_STREQ(SchedulerKindName(SchedulerKind::kDrr), "drr");
 }
 
+TEST(MtParamsTest, FromConfigRejectsAnUnknownScheduler) {
+  sim::SimConfig config;
+  config.mt_clients = 5;
+  config.mt_scheduler = "fifo";
+  config.mt_backpressure = false;
+  MtParams base;
+  base.max_live_files = 7;
+  auto params = MtParams::FromConfig(config, base);
+  ASSERT_TRUE(params.ok()) << params.status().ToString();
+  EXPECT_EQ(params->clients, 5u);
+  EXPECT_EQ(params->scheduler, SchedulerKind::kFifo);
+  EXPECT_FALSE(params->backpressure);
+  EXPECT_EQ(params->max_live_files, 7u);  // the rest comes from base
+  // No silent fallback to DRR.
+  config.mt_scheduler = "lottery";
+  EXPECT_EQ(MtParams::FromConfig(config, base).status().code(),
+            ErrorCode::kInvalidArgument);
+}
+
 // --- MtDriver -------------------------------------------------------------
 
 // FNV-1a over every allocated chunk of the simulated platter.
@@ -266,6 +285,48 @@ TEST(MtDriverTest, BackpressureSuspendsAndTagsTheCrosser) {
   // Parked clients kept their queue position: every op still ran.
   EXPECT_EQ(stats.ops_serviced,
             static_cast<uint64_t>(params.clients) * params.ops_per_client);
+}
+
+// Out-of-range params fail the run instead of being rewritten into a
+// different one (a 40/40/21 mix used to run as 40/40/0).
+TEST(MtDriverTest, OutOfRangeParamsAreRejected) {
+  MtParams no_clients;
+  no_clients.clients = 0;
+  MtParams no_dirs;
+  no_dirs.dirs_per_client = 0;
+  MtParams over_full;
+  over_full.dirs_per_client = 2;
+  over_full.rename_pct = 21;  // 40 + 40 + 21 > 100
+  MtParams rename_one_dir;
+  rename_one_dir.rename_pct = 10;
+  for (const MtParams& params :
+       {no_clients, no_dirs, over_full, rename_one_dir}) {
+    auto env = sim::SimEnv::Create(sim::FsKind::kCffs, MtConfig());
+    ASSERT_TRUE(env.ok()) << env.status().ToString();
+    MtDriver driver(env->get(), params);
+    EXPECT_EQ(driver.Run().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(driver.stats().ops_serviced, 0u);
+  }
+}
+
+// Renames between a client's directories land in their own slot, not in
+// the antagonist's write slot, and the op kinds still sum to the ops.
+TEST(MtDriverTest, RenamesHaveTheirOwnSlot) {
+  MtParams params;
+  params.clients = 4;
+  params.ops_per_client = 40;
+  params.dirs_per_client = 2;
+  params.rename_pct = 20;  // 40/40/20: the whole budget is allowed
+  const MtRunResult r = RunMt(sim::FsKind::kCffs, MtConfig(), params);
+  uint64_t renames = 0;
+  for (const MtClientStats& c : r.stats.per_client) {
+    renames += c.renames;
+    EXPECT_EQ(c.writes, 0u);
+  }
+  EXPECT_EQ(r.stats.ops_serviced, 4u * 40u);
+  EXPECT_GT(renames, 0u);
+  EXPECT_EQ(r.stats.rename_latency.count(), renames);
+  EXPECT_EQ(r.stats.write_latency.count(), 0u);
 }
 
 // All cross-layer invariants (including the new per-client span and mt

@@ -4,7 +4,7 @@
 // splits across shards), same- and cross-shard renames with the two-phase
 // journal protocol, the cross-shard ordering checker (clean on the correct
 // protocol, convicting on the seeded mutations), and the sharded driver's
-// determinism and scaling behavior.
+// determinism, scaling, param checks and per-shard backpressure.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 
 #include "src/check/xshard.h"
 #include "src/fsck/fsck.h"
+#include "src/io/syncer.h"
 #include "src/shard/driver.h"
 #include "src/shard/placement.h"
 #include "src/shard/router.h"
@@ -492,6 +493,59 @@ TEST(ShardDriverTest, StatsAreConsistentAcrossTheShardAxis) {
   const RouterStats& rs = (*router)->stats();
   EXPECT_GT(rs.renames_local + rs.renames_cross, 0u);
   EXPECT_EQ(st.renames_cross, rs.renames_cross);
+  // Renames have their own slot (the write slot is the antagonist's), and
+  // each cross-shard one is received by exactly one shard.
+  EXPECT_EQ(st.mt.rename_latency.count(), rs.renames_local + rs.renames_cross);
+  EXPECT_EQ(st.mt.write_latency.count(), 0u);
+  uint64_t renames_in = 0;
+  for (const auto& s : st.per_shard) renames_in += s.renames_in;
+  EXPECT_EQ(renames_in, rs.renames_cross);
+}
+
+TEST(ShardDriverTest, AnOpMixOverOneHundredPercentIsRejected) {
+  // 40/40/21 used to run silently as 40/40/0: no renames at all.
+  auto router = ShardRouter::Create(sim::FsKind::kCffs, ShardConfig(4));
+  ASSERT_TRUE(router.ok());
+  ShardDriverParams p;
+  p.rename_pct = 21;
+  ShardDriver driver(router->get(), p);
+  EXPECT_EQ(driver.Run().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(driver.stats().mt.ops_serviced, 0u);
+}
+
+// Each shard's syncer throttles its own writers: only offenders are
+// suspended, every op still runs, and each shard's deferred flush is
+// tagged with a client that crossed that shard's watermark.
+TEST(ShardDriverTest, BackpressureIsPerShard) {
+  sim::SimConfig config = ShardConfig(2);
+  config.metadata = fs::MetadataPolicy::kDelayed;
+  config.syncer = true;
+  config.cache_blocks = 256;
+  config.dirty_high_watermark = 0.25;
+  config.syncer_interval = SimTime::Seconds(1000);  // throttle only
+  config.syncer_max_age = SimTime::Seconds(1000);
+  auto router = ShardRouter::Create(sim::FsKind::kCffs, config);
+  ASSERT_TRUE(router.ok());
+  ShardDriverParams p;
+  p.clients = 8;
+  p.ops_per_client = 48;
+  p.create_pct = 70;  // mutation-heavy: everyone pushes dirty data
+  p.read_pct = 20;
+  ShardDriver driver(router->get(), p);
+  ASSERT_TRUE(driver.Run().ok());
+  const ShardDriverStats& st = driver.stats();
+  EXPECT_GT(st.mt.suspensions, 0u);
+  EXPECT_EQ(st.mt.ops_serviced, 8u * 48u);
+  int throttled = 0;
+  for (uint32_t s = 0; s < (*router)->shards(); ++s) {
+    io::Syncer* syncer = (*router)->env(s)->syncer();
+    if (syncer->stats().throttle_flushes == 0) continue;
+    ++throttled;
+    const uint64_t payer = syncer->last_throttle_client();
+    ASSERT_LT(payer, st.mt.per_client.size());
+    EXPECT_GT(st.mt.per_client[payer].suspensions, 0u) << "shard " << s;
+  }
+  EXPECT_GT(throttled, 0);
 }
 
 TEST(ShardDriverTest, SameSeedSameRun) {

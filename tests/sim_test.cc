@@ -66,6 +66,19 @@ TEST(SimEnvTest, ClockSharedAcrossComponents) {
   EXPECT_GT((*env)->clock().now(), before);  // disk work advanced time
 }
 
+TEST(SimEnvTest, UnknownDeviceIsRejected) {
+  sim::SimConfig config = SmallConfig();
+  for (const char* device : {"spinning", "flash"}) {
+    config.device = device;
+    EXPECT_TRUE(sim::SimEnv::Create(sim::FsKind::kCffs, config).ok())
+        << device;
+  }
+  // A typo must not silently build the spinning disk.
+  config.device = "flsh";
+  EXPECT_EQ(sim::SimEnv::Create(sim::FsKind::kCffs, config).status().code(),
+            ErrorCode::kInvalidArgument);
+}
+
 TEST(HistogramTest, EmptyHistogram) {
   LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);

@@ -246,10 +246,14 @@ int RunSharded(sim::FsKind kind, const sim::SimConfig& config, uint64_t mt_ops,
     return 1;
   }
   shard::ShardRouter* router = router_or->get();
-  shard::ShardDriverParams params = shard::ShardDriverParams::FromConfig(config);
-  params.ops_per_client = mt_ops;
-  params.rename_pct = rename_pct;
-  shard::ShardDriver driver(router, params);
+  auto params = mt::MtParams::FromConfig(config, shard::ShardDriverParams());
+  if (!params.ok()) {
+    std::fprintf(stderr, "params: %s\n", params.status().ToString().c_str());
+    return 1;
+  }
+  params->ops_per_client = mt_ops;
+  params->rename_pct = rename_pct;
+  shard::ShardDriver driver(router, *params);
   if (Status s = driver.Run(); !s.ok()) {
     std::fprintf(stderr, "run: %s\n", s.ToString().c_str());
     return 1;
@@ -257,7 +261,7 @@ int RunSharded(sim::FsKind kind, const sim::SimConfig& config, uint64_t mt_ops,
   const shard::ShardDriverStats& st = driver.stats();
   std::printf("%s x %u shards: %u clients x %llu ops, %llu cross-shard "
               "renames, %.3f simulated seconds\n",
-              sim::FsKindName(kind).c_str(), st.shards, params.clients,
+              sim::FsKindName(kind).c_str(), st.shards, params->clients,
               static_cast<unsigned long long>(mt_ops),
               static_cast<unsigned long long>(st.renames_cross),
               static_cast<double>(st.elapsed_ns) / 1e9);
@@ -348,7 +352,6 @@ int main(int argc, char** argv) {
       per_shard = true;
     } else if (std::strncmp(arg, "--rename-pct=", 13) == 0) {
       rename_pct = static_cast<uint32_t>(std::atoi(arg + 13));
-      if (rename_pct > 100) return Usage(argv[0]);
     } else {
       return Usage(argv[0]);
     }
@@ -387,10 +390,15 @@ int main(int argc, char** argv) {
 
   stats::MetricsSnapshot snap;
   if (mt_mode) {
-    mt::MtParams mt_params = mt::MtParams::FromConfig(config);
-    mt_params.ops_per_client = mt_ops;
-    mt_params.antagonist = antagonist;
-    mt::MtDriver driver(env, mt_params);
+    auto mt_params = mt::MtParams::FromConfig(config, {});
+    if (!mt_params.ok()) {
+      std::fprintf(stderr, "params: %s\n",
+                   mt_params.status().ToString().c_str());
+      return 1;
+    }
+    mt_params->ops_per_client = mt_ops;
+    mt_params->antagonist = antagonist;
+    mt::MtDriver driver(env, *mt_params);
     if (Status s = driver.Run(); !s.ok()) {
       std::fprintf(stderr, "run: %s\n", s.ToString().c_str());
       return 1;
@@ -398,8 +406,8 @@ int main(int argc, char** argv) {
     snap = stats::Snapshot(*env);
     snap.mt = driver.TakeStats();
     std::printf("%s: %u clients x %llu ops (%s%s), %.3f simulated seconds\n\n",
-                sim::FsKindName(kind).c_str(), mt_params.clients,
-                static_cast<unsigned long long>(mt_params.ops_per_client),
+                sim::FsKindName(kind).c_str(), mt_params->clients,
+                static_cast<unsigned long long>(mt_params->ops_per_client),
                 snap.mt.scheduler.c_str(),
                 antagonist ? ", antagonist" : "", snap.sim_seconds);
   } else {
