@@ -1,11 +1,14 @@
 // Wall-clock component microbenchmarks (google-benchmark): the in-memory
-// hot paths of the library — cache hits, directory record codec, seek-curve
-// evaluation, allocator scans, whole-FS operation cost. These measure the
-// implementation itself, not the simulated disk.
+// hot paths of the library — cache hits and flush plans, directory record
+// codec, seek-curve evaluation, sector-store copies, the DRR pick, flash
+// batches, whole-FS operation cost. These measure the implementation
+// itself, not the simulated disk.
 #include <benchmark/benchmark.h>
 
 #include "src/disk/seek_curve.h"
+#include "src/flash/flash_device.h"
 #include "src/fs/common/dir_block.h"
+#include "src/mt/scheduler.h"
 #include "src/sim/sim_env.h"
 #include "src/util/rng.h"
 
@@ -116,6 +119,89 @@ void BM_DiskModelAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiskModelAccess);
+
+// One pick + service + re-enqueue of a 64-client backlogged DRR loop where
+// every op costs 100 quanta, so most picks must grant idle passes.
+void BM_DrrPick(benchmark::State& state) {
+  constexpr uint32_t kClients = 64;
+  mt::DrrScheduler sched(kClients);
+  const std::vector<uint8_t> none(kClients, 0);
+  const int64_t cost = 100 * sched.quantum_ns();
+  for (uint32_t c = 0; c < kClients; ++c) sched.Enqueue(c, 0);
+  int64_t now = 0;
+  for (auto _ : state) {
+    uint64_t id = 0;
+    if (!sched.PickNext(none, &id)) {
+      state.SkipWithError("no client to pick");
+      return;
+    }
+    now += cost;
+    sched.NoteServiced(id, cost);
+    sched.Enqueue(id, now);
+    benchmark::DoNotOptimize(id);
+  }
+}
+BENCHMARK(BM_DrrPick);
+
+// A flush plan over a full 2048-block cache with 8 dirty blocks: the shape
+// of a journal sync on a warm shard.
+void BM_BuildFlushPlan(benchmark::State& state) {
+  SimClock clock;
+  disk::DiskModel disk(disk::TestDisk(), &clock);
+  blk::BlockDevice dev(&disk, disk::SchedulerPolicy::kCLook);
+  cache::BufferCache cache(&dev, 2048);
+  for (uint64_t b = 0; b < 2048; ++b) {
+    auto ref = cache.GetZero(b);
+    if (!ref.ok()) {
+      state.SkipWithError("cache fill failed");
+      return;
+    }
+    if (b % 256 == 0) cache.MarkDirty(*ref);
+  }
+  for (auto _ : state) {
+    std::vector<blk::WriteOp> plan = cache.BuildFlushPlan();
+    benchmark::DoNotOptimize(plan.data());
+  }
+}
+BENCHMARK(BM_BuildFlushPlan);
+
+// A 128-sector (64 KB) read whose second half lies in the next 128 KB
+// sector-store chunk. Repeats hit the drive's segment cache, so the time
+// is mostly the copy.
+void BM_DiskReadRun(benchmark::State& state) {
+  SimClock clock;
+  disk::DiskModel disk(disk::SeagateSt31200(), &clock);
+  const uint64_t lba = 8 * disk::DiskModel::kImageChunkSectors - 64;
+  std::vector<uint8_t> buf(128 * disk::kSectorSize, 0x5a);
+  if (!disk.Write(lba, 128, buf).ok()) {
+    state.SkipWithError("write failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(disk.Read(lba, 128, buf).ok());
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DiskReadRun);
+
+// One WriteBatch of 16 separate 4 KB blocks on the default flash spec.
+void BM_FlashWriteBatch(benchmark::State& state) {
+  SimClock clock;
+  disk::DiskModel disk(disk::TestDisk(), &clock);
+  flash::FlashDevice dev(&disk, &clock, flash::DefaultFlash());
+  std::vector<uint8_t> data(16 * blk::kBlockSize, 0x3c);
+  std::vector<blk::WriteOp> ops;
+  for (uint64_t i = 0; i < 16; ++i) {
+    ops.push_back({100 + 2 * i, data.data() + i * blk::kBlockSize,
+                   cache::kNoFlushUnit});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dev.WriteBatch(ops).ok());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FlashWriteBatch);
 
 }  // namespace
 

@@ -75,12 +75,10 @@ void BufferCache::SetDirty(Buffer* buf, bool dirty) {
   if (buf->dirty_ == dirty) return;
   buf->dirty_ = dirty;
   if (dirty) {
-    ++dirty_count_;
     buf->dirty_since_ns_ = dev_->disk()->now().nanos();
-    dirty_fifo_.emplace_back(buf->bno_, buf->dirty_since_ns_);
+    buf->dirty_pos_ = dirty_.insert(dirty_.end(), buf);
   } else {
-    assert(dirty_count_ > 0);
-    --dirty_count_;
+    dirty_.erase(buf->dirty_pos_);
   }
 }
 
@@ -96,19 +94,8 @@ void BufferCache::NoteStagedDropped(Buffer* buf) {
   ++stats_.readahead_wasted;
 }
 
-int64_t BufferCache::oldest_dirty_ns() {
-  while (!dirty_fifo_.empty()) {
-    const auto& [bno, since] = dirty_fifo_.front();
-    Buffer* buf = FindResident(bno);
-    // The entry is live only if that buffer is still dirty from the same
-    // transition; otherwise it was cleaned (possibly re-dirtied later, in
-    // which case a younger entry exists further back).
-    if (buf != nullptr && buf->dirty_ && buf->dirty_since_ns_ == since) {
-      return since;
-    }
-    dirty_fifo_.pop_front();
-  }
-  return -1;
+int64_t BufferCache::oldest_dirty_ns() const {
+  return dirty_.empty() ? -1 : dirty_.front()->dirty_since_ns_;
 }
 
 Status BufferCache::EvictIfNeeded() {
@@ -116,7 +103,7 @@ Status BufferCache::EvictIfNeeded() {
   // quarter of the cache is dirty and we need space, flush everything in
   // one scheduled, clustered batch instead of dribbling single-block
   // eviction writes.
-  if (buffers_.size() >= capacity_ && dirty_count_ >= capacity_ / 4) {
+  if (buffers_.size() >= capacity_ && dirty_.size() >= capacity_ / 4) {
     RETURN_IF_ERROR(SyncAll());
   }
   while (buffers_.size() >= capacity_) {
@@ -290,11 +277,9 @@ Status BufferCache::SyncBlock(uint64_t bno) {
 
 std::vector<blk::WriteOp> BufferCache::BuildFlushPlan() {
   std::vector<blk::WriteOp> ops;
-  ops.reserve(dirty_count_);
-  for (auto& [bno, buf] : buffers_) {
-    if (buf->dirty_) {
-      ops.push_back({bno, buf->data().data(), buf->flush_unit_});
-    }
+  ops.reserve(dirty_.size());
+  for (Buffer* buf : dirty_) {
+    ops.push_back({buf->bno_, buf->data().data(), buf->flush_unit_});
   }
   if (ops.empty()) return ops;
 
@@ -419,7 +404,7 @@ void BufferCache::Invalidate(uint64_t bno) {
 }
 
 size_t BufferCache::CrashDropAll() {
-  const size_t lost = dirty_count_;
+  const size_t lost = dirty_.size();
   for (auto& [bno, buf] : buffers_) {
     assert(buf->pins_ == 0);
     NoteStagedDropped(buf.get());
@@ -428,18 +413,16 @@ size_t BufferCache::CrashDropAll() {
   buffers_.clear();
   logical_index_.clear();
   lru_.clear();
-  dirty_count_ = 0;
-  dirty_fifo_.clear();
+  dirty_.clear();
   return lost;
 }
 
 std::vector<BufferCache::DirtyBlock> BufferCache::DirtyBlocks() const {
   std::vector<DirtyBlock> out;
-  out.reserve(dirty_count_);
-  for (const auto& [bno, buf] : buffers_) {
-    if (!buf->dirty_) continue;
+  out.reserve(dirty_.size());
+  for (const Buffer* buf : dirty_) {
     DirtyBlock d;
-    d.bno = bno;
+    d.bno = buf->bno_;
     d.data.assign(buf->data_.get(), buf->data_.get() + blk::kBlockSize);
     out.push_back(std::move(d));
   }
@@ -451,7 +434,7 @@ std::vector<BufferCache::DirtyBlock> BufferCache::DirtyBlocks() const {
 }
 
 void BufferCache::InvalidateAll() {
-  assert(dirty_count_ == 0 && "sync before invalidating the whole cache");
+  assert(dirty_.empty() && "sync before invalidating the whole cache");
   for (auto& [bno, buf] : buffers_) {
     assert(buf->pins_ == 0);
     NoteStagedDropped(buf.get());
@@ -460,7 +443,7 @@ void BufferCache::InvalidateAll() {
   buffers_.clear();
   logical_index_.clear();
   lru_.clear();
-  dirty_fifo_.clear();
+  dirty_.clear();
 }
 
 }  // namespace cffs::cache

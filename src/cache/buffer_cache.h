@@ -18,7 +18,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 #include <utility>
@@ -112,6 +111,7 @@ class Buffer {
   int pins_ = 0;
   std::list<uint64_t>::iterator lru_pos_;
   bool in_lru_ = false;
+  std::list<Buffer*>::iterator dirty_pos_;  // valid while dirty_
 };
 
 // RAII pin on a cached buffer. While a BufferRef is live the buffer cannot
@@ -149,7 +149,7 @@ class BufferCache {
   blk::BlockDevice* device() { return dev_; }
   size_t capacity() const { return capacity_; }
   size_t size() const { return buffers_.size(); }
-  size_t dirty_count() const { return dirty_count_; }
+  size_t dirty_count() const { return dirty_.size(); }
   CacheStats& stats() { return stats_; }
 
   // Emits hit/miss/eviction/group-read trace events. nullptr disables.
@@ -218,7 +218,7 @@ class BufferCache {
 
   // Sim time at which the oldest currently-dirty buffer became dirty, or
   // -1 if nothing is dirty. Drives the syncer's age deadline.
-  int64_t oldest_dirty_ns();
+  int64_t oldest_dirty_ns() const;
 
   // Drop a resident block (when its disk space is freed). Dirty contents
   // are discarded. The block must not be pinned.
@@ -272,7 +272,6 @@ class BufferCache {
 
   blk::BlockDevice* dev_;
   size_t capacity_;
-  size_t dirty_count_ = 0;
   CacheStats stats_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::SpanTracker* spans_ = nullptr;
@@ -280,9 +279,9 @@ class BufferCache {
   std::unordered_map<uint64_t, std::unique_ptr<Buffer>> buffers_;
   std::unordered_map<LogicalId, uint64_t, LogicalIdHash> logical_index_;
   std::list<uint64_t> lru_;  // front = most recent
-  // Clean->dirty transitions in order, drained lazily by oldest_dirty_ns():
-  // an entry is stale if its buffer is gone, clean, or re-dirtied later.
-  std::deque<std::pair<uint64_t, int64_t>> dirty_fifo_;
+  // Exactly the dirty buffers, in clean->dirty transition order: the front
+  // is the oldest, and flush plans walk only these.
+  std::list<Buffer*> dirty_;
 };
 
 }  // namespace cffs::cache

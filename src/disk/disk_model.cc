@@ -212,9 +212,7 @@ Status DiskModel::Read(uint64_t lba, uint32_t nsectors, std::span<uint8_t> out) 
   if (out.size() < static_cast<size_t>(nsectors) * kSectorSize) {
     return InvalidArgument("read buffer too small");
   }
-  for (uint64_t s = lba; s < lba + nsectors; ++s) {
-    if (bad_sectors_.count(s)) return IoError("unreadable sector");
-  }
+  if (HasReadError(lba, nsectors)) return IoError("unreadable sector");
 
   const SimTime start = clock_->now();
   const DiskStats before = stats_;
@@ -253,15 +251,7 @@ Status DiskModel::Read(uint64_t lba, uint32_t nsectors, std::span<uint8_t> out) 
                   segment_hit);
   }
 
-  for (uint32_t i = 0; i < nsectors; ++i) {
-    const uint8_t* src = SectorPtr(lba + i, /*create=*/false);
-    uint8_t* dst = out.data() + static_cast<size_t>(i) * kSectorSize;
-    if (src) {
-      std::memcpy(dst, src, kSectorSize);
-    } else {
-      std::memset(dst, 0, kSectorSize);
-    }
-  }
+  PeekSector(lba, out.first(static_cast<size_t>(nsectors) * kSectorSize));
   return OkStatus();
 }
 
@@ -308,10 +298,7 @@ Status DiskModel::Write(uint64_t lba, uint32_t nsectors,
                   /*segment_hit=*/false);
   }
 
-  for (uint32_t i = 0; i < nsectors; ++i) {
-    uint8_t* dst = SectorPtr(lba + i, /*create=*/true);
-    std::memcpy(dst, in.data() + static_cast<size_t>(i) * kSectorSize, kSectorSize);
-  }
+  PokeSector(lba, in.first(static_cast<size_t>(nsectors) * kSectorSize));
   return OkStatus();
 }
 
@@ -320,21 +307,41 @@ void DiskModel::CorruptSector(uint64_t lba) {
   for (uint32_t i = 0; i < kSectorSize; i += 16) p[i] ^= 0xa5;
 }
 
-void DiskModel::PeekSector(uint64_t lba, std::span<uint8_t> out) const {
-  assert(out.size() >= kSectorSize);
-  const uint64_t chunk = lba / kChunkSectors;
-  auto it = chunks_.find(chunk);
-  if (it == chunks_.end()) {
-    std::memset(out.data(), 0, kSectorSize);
-    return;
+bool DiskModel::HasReadError(uint64_t lba, uint32_t nsectors) const {
+  if (bad_sectors_.empty()) return false;
+  for (uint64_t s = lba; s < lba + nsectors; ++s) {
+    if (bad_sectors_.count(s)) return true;
   }
-  std::memcpy(out.data(), it->second.get() + (lba % kChunkSectors) * kSectorSize,
-              kSectorSize);
+  return false;
+}
+
+// Both copies move one chunk run (up to kChunkSectors sectors) per step.
+void DiskModel::PeekSector(uint64_t lba, std::span<uint8_t> out) const {
+  assert(out.size() % kSectorSize == 0);
+  while (!out.empty()) {
+    const uint64_t offset = lba % kChunkSectors;
+    const size_t bytes = std::min<size_t>(
+        out.size(), (kChunkSectors - offset) * kSectorSize);
+    auto it = chunks_.find(lba / kChunkSectors);
+    if (it == chunks_.end()) {
+      std::memset(out.data(), 0, bytes);
+    } else {
+      std::memcpy(out.data(), it->second.get() + offset * kSectorSize, bytes);
+    }
+    lba += bytes / kSectorSize;
+    out = out.subspan(bytes);
+  }
 }
 
 void DiskModel::PokeSector(uint64_t lba, std::span<const uint8_t> in) {
-  assert(in.size() >= kSectorSize);
-  std::memcpy(SectorPtr(lba, /*create=*/true), in.data(), kSectorSize);
+  assert(in.size() % kSectorSize == 0);
+  while (!in.empty()) {
+    const size_t bytes = std::min<size_t>(
+        in.size(), (kChunkSectors - lba % kChunkSectors) * kSectorSize);
+    std::memcpy(SectorPtr(lba, /*create=*/true), in.data(), bytes);
+    lba += bytes / kSectorSize;
+    in = in.subspan(bytes);
+  }
 }
 
 void DiskModel::ForEachChunk(

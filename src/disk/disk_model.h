@@ -102,15 +102,17 @@ class DiskModel {
   // Future reads of this LBA fail with kIoError until cleared.
   void InjectReadError(uint64_t lba) { bad_sectors_.insert(lba); }
   void ClearReadError(uint64_t lba) { bad_sectors_.erase(lba); }
-  // Whether a read of this LBA would fail. Lets alternative device models
-  // (src/flash) that bypass Read's timing path keep fault-injection parity.
-  bool HasReadError(uint64_t lba) const {
-    return bad_sectors_.count(lba) != 0;
-  }
+  // Whether a read of [lba, lba + nsectors) would fail. Lets alternative
+  // device models (src/flash) that bypass Read's timing path keep
+  // fault-injection parity.
+  bool HasReadError(uint64_t lba, uint32_t nsectors) const;
   // Silently flips bits in a stored sector (media corruption).
   void CorruptSector(uint64_t lba);
 
-  // Direct, time-free access for tools (mkfs image inspection, fsck tests).
+  // Direct, time-free access for tools (mkfs image inspection, fsck tests)
+  // and the flash model: copies out.size() / kSectorSize sectors starting
+  // at `lba` (the span must hold whole sectors). Unwritten sectors read as
+  // zeros.
   void PeekSector(uint64_t lba, std::span<uint8_t> out) const;
   void PokeSector(uint64_t lba, std::span<const uint8_t> in);
 

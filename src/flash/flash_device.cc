@@ -150,19 +150,14 @@ Status FlashDevice::ReadRun(uint64_t bno, uint32_t count,
   RETURN_IF_ERROR(CheckRun(bno, count, out.size(), /*is_write=*/false));
   const uint64_t lba = bno * blk::kSectorsPerBlock;
   const uint32_t nsectors = count * blk::kSectorsPerBlock;
-  for (uint32_t s = 0; s < nsectors; ++s) {
-    if (disk_->HasReadError(lba + s)) {
-      return IoError("read error at lba " + std::to_string(lba + s));
-    }
+  if (disk_->HasReadError(lba, nsectors)) {
+    return IoError("read error in blocks " + std::to_string(bno) + "+" +
+                   std::to_string(count));
   }
 
   const SimTime start = clock_->now();
   const WindowTimes w = SimulateWindow({{bno, count}}, /*is_write=*/false);
-  for (uint32_t s = 0; s < nsectors; ++s) {
-    disk_->PeekSector(lba + s,
-                      out.subspan(static_cast<size_t>(s) * disk::kSectorSize,
-                                  disk::kSectorSize));
-  }
+  disk_->PeekSector(lba, out.first(static_cast<size_t>(count) * blk::kBlockSize));
   ++stats_.reads;
   stats_.blocks_read += count;
   head_lba_ = lba + nsectors;
@@ -180,11 +175,7 @@ Status FlashDevice::WriteRun(uint64_t bno, uint32_t count,
 
   const SimTime start = clock_->now();
   const WindowTimes w = SimulateWindow({{bno, count}}, /*is_write=*/true);
-  for (uint32_t s = 0; s < nsectors; ++s) {
-    disk_->PokeSector(lba + s,
-                      in.subspan(static_cast<size_t>(s) * disk::kSectorSize,
-                                 disk::kSectorSize));
-  }
+  disk_->PokeSector(lba, in.first(static_cast<size_t>(count) * blk::kBlockSize));
   ++stats_.writes;
   stats_.blocks_written += count;
   head_lba_ = lba + nsectors;
@@ -235,13 +226,8 @@ Status FlashDevice::WriteBatch(const std::vector<blk::WriteOp>& ops) {
     const Command& cmd = cmds[k];
     for (uint32_t b = 0; b < cmd.count; ++b) {
       const blk::WriteOp& op = ops[cmd_first[k] + b];
-      const uint64_t lba = op.bno * blk::kSectorsPerBlock;
-      for (uint32_t s = 0; s < blk::kSectorsPerBlock; ++s) {
-        disk_->PokeSector(
-            lba + s, std::span(op.data + static_cast<size_t>(s) *
-                                             disk::kSectorSize,
-                               disk::kSectorSize));
-      }
+      disk_->PokeSector(op.bno * blk::kSectorsPerBlock,
+                        std::span(op.data, blk::kBlockSize));
     }
     ++stats_.writes;
     stats_.blocks_written += cmd.count;

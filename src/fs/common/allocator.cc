@@ -11,7 +11,7 @@ CgAllocator::CgAllocator(cache::BufferCache* cache, std::vector<CgLayout> groups
     : cache_(cache), groups_(std::move(groups)) {
   assert(!groups_.empty());
   free_runs_.resize(groups_.size());
-  for (const CgLayout& g : groups_) {
+  for ([[maybe_unused]] const CgLayout& g : groups_) {
     assert(g.blocks <= kBlockSize * 8);
     assert(g.data_start >= g.first_block &&
            g.data_start <= g.first_block + g.blocks);

@@ -125,6 +125,11 @@ class DrrScheduler : public OpScheduler {
                 uint64_t* client) override;
 
  private:
+  // The ring successor of client c.
+  uint32_t Next(uint32_t c) const {
+    return c + 1 == ready_.size() ? 0 : c + 1;
+  }
+
   int64_t quantum_ns_;
   std::vector<int64_t> deficit_;
   uint32_t cursor_ = 0;  // ring position; stays on a client mid-quantum

@@ -1,8 +1,14 @@
 // Unit tests for the block device and the dual-indexed buffer cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <vector>
+
 #include "src/cache/buffer_cache.h"
 #include "src/disk/disk_model.h"
+#include "src/util/rng.h"
 
 namespace cffs {
 namespace {
@@ -321,6 +327,205 @@ TEST_F(CacheTest, InsertRunStagesOnlyNonDemandBlocks) {
   EXPECT_FALSE(cache_.Lookup(200).value()->staged());
   EXPECT_EQ(cache_.Lookup(202).value()->data()[0], 0x77);
   EXPECT_EQ(cache_.Lookup(201).value()->flush_unit(), 200u);
+}
+
+// What a BufferCache with no pinned buffers must hold: residency in LRU
+// order with each buffer's flush unit, and the dirty blocks in clean->dirty
+// order with their transition times and the byte last written to them.
+struct CacheModel {
+  struct Dirty {
+    uint64_t bno;
+    int64_t since_ns;
+    uint8_t tag;
+  };
+
+  explicit CacheModel(size_t cap) : capacity(cap) {}
+
+  bool resident(uint64_t bno) const { return unit.count(bno) != 0; }
+  std::vector<Dirty>::iterator FindDirty(uint64_t bno) {
+    return std::find_if(dirty.begin(), dirty.end(),
+                        [&](const Dirty& d) { return d.bno == bno; });
+  }
+  void Clean(uint64_t bno) {
+    auto it = FindDirty(bno);
+    if (it != dirty.end()) dirty.erase(it);
+  }
+  void Touch(uint64_t bno) {
+    lru.remove(bno);
+    lru.push_front(bno);
+  }
+  // A Get/GetZero of `bno`: a hit touches it; a miss first makes room the
+  // way EvictIfNeeded does (a full flush at the dirty high-watermark, then
+  // LRU eviction, writing a dirty victim back).
+  void Access(uint64_t bno) {
+    if (!resident(bno)) {
+      if (unit.size() >= capacity && dirty.size() >= capacity / 4) {
+        dirty.clear();
+      }
+      while (unit.size() >= capacity) {
+        Drop(lru.back());
+      }
+      unit[bno] = cache::kNoFlushUnit;
+    }
+    Touch(bno);
+  }
+  void Drop(uint64_t bno) {
+    Clean(bno);
+    lru.remove(bno);
+    unit.erase(bno);
+  }
+
+  // BuildFlushPlan's block list: the dirty blocks plus the clean resident
+  // blocks bridging two same-unit dirty blocks at most 64 apart.
+  std::vector<uint64_t> PlanBlocks() const {
+    std::vector<uint64_t> d;
+    for (const Dirty& e : dirty) d.push_back(e.bno);
+    std::sort(d.begin(), d.end());
+    std::vector<uint64_t> plan = d;
+    for (size_t i = 0; i + 1 < d.size(); ++i) {
+      const uint64_t u = unit.at(d[i]);
+      if (u == cache::kNoFlushUnit || u != unit.at(d[i + 1]) ||
+          d[i + 1] - d[i] > 64) {
+        continue;
+      }
+      bool all_resident = true;
+      for (uint64_t b = d[i] + 1; b < d[i + 1]; ++b) {
+        all_resident = all_resident && resident(b);
+      }
+      for (uint64_t b = d[i] + 1; all_resident && b < d[i + 1]; ++b) {
+        plan.push_back(b);  // strictly between neighbours: never dirty
+      }
+    }
+    std::sort(plan.begin(), plan.end());
+    return plan;
+  }
+
+  size_t capacity;
+  std::list<uint64_t> lru;            // front = most recent
+  std::map<uint64_t, uint64_t> unit;  // resident bno -> flush unit
+  std::vector<Dirty> dirty;           // clean->dirty order
+};
+
+// The dirty list against the model under a random mix of dirtying (with
+// and without flush units), clean reads, scans that push dirty blocks out
+// of a 16-block cache (dirty evictions, or a full flush at the dirty
+// high-watermark), SyncBlock, SyncAll, partial NoteFlushed and Invalidate
+// (which clean without time passing, so blocks are re-dirtied at the sim
+// ns they were cleaned), and CrashDropAll.
+TEST_F(CacheTest, DirtyListMatchesAModel) {
+  constexpr size_t kCapacity = 16;
+  cache::BufferCache small(&dev_, kCapacity);
+  CacheModel model(kCapacity);
+  Rng rng(7);
+  uint8_t next_tag = 1;
+  uint64_t scan_pos = 0;
+  uint64_t dirty_evictions = 0, same_ns_redirties = 0;
+  std::map<uint64_t, int64_t> cleaned_ns;  // bno -> when last cleaned
+  uint64_t last_cleaned = 0;
+  auto access = [&](uint64_t bno, bool zero) {
+    const uint64_t writebacks = small.stats().writebacks;
+    const bool dirty_victim =
+        !model.resident(bno) && model.unit.size() >= kCapacity &&
+        model.dirty.size() < kCapacity / 4 &&
+        model.FindDirty(model.lru.back()) != model.dirty.end();
+    auto ref = zero ? small.GetZero(bno) : small.Get(bno);
+    model.Access(bno);
+    if (dirty_victim) {
+      ++dirty_evictions;
+      EXPECT_EQ(small.stats().writebacks, writebacks + 1);
+    }
+    return ref;
+  };
+  auto clean = [&](uint64_t bno) {
+    if (model.FindDirty(bno) == model.dirty.end()) return;
+    model.Clean(bno);
+    cleaned_ns[bno] = clock_.now().nanos();
+    last_cleaned = bno;
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    uint64_t bno = 100 + rng.Below(40);
+    const uint64_t roll = rng.Below(100);
+    if (roll < 20) {
+      if (last_cleaned != 0 && rng.Below(3) == 0) bno = last_cleaned;
+      auto ref = access(bno, /*zero=*/rng.Below(2) == 0);
+      ASSERT_TRUE(ref.ok());
+      if (rng.Below(2) == 0) {
+        small.SetFlushUnit(*ref, bno / 8);
+        model.unit[bno] = bno / 8;
+      }
+      const uint8_t tag = next_tag++;
+      ref->data()[0] = tag;
+      small.MarkDirty(*ref);
+      auto it = model.FindDirty(bno);
+      if (it == model.dirty.end()) {
+        const int64_t now = clock_.now().nanos();
+        auto c = cleaned_ns.find(bno);
+        same_ns_redirties += c != cleaned_ns.end() && c->second == now;
+        model.dirty.push_back({bno, now, tag});
+      } else {
+        it->tag = tag;
+      }
+    } else if (roll < 40) {
+      ASSERT_TRUE(access(bno, /*zero=*/false).ok());
+    } else if (roll < 45) {
+      for (size_t i = 0; i < kCapacity / 2; ++i) {
+        ASSERT_TRUE(access(200 + scan_pos++ % 64, /*zero=*/false).ok());
+      }
+    } else if (roll < 55) {
+      const uint64_t target =
+          model.dirty.empty() ? bno
+                              : model.dirty[rng.Below(model.dirty.size())].bno;
+      ASSERT_TRUE(small.SyncBlock(target).ok());
+      model.Clean(target);
+    } else if (roll < 57) {
+      ASSERT_TRUE(small.SyncAll().ok());
+      model.dirty.clear();
+    } else if (roll < 67) {
+      std::vector<blk::WriteOp> part;
+      for (const blk::WriteOp& op : small.BuildFlushPlan()) {
+        if (rng.Below(2) == 0) part.push_back(op);
+      }
+      small.NoteFlushed(part);
+      for (const blk::WriteOp& op : part) clean(op.bno);
+    } else if (roll < 77) {
+      small.Invalidate(bno);
+      clean(bno);
+      if (model.resident(bno)) model.Drop(bno);
+    } else if (roll < 78) {
+      EXPECT_EQ(small.CrashDropAll(), model.dirty.size());
+      model = CacheModel(kCapacity);
+    } else {
+      clock_.AdvanceBy(SimTime::Nanos(static_cast<int64_t>(rng.Below(3))));
+    }
+
+    ASSERT_EQ(small.dirty_count(), model.dirty.size()) << "step " << step;
+    ASSERT_EQ(small.oldest_dirty_ns(),
+              model.dirty.empty() ? -1 : model.dirty.front().since_ns)
+        << "step " << step;
+    std::map<uint64_t, uint8_t> tags;
+    for (const CacheModel::Dirty& d : model.dirty) tags[d.bno] = d.tag;
+    const auto blocks = small.DirtyBlocks();
+    ASSERT_EQ(blocks.size(), tags.size()) << "step " << step;
+    auto want = tags.begin();
+    for (const auto& b : blocks) {
+      ASSERT_EQ(b.bno, want->first) << "step " << step;
+      ASSERT_EQ(b.data[0], want->second) << "step " << step;
+      ++want;
+    }
+    const std::vector<blk::WriteOp> plan = small.BuildFlushPlan();
+    const std::vector<uint64_t> plan_want = model.PlanBlocks();
+    ASSERT_EQ(plan.size(), plan_want.size()) << "step " << step;
+    for (size_t i = 0; i < plan.size(); ++i) {
+      ASSERT_EQ(plan[i].bno, plan_want[i]) << "step " << step;
+      if (tags.count(plan[i].bno)) {
+        ASSERT_EQ(plan[i].data[0], tags[plan[i].bno]) << "step " << step;
+      }
+    }
+  }
+  // The mix reached the paths it is meant to cover.
+  EXPECT_GT(dirty_evictions, 50u);
+  EXPECT_GT(same_ns_redirties, 50u);
 }
 
 TEST(BlockDeviceTest, RunBoundsChecked) {

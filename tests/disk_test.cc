@@ -2,6 +2,9 @@
 // model, on-board cache, scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "src/disk/disk_model.h"
 #include "src/disk/scheduler.h"
 #include "src/util/rng.h"
@@ -219,6 +222,62 @@ TEST_F(DiskModelTest, PeekPokeBypassTiming) {
   model_.PeekSector(55, out);
   EXPECT_EQ(clock_.now(), t0);
   EXPECT_EQ(in, out);
+}
+
+// The sector store is sparse, in chunks of DiskModel::kImageChunkSectors:
+// runs that start in a written chunk and end in one never written must
+// copy across the boundary and read the unwritten part as zeros.
+TEST_F(DiskModelTest, RunsCrossChunkBoundariesIntoUnwrittenChunks) {
+  constexpr uint64_t kChunk = DiskModel::kImageChunkSectors;
+  auto pattern = [](size_t sectors, uint8_t seed) {
+    std::vector<uint8_t> v(sectors * kSectorSize);
+    for (size_t i = 0; i < v.size(); ++i) {
+      v[i] = static_cast<uint8_t>(seed + i * 7);
+    }
+    return v;
+  };
+  auto zeros = [](std::span<const uint8_t> s) {
+    return std::all_of(s.begin(), s.end(), [](uint8_t b) { return b == 0; });
+  };
+
+  // Peek/Poke: four sectors at the end of chunk 2, then a 12-sector peek
+  // that runs eight sectors into chunk 3.
+  const std::vector<uint8_t> tail = pattern(4, 1);
+  model_.PokeSector(3 * kChunk - 4, tail);
+  std::vector<uint8_t> out(12 * kSectorSize, 0xff);
+  model_.PeekSector(3 * kChunk - 4, out);
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), out.begin()));
+  EXPECT_TRUE(zeros(std::span(out).subspan(tail.size())));
+
+  // A poke that itself spans the boundary lands on both sides.
+  const std::vector<uint8_t> across = pattern(6, 2);
+  model_.PokeSector(5 * kChunk - 3, across);
+  std::vector<uint8_t> one(kSectorSize);
+  for (uint64_t s = 0; s < 6; ++s) {
+    model_.PeekSector(5 * kChunk - 3 + s, one);
+    EXPECT_TRUE(std::equal(one.begin(), one.end(),
+                           across.begin() + s * kSectorSize))
+        << "sector " << s;
+  }
+
+  // Read/Write: a write inside chunk 8, then a timed read into chunk 9.
+  const std::vector<uint8_t> written = pattern(4, 3);
+  ASSERT_TRUE(model_.Write(9 * kChunk - 4, 4, written).ok());
+  std::vector<uint8_t> buf(8 * kSectorSize, 0xff);
+  ASSERT_TRUE(model_.Read(9 * kChunk - 4, 8, buf).ok());
+  EXPECT_TRUE(std::equal(written.begin(), written.end(), buf.begin()));
+  EXPECT_TRUE(zeros(std::span(buf).subspan(written.size())));
+
+  // A timed write across the boundary reads back whole, through both the
+  // timed and the time-free path.
+  const std::vector<uint8_t> run = pattern(10, 4);
+  ASSERT_TRUE(model_.Write(11 * kChunk - 5, 10, run).ok());
+  std::vector<uint8_t> back(run.size());
+  ASSERT_TRUE(model_.Read(11 * kChunk - 5, 10, back).ok());
+  EXPECT_EQ(back, run);
+  std::fill(back.begin(), back.end(), 0);
+  model_.PeekSector(11 * kChunk - 5, back);
+  EXPECT_EQ(back, run);
 }
 
 TEST(AverageAccessTest, GrowsSlowlyForSmallSizes) {

@@ -290,9 +290,10 @@ TEST_P(ExtentEndToEndTest, FsckPassesOnExtentImages) {
 INSTANTIATE_TEST_SUITE_P(BothFileSystems, ExtentEndToEndTest,
                          ::testing::Values(sim::FsKind::kFfs,
                                            sim::FsKind::kCffs),
-                         [](const auto& info) -> std::string {
-                           return info.param == sim::FsKind::kFfs ? "Ffs"
-                                                                  : "Cffs";
+                         [](const auto& param_info) -> std::string {
+                           return param_info.param == sim::FsKind::kFfs
+                                      ? "Ffs"
+                                      : "Cffs";
                          });
 
 }  // namespace

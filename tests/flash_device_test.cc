@@ -4,6 +4,7 @@
 // nanosecond) and run-to-run determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/disk/disk_model.h"
@@ -203,6 +204,36 @@ TEST(FlashDeviceTest, DataRoundTripsThroughTheSectorStore) {
   EXPECT_EQ(h.dev_.stats().reads, 1u);
   EXPECT_EQ(h.dev_.stats().writes, 1u);
   EXPECT_EQ(h.dev_.stats().blocks_written, 5u);
+}
+
+// A sector fault in the middle of a multi-block run fails the whole run
+// before any time passes; clearing it lets the same run through.
+TEST(FlashDeviceTest, InjectedReadErrorFailsTheRunWithoutTime) {
+  FlashHarness h(MathSpec(/*channels=*/4, /*queue_depth=*/32));
+  std::vector<uint8_t> data(4 * blk::kBlockSize);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 31);
+  }
+  ASSERT_TRUE(h.dev_.WriteRun(8, 4, data).ok());
+  const uint64_t bad = 10 * blk::kSectorsPerBlock + 3;  // inside block 10
+  h.model_.InjectReadError(bad);
+
+  std::vector<uint8_t> out(data.size());
+  const SimTime t0 = h.clock_.now();
+  const int64_t busy = h.dev_.flash_stats().busy_time.nanos();
+  EXPECT_EQ(h.dev_.ReadRun(8, 4, out).code(), ErrorCode::kIoError);
+  EXPECT_EQ(h.clock_.now(), t0);
+  EXPECT_EQ(h.dev_.flash_stats().read_requests, 0u);
+  EXPECT_EQ(h.dev_.flash_stats().busy_time.nanos(), busy);
+
+  // Runs that stop short of the bad sector are unaffected.
+  ASSERT_TRUE(h.dev_.ReadRun(8, 2, out).ok());
+  EXPECT_GT(h.clock_.now(), t0);
+
+  h.model_.ClearReadError(bad);
+  std::fill(out.begin(), out.end(), 0);
+  ASSERT_TRUE(h.dev_.ReadRun(8, 4, out).ok());
+  EXPECT_EQ(out, data);
 }
 
 TEST(FlashDeviceTest, BoundsAndBufferChecks) {

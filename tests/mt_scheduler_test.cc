@@ -16,6 +16,7 @@
 #include "src/mt/scheduler.h"
 #include "src/stats/collect.h"
 #include "src/sim/sim_env.h"
+#include "src/util/rng.h"
 
 namespace cffs::mt {
 namespace {
@@ -130,6 +131,150 @@ TEST(DrrSchedulerTest, SingleClientAlwaysRunsImmediately) {
     EXPECT_EQ(c, 0u);
     sched.NoteServiced(0, 50'000);  // way past the quantum every op
   }
+}
+
+// The DRR pick as a plain ring walk that grants every eligible client one
+// quantum per pass, however many passes it takes. DrrScheduler grants the
+// passes that serve nobody at once; this is the reference it must match.
+class RingWalkDrr : public OpScheduler {
+ public:
+  RingWalkDrr(uint32_t clients, int64_t quantum_ns)
+      : OpScheduler(clients), quantum_ns_(quantum_ns), deficit_(clients, 0) {}
+  SchedulerKind kind() const override { return SchedulerKind::kDrr; }
+
+  void NoteServiced(uint64_t client, int64_t service_ns) override {
+    deficit_[client] -= service_ns;
+    if (deficit_[client] <= 0 && cursor_ == client) {
+      cursor_ = (cursor_ + 1) % static_cast<uint32_t>(ready_.size());
+    }
+  }
+  int64_t deficit(uint64_t client) const { return deficit_[client]; }
+
+ protected:
+  bool PickImpl(const std::vector<uint8_t>& suspended,
+                uint64_t* client) override {
+    const uint32_t n = static_cast<uint32_t>(ready_.size());
+    bool any = false;
+    for (uint32_t c = 0; c < n; ++c) {
+      if (ready_[c] != kNotReady && !suspended[c]) {
+        any = true;
+        break;
+      }
+    }
+    if (!any) return false;
+    for (;;) {
+      for (uint32_t step = 0; step < n; ++step) {
+        const uint32_t c = cursor_;
+        if (ready_[c] == kNotReady || suspended[c]) {
+          deficit_[c] = 0;
+          cursor_ = (cursor_ + 1) % n;
+          continue;
+        }
+        if (deficit_[c] < 0) {
+          deficit_[c] += quantum_ns_;
+          if (deficit_[c] < 0) {
+            cursor_ = (cursor_ + 1) % n;
+            continue;
+          }
+        }
+        *client = c;
+        return true;
+      }
+    }
+  }
+
+ private:
+  int64_t quantum_ns_;
+  std::vector<int64_t> deficit_;
+  uint32_t cursor_ = 0;
+};
+
+// Same pick and same deficit for every client after every pick, over random
+// client counts, quanta, readiness and suspension, with about one op in
+// four costing up to 300 quanta (the case the idle-pass grant shortcuts).
+TEST(DrrSchedulerTest, IdlePassGrantMatchesTheRingWalk) {
+  Rng rng(14);
+  uint64_t picks = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const uint32_t n = static_cast<uint32_t>(rng.Range(1, 70));
+    // Tiny quanta make deficits land on exact multiples of the quantum,
+    // where an off-by-one in the idle-pass count shows.
+    const int64_t quantum =
+        rng.Below(2) == 0 ? rng.Range(1, 4) : rng.Range(1, 1'000'000);
+    DrrScheduler fast(n, quantum);
+    RingWalkDrr ref(n, quantum);
+    std::vector<uint8_t> suspended(n, 0);
+    const uint64_t ready_odds = rng.Range(1, 8);  // 1 in ready_odds per op
+    const uint64_t suspend_odds = rng.Range(2, 16);
+    for (int op = 0; op < 1500; ++op) {
+      for (uint32_t c = 0; c < n; ++c) {
+        if (!fast.IsReady(c) && rng.Below(ready_odds) == 0) {
+          fast.Enqueue(c, op);
+          ref.Enqueue(c, op);
+        }
+        suspended[c] = rng.Below(suspend_odds) == 0;
+      }
+      uint64_t a = n, b = n;
+      const bool picked = fast.PickNext(suspended, &a);
+      ASSERT_EQ(picked, ref.PickNext(suspended, &b)) << "trial " << trial;
+      if (picked) {
+        ASSERT_EQ(a, b) << "trial " << trial << " op " << op;
+        ++picks;
+        int64_t cost = rng.Range(0, 2 * quantum);
+        if (rng.Below(4) == 0) {
+          cost = rng.Below(2) == 0 ? rng.Range(1, 300) * quantum
+                                   : rng.Range(1, 300 * quantum);
+        }
+        fast.NoteServiced(a, cost);
+        ref.NoteServiced(b, cost);
+      }
+      for (uint32_t c = 0; c < n; ++c) {
+        ASSERT_EQ(fast.deficit(c), ref.deficit(c))
+            << "trial " << trial << " op " << op << " client " << c;
+      }
+    }
+  }
+  EXPECT_GT(picks, 100'000u);
+}
+
+// 64 backlogged clients all 100 quanta in debt: the pick is 99 idle passes
+// plus one that serves client 0, and every deficit lands where the ring
+// walk leaves it.
+TEST(DrrSchedulerTest, DeepDebtResolvesLikeTheRingWalk) {
+  constexpr uint32_t kClients = 64;
+  constexpr int64_t kQuantum = 1000;
+  DrrScheduler fast(kClients, kQuantum);
+  RingWalkDrr ref(kClients, kQuantum);
+  const std::vector<uint8_t> none(kClients, 0);
+  for (uint32_t c = 0; c < kClients; ++c) {
+    fast.Enqueue(c, 0);
+    ref.Enqueue(c, 0);
+  }
+  // One round at deficit 0 serves everybody once, 100 quanta each.
+  for (uint32_t c = 0; c < kClients; ++c) {
+    uint64_t a = kClients, b = kClients;
+    ASSERT_TRUE(fast.PickNext(none, &a));
+    ASSERT_TRUE(ref.PickNext(none, &b));
+    ASSERT_EQ(a, c);
+    ASSERT_EQ(b, c);
+    fast.NoteServiced(a, 100 * kQuantum);
+    ref.NoteServiced(b, 100 * kQuantum);
+    fast.Enqueue(a, 1);
+    ref.Enqueue(b, 1);
+  }
+  for (uint32_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(fast.deficit(c), -100 * kQuantum);
+  }
+  uint64_t a = kClients, b = kClients;
+  ASSERT_TRUE(fast.PickNext(none, &a));
+  ASSERT_TRUE(ref.PickNext(none, &b));
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(fast.deficit(0), 0);
+  for (uint32_t c = 0; c < kClients; ++c) {
+    EXPECT_EQ(fast.deficit(c), ref.deficit(c)) << "client " << c;
+  }
+  EXPECT_EQ(fast.deficit(1), -kQuantum);
 }
 
 TEST(SchedulerKindTest, ParseRoundTrips) {

@@ -162,14 +162,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          sim::FsKind::kConventional,
                                          sim::FsKind::kCffs),
                        ::testing::Bool()),
-    [](const auto& info) {
+    [](const auto& param_info) {
       std::string name;
-      switch (std::get<0>(info.param)) {
+      switch (std::get<0>(param_info.param)) {
         case sim::FsKind::kFfs: name = "Ffs"; break;
         case sim::FsKind::kConventional: name = "Conventional"; break;
         default: name = "Cffs"; break;
       }
-      return name + (std::get<1>(info.param) ? "Delayed" : "Sync");
+      return name + (std::get<1>(param_info.param) ? "Delayed" : "Sync");
     });
 
 }  // namespace
