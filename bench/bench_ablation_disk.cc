@@ -3,7 +3,6 @@
 // cache? Runs the small-file benchmark with the scheduler degraded to FCFS
 // and with on-board prefetch disabled.
 #include <cstdio>
-#include <cstring>
 
 #include "bench/report.h"
 #include "src/workload/smallfile.h"
@@ -14,11 +13,9 @@ int main(int argc, char** argv) {
   workload::SmallFileParams params;
   params.num_files = 4000;
   params.num_dirs = 40;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      params.num_files = 1000;
-      params.num_dirs = 10;
-    }
+  if (bench::ParseArgs(argc, argv).quick) {
+    params.num_files = 1000;
+    params.num_dirs = 10;
   }
   std::printf("Ablation: scheduler and on-board prefetch (%u files)\n",
               params.num_files);
@@ -62,8 +59,8 @@ int main(int argc, char** argv) {
         row.Set("variant", v.name);
         report.AddRow(std::move(row));
       }
-      bench::AddSpans(&report, sim::FsKindName(kind) + "/" + v.name,
-                      (*env)->spans()->breakdown());
+      bench::AddSpans(&report, sim::FsKindName(kind) + "/" + v.name, kind,
+                      config, (*env)->spans()->breakdown());
     }
   }
   report.Write();

@@ -3,7 +3,6 @@
 // application never touches. Sweeps the extent size and reports the
 // small-file phases for full C-FFS.
 #include <cstdio>
-#include <cstring>
 
 #include "bench/report.h"
 #include "src/workload/smallfile.h"
@@ -14,11 +13,9 @@ int main(int argc, char** argv) {
   workload::SmallFileParams params;
   params.num_files = 4000;
   params.num_dirs = 40;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      params.num_files = 1000;
-      params.num_dirs = 10;
-    }
+  if (bench::ParseArgs(argc, argv).quick) {
+    params.num_files = 1000;
+    params.num_dirs = 10;
   }
   std::printf("Ablation: C-FFS group size (%u files x %u B)\n",
               params.num_files, params.file_bytes);
@@ -51,8 +48,8 @@ int main(int argc, char** argv) {
       row.Set("group_blocks", static_cast<uint64_t>(gb));
       report.AddRow(std::move(row));
     }
-    bench::AddSpans(&report, "group" + std::to_string(gb),
-                    (*env)->spans()->breakdown());
+    bench::AddSpans(&report, "group" + std::to_string(gb), sim::FsKind::kCffs,
+                    config, (*env)->spans()->breakdown());
   }
   report.Write();
   return 0;

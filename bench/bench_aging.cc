@@ -3,7 +3,6 @@
 // read throughput on the fragmented disk. The question: does grouping
 // survive fragmentation?
 #include <cstdio>
-#include <cstring>
 
 #include "bench/report.h"
 #include "src/workload/aging.h"
@@ -12,10 +11,7 @@
 using namespace cffs;
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::ParseArgs(argc, argv).quick;
   std::printf("File-system aging: post-aging small-file throughput\n");
   std::printf("%5s  %-14s %10s %10s %10s %10s %7s\n", "util", "config",
               "create/s", "read/s", "overwr/s", "delete/s", "ops");
@@ -72,7 +68,7 @@ int main(int argc, char** argv) {
       char label[64];
       std::snprintf(label, sizeof label, "%s/util%.0f",
                     sim::FsKindName(kind).c_str(), 100 * util);
-      bench::AddSpans(&report, label, env->spans()->breakdown());
+      bench::AddSpans(&report, label, kind, config, env->spans()->breakdown());
     }
   }
   report.Write();

@@ -3,7 +3,6 @@
 // "The improvement comes directly from reducing the number of disk accesses
 // required by an order of magnitude" (abstract).
 #include <cstdio>
-#include <cstring>
 
 #include "bench/report.h"
 #include "src/workload/smallfile.h"
@@ -15,11 +14,9 @@ int main(int argc, char** argv) {
   params.num_files = 10000;
   params.file_bytes = 1024;
   params.num_dirs = 100;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      params.num_files = 2000;
-      params.num_dirs = 20;
-    }
+  if (bench::ParseArgs(argc, argv).quick) {
+    params.num_files = 2000;
+    params.num_dirs = 20;
   }
 
   std::printf("Disk requests per phase (%u files x %u B)\n", params.num_files,
@@ -55,7 +52,7 @@ int main(int argc, char** argv) {
       row.Set("config", sim::FsKindName(kind));
       report.AddRow(std::move(row));
     }
-    bench::AddSpans(&report, sim::FsKindName(kind),
+    bench::AddSpans(&report, sim::FsKindName(kind), kind, config,
                     (*env)->spans()->breakdown());
     if (kind == sim::FsKind::kConventional) conv = *result;
     if (kind == sim::FsKind::kCffs) cffs = *result;

@@ -9,7 +9,8 @@
 
 using namespace cffs;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::ParseArgs(argc, argv);  // takes no flags of its own
   std::printf("Figure 2: average access time (ms) vs request size\n\n");
   auto disks = disk::Table1Disks();
   std::printf("%10s", "size");

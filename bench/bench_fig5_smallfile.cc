@@ -9,7 +9,6 @@
 // Emits BENCH_fig5_smallfile.json: one row per (config, phase) with the
 // disk time breakdown, plus a full end-of-run MetricsSnapshot per config.
 #include <cstdio>
-#include <cstring>
 
 #include "bench/report.h"
 #include "src/stats/collect.h"
@@ -22,16 +21,10 @@ int main(int argc, char** argv) {
   params.num_files = 10000;
   params.file_bytes = 1024;
   params.num_dirs = 100;
-  bool verbose = false;
-  bool quick = false;
-  // --quick: smaller run for CI-style smoke usage.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-      params.num_files = 2000;
-      params.num_dirs = 20;
-    }
-    if (std::strcmp(argv[i], "--verbose") == 0) verbose = true;
+  const auto [quick, verbose] = bench::ParseArgs(argc, argv);
+  if (quick) {  // smaller run for CI-style smoke usage
+    params.num_files = 2000;
+    params.num_dirs = 20;
   }
 
   std::printf("Figure 5: small-file benchmark (%u files x %u B, %u dirs, "
@@ -94,7 +87,7 @@ int main(int argc, char** argv) {
       report.AddRow(std::move(row));
     }
     snapshots.Set(sim::FsKindName(kind), stats::Snapshot(**env).ToJson());
-    bench::AddSpans(&report, sim::FsKindName(kind),
+    bench::AddSpans(&report, sim::FsKindName(kind), kind, config,
                     (*env)->spans()->breakdown());
   }
   report.Set("snapshots", std::move(snapshots));

@@ -7,7 +7,6 @@
 // the read and overwrite phases — embedded inodes and grouping complement
 // integrity techniques rather than competing with them.
 #include <cstdio>
-#include <cstring>
 
 #include "bench/report.h"
 #include "src/workload/smallfile.h"
@@ -19,13 +18,10 @@ int main(int argc, char** argv) {
   params.num_files = 10000;
   params.file_bytes = 1024;
   params.num_dirs = 100;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-      params.num_files = 2000;
-      params.num_dirs = 20;
-    }
+  const bool quick = bench::ParseArgs(argc, argv).quick;
+  if (quick) {
+    params.num_files = 2000;
+    params.num_dirs = 20;
   }
   bench::Report report("fig6_softupdates");
   report.Set("quick", quick);
@@ -70,7 +66,7 @@ int main(int argc, char** argv) {
       row.Set("config", sim::FsKindName(kind));
       report.AddRow(std::move(row));
     }
-    bench::AddSpans(&report, sim::FsKindName(kind),
+    bench::AddSpans(&report, sim::FsKindName(kind), kind, config,
                     (*env)->spans()->breakdown());
   }
   report.Write();

@@ -3,7 +3,6 @@
 // persists for metadata-dominated sizes. (Reconstructed figure — the
 // supplied text does not preserve the original's number; see DESIGN.md.)
 #include <cstdio>
-#include <cstring>
 
 #include "bench/report.h"
 #include "src/workload/smallfile.h"
@@ -11,10 +10,7 @@
 using namespace cffs;
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::ParseArgs(argc, argv).quick;
   bench::Report report("fig7_filesize");
   report.Set("quick", quick);
   std::printf("Figure 7: small-file read/create throughput vs file size "
@@ -48,7 +44,7 @@ int main(int argc, char** argv) {
       bench::AddSpans(&report,
                       sim::FsKindName(kinds[k]) + "/" + std::to_string(kb) +
                           "K",
-                      (*env)->spans()->breakdown());
+                      kinds[k], config, (*env)->spans()->breakdown());
     }
     std::printf("%7uK %14.1f %14.1f %8.2fx %14.1f %14.1f %8.2fx\n", kb,
                 read_rate[0], read_rate[1], read_rate[1] / read_rate[0],

@@ -22,7 +22,6 @@
 //
 // Emits BENCH_flash_ablation.json.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -92,10 +91,7 @@ bool CheckSnapshot(const stats::MetricsSnapshot& snap,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::ParseArgs(argc, argv).quick;
 
   workload::SmallFileParams sf;
   sf.num_files = quick ? 1000 : 5000;
@@ -163,7 +159,8 @@ int main(int argc, char** argv) {
       row.Set("cell", name);
       report.AddRow(std::move(row));
     }
-    bench::AddSpans(&report, "smallfile/" + name, (*env)->spans()->breakdown());
+    bench::AddSpans(&report, "smallfile/" + name, cell.kind(), cell.config(),
+                    (*env)->spans()->breakdown());
     snapshots.Set(name, sf_snap.ToJson());
     create_rates.push_back({name, sf_result->phase("create").files_per_sec});
 
@@ -187,7 +184,7 @@ int main(int argc, char** argv) {
       row.Set("disk_requests", pm_stats->disk_requests);
       report.AddRow(std::move(row));
     }
-    bench::AddSpans(&report, "postmark/" + name,
+    bench::AddSpans(&report, "postmark/" + name, cell.kind(), cell.config(),
                     (*pm_env)->spans()->breakdown());
 
     const auto& cr = sf_result->phase("create");

@@ -3,7 +3,6 @@
 // grouping fetches a whole unit per command and keeps its benefit when a
 // competing stream drags the arm away between foreground reads.
 #include <cstdio>
-#include <cstring>
 
 #include "bench/report.h"
 #include "src/workload/interference.h"
@@ -12,9 +11,7 @@ using namespace cffs;
 
 int main(int argc, char** argv) {
   workload::InterferenceParams params;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) params.foreground_files = 300;
-  }
+  if (bench::ParseArgs(argc, argv).quick) params.foreground_files = 300;
   std::printf("Interference: foreground small-file reads with a competing "
               "stream (%u files)\n",
               params.foreground_files);
@@ -59,7 +56,7 @@ int main(int argc, char** argv) {
       bench::AddSpans(&report,
                       sim::FsKindName(kind) + "/disturb" +
                           std::to_string(disturb),
-                      (*env)->spans()->breakdown());
+                      kind, config, (*env)->spans()->breakdown());
     }
   }
   report.Write();

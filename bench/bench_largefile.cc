@@ -9,7 +9,8 @@
 
 using namespace cffs;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::ParseArgs(argc, argv);  // takes no flags of its own
   constexpr uint64_t kFileBytes = 32ull * 1024 * 1024;
   std::printf("Large-file bandwidth (one %llu MB file)\n",
               static_cast<unsigned long long>(kFileBytes >> 20));
@@ -65,7 +66,7 @@ int main() {
     row.Set("write_mb_per_sec", kFileBytes / wsecs / 1e6);
     row.Set("read_mb_per_sec", kFileBytes / rsecs / 1e6);
     report.AddRow(std::move(row));
-    bench::AddSpans(&report, sim::FsKindName(kind),
+    bench::AddSpans(&report, sim::FsKindName(kind), kind, config,
                     env->spans()->breakdown());
   }
   report.Write();

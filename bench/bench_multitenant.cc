@@ -124,10 +124,7 @@ LatencyHistogram SmallClientLatency(const mt::MtStats& mt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::ParseArgs(argc, argv).quick;
   // The sweep always reaches 1024 clients (that is the point); quick mode
   // trims how many ops each client contributes.
   const uint32_t kCounts[] = {1, 16, 256, 1024};
@@ -178,7 +175,8 @@ int main(int argc, char** argv) {
       if (clients == kCounts[3]) {
         top_create_p99[ci] =
             static_cast<double>(mt.create_latency.p99().nanos());
-        bench::AddSpans(&report, sc.name, out.snap.spans);
+        bench::AddSpans(&report, sc.name, sc.kind, BaseConfig(sc.delayed),
+                        out.snap.spans);
       }
     }
   }
@@ -246,7 +244,8 @@ int main(int argc, char** argv) {
     a.Set(tag + "_small_mean_ns", small.mean().nanos());
     a.Set(tag + "_jain", out.snap.mt.JainFairnessIndex());
     a.Set(tag + "_throttle_flushes", out.snap.syncer.throttle_flushes);
-    bench::AddSpans(&report, runs[i].name, out.snap.spans);
+    bench::AddSpans(&report, runs[i].name, sim::FsKind::kCffs, anta_config,
+                    out.snap.spans);
   }
   const double fifo_inflation =
       small_p99[0] > 0 ? small_p99[1] / small_p99[0] : 0;

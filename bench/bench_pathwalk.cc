@@ -16,7 +16,6 @@
 // in directory-block touches on the hot phase; the run fails unless it is
 // at least 5x and every MetricsSnapshot invariant holds.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -112,16 +111,13 @@ std::vector<std::string> FilePaths(const Params& p) {
 
 int main(int argc, char** argv) {
   Params params;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-      params.chains = 8;
-      params.depth = 6;
-      params.files_per_leaf = 8;
-      params.hot_rounds = 5;
-      params.miss_names = 128;
-    }
+  const bool quick = bench::ParseArgs(argc, argv).quick;
+  if (quick) {
+    params.chains = 8;
+    params.depth = 6;
+    params.files_per_leaf = 8;
+    params.hot_rounds = 5;
+    params.miss_names = 128;
   }
   const std::vector<std::string> files = FilePaths(params);
   std::printf("path-walk: %u chains x depth %u x %u files (%zu files), "
@@ -222,7 +218,8 @@ int main(int argc, char** argv) {
                      st.ToString().c_str());
         return 1;
       }
-      bench::AddSpans(&report, config_name, env->spans()->breakdown());
+      bench::AddSpans(&report, config_name, kinds[k], config,
+                      env->spans()->breakdown());
     }
   }
 

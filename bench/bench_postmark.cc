@@ -3,7 +3,6 @@
 // configuration. Not a figure from the paper, but exactly the class of
 // workload its introduction motivates.
 #include <cstdio>
-#include <cstring>
 
 #include "bench/report.h"
 #include "src/workload/trace.h"
@@ -12,11 +11,9 @@ using namespace cffs;
 
 int main(int argc, char** argv) {
   workload::PostmarkParams params;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      params.initial_files = 200;
-      params.transactions = 600;
-    }
+  if (bench::ParseArgs(argc, argv).quick) {
+    params.initial_files = 200;
+    params.transactions = 600;
   }
   const workload::Trace trace = workload::GeneratePostmark(params);
   std::printf("PostMark-style trace: %u initial files, %u transactions "
@@ -57,7 +54,7 @@ int main(int argc, char** argv) {
     row.Set("disk_requests", stats->disk_requests);
     row.Set("ops_failed", stats->ops_failed);
     report.AddRow(std::move(row));
-    bench::AddSpans(&report, sim::FsKindName(kind),
+    bench::AddSpans(&report, sim::FsKindName(kind), kind, config,
                     (*env)->spans()->breakdown());
   }
   report.Write();

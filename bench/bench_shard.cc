@@ -43,14 +43,19 @@ struct RunOutcome {
   bool ok = false;
 };
 
+sim::SimConfig ShardConfig(uint32_t shards) {
+  sim::SimConfig config;
+  config.deterministic_mtime = true;
+  config.shards = shards;
+  return config;
+}
+
 RunOutcome RunOne(uint32_t shards, bool devtree, uint32_t rename_pct,
                   uint32_t clients, uint64_t total_ops,
                   uint32_t create_pct = 40, uint32_t read_pct = 40) {
   RunOutcome out;
-  sim::SimConfig config;
-  config.deterministic_mtime = true;
-  config.shards = shards;
-  auto router = shard::ShardRouter::Create(sim::FsKind::kCffs, config);
+  auto router =
+      shard::ShardRouter::Create(sim::FsKind::kCffs, ShardConfig(shards));
   if (!router.ok()) {
     std::fprintf(stderr, "router(%u): %s\n", shards,
                  router.status().ToString().c_str());
@@ -116,10 +121,7 @@ obs::Json Row(const std::string& mode, uint32_t shards,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::ParseArgs(argc, argv).quick;
   const uint32_t clients = quick ? 32 : 64;
   const uint64_t total_ops = quick ? 2048 : 131072;
   const uint32_t counts_full[] = {1, 2, 4, 8};
@@ -171,6 +173,9 @@ int main(int argc, char** argv) {
                                        })
                           ->ops));
       report.AddRow(Row(mode, shards, out.st, speedup));
+      bench::AddConfig(&report,
+                       std::string(mode) + "/" + std::to_string(shards),
+                       sim::FsKind::kCffs, ShardConfig(shards));
       if (shards == 4) {
         speedups.Set(std::string(mode) + "_4shard_speedup", speedup);
         if (!devtree) postmark_speedup4 = speedup;
@@ -203,6 +208,8 @@ int main(int argc, char** argv) {
     row.Set("renames_cross", out.st.renames_cross);
     row.Set("ops_per_sec", tput);
     tax.Push(std::move(row));
+    bench::AddConfig(&report, "rename_tax/" + std::to_string(pct),
+                     sim::FsKind::kCffs, ShardConfig(4));
   }
   report.Set("rename_tax", std::move(tax));
   report.Write();

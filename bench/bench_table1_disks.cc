@@ -9,7 +9,8 @@
 
 using namespace cffs;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::ParseArgs(argc, argv);  // takes no flags of its own
   std::printf("Table 1: characteristics of three modern (1996) disk drives\n\n");
   std::printf("%-28s %16s %18s %17s\n", "", "HP C3653", "Seagate Barracuda",
               "Quantum Atlas II");

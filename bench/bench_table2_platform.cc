@@ -25,7 +25,8 @@ void Check(const Status& s, const char* what) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::ParseArgs(argc, argv);  // takes no flags of its own
   const disk::DiskSpec spec = disk::SeagateSt31200();
   std::printf("Table 2: experimental platform drive — %s\n\n", spec.name.c_str());
   std::printf("  RPM                    %u (rotation %.2f ms)\n", spec.rpm,

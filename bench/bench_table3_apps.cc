@@ -3,7 +3,6 @@
 // improvements ranging from 10-300 percent." Each app runs cold-cache on a
 // pre-built synthetic source tree.
 #include <cstdio>
-#include <cstring>
 
 #include "bench/report.h"
 #include "src/workload/devtree.h"
@@ -47,17 +46,15 @@ Status RunApps(sim::FsKind kind, bool quick, AppTimes* out,
   RETURN_IF_ERROR(env->ColdCache());
   ASSIGN_OR_RETURN(auto compile, workload::RunCompile(env, tree));
   out->compile = compile.seconds;
-  bench::AddSpans(report, sim::FsKindName(kind), env->spans()->breakdown());
+  bench::AddSpans(report, sim::FsKindName(kind), kind, config,
+                  env->spans()->breakdown());
   return OkStatus();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::ParseArgs(argc, argv).quick;
   std::printf("Table 3: software-development applications, elapsed simulated "
               "seconds (cold cache)\n");
   std::printf("%-14s %10s %10s %10s %10s\n", "config", "copy", "archive",

@@ -14,7 +14,6 @@
 // The JSON report carries the per-phase disk-time breakdown plus the
 // engine / syncer / readahead counters per configuration.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench/report.h"
@@ -94,7 +93,7 @@ RunOutcome RunOne(const RunConfig& rc, const workload::SmallFileParams& params,
   extras.Set("config", rc.name);
   extras.Set("io", std::move(io));
   report->root().FindMutable("io_stats")->Push(std::move(extras));
-  bench::AddSpans(report, rc.name, snap.spans);
+  bench::AddSpans(report, rc.name, rc.kind, config, snap.spans);
 
   if (rc.delayed && snap.syncer.flushes == 0) {
     std::fprintf(stderr, "%s: syncer never flushed — interval too long "
@@ -113,15 +112,10 @@ int main(int argc, char** argv) {
   workload::SmallFileParams params;
   params.num_files = 2000;
   params.num_dirs = 40;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-      params.num_files = 500;
-      params.num_dirs = 10;
-    } else if (std::strncmp(argv[i], "--files=", 8) == 0) {
-      params.num_files = static_cast<uint32_t>(std::atoi(argv[i] + 8));
-    }
+  const bool quick = bench::ParseArgs(argc, argv).quick;
+  if (quick) {
+    params.num_files = 500;
+    params.num_dirs = 10;
   }
   std::printf("write-back: %u files x %u B, syncer interval 100ms\n",
               params.num_files, params.file_bytes);

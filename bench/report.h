@@ -10,8 +10,14 @@
 //     "quick": false,              // reduced CI-style run?
 //     "params": { ... },           // bench-specific knobs
 //     "rows": [ ... ],             // one object per printed table row
+//     "spans": { "<label>": ... }, // per-configuration span attribution
+//     "sim_config": { "<label>": "fs=c-ffs disk=... shards=0" },
 //     ... bench-specific extras (snapshots, speedups, notes)
 //   }
+//
+// Each sim_config string is sim::ConfigString of the configuration that
+// label ran, so pasting it into cffs_trace or cffs_prof re-runs that
+// machine.
 //
 // Rows for the smallfile-style benches come from PhaseJson(), which carries
 // the per-phase disk time breakdown so the report can answer "where did the
@@ -29,9 +35,30 @@
 #include <utility>
 
 #include "src/obs/json.h"
+#include "src/sim/sim_env.h"
+#include "src/util/cli.h"
 #include "src/workload/smallfile.h"
 
 namespace cffs::bench {
+
+// The flags every bench takes: --quick (a reduced CI-sized run) and
+// --verbose (extra per-row detail, where a bench has any). Anything else
+// prints a message and exits 2.
+struct BenchArgs {
+  bool quick = false;
+  bool verbose = false;
+};
+
+inline BenchArgs ParseArgs(int argc, char** argv) {
+  Args args(argc, argv);
+  BenchArgs out;
+  out.quick = args.Switch("--quick");
+  out.verbose = args.Switch("--verbose");
+  if (Status s = args.Finish(); !s.ok()) {
+    std::exit(UsageError(argv[0], s, "[--quick] [--verbose]"));
+  }
+  return out;
+}
 
 class Report {
  public:
@@ -40,9 +67,11 @@ class Report {
     root_.Set("bench", name_);
     root_.Set("schema_version", 1);
     root_.Set("rows", obs::Json::Array());
-    // Per-config span attribution (see AddSpans below). Always present;
-    // stays empty for the pure-disk-model benches, which run no fs ops.
+    // Per-config span attribution and config strings (see AddSpans
+    // below). Always present; they stay empty for the pure-disk-model
+    // benches, which run no fs ops.
     root_.Set("spans", obs::Json::Object());
+    root_.Set("sim_config", obs::Json::Object());
   }
 
   obs::Json& root() { return root_; }
@@ -69,15 +98,10 @@ class Report {
   // Writes the report; a failure warns on stderr but never fails the bench.
   void Write() const {
     const std::string path = Path();
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
+    if (Status s = WriteTextFile(path, root_.Dump(2)); !s.ok()) {
+      std::fprintf(stderr, "warning: %s\n", s.message().c_str());
       return;
     }
-    const std::string text = root_.Dump(2);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
     std::printf("report: %s\n", path.c_str());
   }
 
@@ -86,13 +110,24 @@ class Report {
   obs::Json root_;
 };
 
+// Records the configuration `label` ran as its sim::ConfigString under the
+// report's top-level "sim_config" object.
+inline void AddConfig(Report* report, const std::string& label,
+                      sim::FsKind kind, const sim::SimConfig& config) {
+  report->root().FindMutable("sim_config")->Set(
+      label, sim::ConfigString(kind, config));
+}
+
 // Records one configuration's cross-layer span attribution (per-op-type
 // count, end-to-end p50/p99/p999 and per-phase time breakdown — see
-// src/obs/span.h) under the report's top-level "spans" object. Covers the
-// ops since the env's last ResetStats, i.e. the measured section.
-inline void AddSpans(Report* report, const std::string& config,
+// src/obs/span.h) under the report's top-level "spans" object, and its
+// config string under "sim_config", both keyed by `label`. The spans cover
+// the ops since the env's last ResetStats, i.e. the measured section.
+inline void AddSpans(Report* report, const std::string& label,
+                     sim::FsKind kind, const sim::SimConfig& config,
                      const obs::PhaseBreakdown& spans) {
-  report->root().FindMutable("spans")->Set(config, spans.ToJson());
+  report->root().FindMutable("spans")->Set(label, spans.ToJson());
+  AddConfig(report, label, kind, config);
 }
 
 // One phase of a smallfile-style workload as a report row.

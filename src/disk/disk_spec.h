@@ -50,6 +50,8 @@ struct DiskSpec {
   }
 
   Geometry MakeGeometry() const { return Geometry(heads, zones); }
+
+  bool operator==(const DiskSpec&) const = default;
 };
 
 // Table 1 drives.

@@ -20,6 +20,8 @@ inline constexpr uint32_t kSectorSize = 512;
 struct Zone {
   uint32_t cylinders = 0;          // number of cylinders in this zone
   uint32_t sectors_per_track = 0;  // same for every track in the zone
+
+  bool operator==(const Zone&) const = default;
 };
 
 // Physical location of a logical block address.

@@ -5,28 +5,25 @@
 
 namespace cffs::io {
 
-Readahead::Readahead(cache::BufferCache* cache, IoEngine* engine,
-                     ReadaheadOptions options)
-    : cache_(cache), engine_(engine), options_(options) {}
+Readahead::Readahead(cache::BufferCache* cache, IoEngine* engine)
+    : cache_(cache), engine_(engine) {}
 
 uint32_t Readahead::WindowFor(uint64_t file, uint64_t idx) {
-  if (!options_.ramp) return options_.min_window;
   if (streams_.size() > 256) streams_.clear();  // bound per-file state
   auto [it, inserted] = streams_.try_emplace(file);
   Stream& s = it->second;
   if (inserted) {
-    s.window = options_.min_window;
+    s.window = kMinWindow;
   } else if (idx == s.next_idx) {
-    s.window = std::min(s.window * 2, options_.max_window);
+    s.window = std::min(s.window * 2, kMaxWindow);
   } else {
-    if (s.window != options_.min_window) ++stats_.ramp_resets;
-    s.window = options_.min_window;
+    if (s.window != kMinWindow) ++stats_.ramp_resets;
+    s.window = kMinWindow;
   }
   return s.window;
 }
 
 void Readahead::NoteRun(uint64_t file, uint64_t idx, uint32_t run) {
-  if (!options_.ramp) return;
   streams_[file].next_idx = idx + run;
 }
 

@@ -9,11 +9,11 @@
 //     paper's group read, routed through the engine instead of issued
 //     inline by the file system.
 //   - StageRun: sequential ramp for large files. A miss at the next
-//     expected file block doubles the cluster window (min_window up to
-//     max_window, FreeBSD cluster_read-style); any non-sequential miss
-//     resets it. min_window defaults to the legacy inline cluster size, so
-//     with the ramp a sequential scan is never worse than the old code —
-//     it just grows past 64 KB once a streak is established.
+//     expected file block doubles the cluster window (kMinWindow up to
+//     kMaxWindow, FreeBSD cluster_read-style); any non-sequential miss
+//     resets it. kMinWindow is the legacy inline cluster size, so with the
+//     ramp a sequential scan is never worse than the old code — it just
+//     grows past 64 KB once a streak is established.
 //
 // Accuracy is accounted in the cache, which owns block lifetime: every
 // staged block is eventually a hit (first demand access found it) or
@@ -32,24 +32,19 @@
 
 namespace cffs::io {
 
-struct ReadaheadOptions {
-  bool ramp = true;          // sequential window doubling on streaks
-  uint32_t min_window = 16;  // initial cluster window (blocks; legacy 64 KB)
-  uint32_t max_window = 64;  // ramp ceiling (blocks)
-};
-
 class Readahead {
  public:
-  Readahead(cache::BufferCache* cache, IoEngine* engine,
-            ReadaheadOptions options);
+  static constexpr uint32_t kMinWindow = 16;  // blocks; the legacy 64 KB
+  static constexpr uint32_t kMaxWindow = 64;  // ramp ceiling (blocks)
+
+  Readahead(cache::BufferCache* cache, IoEngine* engine);
 
   ReadaheadStats& stats() { return stats_; }
-  const ReadaheadOptions& options() const { return options_; }
   void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
 
   // Cluster-window cap for a miss at file block `idx`, updating the ramp
   // state: a miss at the stream's expected next block doubles the window,
-  // anything else resets it to min_window.
+  // anything else resets it to kMinWindow.
   uint32_t WindowFor(uint64_t file, uint64_t idx);
 
   // Record the run actually fetched for the miss at `idx`, so the next
@@ -77,7 +72,6 @@ class Readahead {
 
   cache::BufferCache* cache_;
   IoEngine* engine_;
-  ReadaheadOptions options_;
   ReadaheadStats stats_;
   obs::TraceRecorder* trace_ = nullptr;
   std::unordered_map<uint64_t, Stream> streams_;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+
+#include "src/util/cli.h"
 
 namespace cffs::lint {
 
@@ -451,11 +451,9 @@ Result<std::vector<Finding>> LintTree(const std::string& root,
       }
     }
     if (excluded) continue;
-    std::ifstream f(stdfs::path(root) / rel);
-    if (!f) return IoError("lint: cannot read " + rel);
-    std::ostringstream buf;
-    buf << f.rdbuf();
-    AddSource(cfg, rel, buf.str(), &in);
+    ASSIGN_OR_RETURN(const std::string text,
+                     ReadTextFile((stdfs::path(root) / rel).string()));
+    AddSource(cfg, rel, text, &in);
     ++scanned;
   }
   if (files_scanned != nullptr) *files_scanned = scanned;

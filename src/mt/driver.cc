@@ -51,17 +51,6 @@ Namespace SingleEnvNamespace(sim::SimEnv* env) {
 
 }  // namespace
 
-Result<MtParams> MtParams::FromConfig(const sim::SimConfig& config,
-                                      MtParams base) {
-  if (config.mt_clients > 0) base.clients = config.mt_clients;
-  if (!ParseSchedulerKind(config.mt_scheduler, &base.scheduler)) {
-    return InvalidArgument("unknown mt_scheduler \"" + config.mt_scheduler +
-                           "\" (fifo | drr)");
-  }
-  base.backpressure = config.mt_backpressure;
-  return base;
-}
-
 MtDriver::MtDriver(sim::SimEnv* env, MtParams params)
     : MtDriver(std::vector<sim::SimEnv*>{env}, params,
                SingleEnvNamespace(env)) {}

@@ -96,13 +96,6 @@ struct MtParams {
   bool antagonist = false;
   uint32_t antagonist_write_kb = 256;  // per op
   uint32_t antagonist_file_kb = 2048;  // wrap point (bounds the block map)
-
-  // Fills clients/scheduler/backpressure from the SimConfig knobs
-  // (mt_clients, mt_scheduler, mt_backpressure) over `base` (the defaults,
-  // or shard::ShardDriverParams); every other field keeps base's value. An
-  // unknown mt_scheduler is InvalidArgument.
-  static Result<MtParams> FromConfig(const sim::SimConfig& config,
-                                     MtParams base);
 };
 
 // A client directory as the namespace made it: the loop (env index) that

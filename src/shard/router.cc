@@ -126,12 +126,8 @@ ShardRouter::ShardRouter(PlacementPolicy placement, sim::SimConfig config)
     : placement_(placement), config_(std::move(config)) {}
 
 Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
-    sim::FsKind kind, const sim::SimConfig& config) {
-  PlacementPolicy placement = PlacementPolicy::kJump;
-  if (!ParsePlacementPolicy(config.shard_placement, &placement)) {
-    return InvalidArgument("unknown shard placement: " +
-                           config.shard_placement);
-  }
+    sim::FsKind kind, const sim::SimConfig& config,
+    PlacementPolicy placement) {
   uint32_t shards = config.shards == 0 ? 1 : config.shards;
   auto router =
       std::unique_ptr<ShardRouter>(new ShardRouter(placement, config));

@@ -103,11 +103,12 @@ struct RouterStats {
 class ShardRouter {
  public:
   // Builds M shards of the given kind, each formatted fresh with `config`
-  // (config.shards and config.shard_placement select M and the policy;
-  // shards == 0 means 1). Every shard gets the same disk/cache/syncer
-  // configuration — M disks of hardware, not one disk split M ways.
+  // (config.shards selects M; 0 means 1), placing directories by
+  // `placement`. Every shard gets the same disk/cache/syncer configuration
+  // — M disks of hardware, not one disk split M ways.
   static Result<std::unique_ptr<ShardRouter>> Create(
-      sim::FsKind kind, const sim::SimConfig& config);
+      sim::FsKind kind, const sim::SimConfig& config,
+      PlacementPolicy placement = PlacementPolicy::kJump);
 
   uint32_t shards() const { return static_cast<uint32_t>(envs_.size()); }
   PlacementPolicy placement() const { return placement_; }

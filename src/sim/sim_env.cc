@@ -2,27 +2,15 @@
 
 namespace cffs::sim {
 
-std::string FsKindName(FsKind kind) {
-  switch (kind) {
-    case FsKind::kFfs: return "ffs";
-    case FsKind::kConventional: return "conventional";
-    case FsKind::kEmbedOnly: return "embedded-only";
-    case FsKind::kGroupOnly: return "grouping-only";
-    case FsKind::kCffs: return "c-ffs";
-  }
-  return "?";
-}
-
 SimEnv::SimEnv(FsKind kind, const SimConfig& config)
     : kind_(kind), config_(config) {
   spans_ = std::make_unique<obs::SpanTracker>();
-  sampler_ = std::make_unique<obs::TimeSeriesSampler>(
-      config.sampler_interval, config.sampler_max_samples);
+  sampler_ = std::make_unique<obs::TimeSeriesSampler>(SimTime::Millis(250));
   disk_ = std::make_unique<disk::DiskModel>(config.disk_spec, &clock_);
   disk_->set_spans(spans_.get());
   if (config.device == "flash") {
     auto flash = std::make_unique<flash::FlashDevice>(
-        disk_.get(), &clock_, config.flash_spec);
+        disk_.get(), &clock_, flash::DefaultFlash());
     flash->set_spans(spans_.get());
     flash_ = flash.get();
     device_ = std::move(flash);
@@ -33,17 +21,9 @@ SimEnv::SimEnv(FsKind kind, const SimConfig& config)
   cache_ = std::make_unique<cache::BufferCache>(device_.get(),
                                                 config.cache_blocks);
   cache_->set_spans(spans_.get());
-  engine_ = std::make_unique<io::IoEngine>(device_.get(),
-                                           config.io_batch_window);
+  engine_ = std::make_unique<io::IoEngine>(device_.get());
   engine_->set_spans(spans_.get());
-  if (config.readahead) {
-    io::ReadaheadOptions ro;
-    ro.ramp = config.readahead_ramp;
-    ro.min_window = config.readahead_min_window;
-    ro.max_window = config.readahead_max_window;
-    readahead_ = std::make_unique<io::Readahead>(cache_.get(), engine_.get(),
-                                                 ro);
-  }
+  readahead_ = std::make_unique<io::Readahead>(cache_.get(), engine_.get());
   if (config.syncer) {
     io::SyncerOptions so;
     so.interval = config.syncer_interval;
@@ -54,16 +34,32 @@ SimEnv::SimEnv(FsKind kind, const SimConfig& config)
   }
 }
 
-void SimEnv::WireFs(fs::FsBase* fs) {
+void SimEnv::Install(std::unique_ptr<fs::FsBase> fs) {
   fs->set_name_cache_enabled(config_.name_caches);
   fs->set_readahead(readahead_.get());
   fs->set_deterministic_mtime(config_.deterministic_mtime);
   fs->set_spans(spans_.get());
+  fs_ = std::move(fs);
+  path_ = std::make_unique<fs::PathOps>(fs_.get());
+  AttachTrace();
+}
+
+Status SimEnv::MountFs() {
+  if (kind_ == FsKind::kFfs) {
+    ASSIGN_OR_RETURN(auto fs, fs::FfsFileSystem::Mount(
+                                  cache_.get(), &clock_, config_.metadata));
+    Install(std::move(fs));
+  } else {
+    ASSIGN_OR_RETURN(auto fs, fs::CffsFileSystem::Mount(
+                                  cache_.get(), &clock_, config_.metadata));
+    Install(std::move(fs));
+  }
+  return OkStatus();
 }
 
 Result<std::unique_ptr<SimEnv>> SimEnv::Create(FsKind kind,
                                                const SimConfig& config) {
-  if (config.device != "spinning" && config.device != "flash") {
+  if (!KnownDevice(config.device)) {
     return InvalidArgument("unknown device \"" + config.device +
                            "\" (spinning | flash)");
   }
@@ -75,8 +71,7 @@ Result<std::unique_ptr<SimEnv>> SimEnv::Create(FsKind kind,
     ASSIGN_OR_RETURN(auto fs, fs::FfsFileSystem::Format(
                                   env->cache_.get(), &env->clock_, params,
                                   config.metadata));
-    env->WireFs(fs.get());
-    env->fs_ = std::move(fs);
+    env->Install(std::move(fs));
   } else {
     fs::CffsOptions options;
     options.blocks_per_cg = config.blocks_per_cg;
@@ -88,11 +83,8 @@ Result<std::unique_ptr<SimEnv>> SimEnv::Create(FsKind kind,
     ASSIGN_OR_RETURN(auto fs, fs::CffsFileSystem::Format(
                                   env->cache_.get(), &env->clock_, options,
                                   config.metadata));
-    env->WireFs(fs.get());
-    env->fs_ = std::move(fs);
+    env->Install(std::move(fs));
   }
-  env->path_ = std::make_unique<fs::PathOps>(env->fs_.get());
-  env->AttachTrace();
   return env;
 }
 
@@ -108,17 +100,14 @@ void SimEnv::AttachTrace() {
   cache_->set_trace(t);
   engine_->set_trace(t);
   if (syncer_) syncer_->set_trace(t);
-  if (readahead_) readahead_->set_trace(t);
+  readahead_->set_trace(t);
   if (fs_) fs_->set_trace(t);
   sampler_->set_trace(t);
 }
 
 void SimEnv::ChargeCpu(uint64_t bytes) {
-  SimTime t = config_.cpu_per_op;
-  if (bytes > 0) {
-    t += SimTime::Nanos(config_.cpu_per_kb.nanos() *
-                        static_cast<int64_t>((bytes + 1023) / 1024));
-  }
+  SimTime t = kCpuPerOp;
+  if (bytes > 0) t += kCpuPerKb * static_cast<int64_t>((bytes + 1023) / 1024);
   // Everything charged between here and the next op's start — this CPU
   // time plus any tick-triggered flush — is pre-op work the next span
   // absorbs, so its phase sum still equals its end-to-end latency.
@@ -161,7 +150,7 @@ void SimEnv::ChargeCpu(uint64_t bytes) {
 Status SimEnv::ColdCache() {
   RETURN_IF_ERROR(fs_->Sync());
   cache_->InvalidateAll();
-  if (readahead_) readahead_->Reset();
+  readahead_->Reset();
   return OkStatus();
 }
 
@@ -174,7 +163,7 @@ void SimEnv::ResetStats() {
   fs_->op_latencies().Reset();
   engine_->stats().Reset();
   if (syncer_) syncer_->stats().Reset();
-  if (readahead_) readahead_->stats().Reset();
+  readahead_->stats().Reset();
   spans_->Reset();
   const int64_t now = clock_.now().nanos();
   sampler_->Reset(now);
@@ -187,20 +176,8 @@ Result<size_t> SimEnv::CrashAndRemount() {
   path_.reset();
   fs_.reset();
   const size_t lost = cache_->CrashDropAll();
-  if (readahead_) readahead_->Reset();
-  if (kind_ == FsKind::kFfs) {
-    ASSIGN_OR_RETURN(auto fs, fs::FfsFileSystem::Mount(
-                                  cache_.get(), &clock_, config_.metadata));
-    WireFs(fs.get());
-    fs_ = std::move(fs);
-  } else {
-    ASSIGN_OR_RETURN(auto fs, fs::CffsFileSystem::Mount(
-                                  cache_.get(), &clock_, config_.metadata));
-    WireFs(fs.get());
-    fs_ = std::move(fs);
-  }
-  path_ = std::make_unique<fs::PathOps>(fs_.get());
-  AttachTrace();
+  readahead_->Reset();
+  RETURN_IF_ERROR(MountFs());
   return lost;
 }
 
@@ -209,21 +186,8 @@ Status SimEnv::Remount() {
   path_.reset();
   fs_.reset();
   cache_->InvalidateAll();
-  if (readahead_) readahead_->Reset();
-  if (kind_ == FsKind::kFfs) {
-    ASSIGN_OR_RETURN(auto fs, fs::FfsFileSystem::Mount(
-                                  cache_.get(), &clock_, config_.metadata));
-    WireFs(fs.get());
-    fs_ = std::move(fs);
-  } else {
-    ASSIGN_OR_RETURN(auto fs, fs::CffsFileSystem::Mount(
-                                  cache_.get(), &clock_, config_.metadata));
-    WireFs(fs.get());
-    fs_ = std::move(fs);
-  }
-  path_ = std::make_unique<fs::PathOps>(fs_.get());
-  AttachTrace();
-  return OkStatus();
+  readahead_->Reset();
+  return MountFs();
 }
 
 }  // namespace cffs::sim

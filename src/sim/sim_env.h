@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/blockdev/block_device.h"
 #include "src/cache/buffer_cache.h"
@@ -39,6 +40,9 @@ enum class FsKind {
 
 std::string FsKindName(FsKind kind);
 
+// True for the SimConfig::device names: "spinning" and "flash".
+bool KnownDevice(std::string_view device);
+
 struct SimConfig {
   disk::DiskSpec disk_spec = disk::SeagateSt31200();
   // Device backend: "spinning" (the mechanical model above, the paper's
@@ -47,7 +51,6 @@ struct SimConfig {
   // so capacity and images are identical across backends. Any other value
   // makes SimEnv::Create return InvalidArgument.
   std::string device = "spinning";
-  flash::FlashSpec flash_spec = flash::DefaultFlash();
   size_t cache_blocks = 2048;  // 8 MB file cache
   disk::SchedulerPolicy scheduler = disk::SchedulerPolicy::kCLook;
   fs::MetadataPolicy metadata = fs::MetadataPolicy::kSynchronous;
@@ -74,57 +77,38 @@ struct SimConfig {
   SimTime syncer_max_age = SimTime::Seconds(30);
   double dirty_high_watermark = 0.75;
 
-  // Engine-routed readahead: C-FFS group stage-on-miss plus a sequential
-  // window ramp (min_window doubling to max_window on streaks) for both
-  // file systems. On by default; min_window matches the legacy inline
-  // cluster size, so disabling ramp+readahead reproduces the old read path
-  // exactly (the ablation).
-  bool readahead = true;
-  bool readahead_ramp = true;
-  uint32_t readahead_min_window = 16;
-  uint32_t readahead_max_window = 64;
-
-  // Submission-queue batching window of the I/O engine (requests queued
-  // before an automatic kick).
-  size_t io_batch_window = 64;
-
   // Stamp mtimes from the op sequence number instead of the clock so the
   // final disk image depends only on operation order (determinism tests
   // compare sync vs. delayed images byte-for-byte).
   bool deterministic_mtime = false;
 
-  // --- multi-tenant driver (src/mt) ---
-
-  // Consumed by mt::MtParams::FromConfig, not by SimEnv itself: the number
-  // of logically-concurrent clients the MtDriver interleaves (0 keeps the
-  // MtParams default), the inter-client scheduler ("fifo" | "drr"; anything
-  // else is InvalidArgument), and whether the dirty-watermark throttle
-  // suspends only the offending client instead of stalling every tenant
-  // (see mt/driver.h).
-  uint32_t mt_clients = 0;
-  std::string mt_scheduler = "drr";
-  bool mt_backpressure = true;
-
-  // --- sharded namespace (src/shard) ---
-
   // Consumed by shard::ShardRouter::Create, not by SimEnv itself: the
-  // number of independent shards (each a full SimEnv with its own disk;
-  // 0 means 1) and the directory-placement policy ("jump" | "mod" — see
-  // shard/placement.h).
+  // number of independent shards, each a full SimEnv with its own disk
+  // (0 means 1; at most kMaxShards).
   uint32_t shards = 0;
-  std::string shard_placement = "jump";
 
-  // Host CPU model (1996-class machine): fixed per-file-system-call cost
-  // plus a per-kilobyte copy cost. These create the inter-request gaps the
-  // drive's prefetch sees.
-  SimTime cpu_per_op = SimTime::Micros(150);
-  SimTime cpu_per_kb = SimTime::Micros(10);
-
-  // Time-series telemetry cadence (checked at op boundaries) and series
-  // bound; when the series fills it decimates and doubles the interval.
-  SimTime sampler_interval = SimTime::Millis(250);
-  size_t sampler_max_samples = 2048;
+  bool operator==(const SimConfig&) const = default;
 };
+
+inline constexpr uint32_t kMaxShards = 64;
+
+// The one text form of (kind, config): space-separated key=value tokens,
+//   fs=c-ffs disk=seagate-st31200 device=spinning cache_blocks=2048 ...
+// Keys are `fs` and the SimConfig field names (disk_spec is `disk`).
+// Values: FsKindName's names; drives hp-c3653, seagate-barracuda,
+// quantum-atlas-ii, seagate-st31200 or test-<cylinders>x<heads>x<sectors>,
+// with -prefetch<N> appended when the on-board prefetch is not 64 sectors;
+// spinning|flash; fcfs|clook|sstf; sync|delayed; durations as a whole
+// number of s, ms, us or ns; the watermark in (0, 1]; booleans 0|1. Every
+// key is printed; a disk_spec no name describes prints as disk=custom.
+std::string ConfigString(FsKind kind, const SimConfig& config);
+
+// Applies the tokens of `text` over *kind and *config; keys not named keep
+// their values, and ParseConfig(ConfigString(k, c)) gives back (k, c). An
+// unknown or repeated key, an unknown name, trailing garbage, a sign, or a
+// value out of range (see config.cc) is InvalidArgument and changes
+// nothing.
+Status ParseConfig(std::string_view text, FsKind* kind, SimConfig* config);
 
 class SimEnv {
  public:
@@ -145,7 +129,7 @@ class SimEnv {
   fs::FsBase* fs_base() { return fs_.get(); }
   fs::PathOps& path() { return *path_; }
   io::IoEngine& engine() { return *engine_; }
-  // nullptr when the corresponding SimConfig flag is off (the ablations).
+  // nullptr when SimConfig::syncer is off.
   io::Syncer* syncer() { return syncer_.get(); }
   io::Readahead* readahead() { return readahead_.get(); }
   // First error a background syncer tick produced, sticky (ChargeCpu has
@@ -153,6 +137,12 @@ class SimEnv {
   Status syncer_status() const { return syncer_status_; }
   const SimConfig& config() const { return config_; }
   FsKind kind() const { return kind_; }
+
+  // Host CPU model (1996-class machine): a fixed cost per file-system call
+  // plus a per-kilobyte copy cost. These create the inter-request gaps the
+  // drive's prefetch sees.
+  static constexpr SimTime kCpuPerOp = SimTime::Micros(150);
+  static constexpr SimTime kCpuPerKb = SimTime::Micros(10);
 
   // Charges host CPU time for one file-system call moving `bytes` bytes.
   void ChargeCpu(uint64_t bytes = 0);
@@ -179,7 +169,8 @@ class SimEnv {
   // a typed phase of the op in flight (or the background bucket).
   obs::SpanTracker* spans() { return spans_.get(); }
 
-  // Always-on time-series gauges, sampled at op boundaries.
+  // Always-on time-series gauges, sampled at op boundaries every 250 ms of
+  // simulated time.
   const obs::TimeSeriesSampler* sampler() const { return sampler_.get(); }
 
   // Lets a layer SimEnv doesn't know about (the mt driver) add its gauges
@@ -208,10 +199,13 @@ class SimEnv {
   // Re-run after the file system is replaced by Remount/CrashAndRemount.
   void AttachTrace();
 
-  // Applies the config knobs that live on the file-system object
-  // (name caches, readahead, deterministic mtimes). Re-run whenever fs_ is
-  // replaced (Create/Remount/CrashAndRemount).
-  void WireFs(fs::FsBase* fs);
+  // Makes `fs` the machine's file system: applies the config knobs that
+  // live on the file-system object (name caches, readahead, deterministic
+  // mtimes), then rebuilds the path layer and re-attaches the trace.
+  void Install(std::unique_ptr<fs::FsBase> fs);
+
+  // Mounts kind_'s file system from the cache (Remount, CrashAndRemount).
+  Status MountFs();
 
   FsKind kind_;
   SimConfig config_;

@@ -1,0 +1,50 @@
+# ctest driver (cmake -P): every bad command line must print a message on
+# stderr and exit 2 — no abort, no silent fallback, no run. Each case is a
+# program name and its arguments, separated by '|'.
+#
+#   cmake -DTOOLS=<dir of the tools> -DBENCHES=<dir of the benches>
+#         -DWORK=<scratch dir> -P bad_command_lines.cmake
+set(cases
+  # Numbers: a sign, trailing garbage, a word where a number goes.
+  "cffs_prof|shards=-1|--mt=4|--mt-ops=4"
+  "cffs_trace|--capacity=-1"
+  "cffs_trace|--bytes=-1"
+  "cffs_trace|--files=12abc"
+  "cffs_prof|--mt=4|--mt-backpressure=abc"
+  "cffs_mkfs|IMG|--mb=abc"
+  "cffs_populate|IMG|--files=x"
+  # Config strings: an unknown name or key, garbage, a repeated key.
+  "cffs_trace|device=flsh"
+  "cffs_trace|nosuchkey=1"
+  "cffs_trace|cache_blocks=12abc"
+  "cffs_trace|fs=c-ffs|fs=ffs"
+  # Unknown flags, which used to be ignored or taken for a conviction.
+  "cffs_populate|IMG|--nosuch=1"
+  "cffs_ordercheck|--run|fs=ffs|--polcy=sync|--mutate=defer-inode-init"
+  "bench_fig5_smallfile|--quik"
+)
+
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+set(failures "")
+foreach(case IN LISTS cases)
+  string(REPLACE "|" ";" argv "${case}")
+  list(POP_FRONT argv program)
+  if(program MATCHES "^bench_")
+    set(program "${BENCHES}/${program}")
+  else()
+    set(program "${TOOLS}/${program}")
+  endif()
+  execute_process(
+    COMMAND "${program}" ${argv}
+    WORKING_DIRECTORY "${WORK}"
+    RESULT_VARIABLE status
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+  if(NOT status STREQUAL "2" OR err STREQUAL "")
+    string(APPEND failures "\n  ${case}: exit ${status}, stderr \"${err}\"")
+  endif()
+endforeach()
+if(failures)
+  message(FATAL_ERROR "want exit 2 with a message from:${failures}")
+endif()

@@ -202,7 +202,7 @@ TEST_F(IoTest, SyncerFlushGoesThroughTheEngineAsOneEpoch) {
 // --- Readahead ------------------------------------------------------------
 
 TEST_F(IoTest, StagedGroupBlocksAreAccountedHitOrWasted) {
-  io::Readahead ra(&cache_, &engine_, io::ReadaheadOptions{});
+  io::Readahead ra(&cache_, &engine_);
   ASSERT_TRUE(ra.StageGroup(100, 8, /*demand_bno=*/100).ok());
   EXPECT_EQ(ra.stats().group_stages, 1u);
   EXPECT_EQ(ra.stats().blocks_requested, 8u);
@@ -231,28 +231,19 @@ TEST_F(IoTest, StagedGroupBlocksAreAccountedHitOrWasted) {
 }
 
 TEST_F(IoTest, RampWindowDoublesOnStreaksAndResetsOnSeeks) {
-  io::Readahead ra(&cache_, &engine_, io::ReadaheadOptions{});
+  io::Readahead ra(&cache_, &engine_);
   EXPECT_EQ(ra.WindowFor(/*file=*/1, /*idx=*/0), 16u);
   ra.NoteRun(1, 0, 16);
   EXPECT_EQ(ra.WindowFor(1, 16), 32u);  // sequential: doubled
   ra.NoteRun(1, 16, 32);
   EXPECT_EQ(ra.WindowFor(1, 48), 64u);
   ra.NoteRun(1, 48, 64);
-  EXPECT_EQ(ra.WindowFor(1, 112), 64u);  // capped at max_window
+  EXPECT_EQ(ra.WindowFor(1, 112), 64u);  // capped at kMaxWindow
   ra.NoteRun(1, 112, 64);
-  EXPECT_EQ(ra.WindowFor(1, 7), 16u);  // seek: back to min_window
+  EXPECT_EQ(ra.WindowFor(1, 7), 16u);  // seek: back to kMinWindow
   EXPECT_EQ(ra.stats().ramp_resets, 1u);
-  // Streams are per file: another file starts at min_window.
+  // Streams are per file: another file starts at kMinWindow.
   EXPECT_EQ(ra.WindowFor(2, 0), 16u);
-}
-
-TEST_F(IoTest, RampDisabledPinsWindowAtLegacyClusterSize) {
-  io::ReadaheadOptions opt;
-  opt.ramp = false;
-  io::Readahead ra(&cache_, &engine_, opt);
-  EXPECT_EQ(ra.WindowFor(1, 0), 16u);
-  ra.NoteRun(1, 0, 16);
-  EXPECT_EQ(ra.WindowFor(1, 16), 16u);  // sequential but never grows
 }
 
 // --- End to end: backpressure and determinism -----------------------------

@@ -288,25 +288,6 @@ TEST(SchedulerKindTest, ParseRoundTrips) {
   EXPECT_STREQ(SchedulerKindName(SchedulerKind::kDrr), "drr");
 }
 
-TEST(MtParamsTest, FromConfigRejectsAnUnknownScheduler) {
-  sim::SimConfig config;
-  config.mt_clients = 5;
-  config.mt_scheduler = "fifo";
-  config.mt_backpressure = false;
-  MtParams base;
-  base.max_live_files = 7;
-  auto params = MtParams::FromConfig(config, base);
-  ASSERT_TRUE(params.ok()) << params.status().ToString();
-  EXPECT_EQ(params->clients, 5u);
-  EXPECT_EQ(params->scheduler, SchedulerKind::kFifo);
-  EXPECT_FALSE(params->backpressure);
-  EXPECT_EQ(params->max_live_files, 7u);  // the rest comes from base
-  // No silent fallback to DRR.
-  config.mt_scheduler = "lottery";
-  EXPECT_EQ(MtParams::FromConfig(config, base).status().code(),
-            ErrorCode::kInvalidArgument);
-}
-
 // --- MtDriver -------------------------------------------------------------
 
 // FNV-1a over every allocated chunk of the simulated platter.

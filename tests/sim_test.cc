@@ -21,11 +21,10 @@ TEST(SimEnvTest, ChargeCpuAdvancesClock) {
   const SimTime t0 = (*env)->clock().now();
   (*env)->ChargeCpu();
   const SimTime t1 = (*env)->clock().now();
-  EXPECT_EQ((t1 - t0).nanos(), (*env)->config().cpu_per_op.nanos());
+  EXPECT_EQ(t1 - t0, sim::SimEnv::kCpuPerOp);
   (*env)->ChargeCpu(2048);  // 2 KB of copying on top
   const SimTime t2 = (*env)->clock().now();
-  EXPECT_EQ((t2 - t1).nanos(), (*env)->config().cpu_per_op.nanos() +
-                                   2 * (*env)->config().cpu_per_kb.nanos());
+  EXPECT_EQ(t2 - t1, sim::SimEnv::kCpuPerOp + sim::SimEnv::kCpuPerKb * 2);
 }
 
 TEST(SimEnvTest, ColdCacheForcesDiskReads) {

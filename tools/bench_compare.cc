@@ -17,32 +17,17 @@
 // invocation or unreadable/unparseable input.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/obs/json.h"
+#include "src/util/cli.h"
 
 using namespace cffs;
 namespace fsys = std::filesystem;
 
 namespace {
-
-struct Options {
-  std::string baseline;
-  std::string candidate;
-  bool verbose = false;
-};
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --baseline=DIR --candidate=DIR [--verbose]\n",
-               argv0);
-  return 2;
-}
 
 bool SameLeaf(const obs::Json& a, const obs::Json& b) {
   if (a.is_int() && b.is_int()) return a.as_int() == b.as_int();
@@ -85,47 +70,41 @@ void CompareNode(const obs::Json& base, const obs::Json* cand,
 }
 
 Result<obs::Json> LoadJson(const fsys::path& path) {
-  std::ifstream in(path);
-  if (!in) return IoError("cannot open " + path.string());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return obs::Json::Parse(buf.str());
+  ASSIGN_OR_RETURN(const std::string text, ReadTextFile(path.string()));
+  return obs::Json::Parse(text);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opts;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      opts.baseline = arg + 11;
-    } else if (std::strncmp(arg, "--candidate=", 12) == 0) {
-      opts.candidate = arg + 12;
-    } else if (std::strcmp(arg, "--verbose") == 0) {
-      opts.verbose = true;
-    } else {
-      return Usage(argv[0]);
-    }
+  Args args(argc, argv);
+  std::string baseline, candidate;
+  args.String("--baseline", &baseline);
+  args.String("--candidate", &candidate);
+  const bool verbose = args.Switch("--verbose");
+  Status bad = args.Finish();
+  if (bad.ok() && (baseline.empty() || candidate.empty())) {
+    bad = InvalidArgument("want --baseline and --candidate");
   }
-  if (opts.baseline.empty() || opts.candidate.empty()) {
-    return Usage(argv[0]);
+  if (!bad.ok()) {
+    return UsageError(argv[0], bad,
+                      "--baseline=DIR --candidate=DIR [--verbose]");
   }
-  if (!fsys::is_directory(opts.baseline)) {
+  if (!fsys::is_directory(baseline)) {
     std::fprintf(stderr, "baseline dir not found: %s\n",
-                 opts.baseline.c_str());
+                 baseline.c_str());
     return 2;
   }
-  if (!fsys::is_directory(opts.candidate)) {
+  if (!fsys::is_directory(candidate)) {
     std::fprintf(stderr, "candidate dir not found: %s\n",
-                 opts.candidate.c_str());
+                 candidate.c_str());
     return 2;
   }
 
   std::vector<std::string> all_differences;
   size_t reports = 0, leaves = 0;
   std::vector<fsys::path> files;
-  for (const auto& entry : fsys::directory_iterator(opts.baseline)) {
+  for (const auto& entry : fsys::directory_iterator(baseline)) {
     const std::string name = entry.path().filename().string();
     if (entry.is_regular_file() && name.rfind("BENCH_", 0) == 0 &&
         entry.path().extension() == ".json") {
@@ -134,35 +113,27 @@ int main(int argc, char** argv) {
   }
   std::sort(files.begin(), files.end());
   if (files.empty()) {
-    std::fprintf(stderr, "no BENCH_*.json in %s\n", opts.baseline.c_str());
+    std::fprintf(stderr, "no BENCH_*.json in %s\n", baseline.c_str());
     return 2;
   }
 
   for (const fsys::path& base_path : files) {
     const std::string name = base_path.filename().string();
-    const fsys::path cand_path = fsys::path(opts.candidate) / name;
+    const fsys::path cand_path = fsys::path(candidate) / name;
     if (!fsys::exists(cand_path)) {
       all_differences.push_back(name + ": missing from candidate dir");
       continue;
     }
     auto base = LoadJson(base_path);
-    if (!base.ok()) {
-      std::fprintf(stderr, "%s: %s\n", base_path.string().c_str(),
-                   base.status().ToString().c_str());
-      return 2;
-    }
+    if (!base.ok()) return Fail(base_path.string(), base.status(), 2);
     auto cand = LoadJson(cand_path);
-    if (!cand.ok()) {
-      std::fprintf(stderr, "%s: %s\n", cand_path.string().c_str(),
-                   cand.status().ToString().c_str());
-      return 2;
-    }
+    if (!cand.ok()) return Fail(cand_path.string(), cand.status(), 2);
     CompareState st;
     st.report = name;
     CompareNode(*base, &*cand, "", &st);
     ++reports;
     leaves += st.leaves;
-    if (opts.verbose) {
+    if (verbose) {
       std::printf("  %s: %zu leaves, %zu differences\n", name.c_str(),
                   st.leaves, st.differences.size());
     }

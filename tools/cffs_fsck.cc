@@ -5,31 +5,27 @@
 // Exit status: 0 clean, 1 problems found (or repaired — rerun to confirm),
 // 2 usage / unmountable.
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/disk/image.h"
 #include "src/fsck/fsck.h"
+#include "src/util/cli.h"
 
 using namespace cffs;
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <image> [--repair]\n", argv[0]);
-    return 2;
-  }
-  const std::string path = argv[1];
-  bool repair = false;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--repair") == 0) repair = true;
-  }
+  Args args(argc, argv);
+  const bool repair = args.Switch("--repair");
+  const std::vector<std::string> paths = args.Words();
+  Status bad = args.Finish();
+  if (bad.ok() && paths.size() != 1) bad = InvalidArgument("want one image");
+  if (!bad.ok()) return UsageError(argv[0], bad, "<image> [--repair]");
+  const std::string& path = paths[0];
 
   SimClock clock;
   auto disk = disk::LoadDiskImage(path, &clock);
-  if (!disk.ok()) {
-    std::fprintf(stderr, "load: %s\n", disk.status().ToString().c_str());
-    return 2;
-  }
+  if (!disk.ok()) return Fail("load", disk.status(), 2);
   blk::BlockDevice dev(disk->get(), disk::SchedulerPolicy::kCLook);
   cache::BufferCache cache(&dev, 4096);
 
@@ -43,17 +39,11 @@ int main(int argc, char** argv) {
   } else {
     auto ffs = fs::FfsFileSystem::Mount(&cache, &clock,
                                         fs::MetadataPolicy::kSynchronous);
-    if (!ffs.ok()) {
-      std::fprintf(stderr, "mount: %s\n", ffs.status().ToString().c_str());
-      return 2;
-    }
+    if (!ffs.ok()) return Fail("mount", ffs.status(), 2);
     report = fsck::CheckFfs(ffs->get(), {.repair = repair});
     keep_alive = std::move(*ffs);
   }
-  if (!report.ok()) {
-    std::fprintf(stderr, "fsck: %s\n", report.status().ToString().c_str());
-    return 2;
-  }
+  if (!report.ok()) return Fail("fsck", report.status(), 2);
 
   std::printf("%llu files, %llu directories, %llu referenced blocks\n",
               static_cast<unsigned long long>(report->files),
@@ -61,13 +51,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report->referenced_blocks));
   for (const auto& p : report->problems) std::printf("PROBLEM: %s\n", p.c_str());
   if (repair && report->repaired > 0) {
-    if (Status s = keep_alive->Sync(); !s.ok()) {
-      std::fprintf(stderr, "sync: %s\n", s.ToString().c_str());
-      return 2;
-    }
+    if (Status s = keep_alive->Sync(); !s.ok()) return Fail("sync", s, 2);
     if (Status s = disk::SaveDiskImage(**disk, path); !s.ok()) {
-      std::fprintf(stderr, "save: %s\n", s.ToString().c_str());
-      return 2;
+      return Fail("save", s, 2);
     }
     std::printf("repaired %llu issue(s); image updated\n",
                 static_cast<unsigned long long>(report->repaired));

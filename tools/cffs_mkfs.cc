@@ -3,44 +3,43 @@
 //   cffs_mkfs <image> [--type=cffs|ffs] [--mb=256] [--group-blocks=16]
 //             [--no-embed] [--no-group]
 //
+// A bad argument prints a message and exits 2.
 // The image file stores both the simulated drive (an ST31200-timed disk
 // sized to --mb) and the file system built on it; cffs_debug and cffs_fsck
 // operate on the same file.
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/disk/image.h"
 #include "src/fs/cffs/cffs.h"
 #include "src/fs/ffs/ffs.h"
+#include "src/util/cli.h"
 
 using namespace cffs;
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <image> [--type=cffs|ffs] [--mb=N] "
-                 "[--group-blocks=N] [--no-embed] [--no-group]\n",
-                 argv[0]);
-    return 2;
-  }
-  const std::string path = argv[1];
   std::string type = "cffs";
   uint64_t mb = 256;
   fs::CffsOptions options;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--type=", 0) == 0) type = arg.substr(7);
-    else if (arg.rfind("--mb=", 0) == 0) mb = std::stoull(arg.substr(5));
-    else if (arg.rfind("--group-blocks=", 0) == 0)
-      options.group_blocks = static_cast<uint16_t>(std::stoul(arg.substr(15)));
-    else if (arg == "--no-embed") options.embed_inodes = false;
-    else if (arg == "--no-group") options.grouping = false;
-    else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 2;
-    }
+  Args args(argc, argv);
+  args.String("--type", &type);
+  args.Uint("--mb", 1, 65536, &mb);
+  args.Uint("--group-blocks", 1, 64, &options.group_blocks);
+  if (args.Switch("--no-embed")) options.embed_inodes = false;
+  if (args.Switch("--no-group")) options.grouping = false;
+  const std::vector<std::string> paths = args.Words();
+  Status bad = args.Finish();
+  if (bad.ok() && paths.size() != 1) bad = InvalidArgument("want one image");
+  if (bad.ok() && type != "cffs" && type != "ffs") {
+    bad = InvalidArgument("unknown --type=" + type);
   }
+  if (!bad.ok()) {
+    return UsageError(argv[0], bad,
+                      "<image> [--type=cffs|ffs] [--mb=N] [--group-blocks=N] "
+                      "[--no-embed] [--no-group]");
+  }
+  const std::string& path = paths[0];
 
   // Size the drive: scale the ST31200's zones to the requested capacity.
   SimClock clock;
@@ -60,21 +59,14 @@ int main(int argc, char** argv) {
     auto fs = fs::FfsFileSystem::Format(&cache, &clock, fs::FfsParams{},
                                         fs::MetadataPolicy::kSynchronous);
     status = fs.status();
-  } else if (type == "cffs") {
+  } else {
     auto fs = fs::CffsFileSystem::Format(&cache, &clock, options,
                                          fs::MetadataPolicy::kSynchronous);
     status = fs.status();
-  } else {
-    std::fprintf(stderr, "unknown type %s\n", type.c_str());
-    return 2;
   }
-  if (!status.ok()) {
-    std::fprintf(stderr, "format failed: %s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (!status.ok()) return Fail("format failed", status);
   if (Status s = disk::SaveDiskImage(disk, path); !s.ok()) {
-    std::fprintf(stderr, "save failed: %s\n", s.ToString().c_str());
-    return 1;
+    return Fail("save failed", s);
   }
   std::printf("created %s image (%llu MB) at %s\n", type.c_str(),
               static_cast<unsigned long long>(mb), path.c_str());

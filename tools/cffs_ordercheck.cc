@@ -8,16 +8,20 @@
 //
 // In-process mode (trace a workload and check it in one step):
 //
-//   cffs_ordercheck --run [--fs=KIND] [--policy=sync|delayed]
+//   cffs_ordercheck --run [KEY=VALUE ...]
 //                   [--workload=smallfile|postmark|multitenant|sharded]
 //                   [--files=N] [--dirs=N] [--bytes=N] [--txns=N]
-//                   [--clients=N] [--shards=M]
-//                   [--syncer] [--syncer-interval-ms=N]
+//                   [--clients=N]
 //                   [--mutate=defer-inode-init|syncer-reorder|
 //                            xshard-skip-commit-sync|xshard-early-clear]
 //                   [--report-out=PATH]
 //
-// KIND: ffs | conventional | embedded | grouping | cffs (default cffs).
+// KEY=VALUE tokens describe the simulated machine, in the config-string
+// syntax of src/sim/sim_env.h (fs=c-ffs by default; e.g. fs=ffs
+// metadata=delayed syncer=1). Every workload runs on that one config.
+// Here syncer_interval and syncer_max_age default to 100 ms, so syncer=1
+// flushes actually fire inside a short workload and the checker gates
+// syncer-emitted commit epochs; meaningful with metadata=delayed.
 // --workload=postmark replays a PostMark-style transaction mix
 // (create/delete paired with read/append) instead of the small-file
 // sweep; --files then sets the initial pool and --txns the transaction
@@ -27,30 +31,25 @@
 // --txns the ops per client. The ordering rules must hold no matter how
 // tenant op streams interleave — every mutation still commits through
 // the same FsBase epochs.
-// --syncer turns on the background deadline syncer with a short interval
-// (default 100 ms so flushes actually fire inside a short workload; tune
-// with --syncer-interval-ms), letting the checker gate syncer-emitted
-// commit epochs. Meaningful with --policy=delayed.
 // --mutate=defer-inode-init flips the FFS create path into its
 // deliberately-misordered self-test variant (name committed before inode);
-// the tool is then expected to exit nonzero with an R-CREATE violation.
-// --mutate=syncer-reorder (requires --syncer) makes the syncer issue its
+// the tool is then expected to exit 1 with an R-CREATE violation.
+// --mutate=syncer-reorder (requires syncer=1) makes the syncer issue its
 // flush plan as per-block epochs in descending block order instead of one
 // atomic epoch — dirent blocks commit before the inodes they name, so a
 // delayed-policy run must likewise be convicted of R-CREATE.
-// --workload=sharded builds an M-shard router (--shards, default 2), runs
+// --workload=sharded builds an M-shard router (shards=M, default 2), runs
 // --txns cross-shard renames through the two-phase journal protocol, and
 // checks TWO things: each shard's own trace against the standard ordering
 // rules, and the merged per-shard traces against the cross-shard rules
 // (R-XPREP/R-XCOMMIT/R-XSRC/R-XDANGLE, src/check/xshard.h). The
 // xshard-* mutations break the protocol on purpose (commit barrier with no
 // sync behind it; source cleared before the commit step) and the tool is
-// then expected to exit nonzero with an R-XCOMMIT violation.
+// then expected to exit 1 with an R-XCOMMIT violation.
 //
-// Exit status: 0 when the trace is clean, 1 on violations or errors.
+// Exit status: 0 when the trace is clean, 1 on violations or errors, 2 on a
+// bad argument (so a typo can never pass for a conviction).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "src/check/ordering_checker.h"
@@ -60,6 +59,7 @@
 #include "src/mt/driver.h"
 #include "src/shard/placement.h"
 #include "src/shard/router.h"
+#include "src/util/cli.h"
 #include "src/workload/smallfile.h"
 #include "src/workload/trace.h"
 
@@ -67,60 +67,21 @@ using namespace cffs;
 
 namespace {
 
-bool ParseKind(const char* s, sim::FsKind* out) {
-  if (std::strcmp(s, "ffs") == 0) *out = sim::FsKind::kFfs;
-  else if (std::strcmp(s, "conventional") == 0) *out = sim::FsKind::kConventional;
-  else if (std::strcmp(s, "embedded") == 0) *out = sim::FsKind::kEmbedOnly;
-  else if (std::strcmp(s, "grouping") == 0) *out = sim::FsKind::kGroupOnly;
-  else if (std::strcmp(s, "cffs") == 0) *out = sim::FsKind::kCffs;
-  else return false;
-  return true;
-}
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return NotFound("cannot open " + path);
-  std::string text;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-  return text;
-}
-
-bool WriteWholeFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  return true;
-}
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --trace=PATH [--report-out=PATH]\n"
-               "       %s --run [--fs=KIND] [--policy=sync|delayed]\n"
-               "          [--workload=smallfile|postmark|multitenant|sharded]\n"
-               "          [--files=N] [--dirs=N] [--bytes=N] [--txns=N]\n"
-               "          [--clients=N] [--shards=M]\n"
-               "          [--syncer] [--syncer-interval-ms=N]\n"
-               "          [--mutate=defer-inode-init|syncer-reorder|\n"
-               "                   xshard-skip-commit-sync|xshard-early-clear]\n"
-               "          [--report-out=PATH]\n",
-               argv0, argv0);
-  return 1;
-}
+constexpr char kUsage[] =
+    "--trace=PATH | --run [KEY=VALUE ...]\n"
+    "    [--workload=smallfile|postmark|multitenant|sharded]\n"
+    "    [--files=N] [--dirs=N] [--bytes=N] [--txns=N] [--clients=N]\n"
+    "    [--mutate=defer-inode-init|syncer-reorder|\n"
+    "              xshard-skip-commit-sync|xshard-early-clear]\n"
+    "    [--report-out=PATH]\n"
+    "KEY=VALUE: the config-string keys of src/sim/sim_env.h";
 
 int Report(const check::OrderingReport& report,
            const std::string& report_out) {
   const std::string json = report.ToJson(2);
   if (!report_out.empty()) {
-    if (!WriteWholeFile(report_out, json)) {
-      std::fprintf(stderr, "cannot write %s\n", report_out.c_str());
-      return 1;
+    if (Status s = WriteTextFile(report_out, json); !s.ok()) {
+      return Fail("report", s);
     }
     std::printf("report: %s\n", report_out.c_str());
   } else {
@@ -139,18 +100,10 @@ int Report(const check::OrderingReport& report,
 
 // Sharded mode: drive cross-shard renames through the two-phase protocol
 // and check both the per-shard ordering rules and the cross-shard rules.
-int RunSharded(sim::FsKind kind, fs::MetadataPolicy policy, uint32_t shards,
-               uint32_t txns, const std::string& mutate,
-               const std::string& report_out) {
-  sim::SimConfig config;
-  config.metadata = policy;
-  config.shards = shards;
+int RunSharded(sim::FsKind kind, const sim::SimConfig& config, uint32_t txns,
+               const std::string& mutate, const std::string& report_out) {
   auto router_or = shard::ShardRouter::Create(kind, config);
-  if (!router_or.ok()) {
-    std::fprintf(stderr, "router: %s\n",
-                 router_or.status().ToString().c_str());
-    return 1;
-  }
+  if (!router_or.ok()) return Fail("router", router_or.status());
   shard::ShardRouter& r = **router_or;
   r.EnableTrace();
 
@@ -182,10 +135,7 @@ int RunSharded(sim::FsKind kind, fs::MetadataPolicy policy, uint32_t shards,
     r.set_mutation("");
     return OkStatus();
   };
-  if (Status s = run(); !s.ok()) {
-    std::fprintf(stderr, "run: %s\n", s.ToString().c_str());
-    return 1;
-  }
+  if (Status s = run(); !s.ok()) return Fail("run", s);
 
   // Each shard's own trace must still satisfy the single-disk rules.
   int rc = 0;
@@ -216,134 +166,82 @@ int RunSharded(sim::FsKind kind, fs::MetadataPolicy policy, uint32_t shards,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool run = false;
   sim::FsKind kind = sim::FsKind::kCffs;
-  fs::MetadataPolicy policy = fs::MetadataPolicy::kSynchronous;
+  sim::SimConfig config;
+  config.syncer_interval = SimTime::Millis(100);
+  config.syncer_max_age = SimTime::Millis(100);
   workload::SmallFileParams params;
   params.num_files = 100;
   params.num_dirs = 4;
-  bool postmark = false;
-  bool multitenant = false;
-  bool sharded = false;
   uint32_t clients = 16;
-  uint32_t shards = 2;
   uint32_t txns = 400;
-  bool syncer = false;
-  uint32_t syncer_interval_ms = 100;
-  std::string trace_path, report_out, mutate;
+  std::string trace_path, report_out, workload_name = "smallfile", mutate;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--run") == 0) {
-      run = true;
-    } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-      trace_path = arg + 8;
-    } else if (std::strncmp(arg, "--report-out=", 13) == 0) {
-      report_out = arg + 13;
-    } else if (std::strncmp(arg, "--fs=", 5) == 0) {
-      if (!ParseKind(arg + 5, &kind)) return Usage(argv[0]);
-    } else if (std::strncmp(arg, "--policy=", 9) == 0) {
-      if (std::strcmp(arg + 9, "sync") == 0) {
-        policy = fs::MetadataPolicy::kSynchronous;
-      } else if (std::strcmp(arg + 9, "delayed") == 0) {
-        policy = fs::MetadataPolicy::kDelayed;
-      } else {
-        return Usage(argv[0]);
-      }
-    } else if (std::strncmp(arg, "--files=", 8) == 0) {
-      params.num_files = static_cast<uint32_t>(std::atoi(arg + 8));
-    } else if (std::strncmp(arg, "--dirs=", 7) == 0) {
-      params.num_dirs = static_cast<uint32_t>(std::atoi(arg + 7));
-    } else if (std::strncmp(arg, "--bytes=", 8) == 0) {
-      params.file_bytes = static_cast<uint32_t>(std::atoi(arg + 8));
-    } else if (std::strncmp(arg, "--txns=", 7) == 0) {
-      txns = static_cast<uint32_t>(std::atoi(arg + 7));
-    } else if (std::strncmp(arg, "--clients=", 10) == 0) {
-      clients = static_cast<uint32_t>(std::atoi(arg + 10));
-      if (clients == 0) return Usage(argv[0]);
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      shards = static_cast<uint32_t>(std::atoi(arg + 9));
-      if (shards < 2) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--syncer") == 0) {
-      syncer = true;
-    } else if (std::strncmp(arg, "--syncer-interval-ms=", 21) == 0) {
-      syncer_interval_ms = static_cast<uint32_t>(std::atoi(arg + 21));
-    } else if (std::strncmp(arg, "--workload=", 11) == 0) {
-      if (std::strcmp(arg + 11, "postmark") == 0) {
-        postmark = true;
-      } else if (std::strcmp(arg + 11, "multitenant") == 0) {
-        multitenant = true;
-      } else if (std::strcmp(arg + 11, "sharded") == 0) {
-        sharded = true;
-      } else if (std::strcmp(arg + 11, "smallfile") == 0) {
-        postmark = false;
-        multitenant = false;
-        sharded = false;
-      } else {
-        return Usage(argv[0]);
-      }
-    } else if (std::strncmp(arg, "--mutate=", 9) == 0) {
-      mutate = arg + 9;
-    } else {
-      return Usage(argv[0]);
-    }
-  }
-
-  if (!run && trace_path.empty()) return Usage(argv[0]);
-  if (run && !trace_path.empty()) return Usage(argv[0]);
+  Args args(argc, argv);
+  const bool run = args.Switch("--run");
+  args.String("--trace", &trace_path);
+  args.String("--report-out", &report_out);
+  args.String("--workload", &workload_name);
+  args.Uint("--files", 1, 1u << 24, &params.num_files);
+  args.Uint("--dirs", 1, 1u << 20, &params.num_dirs);
+  args.Uint("--bytes", 0, 1u << 26, &params.file_bytes);
+  args.Uint("--txns", 0, 1u << 24, &txns);
+  args.Uint("--clients", 1, 1u << 16, &clients);
+  args.String("--mutate", &mutate);
+  std::string machine;
+  for (const std::string& w : args.Words()) machine += w + " ";
+  const bool sharded = workload_name == "sharded";
   const bool xshard_mutation = mutate == "xshard-skip-commit-sync" ||
                                mutate == "xshard-early-clear";
-  if (!mutate.empty() && mutate != "defer-inode-init" &&
-      mutate != "syncer-reorder" && !xshard_mutation) {
-    return Usage(argv[0]);
-  }
-  if (mutate == "syncer-reorder" && !syncer) {
-    std::fprintf(stderr, "--mutate=syncer-reorder requires --syncer\n");
-    return 1;
-  }
-  if (xshard_mutation && !sharded) {
-    std::fprintf(stderr, "--mutate=%s requires --workload=sharded\n",
-                 mutate.c_str());
-    return 1;
-  }
-  if (sharded && !mutate.empty() && !xshard_mutation) {
-    std::fprintf(stderr, "--workload=sharded only takes xshard-* mutations\n");
-    return 1;
-  }
+  auto validate = [&]() -> Status {
+    RETURN_IF_ERROR(args.Finish());
+    if (run == !trace_path.empty()) {
+      return InvalidArgument("give exactly one of --run and --trace=PATH");
+    }
+    if (!run && !machine.empty()) {
+      return InvalidArgument("KEY=VALUE tokens need --run");
+    }
+    RETURN_IF_ERROR(sim::ParseConfig(machine, &kind, &config));
+    if (workload_name != "smallfile" && workload_name != "postmark" &&
+        workload_name != "multitenant" && !sharded) {
+      return InvalidArgument("unknown --workload=" + workload_name);
+    }
+    if (!mutate.empty() && mutate != "defer-inode-init" &&
+        mutate != "syncer-reorder" && !xshard_mutation) {
+      return InvalidArgument("unknown --mutate=" + mutate);
+    }
+    if (mutate == "syncer-reorder" && !config.syncer) {
+      return InvalidArgument("--mutate=syncer-reorder requires syncer=1");
+    }
+    if (sharded != xshard_mutation && !mutate.empty()) {
+      return InvalidArgument("--workload=sharded takes exactly the xshard-* "
+                             "mutations");
+    }
+    if (sharded && config.shards == 0) config.shards = 2;
+    if (sharded ? config.shards < 2 : config.shards != 0) {
+      return InvalidArgument("--workload=sharded needs shards=M, M >= 2, and "
+                             "no other workload takes shards=M");
+    }
+    return OkStatus();
+  };
+  if (Status s = validate(); !s.ok()) return UsageError(argv[0], s, kUsage);
+
   if (sharded) {
     // The sharded workload is a handful of two-phase renames, not the full
     // transaction mix — cap the default so it stays quick.
-    return RunSharded(kind, policy, shards, txns > 64 ? 8 : txns, mutate,
-                      report_out);
+    return RunSharded(kind, config, txns > 64 ? 8 : txns, mutate, report_out);
   }
 
   if (!trace_path.empty()) {
-    auto text = ReadWholeFile(trace_path);
-    if (!text.ok()) {
-      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-      return 1;
-    }
+    auto text = ReadTextFile(trace_path);
+    if (!text.ok()) return Fail("read", text.status());
     auto trace = obs::TraceRecorder::FromRecordJson(*text);
-    if (!trace.ok()) {
-      std::fprintf(stderr, "parse %s: %s\n", trace_path.c_str(),
-                   trace.status().ToString().c_str());
-      return 1;
-    }
+    if (!trace.ok()) return Fail("parse " + trace_path, trace.status());
     return Report(check::OrderingChecker::CheckTrace(*trace), report_out);
   }
 
-  sim::SimConfig config;
-  config.metadata = policy;
-  if (syncer) {
-    config.syncer = true;
-    config.syncer_interval = SimTime::Millis(syncer_interval_ms);
-    config.syncer_max_age = SimTime::Millis(syncer_interval_ms);
-  }
   auto env_or = sim::SimEnv::Create(kind, config);
-  if (!env_or.ok()) {
-    std::fprintf(stderr, "env: %s\n", env_or.status().ToString().c_str());
-    return 1;
-  }
+  if (!env_or.ok()) return Fail("env", env_or.status());
   sim::SimEnv* env = env_or->get();
   env->EnableTrace();
   if (mutate == "defer-inode-init") {
@@ -353,16 +251,13 @@ int main(int argc, char** argv) {
     env->syncer()->set_mutation_for_test(io::SyncerMutation::kSyncerReorder);
   }
 
-  if (multitenant) {
+  if (workload_name == "multitenant") {
     mt::MtParams mtp;
     mtp.clients = clients;
     mtp.ops_per_client = txns > 0 ? txns : 16;  // --txns = ops per client
     mt::MtDriver driver(env, mtp);
-    if (Status s = driver.Run(); !s.ok()) {
-      std::fprintf(stderr, "run: %s\n", s.ToString().c_str());
-      return 1;
-    }
-  } else if (postmark) {
+    if (Status s = driver.Run(); !s.ok()) return Fail("run", s);
+  } else if (workload_name == "postmark") {
     // Keep the working set well inside the cache: a mid-run eviction is a
     // single-block write the delayed policy cannot order, and the gate is
     // about the file system's discipline, not the cache's sizing.
@@ -372,36 +267,22 @@ int main(int argc, char** argv) {
     pm.num_dirs = params.num_dirs;
     pm.max_bytes = 4096;
     auto replayed = workload::ReplayTrace(env, workload::GeneratePostmark(pm));
-    if (!replayed.ok()) {
-      std::fprintf(stderr, "run: %s\n",
-                   replayed.status().ToString().c_str());
-      return 1;
-    }
+    if (!replayed.ok()) return Fail("run", replayed.status());
   } else {
     auto result = workload::RunSmallFile(env, params);
-    if (!result.ok()) {
-      std::fprintf(stderr, "run: %s\n", result.status().ToString().c_str());
-      return 1;
-    }
+    if (!result.ok()) return Fail("run", result.status());
   }
-  if (syncer) {
+  if (config.syncer) {
     // Push the tail of the dirty set through the syncer path too, so the
     // checked trace contains at least one syncer-emitted epoch even when
     // the workload finished inside the first interval (and so the mutated
     // self-test reliably produces its misordered epochs).
     if (Status s = env->syncer()->FlushNow(); !s.ok()) {
-      std::fprintf(stderr, "syncer flush: %s\n", s.ToString().c_str());
-      return 1;
+      return Fail("syncer flush", s);
     }
-    if (Status s = env->syncer_status(); !s.ok()) {
-      std::fprintf(stderr, "syncer: %s\n", s.ToString().c_str());
-      return 1;
-    }
+    if (Status s = env->syncer_status(); !s.ok()) return Fail("syncer", s);
   }
-  if (Status s = env->fs()->Sync(); !s.ok()) {
-    std::fprintf(stderr, "sync: %s\n", s.ToString().c_str());
-    return 1;
-  }
+  if (Status s = env->fs()->Sync(); !s.ok()) return Fail("sync", s);
   return Report(check::OrderingChecker::CheckTrace(*env->trace()),
                 report_out);
 }

@@ -1,38 +1,40 @@
 // cffs_populate: write a small demo tree into an existing image.
 //
 //   cffs_populate <image> [--files=40] [--dirs=4] [--seed=1]
+//
+// A bad argument prints a message and exits 2.
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "src/disk/image.h"
 #include "src/fs/cffs/cffs.h"
 #include "src/fs/common/path.h"
 #include "src/fs/ffs/ffs.h"
+#include "src/util/cli.h"
 #include "src/util/rng.h"
 
 using namespace cffs;
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <image> [--files=N] [--dirs=N] [--seed=N]\n",
-                 argv[0]);
-    return 2;
-  }
-  const std::string path = argv[1];
   uint64_t files = 40, dirs = 4, seed = 1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--files=", 0) == 0) files = std::stoull(arg.substr(8));
-    else if (arg.rfind("--dirs=", 0) == 0) dirs = std::stoull(arg.substr(7));
-    else if (arg.rfind("--seed=", 0) == 0) seed = std::stoull(arg.substr(7));
+  Args args(argc, argv);
+  args.Uint("--files", 0, 1u << 24, &files);
+  args.Uint("--dirs", 1, 1u << 20, &dirs);
+  args.Uint("--seed", 0, UINT64_MAX, &seed);
+  const std::vector<std::string> paths = args.Words();
+  Status bad = args.Finish();
+  if (bad.ok() && paths.size() != 1) bad = InvalidArgument("want one image");
+  if (!bad.ok()) {
+    return UsageError(argv[0], bad,
+                      "<image> [--files=N] [--dirs=N] [--seed=N]");
   }
+  const std::string& path = paths[0];
 
   SimClock clock;
   auto disk = disk::LoadDiskImage(path, &clock);
-  if (!disk.ok()) {
-    std::fprintf(stderr, "load: %s\n", disk.status().ToString().c_str());
-    return 1;
-  }
+  if (!disk.ok()) return Fail("load", disk.status());
   blk::BlockDevice dev(disk->get(), disk::SchedulerPolicy::kCLook);
   cache::BufferCache cache(&dev, 4096);
 
@@ -54,22 +56,17 @@ int main(int argc, char** argv) {
   Rng rng(seed);
   for (uint64_t f = 0; f < files; ++f) {
     const std::string dir = "/demo" + std::to_string(f % dirs);
-    if (auto s = p.MkdirAll(dir); !s.ok()) {
-      std::fprintf(stderr, "mkdir: %s\n", s.status().ToString().c_str());
-      return 1;
-    }
+    if (auto s = p.MkdirAll(dir); !s.ok()) return Fail("mkdir", s.status());
     std::vector<uint8_t> data(rng.Below(6000) + 64);
     for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
     if (auto s = p.WriteFile(dir + "/file" + std::to_string(f), data);
         !s.ok()) {
-      std::fprintf(stderr, "write: %s\n", s.ToString().c_str());
-      return 1;
+      return Fail("write", s);
     }
   }
-  if (auto s = fsp->Sync(); !s.ok()) return 1;
+  if (auto s = fsp->Sync(); !s.ok()) return Fail("sync", s);
   if (auto s = disk::SaveDiskImage(**disk, path); !s.ok()) {
-    std::fprintf(stderr, "save: %s\n", s.ToString().c_str());
-    return 1;
+    return Fail("save", s);
   }
   std::printf("populated %s with %llu files in %llu dirs\n", path.c_str(),
               static_cast<unsigned long long>(files),

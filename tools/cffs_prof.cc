@@ -1,36 +1,35 @@
 // cffs_prof: run a small-file workload and print where the time went.
 //
-//   cffs_prof [--fs=KIND] [--files=N] [--dirs=N] [--bytes=N]
-//             [--policy=sync|delayed] [--syncer] [--top=N] [--json=PATH]
-//             [--device=spinning|flash] [--extents]
+//   cffs_prof [KEY=VALUE ...] [--files=N] [--dirs=N] [--bytes=N] [--top=N]
+//             [--json=PATH]
 //             [--mt=N] [--mt-ops=N] [--mt-scheduler=fifo|drr]
 //             [--mt-backpressure=0|1] [--antagonist] [--per-client[=K]]
-//             [--shards=M] [--shard-placement=jump|mod] [--per-shard]
-//             [--rename-pct=N]
+//             [--shard-placement=jump|mod] [--per-shard] [--rename-pct=N]
 //
-// KIND: ffs | conventional | embedded | grouping | cffs (default cffs).
-// Two reports, both built from the cross-layer span attribution
+// KEY=VALUE tokens describe the simulated machine, in the config-string
+// syntax of src/sim/sim_env.h (fs=c-ffs by default; e.g. fs=ffs
+// metadata=delayed syncer=1). A report's sim_config string pastes in
+// whole. Two reports, both built from the cross-layer span attribution
 // (src/obs/span.h), whose phase times sum exactly to each op's
 // end-to-end latency:
 //
 //   1. per-op-type attribution: count, mean/p50/p99/p999 end-to-end
 //      latency, and the share of total time spent in each phase
 //      (cpu / queue_wait / throttle_stall / seek / rotation / transfer /
-//      overhead — or, with --device=flash, overhead / channel_wait /
+//      overhead — or, with device=flash, overhead / channel_wait /
 //      transfer / program / erase) plus cache hits avoided per op;
 //   2. the top-N slowest individual operations, each with its span
 //      segments (phase, offset into the op, duration, LBA for disk
 //      phases) — a flame-graph footprint in text form.
 //
 // --mt=N swaps the workload for the multi-tenant driver (src/mt): N
-// clients through the pluggable op scheduler, exercising the same
-// mt_clients / mt_scheduler / mt_backpressure SimConfig knobs. With it,
-// --per-client[=K] adds a third report: the K worst clients by p99 full
-// latency (queue wait + service), each with its exact span-attributed
-// throttle-stall share — "which tenant hurts, and is it paying its own
-// flush debt or queuing behind someone else's".
+// clients through the pluggable op scheduler; the --mt-* flags fill its
+// mt::MtParams. With it, --per-client[=K] adds a third report: the K worst
+// clients by p99 full latency (queue wait + service), each with its exact
+// span-attributed throttle-stall share — "which tenant hurts, and is it
+// paying its own flush debt or queuing behind someone else's".
 //
-// --shards=M swaps in the scale-out namespace (src/shard): the mt client
+// shards=M swaps in the scale-out namespace (src/shard): the mt client
 // population fans out across M independent shards (M disks, M syncers)
 // through the group-aware router, with --rename-pct of postmark ops renaming
 // files between directories (cross-shard when they hash apart). --per-shard
@@ -39,56 +38,29 @@
 // span attribution ("which shard hurts, and in what phase"), and the
 // high-water dirty/queue-depth gauges from that shard's sampler series.
 //
-// --json dumps the same PhaseBreakdown as machine-readable JSON.
+// --json dumps the same PhaseBreakdown as machine-readable JSON. A bad
+// argument prints a message and exits 2.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/mt/driver.h"
 #include "src/shard/driver.h"
 #include "src/stats/collect.h"
+#include "src/util/cli.h"
 #include "src/workload/smallfile.h"
 
 using namespace cffs;
 
 namespace {
 
-bool ParseKind(const char* s, sim::FsKind* out) {
-  if (std::strcmp(s, "ffs") == 0) *out = sim::FsKind::kFfs;
-  else if (std::strcmp(s, "conventional") == 0) *out = sim::FsKind::kConventional;
-  else if (std::strcmp(s, "embedded") == 0) *out = sim::FsKind::kEmbedOnly;
-  else if (std::strcmp(s, "grouping") == 0) *out = sim::FsKind::kGroupOnly;
-  else if (std::strcmp(s, "cffs") == 0) *out = sim::FsKind::kCffs;
-  else return false;
-  return true;
-}
-
-bool WriteFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  return true;
-}
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--fs=ffs|conventional|embedded|grouping|cffs]\n"
-               "          [--files=N] [--dirs=N] [--bytes=N]\n"
-               "          [--policy=sync|delayed] [--syncer] [--top=N]\n"
-               "          [--json=PATH] [--device=spinning|flash] [--extents]\n"
-               "          [--mt=N] [--mt-ops=N] [--mt-scheduler=fifo|drr]\n"
-               "          [--mt-backpressure=0|1] [--antagonist]\n"
-               "          [--per-client[=K]]\n"
-               "          [--shards=M] [--shard-placement=jump|mod]\n"
-               "          [--per-shard] [--rename-pct=N]\n",
-               argv0);
-  return 2;
-}
+constexpr char kUsage[] =
+    "[KEY=VALUE ...] [--files=N] [--dirs=N] [--bytes=N] [--top=N]\n"
+    "    [--json=PATH] [--mt=N] [--mt-ops=N] [--mt-scheduler=fifo|drr]\n"
+    "    [--mt-backpressure=0|1] [--antagonist] [--per-client[=K]]\n"
+    "    [--shard-placement=jump|mod] [--per-shard] [--rename-pct=N]\n"
+    "KEY=VALUE: the config-string keys of src/sim/sim_env.h";
 
 double Ms(int64_t ns) { return static_cast<double>(ns) / 1e6; }
 
@@ -237,32 +209,19 @@ void PrintPerShard(shard::ShardRouter* router,
   }
 }
 
-int RunSharded(sim::FsKind kind, const sim::SimConfig& config, uint64_t mt_ops,
-               uint32_t rename_pct, bool per_shard) {
-  auto router_or = shard::ShardRouter::Create(kind, config);
-  if (!router_or.ok()) {
-    std::fprintf(stderr, "router: %s\n",
-                 router_or.status().ToString().c_str());
-    return 1;
-  }
+int RunSharded(sim::FsKind kind, const sim::SimConfig& config,
+               shard::PlacementPolicy placement, const mt::MtParams& params,
+               bool per_shard) {
+  auto router_or = shard::ShardRouter::Create(kind, config, placement);
+  if (!router_or.ok()) return Fail("router", router_or.status());
   shard::ShardRouter* router = router_or->get();
-  auto params = mt::MtParams::FromConfig(config, shard::ShardDriverParams());
-  if (!params.ok()) {
-    std::fprintf(stderr, "params: %s\n", params.status().ToString().c_str());
-    return 1;
-  }
-  params->ops_per_client = mt_ops;
-  params->rename_pct = rename_pct;
-  shard::ShardDriver driver(router, *params);
-  if (Status s = driver.Run(); !s.ok()) {
-    std::fprintf(stderr, "run: %s\n", s.ToString().c_str());
-    return 1;
-  }
+  shard::ShardDriver driver(router, params);
+  if (Status s = driver.Run(); !s.ok()) return Fail("run", s);
   const shard::ShardDriverStats& st = driver.stats();
   std::printf("%s x %u shards: %u clients x %llu ops, %llu cross-shard "
               "renames, %.3f simulated seconds\n",
-              sim::FsKindName(kind).c_str(), st.shards, params->clients,
-              static_cast<unsigned long long>(mt_ops),
+              sim::FsKindName(kind).c_str(), st.shards, params.clients,
+              static_cast<unsigned long long>(params.ops_per_client),
               static_cast<unsigned long long>(st.renames_cross),
               static_cast<double>(st.elapsed_ns) / 1e9);
   if (per_shard) PrintPerShard(router, st);
@@ -283,139 +242,108 @@ int RunSharded(sim::FsKind kind, const sim::SimConfig& config, uint64_t mt_ops,
 
 int main(int argc, char** argv) {
   sim::FsKind kind = sim::FsKind::kCffs;
+  sim::SimConfig config;
   workload::SmallFileParams params;
   params.num_files = 1000;
   params.num_dirs = 10;
-  sim::SimConfig config;
   size_t top_n = 10;
-  std::string json_out;
+  std::string json_out, scheduler_name, placement_name;
+  uint32_t mt_clients = 0;
   uint64_t mt_ops = 64;
-  bool antagonist = false;
-  bool per_client = false;
-  size_t per_client_k = 10;
-  bool per_shard = false;
+  bool backpressure = true;
+  size_t per_client_k = 0;
   uint32_t rename_pct = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--fs=", 5) == 0) {
-      if (!ParseKind(arg + 5, &kind)) return Usage(argv[0]);
-    } else if (std::strncmp(arg, "--files=", 8) == 0) {
-      params.num_files = static_cast<uint32_t>(std::atoi(arg + 8));
-    } else if (std::strncmp(arg, "--dirs=", 7) == 0) {
-      params.num_dirs = static_cast<uint32_t>(std::atoi(arg + 7));
-    } else if (std::strncmp(arg, "--bytes=", 8) == 0) {
-      params.file_bytes = static_cast<uint32_t>(std::atoi(arg + 8));
-    } else if (std::strcmp(arg, "--policy=sync") == 0) {
-      config.metadata = fs::MetadataPolicy::kSynchronous;
-    } else if (std::strcmp(arg, "--policy=delayed") == 0) {
-      config.metadata = fs::MetadataPolicy::kDelayed;
-    } else if (std::strcmp(arg, "--syncer") == 0) {
-      config.syncer = true;
-    } else if (std::strncmp(arg, "--top=", 6) == 0) {
-      top_n = static_cast<size_t>(std::atoll(arg + 6));
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      json_out = arg + 7;
-    } else if (std::strcmp(arg, "--device=spinning") == 0 ||
-               std::strcmp(arg, "--device=flash") == 0) {
-      config.device = arg + 9;
-    } else if (std::strcmp(arg, "--extents") == 0) {
-      config.extent_alloc = true;
-    } else if (std::strncmp(arg, "--mt=", 5) == 0) {
-      config.mt_clients = static_cast<uint32_t>(std::atoi(arg + 5));
-      if (config.mt_clients == 0) return Usage(argv[0]);
-    } else if (std::strncmp(arg, "--mt-ops=", 9) == 0) {
-      mt_ops = static_cast<uint64_t>(std::atoll(arg + 9));
-      if (mt_ops == 0) return Usage(argv[0]);
-    } else if (std::strncmp(arg, "--mt-scheduler=", 15) == 0) {
-      mt::SchedulerKind sk;
-      if (!mt::ParseSchedulerKind(arg + 15, &sk)) return Usage(argv[0]);
-      config.mt_scheduler = arg + 15;
-    } else if (std::strncmp(arg, "--mt-backpressure=", 18) == 0) {
-      config.mt_backpressure = std::atoi(arg + 18) != 0;
-    } else if (std::strcmp(arg, "--antagonist") == 0) {
-      antagonist = true;
-    } else if (std::strcmp(arg, "--per-client") == 0) {
-      per_client = true;
-    } else if (std::strncmp(arg, "--per-client=", 13) == 0) {
-      per_client = true;
-      per_client_k = static_cast<size_t>(std::atoll(arg + 13));
-      if (per_client_k == 0) return Usage(argv[0]);
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      config.shards = static_cast<uint32_t>(std::atoi(arg + 9));
-      if (config.shards == 0) return Usage(argv[0]);
-    } else if (std::strncmp(arg, "--shard-placement=", 18) == 0) {
-      shard::PlacementPolicy pp;
-      if (!shard::ParsePlacementPolicy(arg + 18, &pp)) return Usage(argv[0]);
-      config.shard_placement = arg + 18;
-    } else if (std::strcmp(arg, "--per-shard") == 0) {
-      per_shard = true;
-    } else if (std::strncmp(arg, "--rename-pct=", 13) == 0) {
-      rename_pct = static_cast<uint32_t>(std::atoi(arg + 13));
-    } else {
-      return Usage(argv[0]);
+  Args args(argc, argv);
+  args.Uint("--files", 1, 1u << 24, &params.num_files);
+  args.Uint("--dirs", 1, 1u << 20, &params.num_dirs);
+  args.Uint("--bytes", 0, 1u << 26, &params.file_bytes);
+  args.Uint("--top", 1, 1u << 20, &top_n);
+  args.String("--json", &json_out);
+  args.Uint("--mt", 1, 1u << 16, &mt_clients);
+  args.Uint("--mt-ops", 1, 1u << 24, &mt_ops);
+  args.String("--mt-scheduler", &scheduler_name);
+  args.Uint("--mt-backpressure", 0, 1, &backpressure);
+  const bool antagonist = args.Switch("--antagonist");
+  args.Uint("--per-client", 1, 1u << 16, &per_client_k);
+  const bool per_client = args.Switch("--per-client") || per_client_k > 0;
+  if (per_client_k == 0) per_client_k = 10;
+  args.String("--shard-placement", &placement_name);
+  const bool per_shard = args.Switch("--per-shard");
+  args.Uint("--rename-pct", 0, 100, &rename_pct);
+  std::string machine;
+  for (const std::string& w : args.Words()) machine += w + " ";
+  mt::SchedulerKind scheduler = mt::SchedulerKind::kDrr;
+  shard::PlacementPolicy placement = shard::PlacementPolicy::kJump;
+  const bool mt_mode = mt_clients > 0;
+  auto validate = [&]() -> Status {
+    RETURN_IF_ERROR(args.Finish());
+    RETURN_IF_ERROR(sim::ParseConfig(machine, &kind, &config));
+    const bool sharded = config.shards > 0;
+    if (!scheduler_name.empty() &&
+        !mt::ParseSchedulerKind(scheduler_name, &scheduler)) {
+      return InvalidArgument("--mt-scheduler: unknown name \"" +
+                             scheduler_name + "\" (fifo | drr)");
     }
-  }
-  if (params.num_files == 0 || params.num_dirs == 0 || top_n == 0) {
-    return Usage(argv[0]);
-  }
-  const bool mt_mode = config.mt_clients > 0;
-  if (per_client && !mt_mode) {
-    std::fprintf(stderr, "--per-client requires --mt=N\n");
-    return Usage(argv[0]);
-  }
-  if ((per_shard || rename_pct > 0) && config.shards == 0) {
-    std::fprintf(stderr, "--per-shard/--rename-pct require --shards=M\n");
-    return Usage(argv[0]);
-  }
+    if (!placement_name.empty() &&
+        !shard::ParsePlacementPolicy(placement_name, &placement)) {
+      return InvalidArgument("--shard-placement: unknown name \"" +
+                             placement_name + "\" (jump | mod)");
+    }
+    if ((per_client || antagonist) && (!mt_mode || sharded)) {
+      return InvalidArgument(
+          "--per-client and --antagonist need --mt=N and no shards=M");
+    }
+    if ((per_shard || rename_pct > 0 || !placement_name.empty()) &&
+        !sharded) {
+      return InvalidArgument(
+          "--per-shard, --rename-pct and --shard-placement need shards=M");
+    }
+    if (sharded && !json_out.empty()) {
+      return InvalidArgument("--json is not available with shards=M");
+    }
+    return OkStatus();
+  };
+  if (Status s = validate(); !s.ok()) return UsageError(argv[0], s, kUsage);
+
+  // The driver's flags over `base` (its defaults, or the sharded ones).
+  auto driver_params = [&](mt::MtParams base) {
+    if (mt_mode) base.clients = mt_clients;
+    base.ops_per_client = mt_ops;
+    base.scheduler = scheduler;
+    base.backpressure = backpressure;
+    return base;
+  };
   // Shard mode routes every op through M independent SimEnvs, so the global
   // span attribution / slowest-op / json reports (all single-env views) are
   // replaced by the per-shard table.
   if (config.shards > 0) {
-    if (per_client || !json_out.empty()) {
-      std::fprintf(stderr,
-                   "--per-client/--json are not available with --shards\n");
-      return Usage(argv[0]);
-    }
-    return RunSharded(kind, config, mt_ops, rename_pct, per_shard);
+    mt::MtParams p = driver_params(shard::ShardDriverParams());
+    p.rename_pct = rename_pct;
+    return RunSharded(kind, config, placement, p, per_shard);
   }
 
   auto env_or = sim::SimEnv::Create(kind, config);
-  if (!env_or.ok()) {
-    std::fprintf(stderr, "env: %s\n", env_or.status().ToString().c_str());
-    return 1;
-  }
+  if (!env_or.ok()) return Fail("env", env_or.status());
   sim::SimEnv* env = env_or->get();
   env->spans()->set_top_n(top_n);
 
   stats::MetricsSnapshot snap;
   if (mt_mode) {
-    auto mt_params = mt::MtParams::FromConfig(config, {});
-    if (!mt_params.ok()) {
-      std::fprintf(stderr, "params: %s\n",
-                   mt_params.status().ToString().c_str());
-      return 1;
-    }
-    mt_params->ops_per_client = mt_ops;
-    mt_params->antagonist = antagonist;
-    mt::MtDriver driver(env, *mt_params);
-    if (Status s = driver.Run(); !s.ok()) {
-      std::fprintf(stderr, "run: %s\n", s.ToString().c_str());
-      return 1;
-    }
+    mt::MtParams mt_params = driver_params({});
+    mt_params.antagonist = antagonist;
+    mt::MtDriver driver(env, mt_params);
+    if (Status st = driver.Run(); !st.ok()) return Fail("run", st);
     snap = stats::Snapshot(*env);
     snap.mt = driver.TakeStats();
     std::printf("%s: %u clients x %llu ops (%s%s), %.3f simulated seconds\n\n",
-                sim::FsKindName(kind).c_str(), mt_params->clients,
-                static_cast<unsigned long long>(mt_params->ops_per_client),
+                sim::FsKindName(kind).c_str(), mt_params.clients,
+                static_cast<unsigned long long>(mt_params.ops_per_client),
                 snap.mt.scheduler.c_str(),
                 antagonist ? ", antagonist" : "", snap.sim_seconds);
   } else {
     auto result = workload::RunSmallFile(env, params);
-    if (!result.ok()) {
-      std::fprintf(stderr, "run: %s\n", result.status().ToString().c_str());
-      return 1;
-    }
+    if (!result.ok()) return Fail("run", result.status());
     snap = stats::Snapshot(*env);
     std::printf("%s: %u files x %u B in %u dirs, %.3f simulated seconds\n\n",
                 sim::FsKindName(kind).c_str(), params.num_files,
@@ -426,9 +354,9 @@ int main(int argc, char** argv) {
   if (per_client) PrintPerClient(snap, per_client_k);
 
   if (!json_out.empty()) {
-    if (!WriteFile(json_out, snap.spans.ToJson().Dump(2))) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
+    if (Status st = WriteTextFile(json_out, snap.spans.ToJson().Dump(2));
+        !st.ok()) {
+      return Fail("json", st);
     }
     std::printf("\njson: %s\n", json_out.c_str());
   }

@@ -1,137 +1,83 @@
 // cffs_trace: run a small-file workload with event tracing enabled and dump
 // the results for offline analysis.
 //
-//   cffs_trace [--fs=KIND] [--files=N] [--dirs=N] [--bytes=N]
+//   cffs_trace [KEY=VALUE ...] [--files=N] [--dirs=N] [--bytes=N]
 //              [--trace-out=PATH] [--snapshot-out=PATH] [--capacity=N]
-//              [--record-out=PATH] [--device=spinning|flash] [--extents]
+//              [--record-out=PATH]
 //
-// KIND: ffs | conventional | embedded | grouping | cffs (default cffs).
-// --device=flash swaps the mechanical disk for the channel/queue-depth
-// flash model (trace events then carry kFlashIo records with per-command
-// wait/program/erase splits); --extents turns on extent-based allocation.
+// KEY=VALUE tokens describe the simulated machine, in the config-string
+// syntax of src/sim/sim_env.h (fs=c-ffs by default; e.g. fs=ffs
+// device=flash extent_alloc=1). device=flash swaps the mechanical disk for
+// the channel/queue-depth flash model (trace events then carry kFlashIo
+// records with per-command wait/program/erase splits).
 // Writes a Chrome trace-event JSON (open in perfetto / chrome://tracing)
 // and a MetricsSnapshot JSON with every counter and latency histogram.
 // --record-out additionally dumps the lossless record-format trace
 // (cffs-trace-v1) that cffs_ordercheck --trace consumes.
 // Counter invariants are checked after the run; violations go to stderr and
-// fail the tool.
+// fail the tool. A bad argument prints a message and exits 2.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "src/stats/collect.h"
+#include "src/util/cli.h"
 #include "src/workload/smallfile.h"
 
 using namespace cffs;
 
 namespace {
 
-bool ParseKind(const char* s, sim::FsKind* out) {
-  if (std::strcmp(s, "ffs") == 0) *out = sim::FsKind::kFfs;
-  else if (std::strcmp(s, "conventional") == 0) *out = sim::FsKind::kConventional;
-  else if (std::strcmp(s, "embedded") == 0) *out = sim::FsKind::kEmbedOnly;
-  else if (std::strcmp(s, "grouping") == 0) *out = sim::FsKind::kGroupOnly;
-  else if (std::strcmp(s, "cffs") == 0) *out = sim::FsKind::kCffs;
-  else return false;
-  return true;
-}
-
-bool WriteFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  return true;
-}
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--fs=ffs|conventional|embedded|grouping|cffs]\n"
-               "          [--files=N] [--dirs=N] [--bytes=N] [--capacity=N]\n"
-               "          [--trace-out=PATH] [--snapshot-out=PATH]\n"
-               "          [--device=spinning|flash] [--extents]\n",
-               argv0);
-  return 2;
-}
+constexpr char kUsage[] =
+    "[KEY=VALUE ...] [--files=N] [--dirs=N] [--bytes=N] [--capacity=N]\n"
+    "    [--trace-out=PATH] [--snapshot-out=PATH] [--record-out=PATH]\n"
+    "KEY=VALUE: the config-string keys of src/sim/sim_env.h";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   sim::FsKind kind = sim::FsKind::kCffs;
+  sim::SimConfig config;
   workload::SmallFileParams params;
   params.num_files = 100;
   params.num_dirs = 4;
   size_t capacity = obs::TraceRecorder::kDefaultCapacity;
   std::string trace_out, snapshot_out, record_out;
-  sim::SimConfig config;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--fs=", 5) == 0) {
-      if (!ParseKind(arg + 5, &kind)) return Usage(argv[0]);
-    } else if (std::strncmp(arg, "--files=", 8) == 0) {
-      params.num_files = static_cast<uint32_t>(std::atoi(arg + 8));
-    } else if (std::strncmp(arg, "--dirs=", 7) == 0) {
-      params.num_dirs = static_cast<uint32_t>(std::atoi(arg + 7));
-    } else if (std::strncmp(arg, "--bytes=", 8) == 0) {
-      params.file_bytes = static_cast<uint32_t>(std::atoi(arg + 8));
-    } else if (std::strncmp(arg, "--capacity=", 11) == 0) {
-      capacity = static_cast<size_t>(std::atoll(arg + 11));
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      trace_out = arg + 12;
-    } else if (std::strncmp(arg, "--snapshot-out=", 15) == 0) {
-      snapshot_out = arg + 15;
-    } else if (std::strncmp(arg, "--record-out=", 13) == 0) {
-      record_out = arg + 13;
-    } else if (std::strcmp(arg, "--device=spinning") == 0 ||
-               std::strcmp(arg, "--device=flash") == 0) {
-      config.device = arg + 9;
-    } else if (std::strcmp(arg, "--extents") == 0) {
-      config.extent_alloc = true;
-    } else {
-      return Usage(argv[0]);
-    }
-  }
-  if (params.num_files == 0 || params.num_dirs == 0 || capacity == 0) {
-    return Usage(argv[0]);
-  }
+  Args args(argc, argv);
+  args.Uint("--files", 1, 1u << 24, &params.num_files);
+  args.Uint("--dirs", 1, 1u << 20, &params.num_dirs);
+  args.Uint("--bytes", 0, 1u << 26, &params.file_bytes);
+  args.Uint("--capacity", 1, 1u << 24, &capacity);
+  args.String("--trace-out", &trace_out);
+  args.String("--snapshot-out", &snapshot_out);
+  args.String("--record-out", &record_out);
+  std::string machine;
+  for (const std::string& w : args.Words()) machine += w + " ";
+  Status s = args.Finish();
+  if (s.ok()) s = sim::ParseConfig(machine, &kind, &config);
+  if (!s.ok()) return UsageError(argv[0], s, kUsage);
+
   const std::string kind_name = sim::FsKindName(kind);
   if (trace_out.empty()) trace_out = kind_name + ".trace.json";
   if (snapshot_out.empty()) snapshot_out = kind_name + ".snapshot.json";
 
   auto env_or = sim::SimEnv::Create(kind, config);
-  if (!env_or.ok()) {
-    std::fprintf(stderr, "env: %s\n", env_or.status().ToString().c_str());
-    return 1;
-  }
+  if (!env_or.ok()) return Fail("env", env_or.status());
   sim::SimEnv* env = env_or->get();
   env->EnableTrace(capacity);
 
   auto result = workload::RunSmallFile(env, params);
-  if (!result.ok()) {
-    std::fprintf(stderr, "run: %s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return Fail("run", result.status());
 
   const stats::MetricsSnapshot snap = stats::Snapshot(*env);
   const obs::TraceRecorder* trace = env->trace();
-  if (!WriteFile(trace_out, trace->ToChromeJson())) {
-    std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
-    return 1;
+  s = WriteTextFile(trace_out, trace->ToChromeJson());
+  if (s.ok()) s = WriteTextFile(snapshot_out, snap.ToJsonString());
+  if (s.ok() && !record_out.empty()) {
+    s = WriteTextFile(record_out, trace->ToRecordJson());
   }
-  if (!WriteFile(snapshot_out, snap.ToJsonString())) {
-    std::fprintf(stderr, "cannot write %s\n", snapshot_out.c_str());
-    return 1;
-  }
-  if (!record_out.empty()) {
-    if (!WriteFile(record_out, trace->ToRecordJson())) {
-      std::fprintf(stderr, "cannot write %s\n", record_out.c_str());
-      return 1;
-    }
-    std::printf("record:   %s\n", record_out.c_str());
-  }
+  if (!s.ok()) return Fail("write", s);
+  if (!record_out.empty()) std::printf("record:   %s\n", record_out.c_str());
 
   std::printf("%s: %u files x %u B in %u dirs, %.3f simulated seconds\n",
               kind_name.c_str(), params.num_files, params.file_bytes,

@@ -17,87 +17,40 @@
 //
 // Exit status: 0 clean, 1 findings (or failed self-test), 2 usage/IO error.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/lint/rules.h"
-#include "src/util/status.h"
-
-namespace {
+#include "src/util/cli.h"
 
 using cffs::lint::Finding;
 using cffs::lint::LintConfig;
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: cffs_lint --rules=FILE [--root=DIR] [--json[=FILE]] "
-               "[paths...]\n"
-               "       cffs_lint --rules=FILE --self-test --fixtures=DIR\n");
-  return 2;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream f(path);
-  if (!f) return false;
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::string rules_path;
-  std::string root = ".";
-  std::string fixtures_dir;
-  std::string json_out;
-  bool want_json = false;
-  bool self_test = false;
-  std::vector<std::string> paths;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto val = [&arg](const char* flag) -> const char* {
-      const size_t len = std::strlen(flag);
-      if (arg.compare(0, len, flag) == 0 && arg.size() > len &&
-          arg[len] == '=') {
-        return arg.c_str() + len + 1;
-      }
-      return nullptr;
-    };
-    const char* v = nullptr;
-    if ((v = val("--rules")) != nullptr) {
-      rules_path = v;
-    } else if ((v = val("--root")) != nullptr) {
-      root = v;
-    } else if ((v = val("--fixtures")) != nullptr) {
-      fixtures_dir = v;
-    } else if (arg == "--self-test") {
-      self_test = true;
-    } else if (arg == "--json") {
-      want_json = true;
-    } else if ((v = val("--json")) != nullptr) {
-      want_json = true;
-      json_out = v;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "cffs_lint: unknown flag %s\n", arg.c_str());
-      return Usage();
-    } else {
-      paths.push_back(arg);
-    }
+  cffs::Args args(argc, argv);
+  std::string rules_path, root = ".", fixtures_dir, json_out;
+  args.String("--rules", &rules_path);
+  args.String("--root", &root);
+  args.String("--fixtures", &fixtures_dir);
+  args.String("--json", &json_out);
+  const bool want_json = args.Switch("--json") || !json_out.empty();
+  const bool self_test = args.Switch("--self-test");
+  const std::vector<std::string> paths = args.Words();
+  cffs::Status bad = args.Finish();
+  if (bad.ok() && (rules_path.empty() || self_test == fixtures_dir.empty())) {
+    bad = cffs::InvalidArgument("--rules is required; --fixtures goes with "
+                                "--self-test");
   }
-  if (rules_path.empty()) return Usage();
-
-  std::string rules_text;
-  if (!ReadFile(rules_path, &rules_text)) {
-    std::fprintf(stderr, "cffs_lint: cannot read %s\n", rules_path.c_str());
-    return 2;
+  if (!bad.ok()) {
+    return cffs::UsageError(argv[0], bad,
+                            "--rules=FILE [--root=DIR] [--json[=FILE]] "
+                            "[paths...]\n   or: cffs_lint --rules=FILE "
+                            "--self-test --fixtures=DIR");
   }
-  cffs::Result<LintConfig> cfg = LintConfig::Load(rules_text);
+
+  cffs::Result<std::string> rules_text = cffs::ReadTextFile(rules_path);
+  if (!rules_text.ok()) return cffs::Fail("cffs_lint", rules_text.status(), 2);
+  cffs::Result<LintConfig> cfg = LintConfig::Load(*rules_text);
   if (!cfg.ok()) {
     std::fprintf(stderr, "cffs_lint: %s: %s\n", rules_path.c_str(),
                  cfg.status().ToString().c_str());
@@ -105,12 +58,8 @@ int main(int argc, char** argv) {
   }
 
   if (self_test) {
-    if (fixtures_dir.empty()) return Usage();
     const cffs::Status st = cffs::lint::SelfTest(fixtures_dir, *cfg);
-    if (!st.ok()) {
-      std::fprintf(stderr, "cffs_lint: %s\n", st.ToString().c_str());
-      return 1;
-    }
+    if (!st.ok()) return cffs::Fail("cffs_lint", st);
     std::printf("cffs_lint: self-test OK (%zu rules convicted)\n",
                 cfg->fixtures.count("clean") > 0 ? cfg->fixtures.size() - 1
                                                  : cfg->fixtures.size());
@@ -120,11 +69,7 @@ int main(int argc, char** argv) {
   size_t files_scanned = 0;
   cffs::Result<std::vector<Finding>> findings =
       cffs::lint::LintTree(root, *cfg, paths, &files_scanned);
-  if (!findings.ok()) {
-    std::fprintf(stderr, "cffs_lint: %s\n",
-                 findings.status().ToString().c_str());
-    return 2;
-  }
+  if (!findings.ok()) return cffs::Fail("cffs_lint", findings.status(), 2);
 
   for (const Finding& f : *findings) {
     std::fprintf(stderr, "%s:%d: [%s] %s\n", f.file.c_str(), f.line,
@@ -135,14 +80,9 @@ int main(int argc, char** argv) {
         cffs::lint::FindingsToJson(root, files_scanned, *findings).Dump(2);
     if (json_out.empty()) {
       std::printf("%s\n", doc.c_str());
-    } else {
-      std::ofstream out(json_out);
-      if (!out) {
-        std::fprintf(stderr, "cffs_lint: cannot write %s\n",
-                     json_out.c_str());
-        return 2;
-      }
-      out << doc << "\n";
+    } else if (cffs::Status st = cffs::WriteTextFile(json_out, doc);
+               !st.ok()) {
+      return cffs::Fail("cffs_lint", st, 2);
     }
   }
   if (findings->empty()) {
