@@ -16,8 +16,7 @@
 //   }
 //
 // Each sim_config string is sim::ConfigString of the configuration that
-// label ran, so pasting it into cffs_trace or cffs_prof re-runs that
-// machine.
+// label ran, so pasting it into cffs_run re-runs that machine.
 //
 // Rows for the smallfile-style benches come from PhaseJson(), which carries
 // the per-phase disk time breakdown so the report can answer "where did the

@@ -239,21 +239,8 @@ Status BufferCache::ReadGroup(uint64_t start_bno, uint32_t count) {
   }
   RETURN_IF_ERROR(dev_->ReadRun(start_bno, count, raw));
   ++stats_.group_reads;
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint64_t bno = start_bno + i;
-    if (FindResident(bno) != nullptr) {
-      continue;  // resident copy is as new or newer (possibly dirty)
-    }
-    RETURN_IF_ERROR(EvictIfNeeded());
-    Buffer* buf = InsertNew(bno);
-    std::memcpy(buf->data().data(),
-                raw.data() + static_cast<size_t>(i) * blk::kBlockSize,
-                blk::kBlockSize);
-    // Blocks fetched as a group also flush as that group.
-    buf->flush_unit_ = start_bno;
-    ++stats_.group_blocks;
-  }
-  return OkStatus();
+  return InsertBlocks(start_bno, count, raw, /*as_group=*/true,
+                      /*stage=*/false, /*demand_bno=*/0);
 }
 
 void BufferCache::MarkDirty(BufferRef& ref) {
@@ -369,22 +356,41 @@ Status BufferCache::InsertRun(uint64_t start_bno, uint32_t count,
     return InvalidArgument("run insert data too short");
   }
   if (count_as_group) ++stats_.group_reads;
+  return InsertBlocks(start_bno, count, data, count_as_group, /*stage=*/true,
+                      demand_bno);
+}
+
+Status BufferCache::InsertBlocks(uint64_t start_bno, uint32_t count,
+                                 std::span<const uint8_t> data, bool as_group,
+                                 bool stage, uint64_t demand_bno) {
+  // Each block's state when the run was read. A dirty block is newer than
+  // the run's copy, and the eviction below can write it back and drop it
+  // mid-loop, so it is never inserted: the copy would lose the write. A
+  // clean block evicted mid-loop may come back, since its copy equals the
+  // disk. An absent block stays absent until this loop inserts it.
+  enum : uint8_t { kAbsent, kClean, kDirty };
+  std::vector<uint8_t> state(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    const Buffer* b = FindResident(start_bno + i);
+    state[i] = b == nullptr ? kAbsent : b->dirty_ ? kDirty : kClean;
+  }
   for (uint32_t i = 0; i < count; ++i) {
     const uint64_t bno = start_bno + i;
-    if (FindResident(bno) != nullptr) {
-      continue;  // resident copy is as new or newer (possibly dirty)
+    if (state[i] == kDirty ||
+        (state[i] == kClean && FindResident(bno) != nullptr)) {
+      continue;  // the resident copy is as new or newer
     }
     RETURN_IF_ERROR(EvictIfNeeded());
     Buffer* buf = InsertNew(bno);
     std::memcpy(buf->data().data(),
                 data.data() + static_cast<size_t>(i) * blk::kBlockSize,
                 blk::kBlockSize);
-    if (count_as_group) {
+    if (as_group) {
       // Blocks fetched as a group also flush as that group.
       buf->flush_unit_ = start_bno;
       ++stats_.group_blocks;
     }
-    if (bno != demand_bno) {
+    if (stage && bno != demand_bno) {
       buf->staged_ = true;
       ++stats_.readahead_staged;
     }

@@ -256,6 +256,13 @@ class BufferCache {
   // Ensures capacity for one more buffer; evicts LRU unpinned buffers.
   Status EvictIfNeeded();
   Buffer* InsertNew(uint64_t bno);
+  // Inserts the `count` blocks of a run read from the device (`data`),
+  // skipping any block dirty on entry or resident when reached. as_group
+  // tags each with the run's flush unit and counts it in group_blocks;
+  // stage marks each one other than demand_bno staged for readahead.
+  Status InsertBlocks(uint64_t start_bno, uint32_t count,
+                      std::span<const uint8_t> data, bool as_group,
+                      bool stage, uint64_t demand_bno);
   void Touch(Buffer* buf);
   void Unpin(Buffer* buf);
   BufferRef Pin(Buffer* buf);

@@ -23,9 +23,6 @@ void FsBase::TraceMeta(obs::MetaUpdateKind kind, uint64_t home_bno,
 FsBase::OpScope::~OpScope() {
   const int64_t end_ns = fs_->NowNs();
   if (fs_->spans_) fs_->spans_->EndOp(end_ns);
-  if (LatencyHistogram* h = fs_->latencies_.ForOp(op_)) {
-    h->Record(SimTime::Nanos(end_ns - start_ns_));
-  }
   if (fs_->trace_) {
     obs::TraceEvent e;
     e.kind = obs::EventKind::kFsOp;

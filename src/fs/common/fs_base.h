@@ -18,7 +18,6 @@
 #include "src/fs/common/file_system.h"
 #include "src/fs/common/name_cache.h"
 #include "src/io/readahead.h"
-#include "src/obs/op_latency.h"
 #include "src/obs/trace.h"
 #include "src/util/sim_time.h"
 
@@ -40,10 +39,6 @@ class FsBase : public FileSystem {
   MetadataPolicy metadata_policy() const { return policy_; }
   void set_metadata_policy(MetadataPolicy p) { policy_ = p; }
   cache::BufferCache* buffer_cache() { return cache_; }
-
-  // Per-operation latency distributions, measured in simulated time over
-  // each public operation (including the synchronous disk waits inside).
-  obs::OpLatencies& op_latencies() { return latencies_; }
 
   // Emits fs-op complete events, sync-metadata-write instants and
   // kMetaUpdate ordering annotations into the recorder. nullptr disables.
@@ -174,10 +169,10 @@ class FsBase : public FileSystem {
 
   // --- shared machinery ---
 
-  // RAII timer around one public operation: on destruction it records the
-  // elapsed simulated time into the op's latency histogram and emits a
-  // kFsOp trace event. Concrete file systems open one at the top of the
-  // operations they implement themselves (Create/Mkdir/Unlink/Sync).
+  // RAII scope around one public operation: it opens the op's span and, on
+  // destruction, closes it and emits a kFsOp trace event. Concrete file
+  // systems open one at the top of the operations they implement
+  // themselves (Create/Mkdir/Unlink/Sync).
   class OpScope {
    public:
     OpScope(FsBase* fs, obs::FsOp op, InodeNum ino = kInvalidInode)
@@ -284,7 +279,6 @@ class FsBase : public FileSystem {
   SimClock* clock_;
   MetadataPolicy policy_;
   FsOpStats op_stats_;
-  obs::OpLatencies latencies_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::SpanTracker* spans_ = nullptr;
   io::Readahead* readahead_ = nullptr;

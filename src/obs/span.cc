@@ -105,7 +105,7 @@ Json PhaseBreakdown::ToJson() const {
   j.Set("per_op", std::move(ops));
   if (!per_client.empty()) {
     // Compact summary only: at 1024 tenants the full per-client grid would
-    // dwarf the report. cffs_prof --per-client prints the whole table.
+    // dwarf the report. cffs_run --per-client prints the whole table.
     Json mt = Json::Object();
     mt.Set("clients", static_cast<uint64_t>(per_client.size()));
     std::vector<const ClientBreakdown*> worst;

@@ -39,7 +39,7 @@
 // OpContext is the per-operation record: op id (fs sequence number), op
 // type, client id (0 until multi-tenant lands — ROADMAP item 1), phase
 // times, and a bounded list of time segments for span-tree rendering
-// (tools/cffs_prof). Completed ops feed per-op-type aggregates
+// (tools/cffs_run). Completed ops feed per-op-type aggregates
 // (PhaseBreakdown, embedded in stats::MetricsSnapshot) and a top-N
 // slowest-op list.
 #ifndef CFFS_OBS_SPAN_H_

@@ -92,8 +92,8 @@ enum class MetaUpdateKind : uint8_t {
 
 const char* MetaUpdateName(MetaUpdateKind kind);
 
-// File-system operations that are individually timed. The first five carry
-// latency histograms (see obs/op_latency.h); the rest appear in traces only.
+// File-system operations that are individually timed. Every one but kOther
+// has per-type latency histograms in the span attribution (obs/span.h).
 enum class FsOp : uint8_t {
   kLookup,
   kCreate,

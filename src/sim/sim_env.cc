@@ -160,7 +160,6 @@ void SimEnv::ResetStats() {
   if (flash_) flash_->flash_stats().Reset();
   cache_->stats().Reset();
   fs_->op_stats().Reset();
-  fs_->op_latencies().Reset();
   engine_->stats().Reset();
   if (syncer_) syncer_->stats().Reset();
   readahead_->stats().Reset();

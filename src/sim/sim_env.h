@@ -124,8 +124,8 @@ class SimEnv {
   const flash::FlashDevice* flash() const { return flash_; }
   cache::BufferCache& cache() { return *cache_; }
   fs::FileSystem* fs() { return fs_.get(); }
-  // The concrete implementation core, for layers above sim that need the
-  // op-latency histograms (stats::Snapshot). Same object as fs().
+  // The concrete implementation core, for layers above sim that need its
+  // op counters (stats::Snapshot). Same object as fs().
   fs::FsBase* fs_base() { return fs_.get(); }
   fs::PathOps& path() { return *path_; }
   io::IoEngine& engine() { return *engine_; }
@@ -152,8 +152,8 @@ class SimEnv {
   // clear it either, but our phases move the head enough to invalidate it).
   Status ColdCache();
 
-  // Zeroes disk/cache/fs statistics and latency histograms (not the clock,
-  // and not the event trace — use trace()->Clear() for that).
+  // Zeroes disk/cache/fs statistics and the span attribution (not the
+  // clock, and not the event trace — use trace()->Clear() for that).
   void ResetStats();
 
   // Starts recording typed events from every layer (disk I/O with timing
@@ -179,7 +179,7 @@ class SimEnv {
     sample_hook_ = std::move(hook);
   }
 
-  // To gather every layer's counters plus the latency histograms into one
+  // To gather every layer's counters plus the span attribution into one
   // machine-readable snapshot, use stats::Snapshot(env) — the snapshot
   // type lives above sim in the layer DAG (src/stats/collect.h).
 

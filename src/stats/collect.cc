@@ -7,10 +7,7 @@ MetricsSnapshot Snapshot(sim::SimEnv& env) {
   fs::FsBase* fs = env.fs_base();
   snap.fs_name = fs ? fs->name() : sim::FsKindName(env.kind());
   snap.sim_seconds = env.clock().now().seconds();
-  if (fs) {
-    snap.fs_ops = fs->op_stats();
-    snap.latency = fs->op_latencies();
-  }
+  if (fs) snap.fs_ops = fs->op_stats();
   snap.cache = env.cache().stats();
   snap.block_io = env.device().stats();
   snap.disk = env.disk().stats();

@@ -3,11 +3,12 @@
 // The simulated machine spreads its accounting across four structs —
 // fs::FsOpStats (operation counts), cache::CacheStats (hit/miss/eviction),
 // blk::BlockIoStats (commands and blocks moved) and disk::DiskStats (the
-// seek / rotation / transfer / overhead time breakdown) — plus the
-// per-operation latency histograms recorded by fs::FsBase. A snapshot
-// copies all of them at one instant, serializes to JSON (the payload of
-// BENCH_*.json reports and the `cffs_trace` tool) and can self-check the
-// cross-layer counter invariants the simulation is supposed to maintain.
+// seek / rotation / transfer / overhead time breakdown) — plus the span
+// attribution, whose per-op histograms are the one per-op latency record.
+// A snapshot copies all of them at one instant, serializes to JSON (the
+// payload of BENCH_*.json reports and `cffs_run --snapshot-out`) and can
+// self-check the cross-layer counter invariants the simulation is supposed
+// to maintain.
 //
 // This is the stats layer: the one place allowed to see every other
 // layer's stats structs at once. It sits at the top of the dependency DAG
@@ -29,7 +30,6 @@
 #include "src/io/io_stats.h"
 #include "src/mt/mt_stats.h"
 #include "src/obs/json.h"
-#include "src/obs/op_latency.h"
 #include "src/obs/sampler.h"
 #include "src/obs/span.h"
 #include "src/obs/trace.h"
@@ -44,7 +44,6 @@ struct MetricsSnapshot {
   double sim_seconds = 0;  // simulation clock at snapshot time
 
   fs::FsOpStats fs_ops;
-  obs::OpLatencies latency;
   cache::CacheStats cache;
   blk::BlockIoStats block_io;
   disk::DiskStats disk;
@@ -82,7 +81,6 @@ struct MetricsSnapshot {
   //     flash run the comparison targets the flash command counters, and
   //     flash busy time must equal overhead + wait + read + program + erase
   //     exactly (integer nanoseconds, no tolerance)
-  //   - latency histogram sample counts match the op counters
   //   - io engine: completed + inflight == submitted (reads + writes)
   //   - readahead: staged blocks resolve to at most one of hit / wasted,
   //     so hits + wasted <= staged

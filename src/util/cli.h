@@ -21,21 +21,24 @@ namespace cffs {
 Result<uint64_t> ParseUint(std::string_view text, uint64_t min, uint64_t max);
 
 // A program's arguments: "--name=value" flags, "--name" switches, and words
-// (anything else). Each accessor claims what it names; Finish() reports the
-// first bad value or repeated flag, then any argument nobody claimed.
+// (anything else). Each accessor claims what it names and returns whether
+// it was given; Finish() reports the first bad value or repeated flag, then
+// any argument nobody claimed.
 class Args {
  public:
   Args(int argc, char** argv)
       : args_(argv + 1, argv + argc), claimed_(args_.size()) {}
 
   bool Switch(std::string_view name) { return Claim(name, false).has_value(); }
-  void String(std::string_view name, std::string* out) {
-    if (std::optional<std::string> v = Claim(name, true)) *out = *v;
+  bool String(std::string_view name, std::string* out) {
+    const std::optional<std::string> v = Claim(name, true);
+    if (v) *out = *v;
+    return v.has_value();
   }
   template <typename T>
-  void Uint(std::string_view name, uint64_t min, uint64_t max, T* out) {
+  bool Uint(std::string_view name, uint64_t min, uint64_t max, T* out) {
     const std::optional<std::string> v = Claim(name, true);
-    if (!v) return;
+    if (!v) return false;
     max = std::min<uint64_t>(max, std::numeric_limits<T>::max());
     const Result<uint64_t> n = ParseUint(*v, min, max);
     if (n.ok()) {
@@ -43,6 +46,7 @@ class Args {
     } else if (error_.ok()) {
       error_ = InvalidArgument(std::string(name) + ": " + n.status().message());
     }
+    return true;
   }
   std::vector<std::string> Words();
 

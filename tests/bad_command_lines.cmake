@@ -6,22 +6,31 @@
 #         -DWORK=<scratch dir> -P bad_command_lines.cmake
 set(cases
   # Numbers: a sign, trailing garbage, a word where a number goes.
-  "cffs_prof|shards=-1|--mt=4|--mt-ops=4"
-  "cffs_trace|--capacity=-1"
-  "cffs_trace|--bytes=-1"
-  "cffs_trace|--files=12abc"
-  "cffs_prof|--mt=4|--mt-backpressure=abc"
+  "cffs_run|shards=-1|--workload=mt|--clients=4|--ops=4"
+  "cffs_run|--capacity=-1|--check-ordering"
+  "cffs_run|--bytes=-1"
+  "cffs_run|--files=12abc"
+  "cffs_run|--workload=mt|--clients=4|--backpressure=abc"
   "cffs_mkfs|IMG|--mb=abc"
   "cffs_populate|IMG|--files=x"
   # Config strings: an unknown name or key, garbage, a repeated key.
-  "cffs_trace|device=flsh"
-  "cffs_trace|nosuchkey=1"
-  "cffs_trace|cache_blocks=12abc"
-  "cffs_trace|fs=c-ffs|fs=ffs"
+  "cffs_run|device=flsh"
+  "cffs_run|nosuchkey=1"
+  "cffs_run|cache_blocks=12abc"
+  "cffs_run|fs=c-ffs|fs=ffs"
   # Unknown flags, which used to be ignored or taken for a conviction.
   "cffs_populate|IMG|--nosuch=1"
-  "cffs_ordercheck|--run|fs=ffs|--polcy=sync|--mutate=defer-inode-init"
+  "cffs_run|fs=ffs|--polcy=sync|--check-ordering|--mutate=defer-inode-init"
   "bench_fig5_smallfile|--quik"
+  # A flag the workload or outputs cannot use, and a count it cannot run.
+  "cffs_run|--workload=xshard"
+  "cffs_run|--txns=10"
+  "cffs_run|--workload=mt|--per-shard"
+  "cffs_run|shards=2|--workload=postmark"
+  "cffs_run|--check-ordering|--mutate=xshard-early-clear"
+  "cffs_run|shards=2|--workload=xshard|--txns=0|--check-ordering"
+  # The in-process mode moved to cffs_run --check-ordering.
+  "cffs_ordercheck|--run|fs=ffs"
 )
 
 file(REMOVE_RECURSE "${WORK}")

@@ -210,34 +210,37 @@ void ExpectSameState(const RefModel& model, sim::SimEnv* env,
   }
 }
 
-class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+// One machine under test: a file-system kind on the small test disk.
+struct Arm {
+  FsKind kind;
+  bool name_caches = true;
+  size_t cache_blocks = sim::SimConfig{}.cache_blocks;
+  fs::MetadataPolicy metadata = fs::MetadataPolicy::kSynchronous;
+};
 
-TEST_P(EquivalenceTest, RandomOpsMatchReferenceOnAllConfigs) {
-  const uint64_t seed = GetParam();
-  // The five configurations, plus cache-ablated runs of the two headline
-  // file systems: name-resolution caching must never change semantics.
-  const struct { FsKind kind; bool name_caches; } configs[] = {
-      {FsKind::kFfs, true},      {FsKind::kConventional, true},
-      {FsKind::kEmbedOnly, true}, {FsKind::kGroupOnly, true},
-      {FsKind::kCffs, true},     {FsKind::kFfs, false},
-      {FsKind::kCffs, false}};
+// Drives `steps` random ops through every arm and the reference model,
+// compares full state every 97 steps, then remounts each arm and compares
+// again.
+void RunEquivalence(const std::vector<Arm>& arms, uint64_t seed, int steps) {
   std::vector<std::string> labels;
   std::vector<std::unique_ptr<sim::SimEnv>> envs;
-  for (const auto& c : configs) {
+  for (const Arm& a : arms) {
     sim::SimConfig config;
     config.disk_spec = disk::TestDisk(512, 4, 64);
     config.blocks_per_cg = 1024;
-    config.name_caches = c.name_caches;
-    auto env = sim::SimEnv::Create(c.kind, config);
+    config.name_caches = a.name_caches;
+    config.cache_blocks = a.cache_blocks;
+    config.metadata = a.metadata;
+    auto env = sim::SimEnv::Create(a.kind, config);
     ASSERT_TRUE(env.ok());
     envs.push_back(std::move(*env));
-    labels.push_back(sim::FsKindName(c.kind) +
-                     (c.name_caches ? "" : "+nocache"));
+    labels.push_back(sim::FsKindName(a.kind) +
+                     (a.name_caches ? "" : "+nocache"));
   }
 
   RefModel model;
   OpDriver driver(seed);
-  for (int step = 0; step < 400; ++step) {
+  for (int step = 0; step < steps; ++step) {
     const OpDriver::Op op = driver.Next(model);
     const bool expect_ok = ApplyToModel(&model, op);
     for (size_t k = 0; k < envs.size(); ++k) {
@@ -259,8 +262,68 @@ TEST_P(EquivalenceTest, RandomOpsMatchReferenceOnAllConfigs) {
   }
 }
 
+class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EquivalenceTest, RandomOpsMatchReferenceOnAllConfigs) {
+  // The five configurations, plus cache-ablated runs of the two headline
+  // file systems: name-resolution caching must never change semantics.
+  RunEquivalence({{FsKind::kFfs},
+                  {FsKind::kConventional},
+                  {FsKind::kEmbedOnly},
+                  {FsKind::kGroupOnly},
+                  {FsKind::kCffs},
+                  {FsKind::kFfs, /*name_caches=*/false},
+                  {FsKind::kCffs, /*name_caches=*/false}},
+                 GetParam(), 400);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
+
+// Small caches evict in the middle of a run insert (a C-FFS group read or
+// a readahead stage): the insert must never replace a block that was dirty
+// when the run was read with the run's stale copy of it. Each case is a
+// seed that lost file data that way before the insert skipped such blocks.
+struct SmallCacheCase {
+  size_t cache_blocks;
+  fs::MetadataPolicy metadata;
+  uint64_t seed;
+};
+
+class SmallCacheEquivalenceTest
+    : public ::testing::TestWithParam<SmallCacheCase> {};
+
+TEST_P(SmallCacheEquivalenceTest, RandomOpsMatchReferenceOnAllKinds) {
+  const SmallCacheCase& c = GetParam();
+  std::vector<Arm> arms;
+  for (FsKind kind : {FsKind::kFfs, FsKind::kConventional, FsKind::kEmbedOnly,
+                      FsKind::kGroupOnly, FsKind::kCffs}) {
+    arms.push_back({kind, /*name_caches=*/true, c.cache_blocks, c.metadata});
+  }
+  RunEquivalence(arms, c.seed, 1500);
+}
+
+std::string SmallCacheName(
+    const ::testing::TestParamInfo<SmallCacheCase>& info) {
+  const SmallCacheCase& c = info.param;
+  return std::to_string(c.cache_blocks) + "Blocks" +
+         (c.metadata == fs::MetadataPolicy::kSynchronous ? "Sync"
+                                                         : "Delayed") +
+         "Seed" + std::to_string(c.seed);
+}
+
+constexpr fs::MetadataPolicy kSync = fs::MetadataPolicy::kSynchronous;
+constexpr fs::MetadataPolicy kDelayed = fs::MetadataPolicy::kDelayed;
+
+INSTANTIATE_TEST_SUITE_P(
+    StaleRunInsert, SmallCacheEquivalenceTest,
+    ::testing::Values(SmallCacheCase{32, kSync, 3},
+                      SmallCacheCase{32, kDelayed, 1},
+                      SmallCacheCase{64, kSync, 5},
+                      SmallCacheCase{64, kDelayed, 3},
+                      SmallCacheCase{128, kSync, 10},
+                      SmallCacheCase{128, kDelayed, 11}),
+    SmallCacheName);
 
 }  // namespace
 }  // namespace cffs

@@ -185,7 +185,8 @@ TEST_P(ObsWorkloadTest, InvariantsHoldAndSnapshotRoundTrips) {
   EXPECT_GT(snap.fs_ops.creates, 0u);
   EXPECT_GT(snap.cache.lookups, 0u);
   EXPECT_GT(snap.disk.total_requests(), 0u);
-  EXPECT_EQ(snap.latency.create.count(), snap.fs_ops.creates);
+  EXPECT_EQ(snap.spans.ForOp(obs::FsOp::kCreate)->count(),
+            snap.fs_ops.creates);
 
   // Snapshot JSON parses and keeps the headline numbers.
   auto doc = obs::Json::Parse(snap.ToJsonString());
@@ -249,9 +250,12 @@ TEST(MetricsSnapshotTest, ResetStatsClearsLatencies) {
   params.num_files = 20;
   params.num_dirs = 2;
   ASSERT_TRUE(workload::RunSmallFile(env, params).ok());
-  ASSERT_GT(stats::Snapshot(*env).latency.create.count(), 0u);
+  auto creates = [&] {
+    return stats::Snapshot(*env).spans.ForOp(obs::FsOp::kCreate)->count();
+  };
+  ASSERT_GT(creates(), 0u);
   env->ResetStats();
-  EXPECT_EQ(stats::Snapshot(*env).latency.create.count(), 0u);
+  EXPECT_EQ(creates(), 0u);
   EXPECT_EQ(stats::Snapshot(*env).fs_ops.creates, 0u);
 }
 
