@@ -226,23 +226,6 @@ void BufferCache::Bind(BufferRef& ref, LogicalId id) {
   logical_index_[id] = buf->bno_;
 }
 
-Status BufferCache::ReadGroup(uint64_t start_bno, uint32_t count) {
-  if (count == 0) return InvalidArgument("empty group read");
-  std::vector<uint8_t> raw(static_cast<size_t>(count) * blk::kBlockSize);
-  if (trace_) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kGroupRead;
-    e.ts_ns = dev_->disk()->now().nanos();
-    e.a = start_bno;
-    e.b = count;
-    trace_->Record(e);
-  }
-  RETURN_IF_ERROR(dev_->ReadRun(start_bno, count, raw));
-  ++stats_.group_reads;
-  return InsertBlocks(start_bno, count, raw, /*as_group=*/true,
-                      /*stage=*/false, /*demand_bno=*/0);
-}
-
 void BufferCache::MarkDirty(BufferRef& ref) {
   assert(ref.buf_ != nullptr);
   SetDirty(ref.buf_, true);
@@ -350,19 +333,12 @@ std::vector<BufferCache::DirtyBlock> BufferCache::FlushPlanBlocks() {
 
 Status BufferCache::InsertRun(uint64_t start_bno, uint32_t count,
                               std::span<const uint8_t> data,
-                              uint64_t demand_bno, bool count_as_group) {
+                              uint64_t demand_bno) {
   if (count == 0) return InvalidArgument("empty run insert");
   if (data.size() < static_cast<size_t>(count) * blk::kBlockSize) {
     return InvalidArgument("run insert data too short");
   }
-  if (count_as_group) ++stats_.group_reads;
-  return InsertBlocks(start_bno, count, data, count_as_group, /*stage=*/true,
-                      demand_bno);
-}
-
-Status BufferCache::InsertBlocks(uint64_t start_bno, uint32_t count,
-                                 std::span<const uint8_t> data, bool as_group,
-                                 bool stage, uint64_t demand_bno) {
+  ++stats_.group_reads;
   // Each block's state when the run was read. A dirty block is newer than
   // the run's copy, and the eviction below can write it back and drop it
   // mid-loop, so it is never inserted: the copy would lose the write. A
@@ -385,12 +361,10 @@ Status BufferCache::InsertBlocks(uint64_t start_bno, uint32_t count,
     std::memcpy(buf->data().data(),
                 data.data() + static_cast<size_t>(i) * blk::kBlockSize,
                 blk::kBlockSize);
-    if (as_group) {
-      // Blocks fetched as a group also flush as that group.
-      buf->flush_unit_ = start_bno;
-      ++stats_.group_blocks;
-    }
-    if (stage && bno != demand_bno) {
+    // Blocks fetched as a group also flush as that group.
+    buf->flush_unit_ = start_bno;
+    ++stats_.group_blocks;
+    if (bno != demand_bno) {
       buf->staged_ = true;
       ++stats_.readahead_staged;
     }

@@ -6,10 +6,10 @@
 // uses physical identities to insert newly-read blocks of a group into the
 // cache without back-translating to discover their file/offset identities."
 //
-// ReadGroup() implements exactly that: one scatter/gather disk command for a
-// whole group, with every sibling block inserted under its physical address
-// and "an invalid file/offset identity"; the logical identity is bound later
-// when some file lookup touches the block.
+// InsertRun() implements exactly that for a group io::Readahead fetched with
+// one scatter/gather disk command: every sibling block is inserted under its
+// physical address and "an invalid file/offset identity"; the logical
+// identity is bound later when some file lookup touches the block.
 //
 // Buffers are pinned through the RAII BufferRef handle; unpinned buffers are
 // evicted in LRU order, writing dirty victims back first.
@@ -58,7 +58,7 @@ struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t logical_hits = 0;
-  uint64_t group_reads = 0;       // group fetch commands (ReadGroup/staged)
+  uint64_t group_reads = 0;       // runs inserted by InsertRun
   uint64_t group_blocks = 0;      // blocks inserted by group fetches
   uint64_t writebacks = 0;        // blocks written by Sync*/eviction
   uint64_t evictions = 0;
@@ -176,20 +176,14 @@ class BufferCache {
   // Attach a logical identity to a resident buffer (see file comment).
   void Bind(BufferRef& ref, LogicalId id);
 
-  // Read `count` blocks starting at start_bno with ONE disk command and
-  // insert every block by physical identity. Blocks already resident keep
-  // their cached (possibly dirty, newer) contents.
-  Status ReadGroup(uint64_t start_bno, uint32_t count);
-
-  // Insert `count` blocks of already-read data (count * kBlockSize bytes,
-  // e.g. from an IoEngine read completion) by physical identity. Blocks
-  // already resident keep their cached contents. Inserted blocks other than
-  // `demand_bno` are marked staged for readahead accuracy accounting.
-  // When count_as_group is set the insertion is counted like a ReadGroup
-  // (one group fetch command) in stats().
+  // Insert `count` blocks of data read with one command (count *
+  // kBlockSize bytes from an IoEngine read completion) by physical
+  // identity, each tagged with the run's flush unit. A block dirty on entry
+  // or resident when reached keeps its cached (possibly newer) contents.
+  // Inserted blocks other than `demand_bno` are marked staged for readahead
+  // accuracy accounting. Counts one group read in stats().
   Status InsertRun(uint64_t start_bno, uint32_t count,
-                   std::span<const uint8_t> data, uint64_t demand_bno,
-                   bool count_as_group);
+                   std::span<const uint8_t> data, uint64_t demand_bno);
 
   void MarkDirty(BufferRef& ref);
 
@@ -256,13 +250,6 @@ class BufferCache {
   // Ensures capacity for one more buffer; evicts LRU unpinned buffers.
   Status EvictIfNeeded();
   Buffer* InsertNew(uint64_t bno);
-  // Inserts the `count` blocks of a run read from the device (`data`),
-  // skipping any block dirty on entry or resident when reached. as_group
-  // tags each with the run's flush unit and counts it in group_blocks;
-  // stage marks each one other than demand_bno staged for readahead.
-  Status InsertBlocks(uint64_t start_bno, uint32_t count,
-                      std::span<const uint8_t> data, bool as_group,
-                      bool stage, uint64_t demand_bno);
   void Touch(Buffer* buf);
   void Unpin(Buffer* buf);
   BufferRef Pin(Buffer* buf);

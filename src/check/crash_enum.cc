@@ -14,16 +14,6 @@ namespace cffs::check {
 
 namespace {
 
-Result<fsck::FsckReport> RunFsck(fs::FileSystem* fs, bool is_ffs,
-                                 bool repair) {
-  if (is_ffs) {
-    return fsck::CheckFfs(static_cast<fs::FfsFileSystem*>(fs),
-                          {.repair = repair});
-  }
-  return fsck::CheckCffs(static_cast<fs::CffsFileSystem*>(fs),
-                         {.repair = repair});
-}
-
 // Evenly-spaced sample of 0..n inclusive, always containing 0 and n.
 std::vector<size_t> SampleLengths(size_t n, size_t cap) {
   std::vector<size_t> out;
@@ -73,50 +63,31 @@ Status CrashStateEnumerator::ExploreState(
   ++report->states;
 
   // Materialize the crash image on a clone; the live disk is untouched.
-  SimClock clock;
-  auto clone =
-      std::make_unique<disk::DiskModel>(env_->disk().spec(), &clock);
-  env_->disk().ForEachChunk(
-      [&](uint64_t chunk_index, std::span<const uint8_t> data) {
-        clone->RestoreChunk(chunk_index, data);
+  auto mounted = sim::SimEnv::Open(
+      env_->config(), [&](disk::DiskModel& clone) {
+        env_->disk().ForEachChunk(
+            [&](uint64_t chunk_index, std::span<const uint8_t> data) {
+              clone.RestoreChunk(chunk_index, data);
+            });
+        for (size_t i = 0; i < dirty.size(); ++i) {
+          if (!selected[i]) continue;
+          const auto& d = dirty[i];
+          for (uint32_t s = 0; s < blk::kSectorsPerBlock; ++s) {
+            clone.PokeSector(d.bno * blk::kSectorsPerBlock + s,
+                             std::span(d.data.data() + s * disk::kSectorSize,
+                                       disk::kSectorSize));
+          }
+        }
       });
-  for (size_t i = 0; i < dirty.size(); ++i) {
-    if (!selected[i]) continue;
-    const auto& d = dirty[i];
-    for (uint32_t s = 0; s < blk::kSectorsPerBlock; ++s) {
-      clone->PokeSector(
-          d.bno * blk::kSectorsPerBlock + s,
-          std::span(d.data.data() + s * disk::kSectorSize, disk::kSectorSize));
-    }
+  if (!mounted.ok()) {
+    ++report->unmountable;
+    report->failures.push_back(label + ": mount failed: " +
+                               mounted.status().ToString());
+    return OkStatus();
   }
+  fs::FsBase* fs = (*mounted)->fs_base();
 
-  blk::BlockDevice dev(clone.get(), env_->config().scheduler);
-  cache::BufferCache cache(&dev, options_.scratch_cache_blocks);
-  const bool is_ffs = env_->kind() == sim::FsKind::kFfs;
-  std::unique_ptr<fs::FsBase> fs;
-  if (is_ffs) {
-    auto mounted = fs::FfsFileSystem::Mount(&cache, &clock,
-                                            env_->config().metadata);
-    if (!mounted.ok()) {
-      ++report->unmountable;
-      report->failures.push_back(label + ": mount failed: " +
-                                 mounted.status().ToString());
-      return OkStatus();
-    }
-    fs = std::move(*mounted);
-  } else {
-    auto mounted = fs::CffsFileSystem::Mount(&cache, &clock,
-                                             env_->config().metadata);
-    if (!mounted.ok()) {
-      ++report->unmountable;
-      report->failures.push_back(label + ": mount failed: " +
-                                 mounted.status().ToString());
-      return OkStatus();
-    }
-    fs = std::move(*mounted);
-  }
-
-  auto readonly = RunFsck(fs.get(), is_ffs, /*repair=*/false);
+  auto readonly = fsck::Check(fs, {.repair = false});
   if (!readonly.ok()) {
     ++report->unclean_images;
     ++report->repair_failures;
@@ -128,7 +99,7 @@ Status CrashStateEnumerator::ExploreState(
 
   auto run_post_check = [&]() -> Status {
     if (!options_.post_repair_check) return OkStatus();
-    if (Status s = options_.post_repair_check(fs.get()); !s.ok()) {
+    if (Status s = options_.post_repair_check(fs); !s.ok()) {
       ++report->repair_failures;
       report->failures.push_back(label + ": post-repair check failed: " +
                                  s.ToString());
@@ -144,7 +115,7 @@ Status CrashStateEnumerator::ExploreState(
   // is reported instead of looping.
   constexpr int kMaxRepairRounds = 3;
   for (int round = 0; round < kMaxRepairRounds; ++round) {
-    auto repaired = RunFsck(fs.get(), is_ffs, /*repair=*/true);
+    auto repaired = fsck::Check(fs, {.repair = true});
     if (!repaired.ok()) {
       ++report->repair_failures;
       report->failures.push_back(label + ": repair errored: " +
@@ -157,7 +128,7 @@ Status CrashStateEnumerator::ExploreState(
                                  s.ToString());
       return OkStatus();
     }
-    auto verify = RunFsck(fs.get(), is_ffs, /*repair=*/false);
+    auto verify = fsck::Check(fs, {.repair = false});
     if (!verify.ok()) {
       ++report->repair_failures;
       report->failures.push_back(label + ": verify errored: " +

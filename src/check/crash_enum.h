@@ -15,9 +15,10 @@
 //     against).
 //
 // Each selected subset is materialized on a CLONE of the simulated disk
-// (the live environment is never disturbed), the file system is mounted
-// from the clone, and fsck runs twice: once read-only to classify the
-// damage, once with repair, after which the image must verify clean.
+// (the live environment is never disturbed), the clone is mounted as a
+// machine of the live one's config (sim::SimEnv::Open), and fsck runs
+// twice: once read-only to classify the damage, once with repair, after
+// which the image must verify clean.
 // Under the synchronous-metadata discipline every enumerated state must
 // be repairable — that is the paper's §3 integrity claim, and the crash
 // tests assert it over both file systems and both metadata policies.
@@ -46,8 +47,6 @@ struct CrashEnumOptions {
   bool quick = false;
   // Also run fsck with repair and verify the repaired image is clean.
   bool repair = true;
-  // Buffer-cache blocks for each scratch mount.
-  size_t scratch_cache_blocks = 1024;
   // Enumerate the blocks the NEXT syncer flush epoch would write — the
   // cache's flush plan (clean gap-fillers included), in the device
   // scheduler's service order from the real head position — instead of the

@@ -122,6 +122,10 @@ class DiskModel {
       const std::function<void(uint64_t chunk_index,
                                std::span<const uint8_t> data)>& fn) const;
   void RestoreChunk(uint64_t chunk_index, std::span<const uint8_t> data);
+  // Moves `other`'s contents onto this disk of the same spec, leaving
+  // `other` blank. The chunks keep their order, so an image saved from
+  // this disk has the bytes one saved from `other` would have.
+  void TakeContents(DiskModel& other) { chunks_ = std::move(other.chunks_); }
 
  private:
   static constexpr uint32_t kChunkSectors = 256;  // 128 KB sparse chunks

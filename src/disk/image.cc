@@ -111,6 +111,8 @@ Result<std::unique_ptr<DiskModel>> LoadDiskImage(const std::string& path,
   if (nzones == 0 || nzones > 64 || name_len > 256) {
     return Corrupt("implausible image header");
   }
+  if (spec.rpm == 0) return Corrupt("image drive has rpm 0");
+  if (spec.heads == 0) return Corrupt("image drive has 0 heads");
 
   std::vector<uint8_t> tail(nzones * 8 + name_len);
   if (std::fread(tail.data(), 1, tail.size(), f.get()) != tail.size()) {
@@ -119,10 +121,17 @@ Result<std::unique_ptr<DiskModel>> LoadDiskImage(const std::string& path,
   for (uint32_t z = 0; z < nzones; ++z) {
     spec.zones.push_back(
         {GetU32(tail, z * 8), GetU32(tail, z * 8 + 4)});
+    const std::string zone = "image zone " + std::to_string(z);
+    if (spec.zones[z].cylinders == 0) return Corrupt(zone + " has 0 cylinders");
+    if (spec.zones[z].sectors_per_track == 0) {
+      return Corrupt(zone + " has 0 sectors per track");
+    }
   }
   spec.name = GetBytes(tail, nzones * 8, name_len);
 
   auto disk = std::make_unique<DiskModel>(spec, clock);
+  const uint64_t last_chunk =
+      (disk->total_sectors() - 1) / DiskModel::kImageChunkSectors;
 
   std::vector<uint8_t> c8(8);
   if (std::fread(c8.data(), 1, 8, f.get()) != 8) return Corrupt("no count");
@@ -133,7 +142,13 @@ Result<std::unique_ptr<DiskModel>> LoadDiskImage(const std::string& path,
         std::fread(chunk.data(), 1, kChunkBytes, f.get()) != kChunkBytes) {
       return Corrupt("truncated chunk");
     }
-    disk->RestoreChunk(GetU64(c8, 0), chunk);
+    const uint64_t index = GetU64(c8, 0);
+    if (index > last_chunk) {
+      return Corrupt("image chunk " + std::to_string(index) +
+                     " is past the drive's last chunk " +
+                     std::to_string(last_chunk));
+    }
+    disk->RestoreChunk(index, chunk);
   }
   return disk;
 }

@@ -18,6 +18,9 @@ namespace cffs::disk {
 
 Status SaveDiskImage(const DiskModel& disk, const std::string& path);
 
+// A file that is no image, is cut short, describes an impossible drive
+// (rpm or heads of 0, a zone without cylinders or sectors per track) or
+// holds a chunk past the drive's end is Corrupt.
 Result<std::unique_ptr<DiskModel>> LoadDiskImage(const std::string& path,
                                                  SimClock* clock);
 

@@ -17,10 +17,11 @@ constexpr uint32_t kCffsMagic = 0x43464653;  // "CFFS"
 constexpr size_t kSbIfileOffset = 64;        // IFILE inode image in the superblock
 }  // namespace
 
-CffsFileSystem::CffsFileSystem(cache::BufferCache* cache, SimClock* clock,
+CffsFileSystem::CffsFileSystem(cache::BufferCache* cache,
+                               io::Readahead* readahead, SimClock* clock,
                                MetadataPolicy policy, CffsOptions options,
                                uint32_t ncg)
-    : FsBase(cache, clock, policy), options_(options), ncg_(ncg) {
+    : FsBase(cache, readahead, clock, policy), options_(options), ncg_(ncg) {
   alloc_ = std::make_unique<CgAllocator>(cache, MakeLayouts());
 }
 
@@ -47,8 +48,8 @@ std::vector<CgLayout> CffsFileSystem::MakeLayouts() const {
 }
 
 Result<std::unique_ptr<CffsFileSystem>> CffsFileSystem::Format(
-    cache::BufferCache* cache, SimClock* clock, const CffsOptions& options,
-    MetadataPolicy policy) {
+    cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
+    const CffsOptions& options, MetadataPolicy policy) {
   const uint64_t total = cache->device()->block_count();
   if (options.blocks_per_cg > kBlockSize * 8 || options.group_blocks == 0 ||
       options.group_blocks > 64 ||
@@ -60,7 +61,7 @@ Result<std::unique_ptr<CffsFileSystem>> CffsFileSystem::Format(
   if (ncg == 0) return InvalidArgument("device too small");
 
   auto fs = std::unique_ptr<CffsFileSystem>(
-      new CffsFileSystem(cache, clock, policy, options, ncg));
+      new CffsFileSystem(cache, readahead, clock, policy, options, ncg));
   RETURN_IF_ERROR(fs->alloc_->FormatBitmaps());
 
   // IFILE starts empty; slot 0 is reserved as invalid, the root directory
@@ -87,23 +88,30 @@ Result<std::unique_ptr<CffsFileSystem>> CffsFileSystem::Format(
   return fs;
 }
 
-Result<std::unique_ptr<CffsFileSystem>> CffsFileSystem::Mount(
-    cache::BufferCache* cache, SimClock* clock, MetadataPolicy policy) {
-  ASSIGN_OR_RETURN(cache::BufferRef sb, cache->Get(0));
-  if (GetU32(sb.data(), 0) != kCffsMagic) return Corrupt("bad C-FFS magic");
+Result<CffsOptions> CffsFileSystem::ReadOptions(
+    std::span<const uint8_t> block0) {
+  if (GetU32(block0, 0) != kCffsMagic) return Corrupt("bad C-FFS magic");
   CffsOptions options;
-  options.blocks_per_cg = GetU32(sb.data(), 4);
+  options.blocks_per_cg = GetU32(block0, 4);
+  options.embed_inodes = block0[12] != 0;
+  options.grouping = block0[13] != 0;
+  options.group_blocks = GetU16(block0, 14);
+  options.small_file_max_blocks = GetU16(block0, 16);
+  options.extent_alloc = block0[18] != 0;
+  return options;
+}
+
+Result<std::unique_ptr<CffsFileSystem>> CffsFileSystem::Mount(
+    cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
+    MetadataPolicy policy) {
+  ASSIGN_OR_RETURN(cache::BufferRef sb, cache->Get(0));
+  ASSIGN_OR_RETURN(const CffsOptions options, ReadOptions(sb.data()));
   const uint32_t ncg = GetU32(sb.data(), 8);
-  options.embed_inodes = sb.data()[12] != 0;
-  options.grouping = sb.data()[13] != 0;
-  options.group_blocks = GetU16(sb.data(), 14);
-  options.small_file_max_blocks = GetU16(sb.data(), 16);
-  options.extent_alloc = sb.data()[18] != 0;
   InodeData ifile = InodeData::Decode(sb.data(), kSbIfileOffset);
   sb.Release();
 
   auto fs = std::unique_ptr<CffsFileSystem>(
-      new CffsFileSystem(cache, clock, policy, options, ncg));
+      new CffsFileSystem(cache, readahead, clock, policy, options, ncg));
   fs->ifile_ = ifile;
   RETURN_IF_ERROR(fs->alloc_->RecountFree());
   RETURN_IF_ERROR(fs->ScanExternalFreeSlots());
@@ -596,12 +604,9 @@ Status CffsFileSystem::PrepareDataRead(const InodeData& ino, uint32_t bno) {
   Result<cache::BufferRef> resident = cache_->Lookup(bno);
   if (resident.ok()) return OkStatus();
   ++op_stats_.group_reads;
-  if (readahead_ != nullptr) {
-    // Stage-on-miss via the I/O engine: same single command, but sibling
-    // blocks are tracked as staged for readahead-accuracy accounting.
-    return readahead_->StageGroup(extent, options_.group_blocks, bno);
-  }
-  return cache_->ReadGroup(extent, options_.group_blocks);
+  // Stage-on-miss via the I/O engine: one command, and the sibling blocks
+  // are tracked as staged for readahead-accuracy accounting.
+  return readahead_->StageGroup(extent, options_.group_blocks, bno);
 }
 
 uint64_t CffsFileSystem::FlushUnitFor(InodeNum num, const InodeData& ino,

@@ -21,7 +21,7 @@
 //   directory are allocated inside a contiguous, aligned "group" extent and
 //   moved to/from disk as one unit: a read miss on any grouped block
 //   fetches the whole extent with a single scatter/gather command
-//   (BufferCache::ReadGroup), and delayed writes of grouped blocks coalesce
+//   (io::Readahead::StageGroup), and delayed writes of grouped blocks coalesce
 //   into single commands at flush time. A directory's current extent is
 //   recorded in its inode (active_group); each member file's inode records
 //   its extent (group_start/group_len). A per-cylinder-group reservation
@@ -69,11 +69,18 @@ struct CffsOptions {
 
 class CffsFileSystem : public FsBase {
  public:
+  // As FfsFileSystem's: reads that miss go through `readahead`, which
+  // fetches a live group with one command (see FsBase).
   static Result<std::unique_ptr<CffsFileSystem>> Format(
-      cache::BufferCache* cache, SimClock* clock, const CffsOptions& options,
-      MetadataPolicy policy);
+      cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
+      const CffsOptions& options, MetadataPolicy policy);
   static Result<std::unique_ptr<CffsFileSystem>> Mount(
-      cache::BufferCache* cache, SimClock* clock, MetadataPolicy policy);
+      cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
+      MetadataPolicy policy);
+
+  // The options a superblock image (block 0) records; Corrupt unless it
+  // is a C-FFS superblock.
+  static Result<CffsOptions> ReadOptions(std::span<const uint8_t> block0);
 
   std::string name() const override;
   InodeNum root() const override { return kRootSlot; }
@@ -95,7 +102,7 @@ class CffsFileSystem : public FsBase {
   void set_trace(obs::TraceRecorder* trace) override;
 
   const CffsOptions& options() const { return options_; }
-  CgAllocator* allocator() { return alloc_.get(); }
+  CgAllocator* allocator() override { return alloc_.get(); }
   const InodeData& ifile_inode() const { return ifile_; }
 
   // External inode slots; public for fsck.
@@ -128,8 +135,9 @@ class CffsFileSystem : public FsBase {
   Result<uint32_t> InodeHomeBlock(InodeNum num) override;
 
  private:
-  CffsFileSystem(cache::BufferCache* cache, SimClock* clock,
-                 MetadataPolicy policy, CffsOptions options, uint32_t ncg);
+  CffsFileSystem(cache::BufferCache* cache, io::Readahead* readahead,
+                 SimClock* clock, MetadataPolicy policy, CffsOptions options,
+                 uint32_t ncg);
 
   uint32_t CgBase(uint32_t cg) const { return 1 + cg * options_.blocks_per_cg; }
   std::vector<CgLayout> MakeLayouts() const;

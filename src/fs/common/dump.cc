@@ -115,7 +115,9 @@ Result<std::string> DumpTree(FsBase* fs) {
   return out;
 }
 
-Result<std::string> DumpSuperblock(FfsFileSystem* fs) {
+namespace {
+
+Result<std::string> DumpFfsSuperblock(FfsFileSystem* fs) {
   std::string out = "FFS superblock\n";
   out += Sprintf("  cylinder groups     %u x %u blocks\n", fs->cg_count(),
                  fs->blocks_per_cg());
@@ -129,7 +131,7 @@ Result<std::string> DumpSuperblock(FfsFileSystem* fs) {
   return out;
 }
 
-Result<std::string> DumpSuperblock(CffsFileSystem* fs) {
+Result<std::string> DumpCffsSuperblock(CffsFileSystem* fs) {
   const CffsOptions& o = fs->options();
   std::string out = "C-FFS superblock\n";
   out += Sprintf("  embedded inodes     %s\n", o.embed_inodes ? "on" : "off");
@@ -149,8 +151,20 @@ Result<std::string> DumpSuperblock(CffsFileSystem* fs) {
   return out;
 }
 
-Result<std::string> DumpAllocation(FsBase* fs, CgAllocator* alloc,
-                                   uint16_t group_blocks) {
+}  // namespace
+
+Result<std::string> DumpSuperblock(FsBase* fs) {
+  if (auto* ffs = dynamic_cast<FfsFileSystem*>(fs)) {
+    return DumpFfsSuperblock(ffs);
+  }
+  if (auto* cfs = dynamic_cast<CffsFileSystem*>(fs)) {
+    return DumpCffsSuperblock(cfs);
+  }
+  return Unsupported("no superblock dump for " + fs->name());
+}
+
+Result<std::string> DumpAllocation(FsBase* fs) {
+  CgAllocator* alloc = fs->allocator();
   std::string out = Sprintf("%4s %10s %10s %10s %10s\n", "cg", "blocks",
                             "used", "free", "reserved");
   cache::BufferCache* cache = fs->buffer_cache();
@@ -166,7 +180,6 @@ Result<std::string> DumpAllocation(FsBase* fs, CgAllocator* alloc,
     out += Sprintf("%4u %10u %10u %10u %10u\n", cg, g.blocks, used,
                    g.blocks - used, reserved);
   }
-  (void)group_blocks;
   return out;
 }
 

@@ -21,13 +21,11 @@ Result<std::string> DumpDirectory(FsBase* fs, InodeNum dir);
 // Renders the whole namespace as an indented tree (names, sizes, grouping).
 Result<std::string> DumpTree(FsBase* fs);
 
-// Superblock / geometry / allocation summary for either file system.
-Result<std::string> DumpSuperblock(FfsFileSystem* fs);
-Result<std::string> DumpSuperblock(CffsFileSystem* fs);
+// Superblock / geometry / allocation summary of an FFS or C-FFS.
+Result<std::string> DumpSuperblock(FsBase* fs);
 
 // Cylinder-group utilization table: used/free/reserved blocks per group.
-Result<std::string> DumpAllocation(FsBase* fs, CgAllocator* alloc,
-                                   uint16_t group_blocks);
+Result<std::string> DumpAllocation(FsBase* fs);
 
 // Free-space fragmentation: histogram of free-extent run lengths, and the
 // fraction of free space in runs of >= `group_blocks` (i.e. how much of

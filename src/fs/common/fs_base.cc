@@ -272,13 +272,11 @@ Result<uint64_t> FsBase::Read(InodeNum num, uint64_t off,
         RETURN_IF_ERROR(PrepareDataRead(ino, bno));
         if (!cache_->Lookup(bno).ok()) {
           // Cluster read ([Peacock88, McVoy91]): if the file's next blocks
-          // are physically contiguous, fetch up to 64 KB with one command.
-          // With readahead attached the window ramps on sequential streaks
-          // (io::Readahead doubles it up to its max) and the fetch is
-          // staged through the I/O engine; otherwise the legacy fixed
-          // window and inline group read apply.
-          const uint32_t cap = readahead_ ? readahead_->WindowFor(num, idx)
-                                          : 16;
+          // are physically contiguous, fetch them with one command. The
+          // window starts at 64 KB and ramps on sequential streaks
+          // (io::Readahead doubles it up to its max); the fetch is staged
+          // through the I/O engine.
+          const uint32_t cap = readahead_->WindowFor(num, idx);
           uint32_t run = 1;
           const uint64_t nblocks = ino.BlockCount();
           while (run < cap && idx + run < nblocks) {
@@ -286,14 +284,8 @@ Result<uint64_t> FsBase::Read(InodeNum num, uint64_t off,
             if (!next.ok() || *next != bno + run) break;
             ++run;
           }
-          if (readahead_) {
-            readahead_->NoteRun(num, idx, run);
-            if (run > 1) {
-              RETURN_IF_ERROR(readahead_->StageRun(bno, run, bno));
-            }
-          } else if (run > 1) {
-            RETURN_IF_ERROR(cache_->ReadGroup(bno, run));
-          }
+          readahead_->NoteRun(num, idx, run);
+          if (run > 1) RETURN_IF_ERROR(readahead_->StageRun(bno, run, bno));
         }
       }
       ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(bno));

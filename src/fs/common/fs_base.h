@@ -81,11 +81,8 @@ class FsBase : public FileSystem {
   void set_name_cache_enabled(bool enabled);
   bool name_cache_enabled() const { return name_cache_enabled_; }
 
-  // Engine-routed readahead (C-FFS group staging + the sequential ramp for
-  // both file systems). nullptr falls back to the legacy inline cluster /
-  // group reads — the readahead=false ablation. SimEnv wires this.
-  void set_readahead(io::Readahead* ra) { readahead_ = ra; }
-  io::Readahead* readahead() { return readahead_; }
+  // The block allocator over the cylinder groups, for fsck, dumps and tests.
+  virtual CgAllocator* allocator() = 0;
 
   // Derive mtimes from the operation sequence number instead of the
   // simulated clock, making on-disk images a function of operation order
@@ -96,8 +93,12 @@ class FsBase : public FileSystem {
   bool deterministic_mtime() const { return deterministic_mtime_; }
 
  protected:
-  FsBase(cache::BufferCache* cache, SimClock* clock, MetadataPolicy policy)
-      : cache_(cache), clock_(clock), policy_(policy) {}
+  // Every read that misses goes through `readahead`, which stages over the
+  // same cache: C-FFS group fetches and the sequential cluster ramp for
+  // both file systems (io/readahead.h). It must outlive the file system.
+  FsBase(cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
+         MetadataPolicy policy)
+      : cache_(cache), clock_(clock), policy_(policy), readahead_(readahead) {}
 
   // --- hooks the concrete file systems implement ---
 
@@ -281,7 +282,7 @@ class FsBase : public FileSystem {
   FsOpStats op_stats_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::SpanTracker* spans_ = nullptr;
-  io::Readahead* readahead_ = nullptr;
+  io::Readahead* readahead_;
   OrderingMutation mutation_ = OrderingMutation::kNone;
   uint64_t op_seq_ = 0;
   bool deterministic_mtime_ = false;

@@ -12,10 +12,11 @@ namespace {
 constexpr uint32_t kFfsMagic = 0x46465331;  // "FFS1"
 }  // namespace
 
-FfsFileSystem::FfsFileSystem(cache::BufferCache* cache, SimClock* clock,
+FfsFileSystem::FfsFileSystem(cache::BufferCache* cache,
+                             io::Readahead* readahead, SimClock* clock,
                              MetadataPolicy policy, FfsParams params,
                              uint32_t ncg)
-    : FsBase(cache, clock, policy), params_(params), ncg_(ncg) {
+    : FsBase(cache, readahead, clock, policy), params_(params), ncg_(ncg) {
   alloc_ = std::make_unique<CgAllocator>(cache, MakeLayouts());
 }
 
@@ -39,8 +40,8 @@ uint32_t FfsFileSystem::InodeBitmapBlock(uint32_t cg) const {
 }
 
 Result<std::unique_ptr<FfsFileSystem>> FfsFileSystem::Format(
-    cache::BufferCache* cache, SimClock* clock, const FfsParams& params,
-    MetadataPolicy policy) {
+    cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
+    const FfsParams& params, MetadataPolicy policy) {
   const uint64_t total = cache->device()->block_count();
   if (params.inodes_per_cg % 32 != 0 || params.blocks_per_cg > kBlockSize * 8) {
     return InvalidArgument("bad FFS parameters");
@@ -54,7 +55,7 @@ Result<std::unique_ptr<FfsFileSystem>> FfsFileSystem::Format(
   if (ncg == 0) return InvalidArgument("device too small");
 
   auto fs = std::unique_ptr<FfsFileSystem>(
-      new FfsFileSystem(cache, clock, policy, params, ncg));
+      new FfsFileSystem(cache, readahead, clock, policy, params, ncg));
   RETURN_IF_ERROR(fs->alloc_->FormatBitmaps());
 
   // Zero the inode bitmaps; inode table blocks are zeroed lazily on first
@@ -100,18 +101,24 @@ Result<std::unique_ptr<FfsFileSystem>> FfsFileSystem::Format(
   return fs;
 }
 
-Result<std::unique_ptr<FfsFileSystem>> FfsFileSystem::Mount(
-    cache::BufferCache* cache, SimClock* clock, MetadataPolicy policy) {
-  ASSIGN_OR_RETURN(cache::BufferRef sb, cache->Get(0));
-  if (GetU32(sb.data(), 0) != kFfsMagic) return Corrupt("bad FFS magic");
+Result<FfsParams> FfsFileSystem::ReadParams(std::span<const uint8_t> block0) {
+  if (GetU32(block0, 0) != kFfsMagic) return Corrupt("bad FFS magic");
   FfsParams params;
-  params.blocks_per_cg = GetU32(sb.data(), 4);
-  params.inodes_per_cg = GetU32(sb.data(), 8);
+  params.blocks_per_cg = GetU32(block0, 4);
+  params.inodes_per_cg = GetU32(block0, 8);
+  params.extent_alloc = GetU32(block0, 24) != 0;
+  return params;
+}
+
+Result<std::unique_ptr<FfsFileSystem>> FfsFileSystem::Mount(
+    cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
+    MetadataPolicy policy) {
+  ASSIGN_OR_RETURN(cache::BufferRef sb, cache->Get(0));
+  ASSIGN_OR_RETURN(const FfsParams params, ReadParams(sb.data()));
   const uint32_t ncg = GetU32(sb.data(), 12);
-  params.extent_alloc = GetU32(sb.data(), 24) != 0;
   sb.Release();
   auto fs = std::unique_ptr<FfsFileSystem>(
-      new FfsFileSystem(cache, clock, policy, params, ncg));
+      new FfsFileSystem(cache, readahead, clock, policy, params, ncg));
   RETURN_IF_ERROR(fs->alloc_->RecountFree());
   return fs;
 }

@@ -34,14 +34,20 @@ struct FfsParams {
 class FfsFileSystem : public FsBase {
  public:
   // Builds a fresh file system on the device behind `cache` and returns it
-  // mounted. Everything is written through `cache` (call Sync() to push).
+  // mounted. Everything is written through `cache` (call Sync() to push);
+  // reads that miss go through `readahead` (see FsBase).
   static Result<std::unique_ptr<FfsFileSystem>> Format(
-      cache::BufferCache* cache, SimClock* clock, const FfsParams& params,
-      MetadataPolicy policy);
+      cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
+      const FfsParams& params, MetadataPolicy policy);
 
   // Mounts an existing file system (reads the superblock).
   static Result<std::unique_ptr<FfsFileSystem>> Mount(
-      cache::BufferCache* cache, SimClock* clock, MetadataPolicy policy);
+      cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
+      MetadataPolicy policy);
+
+  // The parameters a superblock image (block 0) records; Corrupt unless
+  // it is an FFS superblock.
+  static Result<FfsParams> ReadParams(std::span<const uint8_t> block0);
 
   std::string name() const override { return "ffs"; }
   InodeNum root() const override { return kRootInum; }
@@ -67,7 +73,7 @@ class FfsFileSystem : public FsBase {
   uint32_t cg_count() const { return ncg_; }
   uint32_t inodes_per_cg() const { return params_.inodes_per_cg; }
   uint32_t blocks_per_cg() const { return params_.blocks_per_cg; }
-  CgAllocator* allocator() { return alloc_.get(); }
+  CgAllocator* allocator() override { return alloc_.get(); }
   // Absolute block and byte offset of an inode image.
   Status LocateInode(InodeNum num, uint32_t* bno, uint32_t* off) const;
   uint32_t InodeBitmapBlock(uint32_t cg) const;
@@ -87,8 +93,9 @@ class FfsFileSystem : public FsBase {
   Result<uint32_t> InodeHomeBlock(InodeNum num) override;
 
  private:
-  FfsFileSystem(cache::BufferCache* cache, SimClock* clock,
-                MetadataPolicy policy, FfsParams params, uint32_t ncg);
+  FfsFileSystem(cache::BufferCache* cache, io::Readahead* readahead,
+                SimClock* clock, MetadataPolicy policy, FfsParams params,
+                uint32_t ncg);
 
   uint32_t CgBase(uint32_t cg) const { return 1 + cg * params_.blocks_per_cg; }
   uint32_t InodeTableStart(uint32_t cg) const { return CgBase(cg) + 2; }

@@ -110,8 +110,6 @@ Status AuditBitmap(cache::BufferCache* cache, const CgLayout& g,
   return OkStatus();
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // FFS
 // ---------------------------------------------------------------------------
@@ -267,6 +265,8 @@ Result<FsckReport> CheckFfs(fs::FfsFileSystem* ffs, const FsckOptions& options) 
   }
   return report;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // C-FFS
@@ -442,6 +442,16 @@ Result<FsckReport> CheckCffs(fs::CffsFileSystem* cfs,
     }
   }
   return report;
+}
+
+Result<FsckReport> Check(fs::FsBase* fs, const FsckOptions& options) {
+  if (auto* ffs = dynamic_cast<fs::FfsFileSystem*>(fs)) {
+    return CheckFfs(ffs, options);
+  }
+  if (auto* cfs = dynamic_cast<fs::CffsFileSystem*>(fs)) {
+    return CheckCffs(cfs, options);
+  }
+  return Unsupported("fsck knows only FFS and C-FFS");
 }
 
 }  // namespace cffs::fsck

@@ -47,8 +47,9 @@ struct FsckReport {
   }
 };
 
-// Checks a mounted (quiescent, synced) file system.
-Result<FsckReport> CheckFfs(fs::FfsFileSystem* fs, const FsckOptions& options);
+// Checks a mounted (quiescent, synced) FFS or C-FFS file system.
+Result<FsckReport> Check(fs::FsBase* fs, const FsckOptions& options);
+// The C-FFS half of Check.
 Result<FsckReport> CheckCffs(fs::CffsFileSystem* fs, const FsckOptions& options);
 
 }  // namespace cffs::fsck

@@ -55,11 +55,9 @@ Status Readahead::Stage(uint64_t start_bno, uint32_t count,
     e.flag = group;
     trace_->Record(e);
   }
-  // Inserted like a group read (shared flush unit, group counters) so the
-  // engine-staged path is stat-for-stat comparable with the legacy inline
-  // ReadGroup it replaces.
-  return cache_->InsertRun(start_bno, count, raw, demand_bno,
-                           /*count_as_group=*/true);
+  // Inserted as a group read: the run shares one flush unit and counts in
+  // the cache's group counters.
+  return cache_->InsertRun(start_bno, count, raw, demand_bno);
 }
 
 }  // namespace cffs::io

@@ -6,14 +6,12 @@
 //
 //   - StageGroup: C-FFS stage-on-miss. A data-block miss inside a live
 //     group fetches the WHOLE group extent with one disk command — the
-//     paper's group read, routed through the engine instead of issued
-//     inline by the file system.
+//     paper's group read, and its only implementation.
 //   - StageRun: sequential ramp for large files. A miss at the next
 //     expected file block doubles the cluster window (kMinWindow up to
 //     kMaxWindow, FreeBSD cluster_read-style); any non-sequential miss
-//     resets it. kMinWindow is the legacy inline cluster size, so with the
-//     ramp a sequential scan is never worse than the old code — it just
-//     grows past 64 KB once a streak is established.
+//     resets it. kMinWindow is the classic 64 KB cluster, which the window
+//     grows past once a streak is established.
 //
 // Accuracy is accounted in the cache, which owns block lifetime: every
 // staged block is eventually a hit (first demand access found it) or
@@ -34,7 +32,7 @@ namespace cffs::io {
 
 class Readahead {
  public:
-  static constexpr uint32_t kMinWindow = 16;  // blocks; the legacy 64 KB
+  static constexpr uint32_t kMinWindow = 16;  // blocks: 64 KB
   static constexpr uint32_t kMaxWindow = 64;  // ramp ceiling (blocks)
 
   Readahead(cache::BufferCache* cache, IoEngine* engine);

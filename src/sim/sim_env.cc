@@ -1,6 +1,20 @@
 #include "src/sim/sim_env.h"
 
+#include <vector>
+
+#include "src/disk/image.h"
+
 namespace cffs::sim {
+
+namespace {
+
+Status CheckDevice(const SimConfig& config) {
+  if (KnownDevice(config.device)) return OkStatus();
+  return InvalidArgument("unknown device \"" + config.device +
+                         "\" (spinning | flash)");
+}
+
+}  // namespace
 
 SimEnv::SimEnv(FsKind kind, const SimConfig& config)
     : kind_(kind), config_(config) {
@@ -36,7 +50,6 @@ SimEnv::SimEnv(FsKind kind, const SimConfig& config)
 
 void SimEnv::Install(std::unique_ptr<fs::FsBase> fs) {
   fs->set_name_cache_enabled(config_.name_caches);
-  fs->set_readahead(readahead_.get());
   fs->set_deterministic_mtime(config_.deterministic_mtime);
   fs->set_spans(spans_.get());
   fs_ = std::move(fs);
@@ -47,11 +60,13 @@ void SimEnv::Install(std::unique_ptr<fs::FsBase> fs) {
 Status SimEnv::MountFs() {
   if (kind_ == FsKind::kFfs) {
     ASSIGN_OR_RETURN(auto fs, fs::FfsFileSystem::Mount(
-                                  cache_.get(), &clock_, config_.metadata));
+                                  cache_.get(), readahead_.get(), &clock_,
+                                  config_.metadata));
     Install(std::move(fs));
   } else {
     ASSIGN_OR_RETURN(auto fs, fs::CffsFileSystem::Mount(
-                                  cache_.get(), &clock_, config_.metadata));
+                                  cache_.get(), readahead_.get(), &clock_,
+                                  config_.metadata));
     Install(std::move(fs));
   }
   return OkStatus();
@@ -59,18 +74,15 @@ Status SimEnv::MountFs() {
 
 Result<std::unique_ptr<SimEnv>> SimEnv::Create(FsKind kind,
                                                const SimConfig& config) {
-  if (!KnownDevice(config.device)) {
-    return InvalidArgument("unknown device \"" + config.device +
-                           "\" (spinning | flash)");
-  }
+  RETURN_IF_ERROR(CheckDevice(config));
   auto env = std::unique_ptr<SimEnv>(new SimEnv(kind, config));
   if (kind == FsKind::kFfs) {
     fs::FfsParams params;
     params.blocks_per_cg = config.blocks_per_cg;
     params.extent_alloc = config.extent_alloc;
     ASSIGN_OR_RETURN(auto fs, fs::FfsFileSystem::Format(
-                                  env->cache_.get(), &env->clock_, params,
-                                  config.metadata));
+                                  env->cache_.get(), env->readahead_.get(),
+                                  &env->clock_, params, config.metadata));
     env->Install(std::move(fs));
   } else {
     fs::CffsOptions options;
@@ -81,11 +93,50 @@ Result<std::unique_ptr<SimEnv>> SimEnv::Create(FsKind kind,
         kind == FsKind::kEmbedOnly || kind == FsKind::kCffs;
     options.grouping = kind == FsKind::kGroupOnly || kind == FsKind::kCffs;
     ASSIGN_OR_RETURN(auto fs, fs::CffsFileSystem::Format(
-                                  env->cache_.get(), &env->clock_, options,
-                                  config.metadata));
+                                  env->cache_.get(), env->readahead_.get(),
+                                  &env->clock_, options, config.metadata));
     env->Install(std::move(fs));
   }
   return env;
+}
+
+Result<std::unique_ptr<SimEnv>> SimEnv::Open(
+    const SimConfig& config,
+    const std::function<void(disk::DiskModel&)>& fill) {
+  RETURN_IF_ERROR(CheckDevice(config));
+  auto env = std::unique_ptr<SimEnv>(new SimEnv(FsKind::kCffs, config));
+  fill(*env->disk_);
+  // The superblock is read off the platter without a command, so the
+  // mount below issues exactly the commands a remount would.
+  std::vector<uint8_t> sb(blk::kBlockSize);
+  env->disk_->PeekSector(0, sb);
+  SimConfig& c = env->config_;
+  if (auto ffs = fs::FfsFileSystem::ReadParams(sb); ffs.ok()) {
+    env->kind_ = FsKind::kFfs;
+    c.blocks_per_cg = ffs->blocks_per_cg;
+    c.extent_alloc = ffs->extent_alloc;
+  } else if (auto cffs = fs::CffsFileSystem::ReadOptions(sb); cffs.ok()) {
+    env->kind_ = cffs->embed_inodes
+                     ? (cffs->grouping ? FsKind::kCffs : FsKind::kEmbedOnly)
+                     : (cffs->grouping ? FsKind::kGroupOnly
+                                       : FsKind::kConventional);
+    c.blocks_per_cg = cffs->blocks_per_cg;
+    c.group_blocks = cffs->group_blocks;
+    c.extent_alloc = cffs->extent_alloc;
+  } else {
+    return Corrupt("no FFS or C-FFS superblock");
+  }
+  RETURN_IF_ERROR(env->MountFs());
+  return env;
+}
+
+Result<std::unique_ptr<SimEnv>> SimEnv::OpenImage(const std::string& path,
+                                                  SimConfig config) {
+  SimClock load_clock;  // the loaded disk never runs
+  ASSIGN_OR_RETURN(auto image, disk::LoadDiskImage(path, &load_clock));
+  config.disk_spec = image->spec();
+  return Open(config,
+              [&](disk::DiskModel& platter) { platter.TakeContents(*image); });
 }
 
 void SimEnv::EnableTrace(size_t capacity) {

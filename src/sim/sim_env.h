@@ -116,6 +116,21 @@ class SimEnv {
   static Result<std::unique_ptr<SimEnv>> Create(FsKind kind,
                                                 const SimConfig& config);
 
+  // Builds the machine and mounts the file system on a platter that `fill`
+  // writes first: an image file's contents, a crash-state clone or a peer
+  // shard's disk. The superblock decides kind() and the file-system fields
+  // of config(): blocks_per_cg, extent_alloc and, on C-FFS, group_blocks.
+  // The rest of `config`, disk_spec included, builds the machine. A
+  // platter that holds neither file system is Corrupt.
+  static Result<std::unique_ptr<SimEnv>> Open(
+      const SimConfig& config,
+      const std::function<void(disk::DiskModel&)>& fill);
+
+  // Open on the image file at `path` (src/disk/image.h): `config` on the
+  // image's drive, holding the image's contents.
+  static Result<std::unique_ptr<SimEnv>> OpenImage(const std::string& path,
+                                                   SimConfig config);
+
   SimClock& clock() { return clock_; }
   disk::DiskModel& disk() { return *disk_; }
   blk::BlockDevice& device() { return *device_; }
@@ -131,7 +146,7 @@ class SimEnv {
   io::IoEngine& engine() { return *engine_; }
   // nullptr when SimConfig::syncer is off.
   io::Syncer* syncer() { return syncer_.get(); }
-  io::Readahead* readahead() { return readahead_.get(); }
+  io::Readahead& readahead() { return *readahead_; }
   // First error a background syncer tick produced, sticky (ChargeCpu has
   // no error channel). OkStatus when the syncer is off or healthy.
   Status syncer_status() const { return syncer_status_; }
@@ -200,11 +215,12 @@ class SimEnv {
   void AttachTrace();
 
   // Makes `fs` the machine's file system: applies the config knobs that
-  // live on the file-system object (name caches, readahead, deterministic
-  // mtimes), then rebuilds the path layer and re-attaches the trace.
+  // live on the file-system object (name caches, deterministic mtimes),
+  // then rebuilds the path layer and re-attaches the trace.
   void Install(std::unique_ptr<fs::FsBase> fs);
 
-  // Mounts kind_'s file system from the cache (Remount, CrashAndRemount).
+  // Mounts kind_'s file system from the cache (Open, Remount,
+  // CrashAndRemount).
   Status MountFs();
 
   FsKind kind_;

@@ -17,7 +17,7 @@ MetricsSnapshot Snapshot(sim::SimEnv& env) {
   }
   snap.io_engine = env.engine().stats();
   if (env.syncer()) snap.syncer = env.syncer()->stats();
-  if (env.readahead()) snap.readahead = env.readahead()->stats();
+  snap.readahead = env.readahead().stats();
   snap.spans = env.spans()->breakdown();
   snap.time_series = env.sampler()->samples();
   if (env.trace()) {

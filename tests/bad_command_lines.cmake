@@ -31,6 +31,13 @@ set(cases
   "cffs_run|shards=2|--workload=xshard|--txns=0|--check-ordering"
   # The in-process mode moved to cffs_run --check-ordering.
   "cffs_ordercheck|--run|fs=ffs"
+  # Image tools: debug command lines are checked whole before the image is
+  # read (no IMG exists), then a bad file-system name and a flag the config
+  # keys replaced.
+  "cffs_debug|IMG|sb|bogus"
+  "cffs_debug|IMG|dir"
+  "cffs_mkfs|IMG|fs=cfs"
+  "cffs_mkfs|IMG|--type=ffs"
 )
 
 file(REMOVE_RECURSE "${WORK}")

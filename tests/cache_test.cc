@@ -8,22 +8,30 @@
 
 #include "src/cache/buffer_cache.h"
 #include "src/disk/disk_model.h"
+#include "src/io/io_engine.h"
+#include "src/io/readahead.h"
 #include "src/util/rng.h"
 
 namespace cffs {
 namespace {
 
+// The cache under test, with the one group-read path above it: readahead_
+// stages whole groups through an I/O engine on the same device.
 class CacheTest : public ::testing::Test {
  protected:
   CacheTest()
       : model_(disk::TestDisk(256, 4, 64), &clock_),
         dev_(&model_, disk::SchedulerPolicy::kCLook),
-        cache_(&dev_, 64) {}
+        cache_(&dev_, 64),
+        engine_(&dev_),
+        readahead_(&cache_, &engine_) {}
 
   SimClock clock_;
   disk::DiskModel model_;
   blk::BlockDevice dev_;
   cache::BufferCache cache_;
+  io::IoEngine engine_;
+  io::Readahead readahead_;
 };
 
 TEST_F(CacheTest, MissReadsFromDiskHitDoesNot) {
@@ -44,14 +52,14 @@ TEST_F(CacheTest, GetZeroClearsStaleResidentContents) {
   // GetZero must hand back zeroes, not the stale data — otherwise garbage
   // is interpreted as block pointers (observed as a cross-link corruption
   // under near-full churn).
-  ASSERT_TRUE(cache_.ReadGroup(600, 4).ok());
-  {
-    auto stale = cache_.Lookup(602);
-    ASSERT_TRUE(stale.ok());
-    (*stale)->data()[0] = 0x5a;  // simulate old file contents
-  }
+  const std::vector<uint8_t> old_file(blk::kBlockSize, 0x5a);
+  ASSERT_TRUE(dev_.WriteBlock(602, old_file).ok());
+  ASSERT_TRUE(readahead_.StageGroup(600, 4, /*demand_bno=*/600).ok());
+  EXPECT_EQ(cache_.stats().readahead_staged, 3u);  // 602 among them
   auto fresh = cache_.GetZero(602);
   ASSERT_TRUE(fresh.ok());
+  // The staged copy was overwritten, not read.
+  EXPECT_EQ(cache_.stats().readahead_wasted, 1u);
   for (uint8_t b : (*fresh)->data()) ASSERT_EQ(b, 0);
 }
 
@@ -129,7 +137,7 @@ TEST_F(CacheTest, RebindMovesLogicalIdentity) {
 }
 
 TEST_F(CacheTest, ReadGroupIsOneDiskCommand) {
-  ASSERT_TRUE(cache_.ReadGroup(200, 16).ok());
+  ASSERT_TRUE(readahead_.StageGroup(200, 16, /*demand_bno=*/200).ok());
   EXPECT_EQ(dev_.stats().reads, 1u);
   EXPECT_EQ(dev_.stats().blocks_read, 16u);
   // All 16 blocks resident without further I/O.
@@ -145,7 +153,7 @@ TEST_F(CacheTest, ReadGroupKeepsNewerDirtyCopy) {
     a->data()[0] = 0x31;
     cache_.MarkDirty(*a);
   }
-  ASSERT_TRUE(cache_.ReadGroup(200, 16).ok());
+  ASSERT_TRUE(readahead_.StageGroup(200, 16, /*demand_bno=*/200).ok());
   auto b = cache_.Get(205);
   EXPECT_EQ(b->data()[0], 0x31);  // dirty copy not clobbered
 }
@@ -318,8 +326,7 @@ TEST_F(CacheTest, InsertRunStagesOnlyNonDemandBlocks) {
     r->data()[0] = 0x77;
     cache_.MarkDirty(*r);
   }
-  ASSERT_TRUE(cache_.InsertRun(200, 4, raw, /*demand_bno=*/200,
-                               /*count_as_group=*/true).ok());
+  ASSERT_TRUE(cache_.InsertRun(200, 4, raw, /*demand_bno=*/200).ok());
   // 3 inserted (202 kept its resident copy), demand block 200 un-staged.
   EXPECT_EQ(cache_.stats().readahead_staged, 2u);
   EXPECT_EQ(cache_.stats().group_reads, 1u);

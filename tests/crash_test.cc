@@ -40,23 +40,12 @@ std::unique_ptr<sim::SimEnv> MakeEnv(FsKind kind, fs::MetadataPolicy policy) {
 
 // fsck (with repair) must leave the file system clean after any crash.
 void RepairAndVerify(sim::SimEnv* env) {
-  if (env->kind() == FsKind::kFfs) {
-    auto* ffs = static_cast<fs::FfsFileSystem*>(env->fs());
-    auto repair = fsck::CheckFfs(ffs, {.repair = true});
-    ASSERT_TRUE(repair.ok()) << repair.status().ToString();
-    ASSERT_TRUE(env->fs()->Sync().ok());
-    auto verify = fsck::CheckFfs(ffs, {});
-    ASSERT_TRUE(verify.ok());
-    EXPECT_TRUE(verify->clean) << verify->problems.front();
-  } else {
-    auto* cfs = static_cast<fs::CffsFileSystem*>(env->fs());
-    auto repair = fsck::CheckCffs(cfs, {.repair = true});
-    ASSERT_TRUE(repair.ok()) << repair.status().ToString();
-    ASSERT_TRUE(env->fs()->Sync().ok());
-    auto verify = fsck::CheckCffs(cfs, {});
-    ASSERT_TRUE(verify.ok());
-    EXPECT_TRUE(verify->clean) << verify->problems.front();
-  }
+  auto repair = fsck::Check(env->fs_base(), {.repair = true});
+  ASSERT_TRUE(repair.ok()) << repair.status().ToString();
+  ASSERT_TRUE(env->fs()->Sync().ok());
+  auto verify = fsck::Check(env->fs_base(), {});
+  ASSERT_TRUE(verify.ok());
+  EXPECT_TRUE(verify->clean) << verify->problems.front();
 }
 
 TEST(CrashTest, SyncedDataSurvivesCrash) {
@@ -301,7 +290,8 @@ TEST(CrashEnumTest, SyncerFlushPlanStatesAreRepairable) {
 }
 
 TEST(CrashEnumTest, QuickModeBoundsTheStateCount) {
-  // The sanitizer CI job runs quick mode; it must stay small.
+  // Quick mode explores a handful of states of each shape; it must stay
+  // small.
   auto env = MakeEnv(FsKind::kCffs, fs::MetadataPolicy::kSynchronous);
   Churn(env.get(), /*seed=*/3, /*ops=*/20);
   check::CrashEnumOptions options;

@@ -276,15 +276,9 @@ TEST_P(ExtentEndToEndTest, FsckPassesOnExtentImages) {
   ASSERT_TRUE(p.WriteFile("/a/b/big", Payload(200 * 1024, 9)).ok());
   ASSERT_TRUE(p.Unlink("/a/f3").ok());
   ASSERT_TRUE(env->fs()->Sync().ok());
-  if (GetParam() == sim::FsKind::kFfs) {
-    auto report = fsck::CheckFfs(static_cast<FfsFileSystem*>(env->fs()), {});
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_TRUE(report->clean) << report->problems.front();
-  } else {
-    auto report = fsck::CheckCffs(static_cast<CffsFileSystem*>(env->fs()), {});
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_TRUE(report->clean) << report->problems.front();
-  }
+  auto report = fsck::Check(env->fs_base(), {});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->clean) << report->problems.front();
 }
 
 INSTANTIATE_TEST_SUITE_P(BothFileSystems, ExtentEndToEndTest,

@@ -184,7 +184,8 @@ TEST_F(FfsTest, MountRejectsForeignSuperblock) {
   auto env = sim::SimEnv::Create(sim::FsKind::kCffs, config);
   ASSERT_TRUE(env.ok());
   ASSERT_TRUE((*env)->fs()->Sync().ok());
-  auto mounted = FfsFileSystem::Mount(&(*env)->cache(), &(*env)->clock(),
+  sim::SimEnv& e = **env;
+  auto mounted = FfsFileSystem::Mount(&e.cache(), &e.readahead(), &e.clock(),
                                       fs::MetadataPolicy::kSynchronous);
   EXPECT_EQ(mounted.status().code(), ErrorCode::kCorrupt);
 }

@@ -43,7 +43,7 @@ void Populate(sim::SimEnv* env) {
 TEST(FsckFfsTest, CleanFileSystemPasses) {
   auto env = MakeEnv(sim::FsKind::kFfs);
   Populate(env.get());
-  auto report = fsck::CheckFfs(static_cast<FfsFileSystem*>(env->fs()), {});
+  auto report = fsck::Check(env->fs_base(), {});
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->clean) << report->problems.front();
   EXPECT_EQ(report->files, 51u);        // 50 small + big (hard link = 1 file)
@@ -61,14 +61,14 @@ TEST(FsckFfsTest, DetectsAndRepairsOrphanedBlock) {
     fs::BitSet((*bm).data(), g.blocks - 2);  // orphan: marked, unreferenced
     ffs->buffer_cache()->MarkDirty(*bm);
   }
-  auto detect = fsck::CheckFfs(ffs, {.repair = false});
+  auto detect = fsck::Check(ffs, {.repair = false});
   ASSERT_TRUE(detect.ok());
   EXPECT_FALSE(detect->clean);
 
-  auto repair = fsck::CheckFfs(ffs, {.repair = true});
+  auto repair = fsck::Check(ffs, {.repair = true});
   ASSERT_TRUE(repair.ok());
   EXPECT_GE(repair->repaired, 1u);
-  auto verify = fsck::CheckFfs(ffs, {.repair = false});
+  auto verify = fsck::Check(ffs, {.repair = false});
   ASSERT_TRUE(verify.ok());
   EXPECT_TRUE(verify->clean);
 }
@@ -89,11 +89,11 @@ TEST(FsckFfsTest, DetectsReferencedBlockMarkedFree) {
     fs::BitClear((*bm).data(), victim - g.first_block);
     ffs->buffer_cache()->MarkDirty(*bm);
   }
-  auto detect = fsck::CheckFfs(ffs, {.repair = true});
+  auto detect = fsck::Check(ffs, {.repair = true});
   ASSERT_TRUE(detect.ok());
   EXPECT_FALSE(detect->clean);
   EXPECT_GE(detect->repaired, 1u);
-  EXPECT_TRUE(fsck::CheckFfs(ffs, {})->clean);
+  EXPECT_TRUE(fsck::Check(ffs, {})->clean);
 }
 
 TEST(FsckFfsTest, DetectsWrongLinkCount) {
@@ -113,10 +113,10 @@ TEST(FsckFfsTest, DetectsWrongLinkCount) {
     bad.Encode((*buf).data(), off);
     ffs->buffer_cache()->MarkDirty(*buf);
   }
-  auto repair = fsck::CheckFfs(ffs, {.repair = true});
+  auto repair = fsck::Check(ffs, {.repair = true});
   ASSERT_TRUE(repair.ok());
   EXPECT_FALSE(repair->clean);
-  EXPECT_TRUE(fsck::CheckFfs(ffs, {})->clean);
+  EXPECT_TRUE(fsck::Check(ffs, {})->clean);
   EXPECT_EQ(ffs->LoadInode(num)->nlink, 1u);
 }
 
@@ -230,7 +230,7 @@ TEST(FsckFfsTest, CleanAfterChurnAndRemount) {
   auto aged = workload::AgeFileSystem(env.get(), params);
   ASSERT_TRUE(aged.ok()) << aged.status().ToString();
   ASSERT_TRUE(env->Remount().ok());
-  auto report = fsck::CheckFfs(static_cast<FfsFileSystem*>(env->fs()), {});
+  auto report = fsck::Check(env->fs_base(), {});
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->clean)
       << report->problems.size() << " problems, first: "

@@ -3,17 +3,62 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <functional>
+#include <iterator>
 
 #include "src/disk/extract.h"
 #include "src/disk/image.h"
 #include "src/fs/common/dump.h"
 #include "src/sim/sim_env.h"
+#include "src/util/bytes.h"
 
 namespace cffs {
 namespace {
 
 std::string TempImagePath(const char* tag) {
   return std::string(::testing::TempDir()) + "/cffs_" + tag + ".img";
+}
+
+// Saves an image of a small drive with one written chunk, lets `patch`
+// edit the file's bytes, and loads the result. `patch` gets the offset of
+// the first zone's entry and of the chunk's index.
+Status LoadPatchedImage(
+    const char* tag,
+    const std::function<void(std::vector<uint8_t>& bytes, size_t zone_at,
+                             size_t chunk_at)>& patch) {
+  SimClock clock;
+  const disk::DiskSpec spec = disk::TestDisk(64, 2, 32);  // chunks 0..15
+  disk::DiskModel disk(spec, &clock);
+  EXPECT_TRUE(
+      disk.Write(100, 1, std::vector<uint8_t>(disk::kSectorSize, 7)).ok());
+  const std::string path = TempImagePath(tag);
+  EXPECT_TRUE(disk::SaveDiskImage(disk, path).ok());
+  SimClock load_clock;
+  EXPECT_TRUE(disk::LoadDiskImage(path, &load_clock).ok());  // unpatched
+
+  std::ifstream in(path, std::ios::binary);
+  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  in.close();
+  // The fixed header, the zone table and the name, then the chunk count.
+  const size_t zone_at = 128;
+  const size_t chunk_at =
+      zone_at + spec.zones.size() * 8 + spec.name.size() + 8;
+  patch(bytes, zone_at, chunk_at);
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+
+  const Status status = disk::LoadDiskImage(path, &load_clock).status();
+  std::remove(path.c_str());
+  return status;
+}
+
+void ExpectCorrupt(const Status& status, const std::string& field) {
+  EXPECT_EQ(status.code(), ErrorCode::kCorrupt) << status.ToString();
+  EXPECT_NE(status.message().find(field), std::string::npos)
+      << status.ToString();
 }
 
 TEST(DiskImageTest, RoundTripsSpecAndContents) {
@@ -51,6 +96,41 @@ TEST(DiskImageTest, LoadRejectsGarbage) {
   std::remove(path.c_str());
 }
 
+TEST(DiskImageTest, LoadRejectsZeroRpm) {
+  ExpectCorrupt(LoadPatchedImage("rpm0", [](auto& b, size_t, size_t) {
+                  PutU32(b, 8, 0);
+                }),
+                "rpm");
+}
+
+TEST(DiskImageTest, LoadRejectsZeroHeads) {
+  ExpectCorrupt(LoadPatchedImage("heads0", [](auto& b, size_t, size_t) {
+                  PutU32(b, 12, 0);
+                }),
+                "heads");
+}
+
+TEST(DiskImageTest, LoadRejectsZoneWithoutCylinders) {
+  ExpectCorrupt(LoadPatchedImage("cyl0", [](auto& b, size_t zone, size_t) {
+                  PutU32(b, zone, 0);
+                }),
+                "cylinders");
+}
+
+TEST(DiskImageTest, LoadRejectsZoneWithoutSectorsPerTrack) {
+  ExpectCorrupt(LoadPatchedImage("spt0", [](auto& b, size_t zone, size_t) {
+                  PutU32(b, zone + 4, 0);
+                }),
+                "sectors per track");
+}
+
+TEST(DiskImageTest, LoadRejectsChunkPastTheDrive) {
+  ExpectCorrupt(LoadPatchedImage("chunk16", [](auto& b, size_t, size_t chunk) {
+                  PutU64(b, chunk, 16);
+                }),
+                "chunk 16");
+}
+
 TEST(DiskImageTest, FileSystemSurvivesImageRoundTrip) {
   sim::SimConfig config;
   config.disk_spec = disk::TestDisk(512, 4, 64);
@@ -65,16 +145,11 @@ TEST(DiskImageTest, FileSystemSurvivesImageRoundTrip) {
   const std::string path = TempImagePath("fsimage");
   ASSERT_TRUE(disk::SaveDiskImage((*env)->disk(), path).ok());
 
-  SimClock clock;
-  auto disk2 = disk::LoadDiskImage(path, &clock);
-  ASSERT_TRUE(disk2.ok());
-  blk::BlockDevice dev(disk2->get(), disk::SchedulerPolicy::kCLook);
-  cache::BufferCache cache(&dev, 1024);
-  auto cfs = fs::CffsFileSystem::Mount(&cache, &clock,
-                                       fs::MetadataPolicy::kSynchronous);
-  ASSERT_TRUE(cfs.ok()) << cfs.status().ToString();
-  fs::PathOps p(cfs->get());
-  auto back = p.ReadFile("/persist/file");
+  auto opened = sim::SimEnv::OpenImage(path, sim::SimConfig{});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ((*opened)->kind(), sim::FsKind::kCffs);
+  EXPECT_EQ((*opened)->config().blocks_per_cg, 1024u);
+  auto back = (*opened)->path().ReadFile("/persist/file");
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, payload);
   std::remove(path.c_str());

@@ -18,11 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "src/blockdev/block_device.h"
-#include "src/cache/buffer_cache.h"
 #include "src/check/crash_enum.h"
 #include "src/disk/disk_model.h"
-#include "src/fs/cffs/cffs.h"
 #include "src/fs/common/path.h"
 #include "src/shard/placement.h"
 #include "src/shard/router.h"
@@ -125,23 +122,18 @@ TEST(ShardCrashEnumTest, EveryImageAtEveryProtocolBoundaryIsRecoverable) {
     // platter is its authoritative state) and assert the rename resolved
     // to exactly one surviving copy.
     opts.post_repair_check = [&](fs::FileSystem* crashed_fs) -> Status {
-      SimClock peer_clock;
-      auto peer_disk = std::make_unique<disk::DiskModel>(
-          peer_env->disk().spec(), &peer_clock);
-      peer_env->disk().ForEachChunk(
-          [&](uint64_t chunk, std::span<const uint8_t> bytes) {
-            peer_disk->RestoreChunk(chunk, bytes);
-          });
-      blk::BlockDevice peer_dev(peer_disk.get(), peer_env->config().scheduler);
-      cache::BufferCache peer_cache(&peer_dev, 1024);
-      ASSIGN_OR_RETURN(auto peer_fs,
-                       fs::CffsFileSystem::Mount(&peer_cache, &peer_clock,
-                                                 peer_env->config().metadata));
-      fs::PathOps peer_ops(peer_fs.get());
+      ASSIGN_OR_RETURN(
+          auto peer_copy,
+          sim::SimEnv::Open(peer_env->config(), [&](disk::DiskModel& platter) {
+            peer_env->disk().ForEachChunk(
+                [&](uint64_t chunk, std::span<const uint8_t> bytes) {
+                  platter.RestoreChunk(chunk, bytes);
+                });
+          }));
       fs::PathOps crashed_ops(crashed_fs);
       fs::PathOps* by_shard[2];
       by_shard[acting] = &crashed_ops;
-      by_shard[peer] = &peer_ops;
+      by_shard[peer] = &peer_copy->path();
       RETURN_IF_ERROR(JournalRecovery(by_shard));
       return CheckExactlyOneCopy(*by_shard[0], *by_shard[1], from, to, data);
     };

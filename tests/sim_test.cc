@@ -78,6 +78,48 @@ TEST(SimEnvTest, UnknownDeviceIsRejected) {
             ErrorCode::kInvalidArgument);
 }
 
+TEST(SimEnvTest, OpenMountsWhatThePlatterHolds) {
+  for (sim::FsKind kind :
+       {sim::FsKind::kFfs, sim::FsKind::kConventional, sim::FsKind::kEmbedOnly,
+        sim::FsKind::kGroupOnly, sim::FsKind::kCffs}) {
+    SCOPED_TRACE(sim::FsKindName(kind));
+    sim::SimConfig config = SmallConfig();
+    config.group_blocks = 8;
+    config.extent_alloc = true;
+    auto made = sim::SimEnv::Create(kind, config);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    const std::vector<uint8_t> data(3000, 0x6b);
+    ASSERT_TRUE((*made)->path().WriteFile("/f", data).ok());
+    ASSERT_TRUE((*made)->fs()->Sync().ok());
+
+    // The caller's file-system fields are the defaults; the superblock's
+    // win.
+    sim::SimConfig machine;
+    machine.disk_spec = config.disk_spec;
+    auto opened = sim::SimEnv::Open(machine, [&](disk::DiskModel& platter) {
+      (*made)->disk().ForEachChunk(
+          [&](uint64_t chunk, std::span<const uint8_t> bytes) {
+            platter.RestoreChunk(chunk, bytes);
+          });
+    });
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ((*opened)->kind(), kind);
+    EXPECT_EQ((*opened)->config().blocks_per_cg, 1024u);
+    EXPECT_TRUE((*opened)->config().extent_alloc);
+    // FFS has no groups: the caller's value stays.
+    EXPECT_EQ((*opened)->config().group_blocks,
+              kind == sim::FsKind::kFfs ? machine.group_blocks : 8);
+    auto back = (*opened)->path().ReadFile("/f");
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, data);
+  }
+}
+
+TEST(SimEnvTest, OpenRejectsAPlatterWithoutAFileSystem) {
+  auto opened = sim::SimEnv::Open(SmallConfig(), [](disk::DiskModel&) {});
+  EXPECT_EQ(opened.status().code(), ErrorCode::kCorrupt);
+}
+
 TEST(HistogramTest, EmptyHistogram) {
   LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);

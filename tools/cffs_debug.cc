@@ -1,114 +1,75 @@
 // cffs_debug: debugfs-style inspector for file-system images.
 //
-//   cffs_debug <image> [sb] [tree] [alloc] [frag] [dir <path>]
+//   cffs_debug <image> [sb] [tree] [alloc] [frag] [dir <path>] ...
 //
-// With no commands, prints everything.
+// Runs the commands in order; with none, prints sb, alloc, frag and tree.
+// An unknown command, `dir` without a path or an unusable image prints a
+// message and exits 2; a command that fails exits 1.
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/disk/image.h"
 #include "src/fs/common/dump.h"
-#include "src/fs/common/path.h"
+#include "src/util/cli.h"
+#include "tools/image_machine.h"
 
 using namespace cffs;
 
 namespace {
 
-struct Mounted {
-  SimClock clock;
-  std::unique_ptr<disk::DiskModel> disk;
-  std::unique_ptr<blk::BlockDevice> dev;
-  std::unique_ptr<cache::BufferCache> cache;
-  std::unique_ptr<fs::FsBase> fs;
-  bool is_ffs = false;
-};
+constexpr char kUsage[] = "<image> [sb] [tree] [alloc] [frag] [dir <path>] ...";
 
-Result<std::unique_ptr<Mounted>> MountImage(const std::string& path) {
-  auto m = std::make_unique<Mounted>();
-  ASSIGN_OR_RETURN(auto disk, disk::LoadDiskImage(path, &m->clock));
-  m->disk = std::move(disk);
-  m->dev = std::make_unique<blk::BlockDevice>(m->disk.get(),
-                                              disk::SchedulerPolicy::kCLook);
-  m->cache = std::make_unique<cache::BufferCache>(m->dev.get(), 4096);
-  // Try C-FFS first, fall back to FFS.
-  auto cfs = fs::CffsFileSystem::Mount(m->cache.get(), &m->clock,
-                                       fs::MetadataPolicy::kSynchronous);
-  if (cfs.ok()) {
-    m->fs = std::move(*cfs);
-    return m;
+// One command's output; `path` is dir's argument.
+Result<std::string> RunCommand(sim::SimEnv& env, const std::string& cmd,
+                               const std::string& path) {
+  fs::FsBase* fs = env.fs_base();
+  if (cmd == "sb") return fs::DumpSuperblock(fs);
+  if (cmd == "tree") return fs::DumpTree(fs);
+  if (cmd == "alloc") return fs::DumpAllocation(fs);
+  if (cmd == "frag") {
+    ASSIGN_OR_RETURN(const fs::FragmentationStats stats,
+                     fs::MeasureFragmentation(fs->allocator(),
+                                              env.config().group_blocks));
+    return fs::DescribeFragmentation(stats) + "\n";
   }
-  ASSIGN_OR_RETURN(auto ffs, fs::FfsFileSystem::Mount(
-                                 m->cache.get(), &m->clock,
-                                 fs::MetadataPolicy::kSynchronous));
-  m->fs = std::move(ffs);
-  m->is_ffs = true;
-  return m;
+  ASSIGN_OR_RETURN(const fs::InodeNum dir, env.path().Resolve(path));
+  return fs::DumpDirectory(fs, dir);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <image> [sb] [tree] [alloc] [frag] "
-                         "[dir <path>]\n", argv[0]);
-    return 2;
-  }
-  auto mounted = MountImage(argv[1]);
-  if (!mounted.ok()) {
-    std::fprintf(stderr, "mount: %s\n", mounted.status().ToString().c_str());
-    return 1;
-  }
-  Mounted& m = **mounted;
-
-  std::vector<std::string> cmds;
-  for (int i = 2; i < argc; ++i) cmds.push_back(argv[i]);
-  if (cmds.empty()) cmds = {"sb", "alloc", "frag", "tree"};
-
-  for (size_t i = 0; i < cmds.size(); ++i) {
-    const std::string& cmd = cmds[i];
-    Result<std::string> out = std::string("?");
-    fs::CgAllocator* alloc =
-        m.is_ffs ? static_cast<fs::FfsFileSystem*>(m.fs.get())->allocator()
-                 : static_cast<fs::CffsFileSystem*>(m.fs.get())->allocator();
-    const uint16_t gb =
-        m.is_ffs ? 16
-                 : static_cast<fs::CffsFileSystem*>(m.fs.get())
-                       ->options()
-                       .group_blocks;
-    if (cmd == "sb") {
-      out = m.is_ffs
-                ? fs::DumpSuperblock(static_cast<fs::FfsFileSystem*>(m.fs.get()))
-                : fs::DumpSuperblock(static_cast<fs::CffsFileSystem*>(m.fs.get()));
-    } else if (cmd == "tree") {
-      out = fs::DumpTree(m.fs.get());
-    } else if (cmd == "alloc") {
-      out = fs::DumpAllocation(m.fs.get(), alloc, gb);
-    } else if (cmd == "frag") {
-      auto stats = fs::MeasureFragmentation(alloc, gb);
-      if (stats.ok()) {
-        out = fs::DescribeFragmentation(*stats) + "\n";
+  Args args(argc, argv);
+  const std::vector<std::string> words = args.Words();
+  Status bad = args.Finish();
+  if (bad.ok() && words.empty()) bad = InvalidArgument("want an image");
+  std::vector<std::pair<std::string, std::string>> cmds;  // command, path
+  for (size_t i = 1; bad.ok() && i < words.size(); ++i) {
+    const std::string& cmd = words[i];
+    if (cmd == "dir") {
+      if (i + 1 == words.size()) {
+        bad = InvalidArgument("dir needs a path");
       } else {
-        out = stats.status();
+        cmds.emplace_back(cmd, words[++i]);
       }
-    } else if (cmd == "dir" && i + 1 < cmds.size()) {
-      fs::PathOps p(m.fs.get());
-      auto dir = p.Resolve(cmds[++i]);
-      if (!dir.ok()) {
-        out = dir.status();
-      } else {
-        out = fs::DumpDirectory(m.fs.get(), *dir);
-      }
+    } else if (cmd == "sb" || cmd == "tree" || cmd == "alloc" ||
+               cmd == "frag") {
+      cmds.emplace_back(cmd, "");
     } else {
-      std::fprintf(stderr, "unknown command %s\n", cmd.c_str());
-      return 2;
+      bad = InvalidArgument("unknown command " + cmd);
     }
-    if (!out.ok()) {
-      std::fprintf(stderr, "%s: %s\n", cmd.c_str(),
-                   out.status().ToString().c_str());
-      return 1;
-    }
+  }
+  if (!bad.ok()) return UsageError(argv[0], bad, kUsage);
+  if (cmds.empty()) {
+    cmds = {{"sb", ""}, {"alloc", ""}, {"frag", ""}, {"tree", ""}};
+  }
+
+  auto env = sim::SimEnv::OpenImage(words[0], ImageMachine());
+  if (!env.ok()) return Fail(words[0], env.status(), 2);
+  for (const auto& [cmd, path] : cmds) {
+    const Result<std::string> out = RunCommand(**env, cmd, path);
+    if (!out.ok()) return Fail(cmd, out.status());
     std::printf("=== %s ===\n%s\n", cmd.c_str(), out->c_str());
   }
   return 0;

@@ -3,7 +3,7 @@
 //   cffs_fsck <image> [--repair]
 //
 // Exit status: 0 clean, 1 problems found (or repaired — rerun to confirm),
-// 2 usage / unmountable.
+// 2 usage / unusable image.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -11,6 +11,7 @@
 #include "src/disk/image.h"
 #include "src/fsck/fsck.h"
 #include "src/util/cli.h"
+#include "tools/image_machine.h"
 
 using namespace cffs;
 
@@ -23,26 +24,9 @@ int main(int argc, char** argv) {
   if (!bad.ok()) return UsageError(argv[0], bad, "<image> [--repair]");
   const std::string& path = paths[0];
 
-  SimClock clock;
-  auto disk = disk::LoadDiskImage(path, &clock);
-  if (!disk.ok()) return Fail("load", disk.status(), 2);
-  blk::BlockDevice dev(disk->get(), disk::SchedulerPolicy::kCLook);
-  cache::BufferCache cache(&dev, 4096);
-
-  Result<fsck::FsckReport> report = Corrupt("unmountable");
-  auto cfs = fs::CffsFileSystem::Mount(&cache, &clock,
-                                       fs::MetadataPolicy::kSynchronous);
-  std::unique_ptr<fs::FsBase> keep_alive;
-  if (cfs.ok()) {
-    report = fsck::CheckCffs(cfs->get(), {.repair = repair});
-    keep_alive = std::move(*cfs);
-  } else {
-    auto ffs = fs::FfsFileSystem::Mount(&cache, &clock,
-                                        fs::MetadataPolicy::kSynchronous);
-    if (!ffs.ok()) return Fail("mount", ffs.status(), 2);
-    report = fsck::CheckFfs(ffs->get(), {.repair = repair});
-    keep_alive = std::move(*ffs);
-  }
+  auto env = sim::SimEnv::OpenImage(path, ImageMachine());
+  if (!env.ok()) return Fail(path, env.status(), 2);
+  auto report = fsck::Check((*env)->fs_base(), {.repair = repair});
   if (!report.ok()) return Fail("fsck", report.status(), 2);
 
   std::printf("%llu files, %llu directories, %llu referenced blocks\n",
@@ -51,8 +35,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report->referenced_blocks));
   for (const auto& p : report->problems) std::printf("PROBLEM: %s\n", p.c_str());
   if (repair && report->repaired > 0) {
-    if (Status s = keep_alive->Sync(); !s.ok()) return Fail("sync", s, 2);
-    if (Status s = disk::SaveDiskImage(**disk, path); !s.ok()) {
+    if (Status s = (*env)->fs()->Sync(); !s.ok()) return Fail("sync", s, 2);
+    if (Status s = disk::SaveDiskImage((*env)->disk(), path); !s.ok()) {
       return Fail("save", s, 2);
     }
     std::printf("repaired %llu issue(s); image updated\n",

@@ -2,18 +2,16 @@
 //
 //   cffs_populate <image> [--files=40] [--dirs=4] [--seed=1]
 //
-// A bad argument prints a message and exits 2.
+// A bad argument or an unusable image prints a message and exits 2.
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "src/disk/image.h"
-#include "src/fs/cffs/cffs.h"
-#include "src/fs/common/path.h"
-#include "src/fs/ffs/ffs.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
+#include "tools/image_machine.h"
 
 using namespace cffs;
 
@@ -32,27 +30,9 @@ int main(int argc, char** argv) {
   }
   const std::string& path = paths[0];
 
-  SimClock clock;
-  auto disk = disk::LoadDiskImage(path, &clock);
-  if (!disk.ok()) return Fail("load", disk.status());
-  blk::BlockDevice dev(disk->get(), disk::SchedulerPolicy::kCLook);
-  cache::BufferCache cache(&dev, 4096);
-
-  std::unique_ptr<fs::FsBase> fsp;
-  if (auto cfs = fs::CffsFileSystem::Mount(&cache, &clock,
-                                           fs::MetadataPolicy::kSynchronous);
-      cfs.ok()) {
-    fsp = std::move(*cfs);
-  } else if (auto ffs = fs::FfsFileSystem::Mount(
-                 &cache, &clock, fs::MetadataPolicy::kSynchronous);
-             ffs.ok()) {
-    fsp = std::move(*ffs);
-  } else {
-    std::fprintf(stderr, "mount failed\n");
-    return 1;
-  }
-
-  fs::PathOps p(fsp.get());
+  auto env = sim::SimEnv::OpenImage(path, ImageMachine());
+  if (!env.ok()) return Fail(path, env.status(), 2);
+  fs::PathOps& p = (*env)->path();
   Rng rng(seed);
   for (uint64_t f = 0; f < files; ++f) {
     const std::string dir = "/demo" + std::to_string(f % dirs);
@@ -64,8 +44,8 @@ int main(int argc, char** argv) {
       return Fail("write", s);
     }
   }
-  if (auto s = fsp->Sync(); !s.ok()) return Fail("sync", s);
-  if (auto s = disk::SaveDiskImage(**disk, path); !s.ok()) {
+  if (auto s = (*env)->fs()->Sync(); !s.ok()) return Fail("sync", s);
+  if (auto s = disk::SaveDiskImage((*env)->disk(), path); !s.ok()) {
     return Fail("save", s);
   }
   std::printf("populated %s with %llu files in %llu dirs\n", path.c_str(),
