@@ -8,6 +8,9 @@
 //
 // Emits BENCH_fig5_smallfile.json: one row per (config, phase) with the
 // disk time breakdown, plus a full end-of-run MetricsSnapshot per config.
+// Exits 1 if a row's seek + rotation + transfer + overhead differs from its
+// busy time by 1 us or more, or a snapshot fails its counter invariants.
+#include <cmath>
 #include <cstdio>
 
 #include "bench/report.h"
@@ -44,6 +47,7 @@ int main(int argc, char** argv) {
     report.Set("params", std::move(p));
   }
   obs::Json snapshots = obs::Json::Object();
+  bool checks_ok = true;
 
   const sim::FsKind kinds[] = {
       sim::FsKind::kFfs, sim::FsKind::kConventional, sim::FsKind::kEmbedOnly,
@@ -82,11 +86,27 @@ int main(int argc, char** argv) {
       }
     }
     for (const auto& ph : result->phases) {
+      const double parts = ph.disk_seek_s + ph.disk_rotation_s +
+                           ph.disk_transfer_s + ph.disk_overhead_s;
+      if (std::abs(parts - ph.disk_busy_s) >= 1e-6) {
+        std::fprintf(stderr,
+                     "%s %s: seek+rotation+transfer+overhead %.9f s != "
+                     "busy %.9f s\n",
+                     sim::FsKindName(kind).c_str(), ph.phase.c_str(), parts,
+                     ph.disk_busy_s);
+        checks_ok = false;
+      }
       obs::Json row = bench::PhaseJson(ph);
       row.Set("config", sim::FsKindName(kind));
       report.AddRow(std::move(row));
     }
-    snapshots.Set(sim::FsKindName(kind), stats::Snapshot(**env).ToJson());
+    const stats::MetricsSnapshot snap = stats::Snapshot(**env);
+    for (const std::string& v : snap.CheckInvariants()) {
+      std::fprintf(stderr, "invariant violated [%s]: %s\n",
+                   sim::FsKindName(kind).c_str(), v.c_str());
+      checks_ok = false;
+    }
+    snapshots.Set(sim::FsKindName(kind), snap.ToJson());
     bench::AddSpans(&report, sim::FsKindName(kind), kind, config,
                     (*env)->spans()->breakdown());
   }
@@ -95,5 +115,5 @@ int main(int argc, char** argv) {
 
   std::printf("\nspeedup of c-ffs over conventional is printed by "
               "bench_diskaccesses along with request counts\n");
-  return 0;
+  return checks_ok ? 0 : 1;
 }

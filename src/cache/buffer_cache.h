@@ -177,7 +177,7 @@ class BufferCache {
   void Bind(BufferRef& ref, LogicalId id);
 
   // Insert `count` blocks of data read with one command (count *
-  // kBlockSize bytes from an IoEngine read completion) by physical
+  // kBlockSize bytes from an IoEngine::ReadRun) by physical
   // identity, each tagged with the run's flush unit. A block dirty on entry
   // or resident when reached keeps its cached (possibly newer) contents.
   // Inserted blocks other than `demand_bno` are marked staged for readahead
@@ -201,7 +201,7 @@ class BufferCache {
   // The write plan covering every dirty resident block: dirty blocks plus
   // clean gap-fillers that bridge small same-flush-unit gaps (so physically
   // near writes coalesce into one disk command), sorted by block number.
-  // Shared by SyncAll() and the syncer's engine-submitted flush epochs.
+  // Shared by SyncAll() and the syncer's flush epochs.
   // The WriteOps alias buffer memory: the plan is invalidated by any cache
   // mutation and must be issued (or dropped) before the next operation.
   std::vector<blk::WriteOp> BuildFlushPlan();

@@ -2,9 +2,9 @@
 // sparse sector store the mechanical model uses.
 //
 // FlashDevice substitutes for blk::BlockDevice behind the virtual
-// ReadRun/WriteRun/WriteBatch interface: the buffer cache, the IoEngine's
-// submission/completion queues, and both file systems dispatch through
-// the base pointer and never know which media they drive. Data still
+// ReadRun/WriteRun/WriteBatch interface: the buffer cache, the IoEngine
+// port and both file systems dispatch through the base pointer and never
+// know which media they drive. Data still
 // lives in the wrapped DiskModel's chunked store (via the time-free
 // PeekSector/PokeSector accessors), so disk-image serialization, crash
 // enumeration and sector fault injection keep working unchanged; only the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,34 @@ namespace cffs::fs {
 namespace {
 constexpr uint32_t kCffsMagic = 0x43464653;  // "CFFS"
 constexpr size_t kSbIfileOffset = 64;        // IFILE inode image in the superblock
+
+// Cylinder groups Format lays out on a device of `device_blocks` blocks.
+uint32_t CgCount(const CffsOptions& options, uint64_t device_blocks) {
+  return static_cast<uint32_t>((device_blocks - 1) / options.blocks_per_cg);
+}
+
+// The one parameter check: Format writes only options that pass it and
+// ReadOptions trusts only a superblock that does, so a mount accepts
+// exactly what Format writes. Returns the field at fault and why, or "".
+std::string OptionError(const CffsOptions& options, uint64_t device_blocks) {
+  if (options.blocks_per_cg < 64 || options.blocks_per_cg > kBlockSize * 8) {
+    return "blocks_per_cg " + std::to_string(options.blocks_per_cg) +
+           " outside [64, " + std::to_string(kBlockSize * 8) + "]";
+  }
+  if (options.group_blocks == 0 || options.group_blocks > 64) {
+    return "group_blocks " + std::to_string(options.group_blocks) +
+           " outside [1, 64]";
+  }
+  if (options.small_file_max_blocks > kDirectBlocks) {
+    return "small_file_max_blocks " +
+           std::to_string(options.small_file_max_blocks) + " > " +
+           std::to_string(kDirectBlocks) + " direct blocks";
+  }
+  if (CgCount(options, device_blocks) == 0) {
+    return "ncg 0: the device is smaller than one cylinder group";
+  }
+  return "";
+}
 }  // namespace
 
 CffsFileSystem::CffsFileSystem(cache::BufferCache* cache,
@@ -51,14 +80,10 @@ Result<std::unique_ptr<CffsFileSystem>> CffsFileSystem::Format(
     cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
     const CffsOptions& options, MetadataPolicy policy) {
   const uint64_t total = cache->device()->block_count();
-  if (options.blocks_per_cg > kBlockSize * 8 || options.group_blocks == 0 ||
-      options.group_blocks > 64 ||
-      options.small_file_max_blocks > kDirectBlocks) {
-    return InvalidArgument("bad C-FFS parameters");
+  if (std::string error = OptionError(options, total); !error.empty()) {
+    return InvalidArgument("C-FFS options: " + error);
   }
-  const uint32_t ncg =
-      static_cast<uint32_t>((total - 1) / options.blocks_per_cg);
-  if (ncg == 0) return InvalidArgument("device too small");
+  const uint32_t ncg = CgCount(options, total);
 
   auto fs = std::unique_ptr<CffsFileSystem>(
       new CffsFileSystem(cache, readahead, clock, policy, options, ncg));
@@ -88,9 +113,13 @@ Result<std::unique_ptr<CffsFileSystem>> CffsFileSystem::Format(
   return fs;
 }
 
+bool CffsFileSystem::IsSuperblock(std::span<const uint8_t> block0) {
+  return GetU32(block0, 0) == kCffsMagic;
+}
+
 Result<CffsOptions> CffsFileSystem::ReadOptions(
-    std::span<const uint8_t> block0) {
-  if (GetU32(block0, 0) != kCffsMagic) return Corrupt("bad C-FFS magic");
+    std::span<const uint8_t> block0, uint64_t device_blocks) {
+  if (!IsSuperblock(block0)) return Corrupt("bad C-FFS magic");
   CffsOptions options;
   options.blocks_per_cg = GetU32(block0, 4);
   options.embed_inodes = block0[12] != 0;
@@ -98,20 +127,30 @@ Result<CffsOptions> CffsFileSystem::ReadOptions(
   options.group_blocks = GetU16(block0, 14);
   options.small_file_max_blocks = GetU16(block0, 16);
   options.extent_alloc = block0[18] != 0;
+  if (std::string error = OptionError(options, device_blocks);
+      !error.empty()) {
+    return Corrupt("C-FFS superblock: " + error);
+  }
+  const uint32_t ncg = GetU32(block0, 8);
+  if (ncg != CgCount(options, device_blocks)) {
+    return Corrupt("C-FFS superblock: ncg " + std::to_string(ncg) + " != " +
+                   std::to_string(CgCount(options, device_blocks)) +
+                   " cylinder groups on this device");
+  }
   return options;
 }
 
 Result<std::unique_ptr<CffsFileSystem>> CffsFileSystem::Mount(
     cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
     MetadataPolicy policy) {
+  const uint64_t blocks = cache->device()->block_count();
   ASSIGN_OR_RETURN(cache::BufferRef sb, cache->Get(0));
-  ASSIGN_OR_RETURN(const CffsOptions options, ReadOptions(sb.data()));
-  const uint32_t ncg = GetU32(sb.data(), 8);
+  ASSIGN_OR_RETURN(const CffsOptions options, ReadOptions(sb.data(), blocks));
   InodeData ifile = InodeData::Decode(sb.data(), kSbIfileOffset);
   sb.Release();
 
-  auto fs = std::unique_ptr<CffsFileSystem>(
-      new CffsFileSystem(cache, readahead, clock, policy, options, ncg));
+  auto fs = std::unique_ptr<CffsFileSystem>(new CffsFileSystem(
+      cache, readahead, clock, policy, options, CgCount(options, blocks)));
   fs->ifile_ = ifile;
   RETURN_IF_ERROR(fs->alloc_->RecountFree());
   RETURN_IF_ERROR(fs->ScanExternalFreeSlots());

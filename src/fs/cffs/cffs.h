@@ -78,9 +78,14 @@ class CffsFileSystem : public FsBase {
       cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
       MetadataPolicy policy);
 
-  // The options a superblock image (block 0) records; Corrupt unless it
-  // is a C-FFS superblock.
-  static Result<CffsOptions> ReadOptions(std::span<const uint8_t> block0);
+  // Whether a superblock image (block 0) carries the C-FFS magic number.
+  static bool IsSuperblock(std::span<const uint8_t> block0);
+
+  // The options a superblock image (block 0) records; Corrupt, naming the
+  // field, unless they are what Format writes on a device of
+  // `device_blocks` blocks.
+  static Result<CffsOptions> ReadOptions(std::span<const uint8_t> block0,
+                                         uint64_t device_blocks);
 
   std::string name() const override;
   InodeNum root() const override { return kRootSlot; }

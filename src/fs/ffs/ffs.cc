@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "src/fs/common/bitmap.h"
 #include "src/util/bytes.h"
@@ -10,6 +11,36 @@ namespace cffs::fs {
 
 namespace {
 constexpr uint32_t kFfsMagic = 0x46465331;  // "FFS1"
+
+// Cylinder groups Format lays out on a device of `device_blocks` blocks.
+uint32_t CgCount(const FfsParams& params, uint64_t device_blocks) {
+  return static_cast<uint32_t>((device_blocks - 1) / params.blocks_per_cg);
+}
+
+// The one parameter check: Format writes only parameters that pass it and
+// ReadParams trusts only a superblock that does, so a mount accepts
+// exactly what Format writes. Returns the field at fault and why, or "".
+std::string ParamError(const FfsParams& params, uint64_t device_blocks) {
+  if (params.blocks_per_cg < 64 || params.blocks_per_cg > kBlockSize * 8) {
+    return "blocks_per_cg " + std::to_string(params.blocks_per_cg) +
+           " outside [64, " + std::to_string(kBlockSize * 8) + "]";
+  }
+  if (params.inodes_per_cg == 0 || params.inodes_per_cg % 32 != 0) {
+    return "inodes_per_cg " + std::to_string(params.inodes_per_cg) +
+           " is not a nonzero multiple of 32";
+  }
+  const uint64_t table =
+      uint64_t{params.inodes_per_cg} * kInodeSize / kBlockSize;
+  if (params.blocks_per_cg < table + 16) {
+    return "blocks_per_cg " + std::to_string(params.blocks_per_cg) +
+           " leaves no room for a " + std::to_string(table) +
+           "-block inode table plus 16 blocks";
+  }
+  if (CgCount(params, device_blocks) == 0) {
+    return "ncg 0: the device is smaller than one cylinder group";
+  }
+  return "";
+}
 }  // namespace
 
 FfsFileSystem::FfsFileSystem(cache::BufferCache* cache,
@@ -43,16 +74,10 @@ Result<std::unique_ptr<FfsFileSystem>> FfsFileSystem::Format(
     cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
     const FfsParams& params, MetadataPolicy policy) {
   const uint64_t total = cache->device()->block_count();
-  if (params.inodes_per_cg % 32 != 0 || params.blocks_per_cg > kBlockSize * 8) {
-    return InvalidArgument("bad FFS parameters");
+  if (std::string error = ParamError(params, total); !error.empty()) {
+    return InvalidArgument("FFS parameters: " + error);
   }
-  const uint32_t itb = params.inodes_per_cg * kInodeSize / kBlockSize;
-  if (params.blocks_per_cg < itb + 16) {
-    return InvalidArgument("cylinder group too small for inode table");
-  }
-  const uint32_t ncg =
-      static_cast<uint32_t>((total - 1) / params.blocks_per_cg);
-  if (ncg == 0) return InvalidArgument("device too small");
+  const uint32_t ncg = CgCount(params, total);
 
   auto fs = std::unique_ptr<FfsFileSystem>(
       new FfsFileSystem(cache, readahead, clock, policy, params, ncg));
@@ -101,24 +126,43 @@ Result<std::unique_ptr<FfsFileSystem>> FfsFileSystem::Format(
   return fs;
 }
 
-Result<FfsParams> FfsFileSystem::ReadParams(std::span<const uint8_t> block0) {
-  if (GetU32(block0, 0) != kFfsMagic) return Corrupt("bad FFS magic");
+bool FfsFileSystem::IsSuperblock(std::span<const uint8_t> block0) {
+  return GetU32(block0, 0) == kFfsMagic;
+}
+
+Result<FfsParams> FfsFileSystem::ReadParams(std::span<const uint8_t> block0,
+                                            uint64_t device_blocks) {
+  if (!IsSuperblock(block0)) return Corrupt("bad FFS magic");
   FfsParams params;
   params.blocks_per_cg = GetU32(block0, 4);
   params.inodes_per_cg = GetU32(block0, 8);
   params.extent_alloc = GetU32(block0, 24) != 0;
+  if (std::string error = ParamError(params, device_blocks); !error.empty()) {
+    return Corrupt("FFS superblock: " + error);
+  }
+  const uint32_t ncg = GetU32(block0, 12);
+  if (ncg != CgCount(params, device_blocks)) {
+    return Corrupt("FFS superblock: ncg " + std::to_string(ncg) + " != " +
+                   std::to_string(CgCount(params, device_blocks)) +
+                   " cylinder groups on this device");
+  }
+  const uint64_t blocks = GetU64(block0, 16);
+  if (blocks != device_blocks) {
+    return Corrupt("FFS superblock: block_count " + std::to_string(blocks) +
+                   " != the device's " + std::to_string(device_blocks));
+  }
   return params;
 }
 
 Result<std::unique_ptr<FfsFileSystem>> FfsFileSystem::Mount(
     cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
     MetadataPolicy policy) {
+  const uint64_t blocks = cache->device()->block_count();
   ASSIGN_OR_RETURN(cache::BufferRef sb, cache->Get(0));
-  ASSIGN_OR_RETURN(const FfsParams params, ReadParams(sb.data()));
-  const uint32_t ncg = GetU32(sb.data(), 12);
+  ASSIGN_OR_RETURN(const FfsParams params, ReadParams(sb.data(), blocks));
   sb.Release();
-  auto fs = std::unique_ptr<FfsFileSystem>(
-      new FfsFileSystem(cache, readahead, clock, policy, params, ncg));
+  auto fs = std::unique_ptr<FfsFileSystem>(new FfsFileSystem(
+      cache, readahead, clock, policy, params, CgCount(params, blocks)));
   RETURN_IF_ERROR(fs->alloc_->RecountFree());
   return fs;
 }

@@ -45,9 +45,14 @@ class FfsFileSystem : public FsBase {
       cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
       MetadataPolicy policy);
 
-  // The parameters a superblock image (block 0) records; Corrupt unless
-  // it is an FFS superblock.
-  static Result<FfsParams> ReadParams(std::span<const uint8_t> block0);
+  // Whether a superblock image (block 0) carries the FFS magic number.
+  static bool IsSuperblock(std::span<const uint8_t> block0);
+
+  // The parameters a superblock image (block 0) records; Corrupt, naming
+  // the field, unless they are what Format writes on a device of
+  // `device_blocks` blocks.
+  static Result<FfsParams> ReadParams(std::span<const uint8_t> block0,
+                                      uint64_t device_blocks);
 
   std::string name() const override { return "ffs"; }
   InodeNum root() const override { return kRootInum; }

@@ -1,118 +1,50 @@
-// Asynchronous I/O engine: submission/completion queues over BlockDevice.
+// The io layer's synchronous device port over BlockDevice.
 //
-// Modeled on SPDK-style poll-mode queue pairs: callers enqueue requests
-// (Submit*), the engine issues them in batches (Kick), and completions are
-// delivered by polling (Poll) — there are no threads and no interrupts,
-// which keeps the simulation deterministic. "Asynchronous" here means
-// *deferred and batched*: a submitted write does not touch the disk until
-// the next kick, and all writes queued at kick time are issued as ONE
+// The paper's two bulk transfers are each a single call to the device: a
+// group read brings a directory's small files into the cache with one read
+// (Readahead), and delayed write-back commits the dirty set as one
 // scheduler-ordered, run-coalesced WriteBatch — a single commit epoch, the
-// unit the ordering checker and the crash-state enumerator reason about.
-//
-// The submission queue has a bounded batching window: once `batch_window`
-// requests are queued, the next submit kicks automatically (the engine
-// never grows an unbounded queue). Reads are issued before writes at each
-// kick — in our stack queued reads are demand-critical readahead stages
-// while queued writes are background write-back.
+// unit the ordering checker and the crash-state enumerator reason about
+// (Syncer). Both calls issue at once and return the device's status; the
+// port only counts them.
 #ifndef CFFS_IO_IO_ENGINE_H_
 #define CFFS_IO_IO_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "src/blockdev/block_device.h"
 #include "src/io/io_stats.h"
-#include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/util/status.h"
 
 namespace cffs::io {
 
-// Completion callback: the request's final status. Runs during Poll(), in
-// submission order, never from inside Submit*.
-using IoCallback = std::function<void(const Status&)>;
-
 class IoEngine {
  public:
-  explicit IoEngine(blk::BlockDevice* dev, size_t batch_window = 64);
+  explicit IoEngine(blk::BlockDevice* dev) : dev_(dev) {}
 
   blk::BlockDevice* device() { return dev_; }
   IoEngineStats& stats() { return stats_; }
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
 
-  // Tags each submitted request with the op in flight; at kick time, disk
-  // work done for a *different* op is reclassified as that op's queue_wait
-  // rather than charged seek/rotation/transfer. nullptr disables.
-  void set_spans(obs::SpanTracker* spans) { spans_ = spans; }
+  // One read command: `count` blocks starting at `bno` into `out`
+  // (count * kBlockSize bytes).
+  Status ReadRun(uint64_t bno, uint32_t count, std::span<uint8_t> out) {
+    ++stats_.read_commands;
+    return dev_->ReadRun(bno, count, out);
+  }
 
-  // Enqueue one read of `count` blocks starting at `bno` into `out`
-  // (count * kBlockSize bytes, caller-owned until the callback runs).
-  uint64_t SubmitRead(uint64_t bno, uint32_t count, std::span<uint8_t> out,
-                      IoCallback on_complete = nullptr);
-
-  // Enqueue one block write. Data is caller-owned until the callback runs.
-  // Writes sharing a non-sentinel `unit` that end up adjacent in the
-  // scheduler's service order coalesce into one disk command.
-  uint64_t SubmitWrite(const blk::WriteOp& op, IoCallback on_complete = nullptr);
-
-  // Enqueue a whole write plan (see cache::BufferCache::BuildFlushPlan)
-  // under a single completion callback. The plan commits as one epoch with
-  // everything else queued at the next kick.
-  uint64_t SubmitWriteBatch(const std::vector<blk::WriteOp>& ops,
-                            IoCallback on_complete = nullptr);
-
-  // Issue everything queued: reads first (one command per request), then
-  // all writes as one scheduler-ordered WriteBatch (one commit epoch).
-  // Returns the number of requests moved to the completion queue.
-  size_t Kick();
-
-  // Deliver up to `max` completions (invoke callbacks). Returns how many.
-  size_t Poll(size_t max = SIZE_MAX);
-
-  // Kick + Poll until both queues are empty. Returns first error seen
-  // (all queued requests are still driven to completion).
-  Status Drain();
-
-  size_t queued() const { return sq_reads_.size() + sq_writes_.size(); }
-  size_t completions_pending() const { return cq_.size(); }
+  // One commit epoch: the device issues `ops` in its scheduler's order,
+  // and writes sharing a non-sentinel `unit` that end up adjacent coalesce
+  // into one command.
+  Status WriteBatch(const std::vector<blk::WriteOp>& ops) {
+    ++stats_.write_epochs;
+    return dev_->WriteBatch(ops);
+  }
 
  private:
-  struct ReadReq {
-    uint64_t id = 0;
-    uint64_t op_id = 0;  // fs op in flight at submit time (0 = none)
-    uint64_t bno = 0;
-    uint32_t count = 0;
-    std::span<uint8_t> out;
-    IoCallback cb;
-  };
-  struct WriteReq {
-    uint64_t id = 0;
-    uint64_t op_id = 0;  // fs op in flight at submit time (0 = none)
-    std::vector<blk::WriteOp> ops;  // one entry for SubmitWrite
-    IoCallback cb;
-  };
-  struct Completion {
-    uint64_t id = 0;
-    Status status;
-    IoCallback cb;
-  };
-
-  void NoteQueued();
-  void MaybeAutoKick();
-
   blk::BlockDevice* dev_;
-  size_t batch_window_;
-  uint64_t next_id_ = 1;
   IoEngineStats stats_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::SpanTracker* spans_ = nullptr;
-
-  std::deque<ReadReq> sq_reads_;
-  std::deque<WriteReq> sq_writes_;
-  std::deque<Completion> cq_;
 };
 
 }  // namespace cffs::io

@@ -1,4 +1,4 @@
-// Plain counter structs for the async I/O subsystem (engine, syncer,
+// Plain counter structs for the I/O subsystem (device port, syncer,
 // readahead). Kept in a dependency-free header so stats::MetricsSnapshot can
 // embed them without linking against cffs_io.
 #ifndef CFFS_IO_IO_STATS_H_
@@ -8,19 +8,9 @@
 
 namespace cffs::io {
 
-// Invariant (checked by stats::MetricsSnapshot::CheckInvariants): every
-// submitted request is either completed or still in flight, so
-// completed + inflight == submitted_reads + submitted_writes.
 struct IoEngineStats {
-  uint64_t submitted_reads = 0;
-  uint64_t submitted_writes = 0;
-  uint64_t completed = 0;
-  uint64_t inflight = 0;      // gauge: submitted, completion not yet polled
-  uint64_t kicks = 0;         // explicit + automatic issue rounds
-  uint64_t auto_kicks = 0;    // kicks forced by a full submission queue
   uint64_t write_epochs = 0;  // WriteBatch commands issued (one epoch each)
   uint64_t read_commands = 0; // ReadRun commands issued
-  uint64_t max_queue_depth = 0;
   void Reset() { *this = IoEngineStats{}; }
 };
 

@@ -44,8 +44,7 @@ Status Readahead::Stage(uint64_t start_bno, uint32_t count,
   if (count == 0) return InvalidArgument("empty readahead stage");
   stats_.blocks_requested += count;
   std::vector<uint8_t> raw(static_cast<size_t>(count) * blk::kBlockSize);
-  engine_->SubmitRead(start_bno, count, raw);
-  RETURN_IF_ERROR(engine_->Drain());
+  RETURN_IF_ERROR(engine_->ReadRun(start_bno, count, raw));
   if (trace_) {
     obs::TraceEvent e;
     e.kind = obs::EventKind::kReadaheadStage;

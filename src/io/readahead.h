@@ -1,6 +1,6 @@
 // Group-granular readahead with a sequential ramp.
 //
-// Two prefetch shapes, both staged through the IoEngine and inserted into
+// Two prefetch shapes, both read through the IoEngine and inserted into
 // the buffer cache by physical identity (paper §3: group blocks enter the
 // cache "with an invalid file/offset identity" and are claimed later):
 //

@@ -75,7 +75,6 @@ Status Syncer::FlushNow(FlushTrigger trigger) {
   last_flush_ns_ = now_ns();
   if (plan.empty()) return OkStatus();
 
-  Status status = OkStatus();
   if (mutation_ == SyncerMutation::kSyncerReorder) {
     // Buggy variant (see header): per-block epochs, descending block number.
     std::vector<blk::WriteOp> reversed = plan;
@@ -83,16 +82,15 @@ Status Syncer::FlushNow(FlushTrigger trigger) {
               [](const blk::WriteOp& a, const blk::WriteOp& b) {
                 return a.bno > b.bno;
               });
+    Status status = OkStatus();
     for (const blk::WriteOp& op : reversed) {
-      engine_->SubmitWriteBatch({op});
-      Status s = engine_->Drain();  // each drain issues its own epoch
+      Status s = engine_->WriteBatch({op});  // each op its own epoch
       if (!s.ok() && status.ok()) status = s;
     }
+    RETURN_IF_ERROR(status);
   } else {
-    engine_->SubmitWriteBatch(plan);
-    status = engine_->Drain();
+    RETURN_IF_ERROR(engine_->WriteBatch(plan));
   }
-  RETURN_IF_ERROR(status);
 
   const size_t cleaned = cache_->NoteFlushed(plan);
   ++stats_.flushes;

@@ -5,7 +5,6 @@ namespace cffs::obs {
 Json ToJson(const TimeSample& s) {
   Json j = Json::Object();
   j.Set("ts_ns", s.ts_ns);
-  j.Set("queue_depth", s.queue_depth);
   j.Set("dirty_blocks", s.dirty_blocks);
   j.Set("resident_blocks", s.resident_blocks);
   j.Set("throttle_flushes", s.throttle_flushes);
@@ -39,7 +38,6 @@ void TimeSeriesSampler::Record(const TimeSample& sample) {
     TraceEvent e;
     e.kind = EventKind::kCounterSample;
     e.ts_ns = sample.ts_ns;
-    e.a = sample.queue_depth;
     e.b = sample.dirty_blocks;
     e.aux = sample.resident_blocks;
     e.op_id = sample.throttle_flushes;

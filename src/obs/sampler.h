@@ -2,17 +2,17 @@
 //
 // The stack's counters answer "how much in total"; the sampler answers
 // "when". At a fixed simulated-time interval (SimEnv checks at every op
-// boundary) it records one TimeSample gauge row — I/O queue depth, dirty
-// buffer count, cache occupancy, throttle activity and disk utilization
-// over the elapsed interval — into a bounded series. When the series
-// fills it decimates (keeps every other sample and doubles the interval),
-// so memory stays bounded on arbitrarily long runs while the full run
+// boundary) it records one TimeSample gauge row — dirty buffer count,
+// cache occupancy, throttle activity and disk utilization over the
+// elapsed interval — into a bounded series. When the series fills it
+// decimates (keeps every other sample and doubles the interval), so
+// memory stays bounded on arbitrarily long runs while the full run
 // remains covered.
 //
 // Each sample is also emitted as a kCounterSample trace event, which
 // TraceRecorder::ToChromeJson expands into Chrome counter tracks ("ph":
-// "C") — queue depth, dirty/resident blocks and disk utilization render
-// as stacked area charts under the event lanes in perfetto.
+// "C") — dirty/resident blocks and disk utilization render as stacked
+// area charts under the event lanes in perfetto.
 #ifndef CFFS_OBS_SAMPLER_H_
 #define CFFS_OBS_SAMPLER_H_
 
@@ -27,7 +27,6 @@ namespace cffs::obs {
 
 struct TimeSample {
   int64_t ts_ns = 0;
-  uint64_t queue_depth = 0;      // engine submission + completion queues
   uint64_t dirty_blocks = 0;     // buffer cache dirty count
   uint64_t resident_blocks = 0;  // buffer cache occupancy
   uint64_t throttle_flushes = 0; // throttle flushes since the last sample
@@ -40,7 +39,7 @@ struct TimeSample {
   uint64_t mt_suspended = 0;
   // Sharded runs (src/shard): which shard's SimEnv recorded this sample.
   // Each shard has its own sampler, so its series IS that shard's
-  // dirty/queue-depth gauge track; the id tags rows when tools merge the
+  // dirty-block gauge track; the id tags rows when tools merge the
   // per-shard series. 0 (and a 0 tag) outside sharded runs.
   uint32_t shard_id = 0;
 };

@@ -13,9 +13,7 @@
 //   cache_hit      buffer-cache / dentry / inode-cache hits. Hits cost no
 //                  simulated time, so this phase carries counts, not ns —
 //                  it is the "work avoided" column of the attribution.
-//   queue_wait     waiting on I/O submitted by someone else: background
-//                  deadline flushes absorbed at the op boundary, or foreign
-//                  engine requests serviced inside this op's kick
+//   queue_wait     deadline flushes absorbed at the op boundary
 //   throttle_stall writer stalled at the dirty high-watermark while the
 //                  syncer flushed (the kIoThrottle duration)
 //   seek           disk arm movement           +
@@ -171,10 +169,6 @@ class SpanTracker {
   // phases fold into its parent at EndOp so the parent stays exact.
   void BeginOp(FsOp op, uint64_t op_id, int64_t now_ns);
   void EndOp(int64_t now_ns);
-  bool in_op() const { return !stack_.empty(); }
-  uint64_t current_op_id() const {
-    return stack_.empty() ? 0 : stack_.back().op_id;
-  }
 
   // Marks an op boundary (SimEnv::ChargeCpu): until the next depth-0
   // BeginOp, attributed time accumulates in a pending window that the next
@@ -204,10 +198,10 @@ class SpanTracker {
   void CountHit();
 
   // Reclassifies everything attributed while in scope (throttle flushes →
-  // kThrottleStall, background deadline flushes and foreign engine
-  // requests → kQueueWait). The outermost override wins; nested scopes
-  // keep the existing phase. Null tracker is a no-op, so call sites can
-  // pass their maybe-unwired pointer directly.
+  // kThrottleStall, background deadline flushes → kQueueWait). The
+  // outermost override wins; nested scopes keep the existing phase. Null
+  // tracker is a no-op, so call sites can pass their maybe-unwired
+  // pointer directly.
   class OverrideScope {
    public:
     OverrideScope(SpanTracker* tracker, Phase phase);

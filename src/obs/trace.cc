@@ -88,20 +88,17 @@ void AppendUs(std::string* out, const char* key, int64_t ns) {
 // tables, so no string escaping is needed on this hot path.
 void AppendEvent(std::string* out, const TraceEvent& e) {
   if (e.kind == EventKind::kCounterSample) {
-    // Telemetry gauges expand into three counter tracks (ph "C"): the
-    // queue/cache series render as stacked areas in perfetto.
+    // Telemetry gauges expand into two counter tracks (ph "C"): the cache
+    // series renders as stacked areas in perfetto.
     char buf[384];
     const double ts = static_cast<double>(e.ts_ns) / 1e3;
     std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"io queue\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,"
-                  "\"args\":{\"depth\":%llu}},"
                   "{\"name\":\"buffer cache\",\"ph\":\"C\",\"ts\":%.3f,"
                   "\"pid\":1,\"args\":{\"dirty\":%llu,\"clean\":%llu}},"
                   "{\"name\":\"disk util (permille)\",\"ph\":\"C\","
                   "\"ts\":%.3f,\"pid\":1,\"args\":{\"busy\":%lld,"
                   "\"throttle_flushes\":%llu}}",
-                  ts, static_cast<unsigned long long>(e.a), ts,
-                  static_cast<unsigned long long>(e.b),
+                  ts, static_cast<unsigned long long>(e.b),
                   static_cast<unsigned long long>(
                       e.aux >= e.b ? e.aux - e.b : 0),
                   ts, static_cast<long long>(e.seek_ns),
@@ -109,7 +106,7 @@ void AppendEvent(std::string* out, const TraceEvent& e) {
     *out += buf;
     if (e.rotation_ns != 0 || e.transfer_ns != 0) {
       // Multi-tenant gauges (see obs/sampler.h): ready client queue depth
-      // and suspended-client count as a fourth counter track, emitted only
+      // and suspended-client count as a third counter track, emitted only
       // when the sample carries them so single-tenant traces are unchanged.
       std::snprintf(buf, sizeof buf,
                     ",{\"name\":\"mt clients\",\"ph\":\"C\",\"ts\":%.3f,"

@@ -50,9 +50,9 @@ enum class EventKind : uint8_t {
                    // (a = dirty count at the time, dur = stall time the
                    // flush cost the writer)
   kCounterSample,  // periodic telemetry gauges (see obs/sampler.h):
-                   // a = queue depth, b = dirty blocks, aux = resident
-                   // blocks, op_id = throttle flushes since last sample,
-                   // seek_ns = disk busy permille over the interval.
+                   // b = dirty blocks, aux = resident blocks, op_id =
+                   // throttle flushes since last sample, seek_ns = disk
+                   // busy permille over the interval.
                    // Rendered as Chrome counter tracks (ph "C").
   kFlashIo,        // one flash command window (flag = write; a = first
                    // block, b = block count, aux = commit epoch for

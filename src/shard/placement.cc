@@ -2,26 +2,6 @@
 
 namespace cffs::shard {
 
-const char* PlacementPolicyName(PlacementPolicy policy) {
-  switch (policy) {
-    case PlacementPolicy::kJump: return "jump";
-    case PlacementPolicy::kMod: return "mod";
-  }
-  return "?";
-}
-
-bool ParsePlacementPolicy(std::string_view name, PlacementPolicy* out) {
-  if (name == "jump") {
-    *out = PlacementPolicy::kJump;
-    return true;
-  }
-  if (name == "mod") {
-    *out = PlacementPolicy::kMod;
-    return true;
-  }
-  return false;
-}
-
 std::string NormalizeDirPath(std::string_view path) {
   std::string out = "/";
   size_t i = 0;
@@ -67,23 +47,17 @@ uint32_t JumpConsistentHash(uint64_t key, uint32_t buckets) {
   return static_cast<uint32_t>(b);
 }
 
-uint32_t ShardForDir(std::string_view dir_path, uint32_t shards,
-                     PlacementPolicy policy) {
+uint32_t ShardForDir(std::string_view dir_path, uint32_t shards) {
   if (shards <= 1) return 0;
   std::string norm = NormalizeDirPath(dir_path);
   // The root directory is replicated as a skeleton on every shard; its
   // canonical owner is shard 0 so ReadDir("/") has a stable home.
   if (norm == "/") return 0;
-  uint64_t key = DirPlacementKey(norm);
-  if (policy == PlacementPolicy::kMod) {
-    return static_cast<uint32_t>(key % shards);
-  }
-  return JumpConsistentHash(key, shards);
+  return JumpConsistentHash(DirPlacementKey(norm), shards);
 }
 
-uint32_t ShardForFile(std::string_view file_path, uint32_t shards,
-                      PlacementPolicy policy) {
-  return ShardForDir(ParentDirPath(file_path), shards, policy);
+uint32_t ShardForFile(std::string_view file_path, uint32_t shards) {
+  return ShardForDir(ParentDirPath(file_path), shards);
 }
 
 }  // namespace cffs::shard

@@ -14,9 +14,7 @@
 // table — the mapping is identical across router instances, process
 // restarts and remounts, and when the declared shard count grows from M
 // to M+1 only ~1/(M+1) of directories move, all of them onto the NEW
-// shard (the determinism test pins both properties). kMod is the naive
-// `hash % shards` baseline kept for ablation: it reshuffles ~half the
-// namespace on every shard-count change.
+// shard (the determinism test pins both properties).
 #ifndef CFFS_SHARD_PLACEMENT_H_
 #define CFFS_SHARD_PLACEMENT_H_
 
@@ -25,11 +23,6 @@
 #include <string_view>
 
 namespace cffs::shard {
-
-enum class PlacementPolicy : uint8_t { kJump, kMod };
-
-const char* PlacementPolicyName(PlacementPolicy policy);
-bool ParsePlacementPolicy(std::string_view name, PlacementPolicy* out);
 
 // Canonical form of an absolute directory path: leading '/', no trailing
 // '/', empty components dropped ("/a//b/" -> "/a/b", "" -> "/").
@@ -45,14 +38,12 @@ uint64_t DirPlacementKey(std::string_view normalized_dir);
 uint32_t JumpConsistentHash(uint64_t key, uint32_t buckets);
 
 // Owning shard of a directory (the path is normalized internally).
-uint32_t ShardForDir(std::string_view dir_path, uint32_t shards,
-                     PlacementPolicy policy = PlacementPolicy::kJump);
+uint32_t ShardForDir(std::string_view dir_path, uint32_t shards);
 
 // Owning shard of a file: its parent directory's shard, always — this is
 // the group-affinity rule (a directory's embedded-inode group, directory
 // block and member file data all land on one shard's disk).
-uint32_t ShardForFile(std::string_view file_path, uint32_t shards,
-                      PlacementPolicy policy = PlacementPolicy::kJump);
+uint32_t ShardForFile(std::string_view file_path, uint32_t shards);
 
 }  // namespace cffs::shard
 

@@ -122,15 +122,12 @@ const char* XStepName(XStep step) {
   return "?";
 }
 
-ShardRouter::ShardRouter(PlacementPolicy placement, sim::SimConfig config)
-    : placement_(placement), config_(std::move(config)) {}
+ShardRouter::ShardRouter(sim::SimConfig config) : config_(std::move(config)) {}
 
 Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
-    sim::FsKind kind, const sim::SimConfig& config,
-    PlacementPolicy placement) {
+    sim::FsKind kind, const sim::SimConfig& config) {
   uint32_t shards = config.shards == 0 ? 1 : config.shards;
-  auto router =
-      std::unique_ptr<ShardRouter>(new ShardRouter(placement, config));
+  auto router = std::unique_ptr<ShardRouter>(new ShardRouter(config));
   router->envs_.reserve(shards);
   for (uint32_t i = 0; i < shards; ++i) {
     ASSIGN_OR_RETURN(auto env, sim::SimEnv::Create(kind, config));
@@ -144,11 +141,11 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
 }
 
 uint32_t ShardRouter::OwnerOfDir(std::string_view path) const {
-  return ShardForDir(path, static_cast<uint32_t>(envs_.size()), placement_);
+  return ShardForDir(path, static_cast<uint32_t>(envs_.size()));
 }
 
 uint32_t ShardRouter::OwnerOfFile(std::string_view path) const {
-  return ShardForFile(path, static_cast<uint32_t>(envs_.size()), placement_);
+  return ShardForFile(path, static_cast<uint32_t>(envs_.size()));
 }
 
 Status ShardRouter::ValidatePath(std::string_view path) const {

@@ -103,15 +103,13 @@ struct RouterStats {
 class ShardRouter {
  public:
   // Builds M shards of the given kind, each formatted fresh with `config`
-  // (config.shards selects M; 0 means 1), placing directories by
-  // `placement`. Every shard gets the same disk/cache/syncer configuration
-  // — M disks of hardware, not one disk split M ways.
+  // (config.shards selects M; 0 means 1). Every shard gets the same
+  // disk/cache/syncer configuration — M disks of hardware, not one disk
+  // split M ways.
   static Result<std::unique_ptr<ShardRouter>> Create(
-      sim::FsKind kind, const sim::SimConfig& config,
-      PlacementPolicy placement = PlacementPolicy::kJump);
+      sim::FsKind kind, const sim::SimConfig& config);
 
   uint32_t shards() const { return static_cast<uint32_t>(envs_.size()); }
-  PlacementPolicy placement() const { return placement_; }
   sim::SimEnv* env(uint32_t shard) { return envs_[shard].get(); }
   const RouterStats& stats() const { return stats_; }
 
@@ -171,7 +169,7 @@ class ShardRouter {
   void set_mutation(std::string mutation) { mutation_ = std::move(mutation); }
 
  private:
-  ShardRouter(PlacementPolicy placement, sim::SimConfig config);
+  explicit ShardRouter(sim::SimConfig config);
 
   // Rejects empty/relative paths and anything under kJournalDir.
   Status ValidatePath(std::string_view path) const;
@@ -197,7 +195,6 @@ class ShardRouter {
                      const std::string& from, const std::string& to,
                      uint64_t src_size_hint);
 
-  PlacementPolicy placement_;
   sim::SimConfig config_;
   std::vector<std::unique_ptr<sim::SimEnv>> envs_;
   RouterStats stats_;

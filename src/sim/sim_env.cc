@@ -36,7 +36,6 @@ SimEnv::SimEnv(FsKind kind, const SimConfig& config)
                                                 config.cache_blocks);
   cache_->set_spans(spans_.get());
   engine_ = std::make_unique<io::IoEngine>(device_.get());
-  engine_->set_spans(spans_.get());
   readahead_ = std::make_unique<io::Readahead>(cache_.get(), engine_.get());
   if (config.syncer) {
     io::SyncerOptions so;
@@ -111,18 +110,23 @@ Result<std::unique_ptr<SimEnv>> SimEnv::Open(
   std::vector<uint8_t> sb(blk::kBlockSize);
   env->disk_->PeekSector(0, sb);
   SimConfig& c = env->config_;
-  if (auto ffs = fs::FfsFileSystem::ReadParams(sb); ffs.ok()) {
+  const uint64_t blocks = env->device_->block_count();
+  if (fs::FfsFileSystem::IsSuperblock(sb)) {
+    ASSIGN_OR_RETURN(const fs::FfsParams ffs,
+                     fs::FfsFileSystem::ReadParams(sb, blocks));
     env->kind_ = FsKind::kFfs;
-    c.blocks_per_cg = ffs->blocks_per_cg;
-    c.extent_alloc = ffs->extent_alloc;
-  } else if (auto cffs = fs::CffsFileSystem::ReadOptions(sb); cffs.ok()) {
-    env->kind_ = cffs->embed_inodes
-                     ? (cffs->grouping ? FsKind::kCffs : FsKind::kEmbedOnly)
-                     : (cffs->grouping ? FsKind::kGroupOnly
-                                       : FsKind::kConventional);
-    c.blocks_per_cg = cffs->blocks_per_cg;
-    c.group_blocks = cffs->group_blocks;
-    c.extent_alloc = cffs->extent_alloc;
+    c.blocks_per_cg = ffs.blocks_per_cg;
+    c.extent_alloc = ffs.extent_alloc;
+  } else if (fs::CffsFileSystem::IsSuperblock(sb)) {
+    ASSIGN_OR_RETURN(const fs::CffsOptions cffs,
+                     fs::CffsFileSystem::ReadOptions(sb, blocks));
+    env->kind_ = cffs.embed_inodes
+                     ? (cffs.grouping ? FsKind::kCffs : FsKind::kEmbedOnly)
+                     : (cffs.grouping ? FsKind::kGroupOnly
+                                      : FsKind::kConventional);
+    c.blocks_per_cg = cffs.blocks_per_cg;
+    c.group_blocks = cffs.group_blocks;
+    c.extent_alloc = cffs.extent_alloc;
   } else {
     return Corrupt("no FFS or C-FFS superblock");
   }
@@ -149,7 +153,6 @@ void SimEnv::AttachTrace() {
   disk_->set_trace(t);
   device_->set_trace(t);
   cache_->set_trace(t);
-  engine_->set_trace(t);
   if (syncer_) syncer_->set_trace(t);
   readahead_->set_trace(t);
   if (fs_) fs_->set_trace(t);
@@ -177,7 +180,6 @@ void SimEnv::ChargeCpu(uint64_t bytes) {
   if (sampler_->Due(now)) {
     obs::TimeSample s;
     s.ts_ns = now;
-    s.queue_depth = engine_->queued() + engine_->completions_pending();
     s.dirty_blocks = cache_->dirty_count();
     s.resident_blocks = cache_->size();
     const uint64_t flushes = syncer_ ? syncer_->stats().throttle_flushes : 0;

@@ -59,15 +59,8 @@ Json ToJson(const cache::CacheStats& s) {
 
 Json ToJson(const io::IoEngineStats& s) {
   Json j = Json::Object();
-  j.Set("submitted_reads", s.submitted_reads);
-  j.Set("submitted_writes", s.submitted_writes);
-  j.Set("completed", s.completed);
-  j.Set("inflight", s.inflight);
-  j.Set("kicks", s.kicks);
-  j.Set("auto_kicks", s.auto_kicks);
   j.Set("write_epochs", s.write_epochs);
   j.Set("read_commands", s.read_commands);
-  j.Set("max_queue_depth", s.max_queue_depth);
   return j;
 }
 
@@ -270,14 +263,6 @@ std::vector<std::string> MetricsSnapshot::CheckInvariants() const {
          static_cast<unsigned long long>(fs_ops.lookups));
   }
 
-  if (io_engine.completed + io_engine.inflight !=
-      io_engine.submitted_reads + io_engine.submitted_writes) {
-    fail("io engine: completed (%llu) + inflight (%llu) != submitted (%llu)",
-         static_cast<unsigned long long>(io_engine.completed),
-         static_cast<unsigned long long>(io_engine.inflight),
-         static_cast<unsigned long long>(io_engine.submitted_reads +
-                                         io_engine.submitted_writes));
-  }
   if (cache.readahead_hits + cache.readahead_wasted > cache.readahead_staged) {
     fail("readahead: hits (%llu) + wasted (%llu) > staged (%llu)",
          static_cast<unsigned long long>(cache.readahead_hits),

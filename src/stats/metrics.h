@@ -81,7 +81,6 @@ struct MetricsSnapshot {
   //     flash run the comparison targets the flash command counters, and
   //     flash busy time must equal overhead + wait + read + program + erase
   //     exactly (integer nanoseconds, no tolerance)
-  //   - io engine: completed + inflight == submitted (reads + writes)
   //   - readahead: staged blocks resolve to at most one of hit / wasted,
   //     so hits + wasted <= staged
   //   - syncer epochs only clean blocks the cache counted as writebacks,

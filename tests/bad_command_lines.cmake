@@ -31,6 +31,8 @@ set(cases
   "cffs_run|shards=2|--workload=xshard|--txns=0|--check-ordering"
   # The in-process mode moved to cffs_run --check-ordering.
   "cffs_ordercheck|--run|fs=ffs"
+  # Jump hashing is the only directory placement; the flag is gone.
+  "cffs_run|shards=2|--workload=mt|--placement=jump"
   # Image tools: debug command lines are checked whole before the image is
   # read (no IMG exists), then a bad file-system name and a flag the config
   # keys replaced.

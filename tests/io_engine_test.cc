@@ -1,9 +1,9 @@
-// Tests for the async I/O subsystem (src/io): submission/completion queue
-// mechanics and epoch merging in the engine, the syncer's deadline and
-// watermark triggers (and the writer backpressure they provide), the
-// readahead ramp and its accuracy accounting, and the determinism
-// guarantee — a delayed-write run driven by the syncer must converge to
-// exactly the bytes the synchronous path writes.
+// Tests for the I/O subsystem (src/io): the syncer's deadline and
+// watermark triggers (and the writer backpressure they provide), its
+// one-epoch flush through the device port, the readahead ramp and its
+// accuracy accounting, a device error under a group read, and the
+// determinism guarantee — a delayed-write run driven by the syncer must
+// converge to exactly the bytes the synchronous path writes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,7 +25,7 @@ class IoTest : public ::testing::Test {
       : model_(disk::TestDisk(256, 4, 64), &clock_),
         dev_(&model_, disk::SchedulerPolicy::kCLook),
         cache_(&dev_, 64),
-        engine_(&dev_, /*batch_window=*/8) {}
+        engine_(&dev_) {}
 
   // Dirty one zero-filled block through the cache.
   void DirtyBlock(uint64_t bno, uint8_t fill) {
@@ -41,105 +41,6 @@ class IoTest : public ::testing::Test {
   cache::BufferCache cache_;
   io::IoEngine engine_;
 };
-
-// --- IoEngine -------------------------------------------------------------
-
-TEST_F(IoTest, WritesWaitForKickThenMergeIntoOneEpoch) {
-  std::vector<std::vector<uint8_t>> bufs;
-  std::vector<int> completion_order;
-  for (int i = 0; i < 3; ++i) {
-    bufs.emplace_back(blk::kBlockSize, static_cast<uint8_t>(i + 1));
-  }
-  for (int i = 0; i < 3; ++i) {
-    blk::WriteOp op;
-    op.bno = 10 + static_cast<uint64_t>(i);
-    op.data = bufs[i].data();
-    op.unit = 7;  // same unit, adjacent: must coalesce
-    engine_.SubmitWrite(op, [&completion_order, i](const Status& s) {
-      EXPECT_TRUE(s.ok()) << s.ToString();
-      completion_order.push_back(i);
-    });
-  }
-  // Nothing reaches the disk before the kick.
-  EXPECT_EQ(engine_.queued(), 3u);
-  EXPECT_EQ(dev_.stats().writes, 0u);
-
-  engine_.Kick();
-  EXPECT_EQ(engine_.queued(), 0u);
-  EXPECT_EQ(engine_.stats().write_epochs, 1u);
-  EXPECT_EQ(dev_.stats().writes, 1u);  // one coalesced command
-  EXPECT_EQ(dev_.stats().blocks_written, 3u);
-
-  // Completions are delivered by polling, in submission order.
-  EXPECT_EQ(engine_.completions_pending(), 3u);
-  EXPECT_EQ(engine_.Poll(), 3u);
-  EXPECT_EQ(completion_order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(engine_.stats().inflight, 0u);
-  EXPECT_EQ(engine_.stats().completed, 3u);
-
-  std::vector<uint8_t> back(blk::kBlockSize);
-  ASSERT_TRUE(dev_.ReadRun(11, 1, back).ok());
-  EXPECT_EQ(back[0], 2);
-}
-
-TEST_F(IoTest, ReadCompletionCarriesDataAndStatus) {
-  std::vector<uint8_t> payload(blk::kBlockSize, 0x5c);
-  blk::WriteOp op;
-  op.bno = 33;
-  op.data = payload.data();
-  engine_.SubmitWrite(op);
-  ASSERT_TRUE(engine_.Drain().ok());
-
-  std::vector<uint8_t> out(2 * blk::kBlockSize, 0);
-  bool completed = false;
-  engine_.SubmitRead(33, 2, out, [&completed](const Status& s) {
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    completed = true;
-  });
-  EXPECT_FALSE(completed);  // callbacks never run inside Submit
-  ASSERT_TRUE(engine_.Drain().ok());
-  EXPECT_TRUE(completed);
-  EXPECT_EQ(out[0], 0x5c);
-  EXPECT_EQ(engine_.stats().read_commands, 1u);
-}
-
-TEST_F(IoTest, SubmissionQueueAutoKicksAtBatchWindow) {
-  std::vector<std::vector<uint8_t>> bufs;
-  for (int i = 0; i < 8; ++i) {
-    bufs.emplace_back(blk::kBlockSize, static_cast<uint8_t>(i));
-  }
-  for (int i = 0; i < 8; ++i) {
-    blk::WriteOp op;
-    op.bno = 100 + static_cast<uint64_t>(i);
-    op.data = bufs[i].data();
-    engine_.SubmitWrite(op);
-  }
-  // The 8th submit hit the window: the queue kicked itself.
-  EXPECT_EQ(engine_.stats().auto_kicks, 1u);
-  EXPECT_EQ(engine_.queued(), 0u);
-  EXPECT_EQ(engine_.completions_pending(), 8u);
-  EXPECT_EQ(engine_.stats().max_queue_depth, 8u);
-  engine_.Poll();
-  EXPECT_EQ(engine_.stats().completed, 8u);
-}
-
-TEST_F(IoTest, DrainReportsErrorAndStillCompletesEverything) {
-  std::vector<uint8_t> data(blk::kBlockSize, 1);
-  blk::WriteOp good;
-  good.bno = 5;
-  good.data = data.data();
-  blk::WriteOp bad;
-  bad.bno = 1ull << 40;  // far past the end of the device
-  bad.data = data.data();
-  int callbacks = 0;
-  engine_.SubmitWrite(good, [&callbacks](const Status&) { ++callbacks; });
-  engine_.SubmitWrite(bad, [&callbacks](const Status&) { ++callbacks; });
-  const Status s = engine_.Drain();
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(callbacks, 2);  // every request completed, error or not
-  EXPECT_EQ(engine_.stats().inflight, 0u);
-  EXPECT_EQ(engine_.stats().completed, 2u);
-}
 
 // --- Syncer ---------------------------------------------------------------
 
@@ -194,7 +95,6 @@ TEST_F(IoTest, SyncerFlushGoesThroughTheEngineAsOneEpoch) {
   io::Syncer syncer(&cache_, &engine_, so);
   for (uint64_t b : {50, 10, 30}) DirtyBlock(b, 1);
   ASSERT_TRUE(syncer.FlushNow().ok());
-  EXPECT_EQ(engine_.stats().submitted_writes, 1u);  // one batched plan
   EXPECT_EQ(engine_.stats().write_epochs, 1u);
   EXPECT_EQ(cache_.stats().writebacks, 3u);
 }
@@ -278,6 +178,52 @@ TEST(IoEndToEndTest, SyncerBoundsDirtyDataUnderCreateStorm) {
   // All cross-layer counter invariants hold on a syncer-enabled run.
   const auto violations = snap.CheckInvariants();
   EXPECT_TRUE(violations.empty()) << violations.front();
+}
+
+TEST(IoEndToEndTest, GroupStageReadErrorFailsTheReadAndStagesNothing) {
+  // A device error under a group read must reach the file read that
+  // caused it, with nothing staged or inserted; once the fault clears, the
+  // same read stages the group and returns the file's bytes.
+  for (const char* device : {"spinning", "flash"}) {
+    SCOPED_TRACE(device);
+    sim::SimConfig config;
+    config.device = device;
+    auto env_or = sim::SimEnv::Create(sim::FsKind::kCffs, config);
+    ASSERT_TRUE(env_or.ok()) << env_or.status().ToString();
+    sim::SimEnv* env = env_or->get();
+    const std::vector<uint8_t> data(1024, 0x3c);
+    ASSERT_TRUE(env->path().Mkdir("/d").ok());
+    for (int i = 1; i <= 4; ++i) {
+      ASSERT_TRUE(env->path().WriteFile("/d/f" + std::to_string(i), data).ok());
+    }
+    ASSERT_TRUE(env->fs()->Sync().ok());
+    auto inum = env->path().Resolve("/d/f1");
+    ASSERT_TRUE(inum.ok()) << inum.status().ToString();
+    auto ino = env->fs_base()->LoadInode(*inum);
+    ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+    ASSERT_NE(ino->group_start, 0u);
+    ASSERT_TRUE(env->ColdCache().ok());
+
+    // The last sector of the group the cold read of f1 stages.
+    const uint64_t bad =
+        (ino->group_start + env->config().group_blocks) *
+            blk::kSectorsPerBlock - 1;
+    env->disk().InjectReadError(bad);
+    const size_t resident = env->cache().size();
+    auto failed = env->path().ReadFile("/d/f1");
+    EXPECT_EQ(failed.status().code(), ErrorCode::kIoError);
+    EXPECT_EQ(env->cache().stats().readahead_staged, 0u);
+    EXPECT_EQ(env->cache().size(), resident);
+
+    env->disk().ClearReadError(bad);
+    const uint64_t commands = env->engine().stats().read_commands;
+    auto back = env->path().ReadFile("/d/f1");
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, data);
+    EXPECT_EQ(env->engine().stats().read_commands, commands + 1);
+    EXPECT_EQ(env->cache().stats().readahead_staged,
+              env->config().group_blocks - 1u);
+  }
 }
 
 // FNV-1a over every allocated chunk of the simulated platter.

@@ -206,7 +206,7 @@ TEST_P(ObsWorkloadTest, InvariantsHoldAndSnapshotRoundTrips) {
   EXPECT_GE(disk_events, snap.disk.total_requests());
 
   // Chrome export of a real run parses too. Each counter sample expands
-  // into three counter-track objects; everything else maps 1:1.
+  // into two counter-track objects; everything else maps 1:1.
   uint64_t counter_samples = 0;
   for (const auto& e : env->trace()->Events()) {
     if (e.kind == obs::EventKind::kCounterSample) ++counter_samples;
@@ -214,8 +214,7 @@ TEST_P(ObsWorkloadTest, InvariantsHoldAndSnapshotRoundTrips) {
   auto chrome = obs::Json::Parse(env->trace()->ToChromeJson());
   ASSERT_TRUE(chrome.ok()) << chrome.status().ToString();
   EXPECT_EQ(chrome->Find("traceEvents")->size(),
-            env->trace()->size() + 2 * counter_samples +
-                4);  // + thread metadata
+            env->trace()->size() + counter_samples + 4);  // + thread metadata
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, ObsWorkloadTest,

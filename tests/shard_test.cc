@@ -99,31 +99,6 @@ TEST(PlacementTest, JumpGrowthMovesDirsOnlyToTheNewShard) {
   EXPECT_LT(moved, kDirs * 2 / 5);
 }
 
-TEST(PlacementTest, ModBaselineReshufflesMore) {
-  constexpr int kDirs = 600;
-  int jump_moved = 0;
-  int mod_moved = 0;
-  for (int i = 0; i < kDirs; ++i) {
-    const std::string d = "/tree/node" + std::to_string(i);
-    if (ShardForDir(d, 4) != ShardForDir(d, 5)) ++jump_moved;
-    if (ShardForDir(d, 4, PlacementPolicy::kMod) !=
-        ShardForDir(d, 5, PlacementPolicy::kMod)) {
-      ++mod_moved;
-    }
-  }
-  EXPECT_GT(mod_moved, jump_moved);  // the ablation point of keeping kMod
-}
-
-TEST(PlacementTest, PolicyNamesRoundTrip) {
-  PlacementPolicy p = PlacementPolicy::kMod;
-  EXPECT_TRUE(ParsePlacementPolicy("jump", &p));
-  EXPECT_EQ(p, PlacementPolicy::kJump);
-  EXPECT_TRUE(ParsePlacementPolicy("mod", &p));
-  EXPECT_EQ(p, PlacementPolicy::kMod);
-  EXPECT_FALSE(ParsePlacementPolicy("nope", &p));
-  EXPECT_STREQ(PlacementPolicyName(PlacementPolicy::kJump), "jump");
-}
-
 // --- router namespace -----------------------------------------------------
 
 TEST(ShardRouterTest, BasicNamespaceAcrossShards) {

@@ -120,6 +120,79 @@ TEST(SimEnvTest, OpenRejectsAPlatterWithoutAFileSystem) {
   EXPECT_EQ(opened.status().code(), ErrorCode::kCorrupt);
 }
 
+// Formats `kind` on SmallConfig's drive, overwrites the `width`-byte
+// little-endian superblock field at byte `offset` with `value`, opens the
+// platter, and expects Corrupt naming `field`: a mount accepts only what
+// Format writes.
+void ExpectPatchedSuperblockCorrupt(sim::FsKind kind, size_t offset,
+                                    size_t width, uint64_t value,
+                                    const std::string& field) {
+  auto made = sim::SimEnv::Create(kind, SmallConfig());
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  ASSERT_TRUE((*made)->fs()->Sync().ok());
+  std::vector<uint8_t> sector(disk::kSectorSize);
+  (*made)->disk().PeekSector(0, sector);
+  for (size_t i = 0; i < width; ++i) {
+    sector[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+  (*made)->disk().PokeSector(0, sector);
+  auto opened = sim::SimEnv::Open(SmallConfig(), [&](disk::DiskModel& platter) {
+    (*made)->disk().ForEachChunk(
+        [&](uint64_t chunk, std::span<const uint8_t> bytes) {
+          platter.RestoreChunk(chunk, bytes);
+        });
+  });
+  EXPECT_EQ(opened.status().code(), ErrorCode::kCorrupt)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find(field), std::string::npos)
+      << opened.status().ToString();
+}
+
+TEST(SuperblockTest, FfsBlocksPerCgBelowTheConfigRange) {
+  ExpectPatchedSuperblockCorrupt(sim::FsKind::kFfs, 4, 4, 32, "blocks_per_cg");
+}
+
+TEST(SuperblockTest, FfsZeroInodesPerCg) {
+  ExpectPatchedSuperblockCorrupt(sim::FsKind::kFfs, 8, 4, 0, "inodes_per_cg");
+}
+
+TEST(SuperblockTest, FfsZeroCylinderGroups) {
+  ExpectPatchedSuperblockCorrupt(sim::FsKind::kFfs, 12, 4, 0, "ncg");
+}
+
+TEST(SuperblockTest, FfsBlockCountOtherThanTheDevice) {
+  ExpectPatchedSuperblockCorrupt(sim::FsKind::kFfs, 16, 8, 1u << 20,
+                                 "block_count");
+}
+
+TEST(SuperblockTest, CffsZeroBlocksPerCg) {
+  ExpectPatchedSuperblockCorrupt(sim::FsKind::kCffs, 4, 4, 0, "blocks_per_cg");
+}
+
+TEST(SuperblockTest, CffsZeroCylinderGroups) {
+  ExpectPatchedSuperblockCorrupt(sim::FsKind::kCffs, 8, 4, 0, "ncg");
+}
+
+TEST(SuperblockTest, CffsZeroGroupBlocks) {
+  ExpectPatchedSuperblockCorrupt(sim::FsKind::kCffs, 14, 2, 0, "group_blocks");
+}
+
+TEST(SuperblockTest, CffsSmallFileMaxBeyondTheDirectBlocks) {
+  ExpectPatchedSuperblockCorrupt(sim::FsKind::kCffs, 16, 2, 13,
+                                 "small_file_max_blocks");
+}
+
+TEST(SuperblockTest, FormatNamesTheFieldItRejects) {
+  sim::SimConfig config = SmallConfig();
+  config.blocks_per_cg = 32;
+  for (sim::FsKind kind : {sim::FsKind::kFfs, sim::FsKind::kCffs}) {
+    auto made = sim::SimEnv::Create(kind, config);
+    EXPECT_EQ(made.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(made.status().message().find("blocks_per_cg"), std::string::npos)
+        << made.status().ToString();
+  }
+}
+
 TEST(HistogramTest, EmptyHistogram) {
   LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);

@@ -124,8 +124,8 @@ TEST(SpanTrackerTest, OverrideReclassifiesAndOutermostWins) {
     SpanTracker::OverrideScope outer(&t, Phase::kThrottleStall);
     t.Attribute(Phase::kCpu, 100, 0);
     {
-      // A nested scope (throttle flush kicking foreign requests) must NOT
-      // re-reclassify: the outermost context owns the story.
+      // A nested scope must NOT re-reclassify: the outermost context owns
+      // the story.
       SpanTracker::OverrideScope inner(&t, Phase::kQueueWait);
       t.Attribute(Phase::kTransfer, 200, 100);
     }
@@ -263,16 +263,16 @@ TEST(TimeSeriesSamplerTest, DecimatesWhenFullAndDoublesInterval) {
   for (int i = 0; i < 9; ++i) {
     obs::TimeSample row;
     row.ts_ns = (i + 1) * 1'000'000;
-    row.queue_depth = static_cast<uint64_t>(i);
+    row.dirty_blocks = static_cast<uint64_t>(i);
     s.Record(row);
   }
   // The 9th record triggered decimation: every other survivor of the first
   // 8, then the new sample — still covering the whole run.
   ASSERT_EQ(s.samples().size(), 5u);
-  EXPECT_EQ(s.samples()[0].queue_depth, 0u);
-  EXPECT_EQ(s.samples()[1].queue_depth, 2u);
-  EXPECT_EQ(s.samples()[3].queue_depth, 6u);
-  EXPECT_EQ(s.samples()[4].queue_depth, 8u);
+  EXPECT_EQ(s.samples()[0].dirty_blocks, 0u);
+  EXPECT_EQ(s.samples()[1].dirty_blocks, 2u);
+  EXPECT_EQ(s.samples()[3].dirty_blocks, 6u);
+  EXPECT_EQ(s.samples()[4].dirty_blocks, 8u);
   EXPECT_EQ(s.interval().nanos(), 2'000'000);
 }
 

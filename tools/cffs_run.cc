@@ -4,7 +4,6 @@
 //            [--files=N] [--dirs=N] [--bytes=N] [--txns=N]
 //            [--clients=N] [--ops=N] [--scheduler=fifo|drr]
 //            [--backpressure=0|1] [--antagonist] [--rename-pct=N]
-//            [--placement=jump|mod]
 //            [--trace-out=PATH] [--record-out=PATH] [--snapshot-out=PATH]
 //            [--capacity=N] [--top=N] [--json=PATH] [--per-client[=K]]
 //            [--per-shard] [--check-ordering] [--report-out=PATH]
@@ -25,8 +24,8 @@
 //              each through the --scheduler, with --backpressure and an
 //              optional bulk-write --antagonist. With shards=M the
 //              population fans out over M shards (src/shard): one service
-//              loop per shard, --placement of directories, and --rename-pct
-//              of the ops renaming files between directories;
+//              loop per shard, directories placed by jump hashing, and
+//              --rename-pct of the ops renaming files between directories;
 //   xshard     --txns renames from a directory on shard 0 to one on shard
 //              1, every one through the cross-shard journal; needs
 //              shards=M with M >= 2.
@@ -42,7 +41,7 @@
 //     --json writes the attribution as JSON. --per-client[=K] (mt without
 //     shards) adds the K worst tenants by p99 full latency with their
 //     throttle-stall share; --per-shard (mt with shards) adds one row per
-//     shard with its dominant phase and high-water gauges.
+//     shard with its dominant phase and high-water dirty gauge.
 //   --check-ordering traces the run and checks the paper's write-ordering
 //     rules (src/check/ordering_checker.h) once it is over, after pushing
 //     each env's dirty tail to disk; on a sharded run it checks each
@@ -82,7 +81,7 @@ constexpr char kUsage[] =
     "[KEY=VALUE ...] [--workload=smallfile|postmark|mt|xshard]\n"
     "    [--files=N] [--dirs=N] [--bytes=N] [--txns=N]\n"
     "    [--clients=N] [--ops=N] [--scheduler=fifo|drr] [--backpressure=0|1]\n"
-    "    [--antagonist] [--rename-pct=N] [--placement=jump|mod]\n"
+    "    [--antagonist] [--rename-pct=N]\n"
     "    [--trace-out=PATH] [--record-out=PATH] [--snapshot-out=PATH]\n"
     "    [--capacity=N] [--top=N] [--json=PATH] [--per-client[=K]]\n"
     "    [--per-shard] [--check-ordering] [--report-out=PATH]\n"
@@ -100,7 +99,6 @@ struct Run {
   uint32_t files = 100, dirs = 4, bytes = 1024;
   uint32_t txns = 400;  // postmark transactions, or xshard renames
   mt::MtParams mt;
-  shard::PlacementPolicy placement = shard::PlacementPolicy::kJump;
   std::string trace_out, record_out, snapshot_out, json_out;
   size_t capacity = obs::TraceRecorder::kDefaultCapacity;
   size_t top_n = 10;
@@ -124,7 +122,7 @@ Status Parse(int argc, char** argv, Run* r) {
   // directories a rename needs.
   if (r->sharded()) r->mt = shard::ShardDriverParams();
 
-  std::string workload = "smallfile", scheduler, placement;
+  std::string workload = "smallfile", scheduler;
   args.String("--workload", &workload);
   const bool files_given = args.Uint("--files", 1, 1u << 24, &r->files);
   const bool dirs_given = args.Uint("--dirs", 1, 1u << 20, &r->dirs);
@@ -137,7 +135,6 @@ Status Parse(int argc, char** argv, Run* r) {
       args.Uint("--backpressure", 0, 1, &r->mt.backpressure);
   r->mt.antagonist = args.Switch("--antagonist");
   const bool rename_given = args.Uint("--rename-pct", 0, 100, &r->mt.rename_pct);
-  const bool placement_given = args.String("--placement", &placement);
   const bool trace_given = args.String("--trace-out", &r->trace_out);
   const bool record_given = args.String("--record-out", &r->record_out);
   const bool snapshot_given = args.String("--snapshot-out", &r->snapshot_out);
@@ -169,10 +166,6 @@ Status Parse(int argc, char** argv, Run* r) {
     return InvalidArgument("--scheduler: unknown name \"" + scheduler +
                            "\" (fifo | drr)");
   }
-  if (placement_given && !shard::ParsePlacementPolicy(placement, &r->placement)) {
-    return InvalidArgument("--placement: unknown name \"" + placement +
-                           "\" (jump | mod)");
-  }
   const bool xshard_mutation = r->mutate == "xshard-skip-commit-sync" ||
                                r->mutate == "xshard-early-clear";
   if (mutate_given && r->mutate != "defer-inode-init" &&
@@ -201,7 +194,6 @@ Status Parse(int argc, char** argv, Run* r) {
        "--antagonist and --per-client", "--workload=mt without shards=M"},
       {rename_given || r->per_shard, mt && sharded,
        "--rename-pct and --per-shard", "--workload=mt with shards=M"},
-      {placement_given, sharded, "--placement", "shards=M"},
       {sharded, mt || xs, "shards=M", "--workload=mt|xshard"},
       {trace_given || record_given || snapshot_given || top_given ||
            json_given,
@@ -333,14 +325,13 @@ void PrintPerClient(const stats::MetricsSnapshot& snap, size_t k) {
 
 // One row per shard: work absorbed, inbound cross-shard renames, full
 // latency, the dominant phase of that shard's span attribution, and the
-// high-water dirty/queue-depth gauges from the shard's sampler series.
+// high-water dirty gauge from the shard's sampler series.
 void PrintPerShard(shard::ShardRouter* router,
                    const shard::ShardDriverStats& st) {
-  std::printf("\nper-shard breakdown (%u shards, placement %s):\n", st.shards,
-              PlacementPolicyName(router->placement()));
-  std::printf("  %-5s %7s %7s %9s %9s %10s %10s  %-14s %8s %8s\n", "shard",
+  std::printf("\nper-shard breakdown (%u shards):\n", st.shards);
+  std::printf("  %-5s %7s %7s %9s %9s %10s %10s  %-14s %8s\n", "shard",
               "ops", "xren", "p99_ms", "mean_ms", "qwait_ms", "svc_ms",
-              "dominant", "dirty_hw", "qd_hw");
+              "dominant", "dirty_hw");
   for (const shard::ShardOpStats& s : st.per_shard) {
     sim::SimEnv* env = router->env(s.shard_id);
     const obs::PhaseBreakdown& spans = env->spans()->breakdown();
@@ -355,21 +346,17 @@ void PrintPerShard(shard::ShardRouter* router,
       if (phase_ns[p] > phase_ns[dominant]) dominant = p;
     }
     uint64_t dirty_hw = 0;
-    uint64_t qd_hw = 0;
     for (const obs::TimeSample& ts : env->sampler()->samples()) {
       dirty_hw = std::max(dirty_hw, ts.dirty_blocks);
-      qd_hw = std::max(qd_hw, ts.queue_depth);
     }
-    std::printf("  %-5u %7llu %7llu %9.3f %9.3f %10.3f %10.3f  %-14s %8llu "
-                "%8llu\n",
+    std::printf("  %-5u %7llu %7llu %9.3f %9.3f %10.3f %10.3f  %-14s %8llu\n",
                 s.shard_id, static_cast<unsigned long long>(s.ops),
                 static_cast<unsigned long long>(s.renames_in),
                 Ms(s.latency.p99().nanos()), Ms(s.latency.mean().nanos()),
                 Ms(s.queue_wait_ns), Ms(s.service_ns),
                 s.ops > 0 ? obs::PhaseName(static_cast<obs::Phase>(dominant))
                           : "-",
-                static_cast<unsigned long long>(dirty_hw),
-                static_cast<unsigned long long>(qd_hw));
+                static_cast<unsigned long long>(dirty_hw));
   }
 }
 
@@ -500,7 +487,7 @@ Status RunXshard(shard::ShardRouter* router, uint32_t renames,
   auto dir_on = [&](uint32_t want) -> std::string {
     for (int i = 0; i < 1000; ++i) {
       std::string d = "/x" + std::to_string(i);
-      if (shard::ShardForDir(d, router->shards(), router->placement()) == want) {
+      if (shard::ShardForDir(d, router->shards()) == want) {
         return d;
       }
     }
@@ -526,7 +513,7 @@ Status RunXshard(shard::ShardRouter* router, uint32_t renames,
 }
 
 int RunSharded(const Run& r) {
-  auto router_or = shard::ShardRouter::Create(r.kind, r.config, r.placement);
+  auto router_or = shard::ShardRouter::Create(r.kind, r.config);
   if (!router_or.ok()) return Fail("router", router_or.status());
   shard::ShardRouter* router = router_or->get();
   if (r.traced()) router->EnableTrace(r.capacity);
