@@ -49,9 +49,7 @@ int main(int argc, char** argv) {
       row.Set("config", sim::FsKindName(kind));
       row.Set("disturb_every", static_cast<uint64_t>(disturb));
       row.Set("foreground_files_per_sec", result->foreground_files_per_sec);
-      auto hist = obs::Json::Parse(result->foreground_read.ToJson());
-      row.Set("foreground_read_latency",
-              hist.ok() ? std::move(*hist) : obs::Json());
+      row.Set("foreground_read_latency", obs::ToJson(result->foreground_read));
       report.AddRow(std::move(row));
       bench::AddSpans(&report,
                       sim::FsKindName(kind) + "/disturb" +

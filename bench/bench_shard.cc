@@ -78,11 +78,14 @@ RunOutcome RunOne(uint32_t shards, bool devtree, uint32_t rename_pct,
     return out;
   }
   out.st = driver.TakeStats();
+  // Every run does work, and the shards split it exactly, so no shard
+  // serves more ops than the run.
   uint64_t shard_ops = 0;
   for (const shard::ShardOpStats& s : out.st.per_shard) shard_ops += s.ops;
-  if (shard_ops != out.st.mt.ops_serviced) {
+  if (shard_ops != out.st.mt.ops_serviced || shard_ops == 0) {
     std::fprintf(stderr,
-                 "INVARIANT VIOLATION: per-shard ops %llu != serviced %llu\n",
+                 "INVARIANT VIOLATION: shards served %llu ops, driver "
+                 "serviced %llu (must be equal and > 0)\n",
                  static_cast<unsigned long long>(shard_ops),
                  static_cast<unsigned long long>(out.st.mt.ops_serviced));
     return out;

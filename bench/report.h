@@ -2,7 +2,10 @@
 //
 // Every bench binary builds one Report and calls Write() at the end, which
 // drops BENCH_<name>.json next to the binary's working directory (or into
-// $CFFS_BENCH_DIR when set). The schema is shared across benches:
+// $CFFS_BENCH_DIR when set). A bench that finds its own results broken
+// (Fail(); AddSpans does so for a span breakdown whose phase times miss
+// an op's latency) still writes the report, then exits 1. The schema is
+// shared across benches:
 //
 //   {
 //     "bench": "<name>",
@@ -94,19 +97,25 @@ class Report {
     return FileName();
   }
 
-  // Writes the report; a failure warns on stderr but never fails the bench.
+  // Marks the run failed; the caller has printed why on stderr.
+  void Fail() { failed_ = true; }
+
+  // Writes the report; a write error warns on stderr but never fails the
+  // bench. Exits 1 once the report is out if the run was marked failed.
   void Write() const {
     const std::string path = Path();
     if (Status s = WriteTextFile(path, root_.Dump(2)); !s.ok()) {
       std::fprintf(stderr, "warning: %s\n", s.message().c_str());
-      return;
+    } else {
+      std::printf("report: %s\n", path.c_str());
     }
-    std::printf("report: %s\n", path.c_str());
+    if (failed_) std::exit(1);
   }
 
  private:
   std::string name_;
   obs::Json root_;
+  bool failed_ = false;
 };
 
 // Records the configuration `label` ran as its sim::ConfigString under the
@@ -118,13 +127,23 @@ inline void AddConfig(Report* report, const std::string& label,
 }
 
 // Records one configuration's cross-layer span attribution (per-op-type
-// count, end-to-end p50/p99/p999 and per-phase time breakdown — see
+// count, end-to-end p50/p99/p999 and exact per-phase totals — see
 // src/obs/span.h) under the report's top-level "spans" object, and its
 // config string under "sim_config", both keyed by `label`. The spans cover
-// the ops since the env's last ResetStats, i.e. the measured section.
+// the ops since the env's last ResetStats, i.e. the measured section. An
+// op whose phase times do not sum to its latency fails the bench.
 inline void AddSpans(Report* report, const std::string& label,
                      sim::FsKind kind, const sim::SimConfig& config,
                      const obs::PhaseBreakdown& spans) {
+  if (spans.invariant_violations > 0) {
+    std::fprintf(stderr,
+                 "FAIL [%s]: %llu ops whose phase times do not sum to their "
+                 "latency (max residual %lld ns)\n",
+                 label.c_str(),
+                 static_cast<unsigned long long>(spans.invariant_violations),
+                 static_cast<long long>(spans.max_residual_ns));
+    report->Fail();
+  }
   report->root().FindMutable("spans")->Set(label, spans.ToJson());
   AddConfig(report, label, kind, config);
 }

@@ -13,29 +13,6 @@ std::optional<uint32_t> FindClearBit(std::span<const uint8_t> buf,
   return std::nullopt;
 }
 
-std::optional<uint32_t> FindClearRun(std::span<const uint8_t> buf,
-                                     uint32_t limit, uint32_t from,
-                                     uint32_t run, uint32_t align) {
-  if (run == 0 || limit < run) return std::nullopt;
-  if (align == 0) align = 1;
-  const uint32_t nstarts = limit / align;
-  if (nstarts == 0) return std::nullopt;
-  const uint32_t first = (from / align) % nstarts;
-  for (uint32_t n = 0; n < nstarts; ++n) {
-    const uint32_t s = ((first + n) % nstarts) * align;
-    if (s + run > limit) continue;
-    bool ok = true;
-    for (uint32_t i = 0; i < run; ++i) {
-      if (BitGet(buf, s + i)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return s;
-  }
-  return std::nullopt;
-}
-
 uint32_t CountSetBits(std::span<const uint8_t> buf, uint32_t limit) {
   uint32_t count = 0;
   uint32_t full_bytes = limit / 8;

@@ -25,12 +25,6 @@ inline void BitClear(std::span<uint8_t> buf, uint32_t bit) {
 std::optional<uint32_t> FindClearBit(std::span<const uint8_t> buf,
                                      uint32_t limit, uint32_t from);
 
-// First run of `run` consecutive clear bits whose start is aligned to
-// `align`, searching [from, limit) then wrapping. nullopt if none.
-std::optional<uint32_t> FindClearRun(std::span<const uint8_t> buf,
-                                     uint32_t limit, uint32_t from,
-                                     uint32_t run, uint32_t align);
-
 // Number of set bits in [0, limit).
 uint32_t CountSetBits(std::span<const uint8_t> buf, uint32_t limit);
 

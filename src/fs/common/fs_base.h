@@ -119,18 +119,11 @@ class FsBase : public FileSystem {
                                           uint64_t size_hint_blocks) = 0;
   // Allocates up to `want` contiguous data blocks for file blocks starting
   // at `idx` (extent-mapped inodes only; see BmapOps::alloc_run). May
-  // return fewer blocks but always at least one. The default delegates to
-  // AllocDataBlock — a one-block run — so a file system gains extent
-  // support without overriding; FFS and C-FFS override to use
+  // return fewer blocks but always at least one. FFS and C-FFS use
   // CgAllocator::AllocRun with their own placement goals.
   virtual Result<BlockRun> AllocDataRun(InodeNum num, InodeData* ino,
                                         uint64_t idx, uint32_t want,
-                                        uint64_t size_hint_blocks) {
-    (void)want;
-    ASSIGN_OR_RETURN(uint32_t bno,
-                     AllocDataBlock(num, ino, idx, size_hint_blocks));
-    return BlockRun{bno, 1};
-  }
+                                        uint64_t size_hint_blocks) = 0;
 
   // Allocates an indirect/metadata block near the file's data.
   virtual Result<uint32_t> AllocMetaBlock(InodeNum num, const InodeData& ino) = 0;

@@ -63,6 +63,12 @@ Json* Json::FindMutable(std::string_view key) {
   return nullptr;
 }
 
+void Json::Erase(std::string_view key) {
+  if (!is_object()) return;
+  std::erase_if(std::get<Members>(v_),
+                [key](const Member& kv) { return kv.first == key; });
+}
+
 Json& Json::Push(Json value) {
   assert(is_array());
   std::get<Elements>(v_).push_back(std::move(value));

@@ -60,6 +60,7 @@ class Json {
   Json& Set(std::string key, Json value);
   const Json* Find(std::string_view key) const;  // nullptr if absent
   Json* FindMutable(std::string_view key);
+  void Erase(std::string_view key);  // no-op if absent
   const std::vector<Member>& members() const { return std::get<Members>(v_); }
 
   // Array access. Push returns *this for chaining.

@@ -64,19 +64,23 @@ const OpTypeBreakdown* PhaseBreakdown::ForOp(FsOp op) const {
   return i < 0 ? nullptr : &per_op[i];
 }
 
-namespace {
-
-// Summary-only histogram JSON (no buckets): the per-phase grid is 72
-// histograms per snapshot and full bucket lists would dwarf the report.
-Json SummaryJson(const LatencyHistogram& h, int64_t total_ns) {
+Json ToJson(const LatencyHistogram& h) {
   Json j = Json::Object();
   j.Set("count", h.count());
-  j.Set("total_ns", total_ns);
   j.Set("mean_ns", h.mean().nanos());
   j.Set("p50_ns", h.p50().nanos());
   j.Set("p99_ns", h.p99().nanos());
   j.Set("p999_ns", h.p999().nanos());
   j.Set("max_ns", h.max().nanos());
+  return j;
+}
+
+namespace {
+
+// The e2e summary plus its exact sum (the histogram mean rounds).
+Json E2eJson(const LatencyHistogram& h, int64_t total_ns) {
+  Json j = ToJson(h);
+  j.Set("total_ns", total_ns);
   return j;
 }
 
@@ -93,13 +97,8 @@ Json PhaseBreakdown::ToJson() const {
     const OpTypeBreakdown& b = per_op[i];
     Json o = Json::Object();
     o.Set("count", b.count());
-    o.Set("e2e", SummaryJson(b.e2e, b.e2e_total_ns));
-    Json phases = Json::Object();
-    for (int p = 0; p < kPhaseCount; ++p) {
-      phases.Set(PhaseName(static_cast<Phase>(p)),
-                 SummaryJson(b.phase[p], b.totals.ns[p]));
-    }
-    o.Set("phases", std::move(phases));
+    o.Set("e2e", E2eJson(b.e2e, b.e2e_total_ns));
+    o.Set("phases", b.totals.ToJson());
     ops.Set(FsOpName(TrackedOpAt(i)), std::move(o));
   }
   j.Set("per_op", std::move(ops));
@@ -125,7 +124,7 @@ Json PhaseBreakdown::ToJson() const {
       Json row = Json::Object();
       row.Set("client", c->client_id);
       row.Set("ops", c->ops);
-      row.Set("e2e", SummaryJson(c->e2e, c->e2e_total_ns));
+      row.Set("e2e", E2eJson(c->e2e, c->e2e_total_ns));
       rows.Push(std::move(row));
     }
     mt.Set("worst_p99", std::move(rows));
@@ -196,9 +195,6 @@ void SpanTracker::EndOp(int64_t now_ns) {
     const int64_t e2e = done.e2e_ns();
     b.e2e.Record(SimTime::Nanos(e2e));
     b.e2e_total_ns += e2e;
-    for (int p = 0; p < kPhaseCount; ++p) {
-      b.phase[p].Record(SimTime::Nanos(done.phases.ns[p]));
-    }
     b.totals.Merge(done.phases);
   }
 

@@ -35,9 +35,9 @@
 // an unwired stack pays nothing.
 //
 // OpContext is the per-operation record: op id (fs sequence number), op
-// type, client id (0 until multi-tenant lands — ROADMAP item 1), phase
-// times, and a bounded list of time segments for span-tree rendering
-// (tools/cffs_run). Completed ops feed per-op-type aggregates
+// type, client id (set by the multi-tenant driver; 0 for single-client
+// runs), phase times, and a bounded list of time segments for span-tree
+// rendering (tools/cffs_run). Completed ops feed per-op-type aggregates
 // (PhaseBreakdown, embedded in stats::MetricsSnapshot) and a top-N
 // slowest-op list.
 #ifndef CFFS_OBS_SPAN_H_
@@ -100,7 +100,7 @@ struct SpanSegment {
 struct OpContext {
   uint64_t op_id = 0;        // fs operation sequence number
   FsOp op = FsOp::kOther;
-  uint64_t client_id = 0;    // future multi-tenant id; 0 today
+  uint64_t client_id = 0;    // mt::MtDriver's client; 0 for one client
   int64_t start_ns = 0;      // includes the absorbed pre-op boundary window
   int64_t end_ns = 0;
   PhaseTimes phases;
@@ -117,13 +117,13 @@ inline constexpr int kTrackedOps = 8;
 int TrackedOpIndex(FsOp op);
 FsOp TrackedOpAt(int index);
 
-// Aggregate distributions for one op type. The per-phase histograms take
-// one sample per completed op (including zero-time phases), so their
-// percentiles answer "how much seek time does the p99 lookup spend".
+// Aggregates for one op type: the end-to-end latency distribution and the
+// exact per-phase totals, which sum to e2e_total_ns. Where the time of one
+// slow op went is the slowest-op span trees' question, not a per-phase
+// percentile's (the p99 of seek times is not the p99 op's seek time).
 struct OpTypeBreakdown {
   LatencyHistogram e2e;
   int64_t e2e_total_ns = 0;  // exact sum (histogram mean rounds)
-  std::array<LatencyHistogram, kPhaseCount> phase;
   PhaseTimes totals;
 
   uint64_t count() const { return e2e.count(); }
@@ -140,6 +140,10 @@ struct ClientBreakdown {
   PhaseTimes totals;
   LatencyHistogram e2e;
 };
+
+// The one latency-histogram summary every report carries: count, mean,
+// p50/p99/p999 and max, in ns. Bucket counts stay in memory.
+Json ToJson(const LatencyHistogram& h);
 
 // The per-op-type attribution aggregate embedded in MetricsSnapshot.
 struct PhaseBreakdown {

@@ -8,13 +8,6 @@ namespace cffs::stats {
 
 namespace {
 
-// LatencyHistogram::ToJson() emits a string in the canonical schema;
-// re-parse it into the DOM rather than maintaining a second serializer.
-Json HistogramJson(const LatencyHistogram& h) {
-  Result<Json> parsed = Json::Parse(h.ToJson());
-  return parsed.ok() ? *std::move(parsed) : Json();
-}
-
 Json TimeJson(SimTime t) { return Json(t.seconds()); }
 
 }  // namespace
@@ -89,14 +82,14 @@ Json ToJson(const mt::MtStats& s) {
   j.Set("service_ns", s.service_ns);
   j.Set("queue_wait_ns", s.queue_wait_ns);
   j.Set("jain_fairness", s.JainFairnessIndex());
-  j.Set("latency", HistogramJson(s.latency));
-  j.Set("queue_wait", HistogramJson(s.queue_wait));
+  j.Set("latency", obs::ToJson(s.latency));
+  j.Set("queue_wait", obs::ToJson(s.queue_wait));
   Json by_kind = Json::Object();
-  by_kind.Set("create", HistogramJson(s.create_latency));
-  by_kind.Set("read", HistogramJson(s.read_latency));
-  by_kind.Set("delete", HistogramJson(s.delete_latency));
-  by_kind.Set("write", HistogramJson(s.write_latency));
-  by_kind.Set("rename", HistogramJson(s.rename_latency));
+  by_kind.Set("create", obs::ToJson(s.create_latency));
+  by_kind.Set("read", obs::ToJson(s.read_latency));
+  by_kind.Set("delete", obs::ToJson(s.delete_latency));
+  by_kind.Set("write", obs::ToJson(s.write_latency));
+  by_kind.Set("rename", obs::ToJson(s.rename_latency));
   j.Set("by_kind", std::move(by_kind));
   // Per-client detail stays out of the report (1024 tenants would dwarf
   // it); the worst tails surface via spans.per_client and

@@ -16,38 +16,4 @@ std::string LatencyHistogram::Summary() const {
   return buf;
 }
 
-std::string LatencyHistogram::ToJson() const {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "{\"count\":%llu,\"mean_ns\":%lld,\"max_ns\":%lld,"
-                "\"p50_ns\":%lld,\"p90_ns\":%lld,\"p99_ns\":%lld,"
-                "\"p999_ns\":%lld,\"buckets\":[",
-                static_cast<unsigned long long>(total_),
-                static_cast<long long>(mean().nanos()),
-                static_cast<long long>(max_ns_),
-                static_cast<long long>(Percentile(0.50).nanos()),
-                static_cast<long long>(Percentile(0.90).nanos()),
-                static_cast<long long>(Percentile(0.99).nanos()),
-                static_cast<long long>(Percentile(0.999).nanos()));
-  std::string out = buf;
-  bool first = true;
-  for (int b = 0; b < kBuckets; ++b) {
-    if (counts_[b] == 0) continue;
-    if (!first) out += ',';
-    first = false;
-    if (b == kBuckets - 1) {
-      // The overflow bucket is unbounded above.
-      std::snprintf(buf, sizeof buf, "{\"le_ns\":null,\"count\":%llu}",
-                    static_cast<unsigned long long>(counts_[b]));
-    } else {
-      std::snprintf(buf, sizeof buf, "{\"le_ns\":%lld,\"count\":%llu}",
-                    static_cast<long long>(BucketUpperNs(b)),
-                    static_cast<unsigned long long>(counts_[b]));
-    }
-    out += buf;
-  }
-  out += "]}";
-  return out;
-}
-
 }  // namespace cffs

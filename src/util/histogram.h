@@ -36,9 +36,10 @@ class LatencyHistogram {
                        : SimTime::Nanos(sum_ns_ / static_cast<int64_t>(total_));
   }
 
-  // Value at or below which `p` (0..1) of the samples fall. Returns the
-  // upper edge of the containing bucket (conservative); the overflow bucket
-  // has no finite edge, so samples landing there report the observed max.
+  // Value at or below which `p` (0..1) of the samples fall: the upper edge
+  // of the containing bucket (conservative), clamped to the largest sample,
+  // so a percentile never exceeds max(). The overflow bucket has no finite
+  // edge, so samples landing there report the observed max.
   SimTime Percentile(double p) const {
     if (total_ == 0) return SimTime::Zero();
     const uint64_t want = static_cast<uint64_t>(
@@ -46,15 +47,16 @@ class LatencyHistogram {
     uint64_t seen = 0;
     for (int b = 0; b < kBuckets - 1; ++b) {
       seen += counts_[b];
-      if (seen >= want) return SimTime::Nanos(BucketUpperNs(b));
+      if (seen >= want) {
+        return SimTime::Nanos(std::min(BucketUpperNs(b), max_ns_));
+      }
     }
     return SimTime::Nanos(max_ns_);
   }
 
-  // Named percentile accessors (the tails the bench reports and the span
-  // phase breakdown quote). p999 needs total_ >= 1000 samples to differ
-  // from max() in practice; with fewer it degrades gracefully to the top
-  // bucket edge.
+  // Named percentile accessors (the tails the reports quote). p999 needs
+  // total_ >= 1000 samples to differ from max() in practice; with fewer it
+  // lands in the top bucket, i.e. on max().
   SimTime p50() const { return Percentile(0.50); }
   SimTime p99() const { return Percentile(0.99); }
   SimTime p999() const { return Percentile(0.999); }
@@ -69,16 +71,10 @@ class LatencyHistogram {
   void Reset() { *this = LatencyHistogram{}; }
 
   // "mean=1.2ms p50=0.9ms p90=12.3ms p99=14.1ms max=22.0ms (n=10000)"
+  // (the report form is obs::ToJson(const LatencyHistogram&)).
   std::string Summary() const;
 
-  // JSON object with the summary statistics and the populated buckets:
-  //   {"count":N,"mean_ns":...,"max_ns":...,"p50_ns":...,"p90_ns":...,
-  //    "p99_ns":...,"buckets":[{"le_ns":1000,"count":3},...]}
-  // Only non-empty buckets are listed; the final (overflow) bucket has no
-  // finite upper edge and is emitted with "le_ns":null.
-  std::string ToJson() const;
-
-  // Bucket introspection (tests, external serializers).
+  // Bucket introspection (tests, external percentile estimators).
   uint64_t bucket_count(int b) const { return counts_[b]; }
   static int64_t BucketUpperNanos(int b) { return BucketUpperNs(b); }
 

@@ -50,6 +50,27 @@ TEST(SpanTrackerTest, PhaseSumEqualsEndToEnd) {
   EXPECT_EQ(create->totals.TotalNs(), 1000);
 }
 
+TEST(SpanTrackerTest, JsonCarriesExactPhaseTotalsAndOneE2eSummary) {
+  SpanTracker t;
+  t.BeginOp(FsOp::kCreate, 1, 0);
+  t.Attribute(Phase::kSeek, 300, 0);
+  t.Attribute(Phase::kCpu, 100, 300);
+  t.Attribute(Phase::kSeek, 600, 400);
+  t.EndOp(1000);
+  const obs::Json j = t.breakdown().ToJson();
+  const obs::Json& create = *j.Find("per_op")->Find("create");
+  // A phase is its exact total and its number of charges, nothing more.
+  EXPECT_EQ(create.Find("phases")->Find("seek")->Dump(),
+            R"({"ns":900,"count":2})");
+  // The e2e summary is obs::ToJson's, plus the exact total; its
+  // percentiles stop at the largest sample.
+  obs::Json want = obs::ToJson(t.breakdown().ForOp(FsOp::kCreate)->e2e);
+  want.Set("total_ns", 1000);
+  EXPECT_EQ(create.Find("e2e")->Dump(), want.Dump());
+  EXPECT_EQ(want.Find("p99_ns")->as_int(), 1000);
+  EXPECT_EQ(want.Find("buckets"), nullptr);
+}
+
 TEST(SpanTrackerTest, ResidualCountsAsViolation) {
   SpanTracker t;
   // 1000 ns elapse but only 400 are attributed: the op must be flagged.
