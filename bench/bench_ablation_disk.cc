@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench/report.h"
-#include "src/workload/smallfile.h"
 
 using namespace cffs;
 
@@ -40,27 +39,17 @@ int main(int argc, char** argv) {
       sim::SimConfig config;
       config.scheduler = v.sched;
       config.disk_spec.prefetch_sectors = v.prefetch;
-      auto env = sim::SimEnv::Create(kind, config);
-      if (!env.ok()) return 1;
-      auto result = workload::RunSmallFile(env->get(), params);
-      if (!result.ok()) {
-        std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-        return 1;
-      }
+      obs::Json tags = obs::Json::Object();
+      tags.Set("config", sim::FsKindName(kind));
+      tags.Set("variant", v.name);
+      const bench::SmallFileRun run =
+          bench::RunSmallFile(&report, sim::FsKindName(kind) + "/" + v.name,
+                              kind, config, params, std::move(tags));
+      const auto& phases = run.result.phases;
       std::printf("%-14s %-22s %10.1f %10.1f %10.1f %10.1f\n",
                   sim::FsKindName(kind).c_str(), v.name,
-                  result->phases[0].files_per_sec,
-                  result->phases[1].files_per_sec,
-                  result->phases[2].files_per_sec,
-                  result->phases[3].files_per_sec);
-      for (const auto& ph : result->phases) {
-        obs::Json row = bench::PhaseJson(ph);
-        row.Set("config", sim::FsKindName(kind));
-        row.Set("variant", v.name);
-        report.AddRow(std::move(row));
-      }
-      bench::AddSpans(&report, sim::FsKindName(kind) + "/" + v.name, kind,
-                      config, (*env)->spans()->breakdown());
+                  phases[0].files_per_sec, phases[1].files_per_sec,
+                  phases[2].files_per_sec, phases[3].files_per_sec);
     }
   }
   report.Write();

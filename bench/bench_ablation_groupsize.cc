@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench/report.h"
-#include "src/workload/smallfile.h"
 
 using namespace cffs;
 
@@ -26,30 +25,18 @@ int main(int argc, char** argv) {
   for (uint16_t gb : {2, 4, 8, 16, 32, 64}) {
     sim::SimConfig config;
     config.group_blocks = gb;
-    auto env = sim::SimEnv::Create(sim::FsKind::kCffs, config);
-    if (!env.ok()) return 1;
-    auto result = workload::RunSmallFile(env->get(), params);
-    if (!result.ok()) {
-      std::fprintf(stderr, "group %u: %s\n", gb,
-                   result.status().ToString().c_str());
-      return 1;
-    }
+    const bench::SmallFileRun run = bench::RunSmallFile(
+        &report, "group" + std::to_string(gb), sim::FsKind::kCffs, config,
+        params,
+        obs::Json::Object().Set("group_blocks", static_cast<uint64_t>(gb)));
+    const auto& phases = run.result.phases;
     uint64_t group_reads = 0;
-    for (const auto& ph : result->phases) group_reads += ph.group_reads;
+    for (const auto& ph : phases) group_reads += ph.group_reads;
     std::printf("%8uKB %10.1f %10.1f %10.1f %10.1f %12llu\n",
-                gb * fs::kBlockSize / 1024,
-                result->phases[0].files_per_sec,
-                result->phases[1].files_per_sec,
-                result->phases[2].files_per_sec,
-                result->phases[3].files_per_sec,
+                gb * fs::kBlockSize / 1024, phases[0].files_per_sec,
+                phases[1].files_per_sec, phases[2].files_per_sec,
+                phases[3].files_per_sec,
                 static_cast<unsigned long long>(group_reads));
-    for (const auto& ph : result->phases) {
-      obs::Json row = bench::PhaseJson(ph);
-      row.Set("group_blocks", static_cast<uint64_t>(gb));
-      report.AddRow(std::move(row));
-    }
-    bench::AddSpans(&report, "group" + std::to_string(gb), sim::FsKind::kCffs,
-                    config, (*env)->spans()->breakdown());
   }
   report.Write();
   return 0;

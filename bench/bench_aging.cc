@@ -6,7 +6,6 @@
 
 #include "bench/report.h"
 #include "src/workload/aging.h"
-#include "src/workload/smallfile.h"
 
 using namespace cffs;
 
@@ -26,49 +25,37 @@ int main(int argc, char** argv) {
       // utilization fills the disk, so a smaller one keeps runs short
       // without changing the layout effects under study.
       config.disk_spec = disk::TestDisk(2048, 4, 64);
-      auto env_or = sim::SimEnv::Create(kind, config);
-      if (!env_or.ok()) return 1;
-      sim::SimEnv* env = env_or->get();
+      char label[64];
+      std::snprintf(label, sizeof label, "%s/util%.0f",
+                    sim::FsKindName(kind).c_str(), 100 * util);
 
       workload::AgingParams ap;
       ap.operations = quick ? 3000 : 15000;
       ap.target_utilization = util;
       ap.max_file_bytes = 128 * 1024;
-      auto aged = workload::AgeFileSystem(env, ap);
-      if (!aged.ok()) {
-        std::fprintf(stderr, "aging: %s\n", aged.status().ToString().c_str());
-        return 1;
-      }
+      workload::AgingResult aged;
+      auto age = [&](sim::SimEnv* env, obs::Json* tags) -> Status {
+        ASSIGN_OR_RETURN(aged, workload::AgeFileSystem(env, ap));
+        tags->Set("final_utilization", aged.final_utilization);
+        tags->Set("aging_ops", aged.creates + aged.deletes);
+        return OkStatus();
+      };
 
       workload::SmallFileParams sp;
       sp.num_files = quick ? 1000 : 4000;
       sp.num_dirs = quick ? 10 : 40;
-      auto result = workload::RunSmallFile(env, sp);
-      if (!result.ok()) {
-        std::fprintf(stderr, "smallfile: %s\n",
-                     result.status().ToString().c_str());
-        return 1;
-      }
+      obs::Json tags = obs::Json::Object();
+      tags.Set("config", sim::FsKindName(kind));
+      tags.Set("target_utilization", util);
+      const bench::SmallFileRun run = bench::RunSmallFile(
+          &report, label, kind, config, sp, std::move(tags), age);
+      const auto& phases = run.result.phases;
       std::printf("%4.0f%%  %-14s %10.1f %10.1f %10.1f %10.1f %7llu\n",
-                  100 * aged->final_utilization, sim::FsKindName(kind).c_str(),
-                  result->phases[0].files_per_sec,
-                  result->phases[1].files_per_sec,
-                  result->phases[2].files_per_sec,
-                  result->phases[3].files_per_sec,
-                  static_cast<unsigned long long>(aged->creates +
-                                                  aged->deletes));
-      for (const auto& ph : result->phases) {
-        obs::Json row = bench::PhaseJson(ph);
-        row.Set("config", sim::FsKindName(kind));
-        row.Set("target_utilization", util);
-        row.Set("final_utilization", aged->final_utilization);
-        row.Set("aging_ops", aged->creates + aged->deletes);
-        report.AddRow(std::move(row));
-      }
-      char label[64];
-      std::snprintf(label, sizeof label, "%s/util%.0f",
-                    sim::FsKindName(kind).c_str(), 100 * util);
-      bench::AddSpans(&report, label, kind, config, env->spans()->breakdown());
+                  100 * aged.final_utilization, sim::FsKindName(kind).c_str(),
+                  phases[0].files_per_sec, phases[1].files_per_sec,
+                  phases[2].files_per_sec, phases[3].files_per_sec,
+                  static_cast<unsigned long long>(aged.creates +
+                                                  aged.deletes));
     }
   }
   report.Write();

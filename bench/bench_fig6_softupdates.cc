@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "bench/report.h"
-#include "src/workload/smallfile.h"
 
 using namespace cffs;
 
@@ -43,31 +42,16 @@ int main(int argc, char** argv) {
       sim::FsKind::kFfs, sim::FsKind::kConventional, sim::FsKind::kEmbedOnly,
       sim::FsKind::kGroupOnly, sim::FsKind::kCffs};
   for (sim::FsKind kind : kinds) {
+    const std::string name = sim::FsKindName(kind);
     sim::SimConfig config;
     config.metadata = fs::MetadataPolicy::kDelayed;
-    auto env = sim::SimEnv::Create(kind, config);
-    if (!env.ok()) {
-      std::fprintf(stderr, "env: %s\n", env.status().ToString().c_str());
-      return 1;
-    }
-    auto result = workload::RunSmallFile(env->get(), params);
-    if (!result.ok()) {
-      std::fprintf(stderr, "run: %s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%-14s %10.1f %10.1f %10.1f %10.1f\n",
-                sim::FsKindName(kind).c_str(),
-                result->phases[0].files_per_sec,
-                result->phases[1].files_per_sec,
-                result->phases[2].files_per_sec,
-                result->phases[3].files_per_sec);
-    for (const auto& ph : result->phases) {
-      obs::Json row = bench::PhaseJson(ph);
-      row.Set("config", sim::FsKindName(kind));
-      report.AddRow(std::move(row));
-    }
-    bench::AddSpans(&report, sim::FsKindName(kind), kind, config,
-                    (*env)->spans()->breakdown());
+    const bench::SmallFileRun run =
+        bench::RunSmallFile(&report, name, kind, config, params,
+                            obs::Json::Object().Set("config", name));
+    const auto& phases = run.result.phases;
+    std::printf("%-14s %10.1f %10.1f %10.1f %10.1f\n", name.c_str(),
+                phases[0].files_per_sec, phases[1].files_per_sec,
+                phases[2].files_per_sec, phases[3].files_per_sec);
   }
   report.Write();
   return 0;

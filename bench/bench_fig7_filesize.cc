@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench/report.h"
-#include "src/workload/smallfile.h"
 
 using namespace cffs;
 
@@ -30,21 +29,11 @@ int main(int argc, char** argv) {
     double read_rate[2] = {0, 0}, create_rate[2] = {0, 0};
     const sim::FsKind kinds[] = {sim::FsKind::kConventional, sim::FsKind::kCffs};
     for (int k = 0; k < 2; ++k) {
-      sim::SimConfig config;
-      auto env = sim::SimEnv::Create(kinds[k], config);
-      if (!env.ok()) return 1;
-      auto result = workload::RunSmallFile(env->get(), params);
-      if (!result.ok()) {
-        std::fprintf(stderr, "size %uK: %s\n", kb,
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      create_rate[k] = result->phase("create").files_per_sec;
-      read_rate[k] = result->phase("read").files_per_sec;
-      bench::AddSpans(&report,
-                      sim::FsKindName(kinds[k]) + "/" + std::to_string(kb) +
-                          "K",
-                      kinds[k], config, (*env)->spans()->breakdown());
+      const bench::SmallFileRun run = bench::RunSmallFile(
+          &report, sim::FsKindName(kinds[k]) + "/" + std::to_string(kb) + "K",
+          kinds[k], sim::SimConfig{}, params, /*tags=*/obs::Json());
+      create_rate[k] = run.result.phase("create").files_per_sec;
+      read_rate[k] = run.result.phase("read").files_per_sec;
     }
     std::printf("%7uK %14.1f %14.1f %8.2fx %14.1f %14.1f %8.2fx\n", kb,
                 read_rate[0], read_rate[1], read_rate[1] / read_rate[0],

@@ -8,9 +8,9 @@
 // channel-wait / program / erase phases), the cross-layer span attribution,
 // and a full MetricsSnapshot whose invariants (phase sums == end-to-end
 // latency, flash busy == overhead + wait + read + program + erase exactly)
-// must hold or the bench fails. So does a flash row whose phases miss its
-// busy time by 1 us or more, or a sweep that did not write 8 x 4 smallfile
-// rows plus 8 postmark rows.
+// must hold or the bench fails. So does a row whose phases miss its busy
+// time by 1 us or more (bench::RunSmallFile), or a sweep that did not write
+// 8 x 4 smallfile rows plus 8 postmark rows.
 //
 // Two claims are gated, not just printed:
 //
@@ -23,14 +23,12 @@
 //       create for the full C-FFS configuration.
 //
 // Emits BENCH_flash_ablation.json.
-#include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/report.h"
-#include "src/stats/collect.h"
-#include "src/workload/smallfile.h"
 #include "src/workload/trace.h"
 
 using namespace cffs;
@@ -79,29 +77,6 @@ double RateOf(const std::vector<CreateRate>& rates, const std::string& cell) {
   }
   std::fprintf(stderr, "internal: no create rate for cell %s\n", cell.c_str());
   std::exit(1);
-}
-
-void CheckSnapshot(const stats::MetricsSnapshot& snap,
-                   const std::string& where, bench::Report* report) {
-  for (const std::string& v : snap.CheckInvariants()) {
-    std::fprintf(stderr, "invariant violated [%s]: %s\n", where.c_str(),
-                 v.c_str());
-    report->Fail();
-  }
-}
-
-// A flash row's device phases must add up to its busy time.
-void CheckFlashRow(const workload::PhaseResult& ph, const std::string& cell,
-                   bench::Report* report) {
-  const double parts = ph.flash_overhead_s + ph.flash_wait_s +
-                       ph.flash_read_s + ph.flash_program_s +
-                       ph.flash_erase_s;
-  if (std::abs(parts - ph.flash_busy_s) < 1e-6) return;
-  std::fprintf(stderr,
-               "%s %s: overhead+wait+read+program+erase %.9f s != busy "
-               "%.9f s\n",
-               cell.c_str(), ph.phase.c_str(), parts, ph.flash_busy_s);
-  report->Fail();
 }
 
 }  // namespace
@@ -153,45 +128,25 @@ int main(int argc, char** argv) {
   for (const Cell& cell : cells) {
     const std::string name = cell.name();
 
-    // Small-file microbenchmark on a fresh environment.
-    auto env = sim::SimEnv::Create(cell.kind(), cell.config());
-    if (!env.ok()) {
-      std::fprintf(stderr, "env [%s]: %s\n", name.c_str(),
-                   env.status().ToString().c_str());
-      return 1;
-    }
-    auto sf_result = workload::RunSmallFile(env->get(), sf);
-    if (!sf_result.ok()) {
-      std::fprintf(stderr, "smallfile [%s]: %s\n", name.c_str(),
-                   sf_result.status().ToString().c_str());
-      return 1;
-    }
-    const stats::MetricsSnapshot sf_snap = stats::Snapshot(**env);
-    CheckSnapshot(sf_snap, "smallfile " + name, &report);
-    for (const auto& ph : sf_result->phases) {
-      if (ph.flash) CheckFlashRow(ph, name, &report);
-      obs::Json row = bench::PhaseJson(ph);
-      row.Set("workload", "smallfile");
-      row.Set("cell", name);
-      report.AddRow(std::move(row));
-    }
-    bench::AddSpans(&report, "smallfile/" + name, cell.kind(), cell.config(),
-                    (*env)->spans()->breakdown());
-    obs::Json snap_json = sf_snap.ToJson();
+    // Small-file microbenchmark on a fresh machine.
+    obs::Json tags = obs::Json::Object();
+    tags.Set("workload", "smallfile");
+    tags.Set("cell", name);
+    const bench::SmallFileRun sf_run =
+        bench::RunSmallFile(&report, "smallfile/" + name, cell.kind(),
+                            cell.config(), sf, std::move(tags));
+    obs::Json snap_json = sf_run.snap.ToJson();
     snap_json.Erase("spans");  // recorded once, under spans.smallfile/<cell>
     snapshots.Set(name, std::move(snap_json));
-    create_rates.push_back({name, sf_result->phase("create").files_per_sec});
+    create_rates.push_back(
+        {name, sf_run.result.phase("create").files_per_sec});
 
-    // PostMark trace on its own fresh environment.
-    auto pm_env = sim::SimEnv::Create(cell.kind(), cell.config());
-    if (!pm_env.ok()) return 1;
-    auto pm_stats = workload::ReplayTrace(pm_env->get(), trace);
-    if (!pm_stats.ok()) {
-      std::fprintf(stderr, "postmark [%s]: %s\n", name.c_str(),
-                   pm_stats.status().ToString().c_str());
-      return 1;
-    }
-    CheckSnapshot(stats::Snapshot(**pm_env), "postmark " + name, &report);
+    // PostMark trace on its own fresh machine.
+    const std::string pm_label = "postmark/" + name;
+    std::unique_ptr<sim::SimEnv> pm_env =
+        bench::NewMachine(pm_label, cell.kind(), cell.config());
+    auto pm_stats = workload::ReplayTrace(pm_env.get(), trace);
+    if (!pm_stats.ok()) bench::Die(pm_label + ": run", pm_stats.status());
     {
       obs::Json row = obs::Json::Object();
       row.Set("workload", "postmark");
@@ -201,15 +156,14 @@ int main(int argc, char** argv) {
       row.Set("disk_requests", pm_stats->disk_requests);
       report.AddRow(std::move(row));
     }
-    bench::AddSpans(&report, "postmark/" + name, cell.kind(), cell.config(),
-                    (*pm_env)->spans()->breakdown());
+    bench::AddMachine(&report, pm_label, pm_env.get());
 
-    const auto& cr = sf_result->phase("create");
+    const auto& cr = sf_run.result.phase("create");
     const double busy =
         cr.flash ? cr.flash_busy_s : cr.disk_busy_s;  // create phase only
     std::printf("%-26s %10.1f %10.1f %10.1f %10.1f %9.3fs\n", name.c_str(),
-                cr.files_per_sec, sf_result->phase("read").files_per_sec,
-                sf_result->phase("delete").files_per_sec,
+                cr.files_per_sec, sf_run.result.phase("read").files_per_sec,
+                sf_run.result.phase("delete").files_per_sec,
                 pm_stats->ops_applied / pm_stats->seconds, busy);
   }
   report.Set("snapshots", std::move(snapshots));

@@ -3,6 +3,7 @@
 // grouping fetches a whole unit per command and keeps its benefit when a
 // competing stream drags the arm away between foreground reads.
 #include <cstdio>
+#include <memory>
 
 #include "bench/report.h"
 #include "src/workload/interference.h"
@@ -26,16 +27,14 @@ int main(int argc, char** argv) {
 
   for (sim::FsKind kind : {sim::FsKind::kConventional, sim::FsKind::kCffs}) {
     for (uint32_t disturb : {0u, 4u, 1u}) {
-      sim::SimConfig config;
-      auto env = sim::SimEnv::Create(kind, config);
-      if (!env.ok()) return 1;
+      const std::string name =
+          sim::FsKindName(kind) + "/disturb" + std::to_string(disturb);
+      std::unique_ptr<sim::SimEnv> env =
+          bench::NewMachine(name, kind, sim::SimConfig{});
       workload::InterferenceParams run = params;
       run.disturb_every = disturb;
-      auto result = workload::RunInterference(env->get(), run);
-      if (!result.ok()) {
-        std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-        return 1;
-      }
+      auto result = workload::RunInterference(env.get(), run);
+      if (!result.ok()) bench::Die(name + ": run", result.status());
       char label[32];
       if (disturb == 0) {
         std::snprintf(label, sizeof label, "none");
@@ -51,10 +50,7 @@ int main(int argc, char** argv) {
       row.Set("foreground_files_per_sec", result->foreground_files_per_sec);
       row.Set("foreground_read_latency", obs::ToJson(result->foreground_read));
       report.AddRow(std::move(row));
-      bench::AddSpans(&report,
-                      sim::FsKindName(kind) + "/disturb" +
-                          std::to_string(disturb),
-                      kind, config, (*env)->spans()->breakdown());
+      bench::AddMachine(&report, name, env.get());
     }
   }
   report.Write();

@@ -2,9 +2,10 @@
 // unchanged" — explicit grouping must not hurt big-file bandwidth. Writes
 // and reads one 32 MB file on each configuration and reports MB/s.
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "bench/report.h"
-#include "src/sim/sim_env.h"
 #include "src/util/rng.h"
 
 using namespace cffs;
@@ -26,10 +27,9 @@ int main(int argc, char** argv) {
   const sim::FsKind kinds[] = {sim::FsKind::kFfs, sim::FsKind::kConventional,
                                sim::FsKind::kCffs};
   for (sim::FsKind kind : kinds) {
-    sim::SimConfig config;
-    auto env_or = sim::SimEnv::Create(kind, config);
-    if (!env_or.ok()) return 1;
-    sim::SimEnv* env = env_or->get();
+    const std::string name = sim::FsKindName(kind);
+    std::unique_ptr<sim::SimEnv> env =
+        bench::NewMachine(name, kind, sim::SimConfig{});
     auto& p = env->path();
 
     std::vector<uint8_t> chunk(256 * 1024);
@@ -37,37 +37,35 @@ int main(int argc, char** argv) {
     for (auto& b : chunk) b = static_cast<uint8_t>(rng.Next());
 
     auto ino = p.CreateFile("/big");
-    if (!ino.ok()) return 1;
+    if (!ino.ok()) bench::Die(name + ": create", ino.status());
     const SimTime w0 = env->clock().now();
     for (uint64_t off = 0; off < kFileBytes; off += chunk.size()) {
       env->ChargeCpu(chunk.size());
       auto n = env->fs()->Write(*ino, off, chunk);
-      if (!n.ok()) {
-        std::fprintf(stderr, "write: %s\n", n.status().ToString().c_str());
-        return 1;
-      }
+      if (!n.ok()) bench::Die(name + ": write", n.status());
     }
-    if (!env->fs()->Sync().ok()) return 1;
+    if (Status s = env->fs()->Sync(); !s.ok()) bench::Die(name + ": sync", s);
     const double wsecs = (env->clock().now() - w0).seconds();
 
-    if (!env->ColdCache().ok()) return 1;
+    if (Status s = env->ColdCache(); !s.ok()) {
+      bench::Die(name + ": cold cache", s);
+    }
     const SimTime r0 = env->clock().now();
     for (uint64_t off = 0; off < kFileBytes; off += chunk.size()) {
       env->ChargeCpu(chunk.size());
       auto n = env->fs()->Read(*ino, off, chunk);
-      if (!n.ok()) return 1;
+      if (!n.ok()) bench::Die(name + ": read", n.status());
     }
     const double rsecs = (env->clock().now() - r0).seconds();
 
-    std::printf("%-14s %12.2f %12.2f\n", sim::FsKindName(kind).c_str(),
+    std::printf("%-14s %12.2f %12.2f\n", name.c_str(),
                 kFileBytes / wsecs / 1e6, kFileBytes / rsecs / 1e6);
     obs::Json row = obs::Json::Object();
-    row.Set("config", sim::FsKindName(kind));
+    row.Set("config", name);
     row.Set("write_mb_per_sec", kFileBytes / wsecs / 1e6);
     row.Set("read_mb_per_sec", kFileBytes / rsecs / 1e6);
     report.AddRow(std::move(row));
-    bench::AddSpans(&report, sim::FsKindName(kind), kind, config,
-                    env->spans()->breakdown());
+    bench::AddMachine(&report, name, env.get());
   }
   report.Write();
   std::printf("\nAll configurations should be within a few percent: grouping "

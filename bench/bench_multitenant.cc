@@ -29,12 +29,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "bench/report.h"
 #include "src/mt/driver.h"
-#include "src/sim/sim_env.h"
-#include "src/stats/collect.h"
 
 using namespace cffs;
 
@@ -44,11 +43,6 @@ struct SweepConfig {
   std::string name;
   sim::FsKind kind;
   bool delayed = false;  // delayed metadata + background syncer
-};
-
-struct RunOutcome {
-  stats::MetricsSnapshot snap;
-  bool ok = false;
 };
 
 sim::SimConfig BaseConfig(bool delayed) {
@@ -66,32 +60,18 @@ sim::SimConfig BaseConfig(bool delayed) {
   return config;
 }
 
-RunOutcome RunOne(const std::string& name, sim::FsKind kind,
-                  const sim::SimConfig& config, const mt::MtParams& params) {
-  RunOutcome out;
-  auto env_or = sim::SimEnv::Create(kind, config);
-  if (!env_or.ok()) {
-    std::fprintf(stderr, "%s: env: %s\n", name.c_str(),
-                 env_or.status().ToString().c_str());
-    return out;
-  }
-  sim::SimEnv* env = env_or->get();
-  mt::MtDriver driver(env, params);
-  if (Status s = driver.Run(); !s.ok()) {
-    std::fprintf(stderr, "%s: run: %s\n", name.c_str(),
-                 s.ToString().c_str());
-    return out;
-  }
-  out.snap = stats::Snapshot(*env);
-  out.snap.mt = driver.TakeStats();
-  const auto violations = out.snap.CheckInvariants();
-  for (const std::string& v : violations) {
-    std::fprintf(stderr, "INVARIANT VIOLATION [%s]: %s\n", name.c_str(),
-                 v.c_str());
-  }
-  if (!violations.empty()) return out;
-  out.ok = true;
-  return out;
+// Runs `params` under MtDriver on a fresh machine, then hands the machine
+// to bench::AddMachine under `label` when `record`, else to bench::Check.
+stats::MetricsSnapshot RunOne(bench::Report* report, const std::string& label,
+                              bool record, sim::FsKind kind,
+                              const sim::SimConfig& config,
+                              const mt::MtParams& params) {
+  std::unique_ptr<sim::SimEnv> env = bench::NewMachine(label, kind, config);
+  mt::MtDriver driver(env.get(), params);
+  if (Status s = driver.Run(); !s.ok()) bench::Die(label + ": run", s);
+  mt::MtStats mt = driver.TakeStats();
+  if (record) return bench::AddMachine(report, label, env.get(), std::move(mt));
+  return bench::Check(report, label, env.get(), std::move(mt));
 }
 
 obs::Json SweepRow(const std::string& config, uint32_t clients,
@@ -158,12 +138,12 @@ int main(int argc, char** argv) {
       params.clients = clients;
       params.ops_per_client =
           std::max<uint64_t>(4, total_ops / clients);
-      const std::string name =
-          sc.name + "/" + std::to_string(clients);
-      const RunOutcome out =
-          RunOne(name, sc.kind, BaseConfig(sc.delayed), params);
-      if (!out.ok) return 1;
-      const mt::MtStats& mt = out.snap.mt;
+      // Every point is checked; the top of the sweep is also recorded.
+      const bool top = clients == kCounts[3];
+      const stats::MetricsSnapshot snap = RunOne(
+          &report, top ? sc.name : sc.name + "/" + std::to_string(clients),
+          top, sc.kind, BaseConfig(sc.delayed), params);
+      const mt::MtStats& mt = snap.mt;
       std::printf("%-14s %8u %8llu %9.2fms %9.2fms %11.2fms %6.3f\n",
                   sc.name.c_str(), clients,
                   static_cast<unsigned long long>(mt.ops_serviced),
@@ -172,11 +152,9 @@ int main(int argc, char** argv) {
                   mt.create_latency.p99().seconds() * 1e3,
                   mt.JainFairnessIndex());
       report.AddRow(SweepRow(sc.name, clients, mt));
-      if (clients == kCounts[3]) {
+      if (top) {
         top_create_p99[ci] =
             static_cast<double>(mt.create_latency.p99().nanos());
-        bench::AddSpans(&report, sc.name, sc.kind, BaseConfig(sc.delayed),
-                        out.snap.spans);
       }
     }
   }
@@ -223,29 +201,25 @@ int main(int argc, char** argv) {
   double small_p99[4] = {};
   obs::Json a = obs::Json::Object();
   for (int i = 0; i < 4; ++i) {
-    const RunOutcome out = RunOne(
-        runs[i].name, sim::FsKind::kCffs, anta_config,
+    const stats::MetricsSnapshot snap = RunOne(
+        &report, runs[i].name, /*record=*/true, sim::FsKind::kCffs,
+        anta_config,
         antagonist_params(runs[i].sched, runs[i].backpressure,
                           runs[i].antagonist));
-    if (!out.ok) return 1;
-    const LatencyHistogram small = SmallClientLatency(out.snap.mt);
+    const LatencyHistogram small = SmallClientLatency(snap.mt);
     small_p99[i] = static_cast<double>(small.p99().nanos());
     std::printf("%-24s small p99 %9.2fms  p90 %9.2fms  mean %8.2fms  "
                 "jain %.3f  flushes %llu\n",
                 runs[i].name, small_p99[i] / 1e6,
                 small.Percentile(0.90).seconds() * 1e3,
-                small.mean().seconds() * 1e3,
-                out.snap.mt.JainFairnessIndex(),
-                static_cast<unsigned long long>(
-                    out.snap.syncer.throttle_flushes));
+                small.mean().seconds() * 1e3, snap.mt.JainFairnessIndex(),
+                static_cast<unsigned long long>(snap.syncer.throttle_flushes));
     const std::string tag(runs[i].name + std::strlen("antagonist/"));
     a.Set(tag + "_small_p99_ns", small_p99[i]);
     a.Set(tag + "_small_p90_ns", small.Percentile(0.90).nanos());
     a.Set(tag + "_small_mean_ns", small.mean().nanos());
-    a.Set(tag + "_jain", out.snap.mt.JainFairnessIndex());
-    a.Set(tag + "_throttle_flushes", out.snap.syncer.throttle_flushes);
-    bench::AddSpans(&report, runs[i].name, sim::FsKind::kCffs, anta_config,
-                    out.snap.spans);
+    a.Set(tag + "_jain", snap.mt.JainFairnessIndex());
+    a.Set(tag + "_throttle_flushes", snap.syncer.throttle_flushes);
   }
   const double fifo_inflation =
       small_p99[0] > 0 ? small_p99[1] / small_p99[0] : 0;

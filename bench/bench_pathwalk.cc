@@ -14,15 +14,14 @@
 // Each file system runs with the caches on and off (--nocache ablation is
 // the `name_caches` SimConfig flag). The headline number is the reduction
 // in directory-block touches on the hot phase; the run fails unless it is
-// at least 5x and every MetricsSnapshot invariant holds.
+// at least 5x and every MetricsSnapshot invariant holds after every phase.
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/report.h"
-#include "src/sim/sim_env.h"
-#include "src/stats/collect.h"
 
 using namespace cffs;
 
@@ -77,12 +76,7 @@ class Runner {
                 static_cast<unsigned long long>(s.ops.lookups),
                 static_cast<unsigned long long>(s.ops.dir_block_reads));
     // The accounting invariants must hold after every phase.
-    const auto bad = stats::Snapshot(*env_).CheckInvariants();
-    for (const std::string& b : bad) {
-      std::fprintf(stderr, "INVARIANT VIOLATION [%s/%s]: %s\n",
-                   config_.c_str(), phase, b.c_str());
-    }
-    if (!bad.empty()) return IoError("metrics invariant violation");
+    bench::Check(report_, config_ + "/" + phase, env_);
     return OkStatus();
   }
 
@@ -145,14 +139,11 @@ int main(int argc, char** argv) {
     for (int cached = 1; cached >= 0; --cached) {
       sim::SimConfig config;
       config.name_caches = cached != 0;
-      auto env_or = sim::SimEnv::Create(kinds[k], config);
-      if (!env_or.ok()) {
-        std::fprintf(stderr, "%s\n", env_or.status().ToString().c_str());
-        return 1;
-      }
-      sim::SimEnv* env = env_or->get();
       const std::string config_name =
           sim::FsKindName(kinds[k]) + (cached ? "" : "+nocache");
+      std::unique_ptr<sim::SimEnv> env_owner =
+          bench::NewMachine(config_name, kinds[k], config);
+      sim::SimEnv* env = env_owner.get();
       Runner run(env, &report, config_name);
 
       Status st = run.Phase("build", [&]() -> Status {
@@ -213,13 +204,8 @@ int main(int argc, char** argv) {
         });
       }
 
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s: %s\n", config_name.c_str(),
-                     st.ToString().c_str());
-        return 1;
-      }
-      bench::AddSpans(&report, config_name, kinds[k], config,
-                      env->spans()->breakdown());
+      if (!st.ok()) bench::Die(config_name, st);
+      bench::AddMachine(&report, config_name, env);
     }
   }
 

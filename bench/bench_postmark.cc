@@ -3,6 +3,7 @@
 // configuration. Not a figure from the paper, but exactly the class of
 // workload its introduction motivates.
 #include <cstdio>
+#include <memory>
 
 #include "bench/report.h"
 #include "src/workload/trace.h"
@@ -34,28 +35,23 @@ int main(int argc, char** argv) {
       sim::FsKind::kFfs, sim::FsKind::kConventional, sim::FsKind::kEmbedOnly,
       sim::FsKind::kGroupOnly, sim::FsKind::kCffs};
   for (sim::FsKind kind : kinds) {
-    sim::SimConfig config;
-    auto env = sim::SimEnv::Create(kind, config);
-    if (!env.ok()) return 1;
-    auto stats = workload::ReplayTrace(env->get(), trace);
-    if (!stats.ok()) {
-      std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%-14s %10.2f %10.1f %12llu %12llu\n",
-                sim::FsKindName(kind).c_str(), stats->seconds,
-                stats->ops_applied / stats->seconds,
+    const std::string name = sim::FsKindName(kind);
+    std::unique_ptr<sim::SimEnv> env =
+        bench::NewMachine(name, kind, sim::SimConfig{});
+    auto stats = workload::ReplayTrace(env.get(), trace);
+    if (!stats.ok()) bench::Die(name + ": run", stats.status());
+    std::printf("%-14s %10.2f %10.1f %12llu %12llu\n", name.c_str(),
+                stats->seconds, stats->ops_applied / stats->seconds,
                 static_cast<unsigned long long>(stats->disk_requests),
                 static_cast<unsigned long long>(stats->ops_failed));
     obs::Json row = obs::Json::Object();
-    row.Set("config", sim::FsKindName(kind));
+    row.Set("config", name);
     row.Set("seconds", stats->seconds);
     row.Set("ops_per_sec", stats->ops_applied / stats->seconds);
     row.Set("disk_requests", stats->disk_requests);
     row.Set("ops_failed", stats->ops_failed);
     report.AddRow(std::move(row));
-    bench::AddSpans(&report, sim::FsKindName(kind), kind, config,
-                    (*env)->spans()->breakdown());
+    bench::AddMachine(&report, name, env.get());
   }
   report.Write();
   return 0;

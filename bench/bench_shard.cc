@@ -32,16 +32,10 @@
 #include "bench/report.h"
 #include "src/shard/driver.h"
 #include "src/shard/router.h"
-#include "src/sim/sim_env.h"
 
 using namespace cffs;
 
 namespace {
-
-struct RunOutcome {
-  shard::ShardDriverStats st;
-  bool ok = false;
-};
 
 sim::SimConfig ShardConfig(uint32_t shards) {
   sim::SimConfig config;
@@ -50,17 +44,16 @@ sim::SimConfig ShardConfig(uint32_t shards) {
   return config;
 }
 
-RunOutcome RunOne(uint32_t shards, bool devtree, uint32_t rename_pct,
-                  uint32_t clients, uint64_t total_ops,
-                  uint32_t create_pct = 40, uint32_t read_pct = 40) {
-  RunOutcome out;
+// Runs one sweep point on a fresh router of `shards` C-FFS shards, records
+// its config under `label` and checks every shard's machine.
+shard::ShardDriverStats RunOne(bench::Report* report, const std::string& label,
+                               uint32_t shards, bool devtree,
+                               uint32_t rename_pct, uint32_t clients,
+                               uint64_t total_ops, uint32_t create_pct = 40,
+                               uint32_t read_pct = 40) {
   auto router =
       shard::ShardRouter::Create(sim::FsKind::kCffs, ShardConfig(shards));
-  if (!router.ok()) {
-    std::fprintf(stderr, "router(%u): %s\n", shards,
-                 router.status().ToString().c_str());
-    return out;
-  }
+  if (!router.ok()) bench::Die(label + ": router", router.status());
   shard::ShardDriverParams params;
   params.clients = clients;
   params.ops_per_client = std::max<uint64_t>(4, total_ops / clients);
@@ -72,26 +65,26 @@ RunOutcome RunOne(uint32_t shards, bool devtree, uint32_t rename_pct,
   params.rename_pct = rename_pct;
   params.devtree = devtree;
   shard::ShardDriver driver(router->get(), params);
-  if (Status s = driver.Run(); !s.ok()) {
-    std::fprintf(stderr, "run(%u shards): %s\n", shards,
-                 s.ToString().c_str());
-    return out;
-  }
-  out.st = driver.TakeStats();
+  if (Status s = driver.Run(); !s.ok()) bench::Die(label + ": run", s);
+  shard::ShardDriverStats st = driver.TakeStats();
   // Every run does work, and the shards split it exactly, so no shard
   // serves more ops than the run.
   uint64_t shard_ops = 0;
-  for (const shard::ShardOpStats& s : out.st.per_shard) shard_ops += s.ops;
-  if (shard_ops != out.st.mt.ops_serviced || shard_ops == 0) {
+  for (const shard::ShardOpStats& s : st.per_shard) shard_ops += s.ops;
+  if (shard_ops != st.mt.ops_serviced || shard_ops == 0) {
     std::fprintf(stderr,
-                 "INVARIANT VIOLATION: shards served %llu ops, driver "
-                 "serviced %llu (must be equal and > 0)\n",
-                 static_cast<unsigned long long>(shard_ops),
-                 static_cast<unsigned long long>(out.st.mt.ops_serviced));
-    return out;
+                 "FAIL [%s]: shards served %llu ops, driver serviced %llu "
+                 "(must be equal and > 0)\n",
+                 label.c_str(), static_cast<unsigned long long>(shard_ops),
+                 static_cast<unsigned long long>(st.mt.ops_serviced));
+    report->Fail();
   }
-  out.ok = true;
-  return out;
+  for (uint32_t i = 0; i < (*router)->shards(); ++i) {
+    bench::Check(report, label + "/shard" + std::to_string(i),
+                 (*router)->env(i));
+  }
+  bench::AddConfig(report, label, sim::FsKind::kCffs, ShardConfig(shards));
+  return st;
 }
 
 double OpsPerSec(const shard::ShardDriverStats& st) {
@@ -150,35 +143,32 @@ int main(int argc, char** argv) {
     double elapsed1 = 0;
     for (uint32_t i = 0; i < n_counts; ++i) {
       const uint32_t shards = counts_full[i];
-      const RunOutcome out =
-          RunOne(shards, devtree, /*rename_pct=*/0, clients, total_ops);
-      if (!out.ok) return 1;
-      const double elapsed = static_cast<double>(out.st.elapsed_ns) / 1e9;
+      const shard::ShardDriverStats st =
+          RunOne(&report, std::string(mode) + "/" + std::to_string(shards),
+                 shards, devtree, /*rename_pct=*/0, clients, total_ops);
+      const double elapsed = static_cast<double>(st.elapsed_ns) / 1e9;
       if (shards == 1) elapsed1 = elapsed;
       const double speedup = elapsed > 0 ? elapsed1 / elapsed : 0;
       std::printf("%-9s %7u %9llu %11.3f %12.1f %7.2fx %7llu  %llu..%llu\n",
                   mode, shards,
-                  static_cast<unsigned long long>(out.st.mt.ops_serviced),
-                  elapsed, OpsPerSec(out.st), speedup,
-                  static_cast<unsigned long long>(out.st.renames_cross),
+                  static_cast<unsigned long long>(st.mt.ops_serviced),
+                  elapsed, OpsPerSec(st), speedup,
+                  static_cast<unsigned long long>(st.renames_cross),
                   static_cast<unsigned long long>(
-                      std::min_element(out.st.per_shard.begin(),
-                                       out.st.per_shard.end(),
+                      std::min_element(st.per_shard.begin(),
+                                       st.per_shard.end(),
                                        [](const auto& a, const auto& b) {
                                          return a.ops < b.ops;
                                        })
                           ->ops),
                   static_cast<unsigned long long>(
-                      std::max_element(out.st.per_shard.begin(),
-                                       out.st.per_shard.end(),
+                      std::max_element(st.per_shard.begin(),
+                                       st.per_shard.end(),
                                        [](const auto& a, const auto& b) {
                                          return a.ops < b.ops;
                                        })
                           ->ops));
-      report.AddRow(Row(mode, shards, out.st, speedup));
-      bench::AddConfig(&report,
-                       std::string(mode) + "/" + std::to_string(shards),
-                       sim::FsKind::kCffs, ShardConfig(shards));
+      report.AddRow(Row(mode, shards, st, speedup));
       if (shards == 4) {
         speedups.Set(std::string(mode) + "_4shard_speedup", speedup);
         if (!devtree) postmark_speedup4 = speedup;
@@ -197,22 +187,20 @@ int main(int argc, char** argv) {
   for (uint32_t pct : {0u, 10u, 25u}) {
     // Same create/read mix across the tax sweep, sized so the largest
     // rename share still fits in the 100% budget (remainder = deletes).
-    const RunOutcome out = RunOne(/*shards=*/4, /*devtree=*/false, pct,
-                                  clients, total_ops, /*create_pct=*/35,
-                                  /*read_pct=*/35);
-    if (!out.ok) return 1;
-    const double tput = OpsPerSec(out.st);
+    const shard::ShardDriverStats st =
+        RunOne(&report, "rename_tax/" + std::to_string(pct), /*shards=*/4,
+               /*devtree=*/false, pct, clients, total_ops,
+               /*create_pct=*/35, /*read_pct=*/35);
+    const double tput = OpsPerSec(st);
     if (pct == 0) base_tput = tput;
     std::printf("%-12u %9llu %12.1f %8.2f%%\n", pct,
-                static_cast<unsigned long long>(out.st.renames_cross), tput,
+                static_cast<unsigned long long>(st.renames_cross), tput,
                 base_tput > 0 ? 100.0 * tput / base_tput : 0);
     obs::Json row = obs::Json::Object();
     row.Set("rename_pct", pct);
-    row.Set("renames_cross", out.st.renames_cross);
+    row.Set("renames_cross", st.renames_cross);
     row.Set("ops_per_sec", tput);
     tax.Push(std::move(row));
-    bench::AddConfig(&report, "rename_tax/" + std::to_string(pct),
-                     sim::FsKind::kCffs, ShardConfig(4));
   }
   report.Set("rename_tax", std::move(tax));
   report.Write();

@@ -3,6 +3,7 @@
 // improvements ranging from 10-300 percent." Each app runs cold-cache on a
 // pre-built synthetic source tree.
 #include <cstdio>
+#include <memory>
 
 #include "bench/report.h"
 #include "src/workload/devtree.h"
@@ -15,12 +16,8 @@ struct AppTimes {
   double copy = 0, archive = 0, unarchive = 0, compile = 0;
 };
 
-Status RunApps(sim::FsKind kind, bool quick, AppTimes* out,
-               bench::Report* report) {
-  sim::SimConfig config;
-  ASSIGN_OR_RETURN(auto env_owner, sim::SimEnv::Create(kind, config));
-  sim::SimEnv* env = env_owner.get();
-
+// Builds the source tree on `env`, then times each app from a cold cache.
+Status RunApps(sim::SimEnv* env, bool quick, AppTimes* out) {
   workload::DevTreeParams tp;
   if (quick) {
     tp.num_dirs = 8;
@@ -46,8 +43,6 @@ Status RunApps(sim::FsKind kind, bool quick, AppTimes* out,
   RETURN_IF_ERROR(env->ColdCache());
   ASSIGN_OR_RETURN(auto compile, workload::RunCompile(env, tree));
   out->compile = compile.seconds;
-  bench::AddSpans(report, sim::FsKindName(kind), kind, config,
-                  env->spans()->breakdown());
   return OkStatus();
 }
 
@@ -68,18 +63,18 @@ int main(int argc, char** argv) {
                                sim::FsKind::kEmbedOnly, sim::FsKind::kGroupOnly,
                                sim::FsKind::kCffs};
   for (sim::FsKind kind : kinds) {
+    const std::string name = sim::FsKindName(kind);
+    std::unique_ptr<sim::SimEnv> env =
+        bench::NewMachine(name, kind, sim::SimConfig{});
     AppTimes t{};
-    Status s = RunApps(kind, quick, &t, &report);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s: %s\n", sim::FsKindName(kind).c_str(),
-                   s.ToString().c_str());
-      return 1;
+    if (Status s = RunApps(env.get(), quick, &t); !s.ok()) {
+      bench::Die(name + ": run", s);
     }
-    std::printf("%-14s %10.2f %10.2f %10.2f %10.2f\n",
-                sim::FsKindName(kind).c_str(), t.copy, t.archive, t.unarchive,
-                t.compile);
+    bench::AddMachine(&report, name, env.get());
+    std::printf("%-14s %10.2f %10.2f %10.2f %10.2f\n", name.c_str(), t.copy,
+                t.archive, t.unarchive, t.compile);
     obs::Json row = obs::Json::Object();
-    row.Set("config", sim::FsKindName(kind));
+    row.Set("config", name);
     row.Set("copy_s", t.copy);
     row.Set("archive_s", t.archive);
     row.Set("unarchive_s", t.unarchive);

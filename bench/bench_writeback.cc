@@ -17,9 +17,6 @@
 #include <string>
 
 #include "bench/report.h"
-#include "src/sim/sim_env.h"
-#include "src/stats/collect.h"
-#include "src/workload/smallfile.h"
 
 using namespace cffs;
 
@@ -31,14 +28,9 @@ struct RunConfig {
   bool delayed = false;  // delayed metadata + background syncer
 };
 
-struct RunOutcome {
-  double create_fps = 0;
-  bool ok = false;
-};
-
-RunOutcome RunOne(const RunConfig& rc, const workload::SmallFileParams& params,
-                  bench::Report* report) {
-  RunOutcome out;
+// Runs one configuration and records it; returns its create-phase rate.
+double RunOne(const RunConfig& rc, const workload::SmallFileParams& params,
+              bench::Report* report) {
   sim::SimConfig config;
   if (rc.delayed) {
     config.metadata = fs::MetadataPolicy::kDelayed;
@@ -46,38 +38,10 @@ RunOutcome RunOne(const RunConfig& rc, const workload::SmallFileParams& params,
     config.syncer_interval = SimTime::Millis(100);
     config.syncer_max_age = SimTime::Millis(100);
   }
-  auto env_or = sim::SimEnv::Create(rc.kind, config);
-  if (!env_or.ok()) {
-    std::fprintf(stderr, "%s: env: %s\n", rc.name.c_str(),
-                 env_or.status().ToString().c_str());
-    return out;
-  }
-  sim::SimEnv* env = env_or->get();
-
-  auto result = workload::RunSmallFile(env, params);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s: run: %s\n", rc.name.c_str(),
-                 result.status().ToString().c_str());
-    return out;
-  }
-  if (Status s = env->syncer_status(); !s.ok()) {
-    std::fprintf(stderr, "%s: syncer: %s\n", rc.name.c_str(),
-                 s.ToString().c_str());
-    return out;
-  }
-
-  const stats::MetricsSnapshot snap = stats::Snapshot(*env);
-  const auto violations = snap.CheckInvariants();
-  for (const std::string& v : violations) {
-    std::fprintf(stderr, "INVARIANT VIOLATION [%s]: %s\n", rc.name.c_str(),
-                 v.c_str());
-  }
-  if (!violations.empty()) return out;
-
-  for (const workload::PhaseResult& p : result->phases) {
-    obs::Json row = bench::PhaseJson(p);
-    row.Set("config", rc.name);
-    report->AddRow(std::move(row));
+  const bench::SmallFileRun run =
+      bench::RunSmallFile(report, rc.name, rc.kind, config, params,
+                          obs::Json::Object().Set("config", rc.name));
+  for (const workload::PhaseResult& p : run.result.phases) {
     std::printf("%-14s %-9s %9.3fs %10.0f files/s %7llu rd %7llu wr\n",
                 rc.name.c_str(), p.phase.c_str(), p.seconds, p.files_per_sec,
                 static_cast<unsigned long long>(p.disk_reads),
@@ -86,24 +50,20 @@ RunOutcome RunOne(const RunConfig& rc, const workload::SmallFileParams& params,
 
   // Cumulative io-subsystem counters for the whole four-phase run.
   obs::Json io = obs::Json::Object();
-  io.Set("engine", stats::ToJson(snap.io_engine));
-  io.Set("syncer", stats::ToJson(snap.syncer));
-  io.Set("readahead", stats::ToJson(snap.readahead));
+  io.Set("engine", stats::ToJson(run.snap.io_engine));
+  io.Set("syncer", stats::ToJson(run.snap.syncer));
+  io.Set("readahead", stats::ToJson(run.snap.readahead));
   obs::Json extras = obs::Json::Object();
   extras.Set("config", rc.name);
   extras.Set("io", std::move(io));
   report->root().FindMutable("io_stats")->Push(std::move(extras));
-  bench::AddSpans(report, rc.name, rc.kind, config, snap.spans);
 
-  if (rc.delayed && snap.syncer.flushes == 0) {
-    std::fprintf(stderr, "%s: syncer never flushed — interval too long "
-                 "for the workload?\n", rc.name.c_str());
-    return out;
+  if (rc.delayed && run.snap.syncer.flushes == 0) {
+    std::fprintf(stderr, "FAIL [%s]: syncer never flushed — interval too "
+                 "long for the workload?\n", rc.name.c_str());
+    report->Fail();
   }
-
-  out.create_fps = result->phase("create").files_per_sec;
-  out.ok = true;
-  return out;
+  return run.result.phase("create").files_per_sec;
 }
 
 }  // namespace
@@ -139,9 +99,7 @@ int main(int argc, char** argv) {
   };
   double create_fps[4] = {};
   for (int i = 0; i < 4; ++i) {
-    const RunOutcome out = RunOne(configs[i], params, &report);
-    if (!out.ok) return 1;
-    create_fps[i] = out.create_fps;
+    create_fps[i] = RunOne(configs[i], params, &report);
   }
 
   const double ffs_speedup = create_fps[0] > 0 ? create_fps[1] / create_fps[0] : 0;

@@ -1,11 +1,11 @@
-// Machine-readable bench reports.
+// Machine-readable bench reports, and the one path from a finished machine
+// to its report.
 //
 // Every bench binary builds one Report and calls Write() at the end, which
 // drops BENCH_<name>.json next to the binary's working directory (or into
 // $CFFS_BENCH_DIR when set). A bench that finds its own results broken
-// (Fail(); AddSpans does so for a span breakdown whose phase times miss
-// an op's latency) still writes the report, then exits 1. The schema is
-// shared across benches:
+// (Fail()) still writes the report, then exits 1. The schema is shared
+// across benches:
 //
 //   {
 //     "bench": "<name>",
@@ -21,23 +21,30 @@
 // Each sim_config string is sim::ConfigString of the configuration that
 // label ran, so pasting it into cffs_run re-runs that machine.
 //
-// Rows for the smallfile-style benches come from PhaseJson(), which carries
-// the per-phase disk time breakdown so the report can answer "where did the
-// time go" without re-running; full counter dumps use
-// MetricsSnapshot::ToJson() (see src/stats/metrics.h).
+// Every machine a bench builds ends in Check() or AddMachine(): both fail
+// the report, naming the machine's label, on any MetricsSnapshot invariant
+// it breaks, and AddMachine also records its spans and sim_config. The
+// smallfile benches build, run and record their machines through
+// RunSmallFile(), whose rows come from PhaseJson(): the per-phase device
+// time breakdown, so the report can answer "where did the time go" without
+// re-running. Full counter dumps use MetricsSnapshot::ToJson() (see
+// src/stats/metrics.h).
 //
-// Header-only on purpose: bench binaries are one file each and already link
-// cffs_obs via cffs_sim.
+// Header-only on purpose: bench binaries are one file each.
 #ifndef CFFS_BENCH_REPORT_H_
 #define CFFS_BENCH_REPORT_H_
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 
 #include "src/obs/json.h"
 #include "src/sim/sim_env.h"
+#include "src/stats/collect.h"
 #include "src/util/cli.h"
 #include "src/workload/smallfile.h"
 
@@ -69,7 +76,7 @@ class Report {
     root_.Set("bench", name_);
     root_.Set("schema_version", 1);
     root_.Set("rows", obs::Json::Array());
-    // Per-config span attribution and config strings (see AddSpans
+    // Per-config span attribution and config strings (see AddMachine
     // below). Always present; they stay empty for the pure-disk-model
     // benches, which run no fs ops.
     root_.Set("spans", obs::Json::Object());
@@ -99,6 +106,7 @@ class Report {
 
   // Marks the run failed; the caller has printed why on stderr.
   void Fail() { failed_ = true; }
+  bool failed() const { return failed_; }
 
   // Writes the report; a write error warns on stderr but never fails the
   // bench. Exits 1 once the report is out if the run was marked failed.
@@ -118,6 +126,21 @@ class Report {
   bool failed_ = false;
 };
 
+// Ends a bench that cannot build or run a machine: prints "<what>:
+// <status>" on stderr and exits 1 without writing a report.
+[[noreturn]] inline void Die(const std::string& what, const Status& status) {
+  std::exit(Fail(what, status));
+}
+
+// A freshly formatted machine; Die naming `label` if it cannot be built.
+inline std::unique_ptr<sim::SimEnv> NewMachine(const std::string& label,
+                                               sim::FsKind kind,
+                                               const sim::SimConfig& config) {
+  Result<std::unique_ptr<sim::SimEnv>> env = sim::SimEnv::Create(kind, config);
+  if (!env.ok()) Die(label + ": env", env.status());
+  return std::move(*env);
+}
+
 // Records the configuration `label` ran as its sim::ConfigString under the
 // report's top-level "sim_config" object.
 inline void AddConfig(Report* report, const std::string& label,
@@ -126,26 +149,34 @@ inline void AddConfig(Report* report, const std::string& label,
       label, sim::ConfigString(kind, config));
 }
 
-// Records one configuration's cross-layer span attribution (per-op-type
-// count, end-to-end p50/p99/p999 and exact per-phase totals — see
-// src/obs/span.h) under the report's top-level "spans" object, and its
-// config string under "sim_config", both keyed by `label`. The spans cover
-// the ops since the env's last ResetStats, i.e. the measured section. An
-// op whose phase times do not sum to its latency fails the bench.
-inline void AddSpans(Report* report, const std::string& label,
-                     sim::FsKind kind, const sim::SimConfig& config,
-                     const obs::PhaseBreakdown& spans) {
-  if (spans.invariant_violations > 0) {
-    std::fprintf(stderr,
-                 "FAIL [%s]: %llu ops whose phase times do not sum to their "
-                 "latency (max residual %lld ns)\n",
-                 label.c_str(),
-                 static_cast<unsigned long long>(spans.invariant_violations),
-                 static_cast<long long>(spans.max_residual_ns));
+// Snapshots the finished machine `env`, with `mt` (the MtDriver's books on
+// a multi-tenant run), and fails the report for every MetricsSnapshot
+// invariant the snapshot breaks, naming `label` on stderr. Returns the
+// snapshot.
+inline stats::MetricsSnapshot Check(Report* report, const std::string& label,
+                                    sim::SimEnv* env, mt::MtStats mt = {}) {
+  stats::MetricsSnapshot snap = stats::Snapshot(*env);
+  snap.mt = std::move(mt);
+  for (const std::string& v : snap.CheckInvariants()) {
+    std::fprintf(stderr, "FAIL [%s]: %s\n", label.c_str(), v.c_str());
     report->Fail();
   }
-  report->root().FindMutable("spans")->Set(label, spans.ToJson());
-  AddConfig(report, label, kind, config);
+  return snap;
+}
+
+// Check, then records the machine under `label`: its span attribution
+// (per-op-type count, end-to-end p50/p99/p999 and exact per-phase totals
+// of the ops since the env's last ResetStats — see src/obs/span.h) under
+// "spans", and env->kind() and env->config() as a config string under
+// "sim_config". Returns the snapshot.
+inline stats::MetricsSnapshot AddMachine(Report* report,
+                                         const std::string& label,
+                                         sim::SimEnv* env,
+                                         mt::MtStats mt = {}) {
+  stats::MetricsSnapshot snap = Check(report, label, env, std::move(mt));
+  report->root().FindMutable("spans")->Set(label, snap.spans.ToJson());
+  AddConfig(report, label, env->kind(), env->config());
+  return snap;
 }
 
 // One phase of a smallfile-style workload as a report row.
@@ -177,6 +208,65 @@ inline obs::Json PhaseJson(const workload::PhaseResult& p) {
     j.Set("flash_time", std::move(fl));
   }
   return j;
+}
+
+// A finished smallfile run: its four phases and the machine's snapshot.
+struct SmallFileRun {
+  workload::SmallFileResult result;
+  stats::MetricsSnapshot snap;
+};
+
+// Work done on a fresh machine before the phases; it may add members to
+// every row through `tags`.
+using Prepare = std::function<Status(sim::SimEnv* env, obs::Json* tags)>;
+
+// The smallfile benches' runner. Builds a fresh `kind` machine on `config`,
+// runs `prepare` (if any) and then the four phases of `params` on it, and
+// hands the machine to AddMachine under `label`. Each phase must split its
+// device busy time into its parts within 1 us (disk: seek + rotation +
+// transfer + overhead; flash: overhead + wait + read + program + erase) or
+// the report fails. When `tags` is an object, every phase also becomes a
+// PhaseJson row with tags' members appended; fig7 passes null and writes
+// its own rows. A machine that cannot be built or run, or whose syncer
+// failed, ends the bench (Die).
+inline SmallFileRun RunSmallFile(Report* report, const std::string& label,
+                                 sim::FsKind kind,
+                                 const sim::SimConfig& config,
+                                 const workload::SmallFileParams& params,
+                                 obs::Json tags, const Prepare& prepare = {}) {
+  std::unique_ptr<sim::SimEnv> env = NewMachine(label, kind, config);
+  if (prepare) {
+    if (Status s = prepare(env.get(), &tags); !s.ok()) {
+      Die(label + ": prepare", s);
+    }
+  }
+  Result<workload::SmallFileResult> result =
+      workload::RunSmallFile(env.get(), params);
+  if (!result.ok()) Die(label + ": run", result.status());
+  if (Status s = env->syncer_status(); !s.ok()) Die(label + ": syncer", s);
+
+  for (const workload::PhaseResult& ph : result->phases) {
+    const double busy = ph.flash ? ph.flash_busy_s : ph.disk_busy_s;
+    const double parts =
+        ph.flash ? ph.flash_overhead_s + ph.flash_wait_s + ph.flash_read_s +
+                       ph.flash_program_s + ph.flash_erase_s
+                 : ph.disk_seek_s + ph.disk_rotation_s + ph.disk_transfer_s +
+                       ph.disk_overhead_s;
+    if (std::abs(parts - busy) >= 1e-6) {
+      std::fprintf(stderr,
+                   "FAIL [%s %s]: %s %.9f s != busy %.9f s\n", label.c_str(),
+                   ph.phase.c_str(),
+                   ph.flash ? "overhead+wait+read+program+erase"
+                            : "seek+rotation+transfer+overhead",
+                   parts, busy);
+      report->Fail();
+    }
+    if (!tags.is_object()) continue;
+    obs::Json row = PhaseJson(ph);
+    for (const auto& [key, value] : tags.members()) row.Set(key, value);
+    report->AddRow(std::move(row));
+  }
+  return {std::move(*result), AddMachine(report, label, env.get())};
 }
 
 }  // namespace cffs::bench

@@ -136,7 +136,6 @@ Status BufferCache::EvictIfNeeded() {
     }
     NoteStagedDropped(victim);
     ++stats_.evictions;
-    if (victim->has_lid_) logical_index_.erase(victim->lid_);
     lru_.erase(victim->lru_pos_);
     buffers_.erase(victim->bno_);
   }
@@ -203,27 +202,6 @@ Result<BufferRef> BufferCache::Lookup(uint64_t bno) {
   }
   NoteLookup(bno, /*hit=*/false);
   return NotFound("block not resident");
-}
-
-Result<BufferRef> BufferCache::LookupLogical(LogicalId id) {
-  auto it = logical_index_.find(id);
-  if (it == logical_index_.end()) return NotFound("logical id not resident");
-  Buffer* buf = FindResident(it->second);
-  assert(buf != nullptr);
-  ++stats_.logical_hits;
-  return Pin(buf);
-}
-
-void BufferCache::Bind(BufferRef& ref, LogicalId id) {
-  Buffer* buf = ref.buf_;
-  assert(buf != nullptr);
-  if (buf->has_lid_) {
-    if (buf->lid_ == id) return;
-    logical_index_.erase(buf->lid_);
-  }
-  buf->lid_ = id;
-  buf->has_lid_ = true;
-  logical_index_[id] = buf->bno_;
 }
 
 void BufferCache::MarkDirty(BufferRef& ref) {
@@ -378,7 +356,6 @@ void BufferCache::Invalidate(uint64_t bno) {
   assert(buf->pins_ == 0 && "cannot invalidate a pinned buffer");
   NoteStagedDropped(buf);
   if (buf->dirty_) SetDirty(buf, false);
-  if (buf->has_lid_) logical_index_.erase(buf->lid_);
   lru_.erase(buf->lru_pos_);
   buffers_.erase(bno);
 }
@@ -391,7 +368,6 @@ size_t BufferCache::CrashDropAll() {
     (void)bno;
   }
   buffers_.clear();
-  logical_index_.clear();
   lru_.clear();
   dirty_.clear();
   return lost;
@@ -421,7 +397,6 @@ void BufferCache::InvalidateAll() {
     (void)bno;
   }
   buffers_.clear();
-  logical_index_.clear();
   lru_.clear();
   dirty_.clear();
 }

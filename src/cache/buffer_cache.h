@@ -1,15 +1,12 @@
-// Buffer cache, dual-indexed by physical and logical identity.
+// Buffer cache, indexed by physical disk address.
 //
-// Paper §3: "our file cache is indexed by both disk address, like the
-// original UNIX buffer cache, and higher-level identities, like the SunOS
-// integrated caching and virtual memory system [Gingell87, Moran87]. C-FFS
-// uses physical identities to insert newly-read blocks of a group into the
-// cache without back-translating to discover their file/offset identities."
-//
-// InsertRun() implements exactly that for a group io::Readahead fetched with
-// one scatter/gather disk command: every sibling block is inserted under its
-// physical address and "an invalid file/offset identity"; the logical
-// identity is bound later when some file lookup touches the block.
+// Paper §3: "C-FFS uses physical identities to insert newly-read blocks of
+// a group into the cache without back-translating to discover their
+// file/offset identities." InsertRun() does that for a group io::Readahead
+// fetched with one scatter/gather disk command: every sibling block enters
+// the cache under its physical address. The paper's cache also keeps a
+// file/offset index; this one needs none, because every file read
+// translates through the block map to a physical address first.
 //
 // Buffers are pinned through the RAII BufferRef handle; unpinned buffers are
 // evicted in LRU order, writing dirty victims back first.
@@ -32,22 +29,6 @@
 
 namespace cffs::cache {
 
-// Logical identity: which file (by file-system-assigned id) and which
-// block-sized piece of it this buffer holds.
-struct LogicalId {
-  uint64_t file = 0;
-  uint64_t block_index = 0;
-
-  bool operator==(const LogicalId&) const = default;
-};
-
-struct LogicalIdHash {
-  size_t operator()(const LogicalId& id) const {
-    return std::hash<uint64_t>()(id.file * 0x9e3779b97f4a7c15ULL ^
-                                 id.block_index);
-  }
-};
-
 // Counter invariants (checked by stats::MetricsSnapshot::CheckInvariants):
 // every lookup is either a hit or a miss, so hits + misses == lookups; and
 // every staged block is eventually demanded or wasted, so
@@ -57,7 +38,6 @@ struct CacheStats {
   uint64_t lookups = 0;
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t logical_hits = 0;
   uint64_t group_reads = 0;       // runs inserted by InsertRun
   uint64_t group_blocks = 0;      // blocks inserted by group fetches
   uint64_t writebacks = 0;        // blocks written by Sync*/eviction
@@ -87,8 +67,6 @@ class Buffer {
   std::span<uint8_t> data() { return {data_.get(), blk::kBlockSize}; }
   std::span<const uint8_t> data() const { return {data_.get(), blk::kBlockSize}; }
   bool dirty() const { return dirty_; }
-  bool has_logical_id() const { return has_lid_; }
-  LogicalId logical_id() const { return lid_; }
   // When this buffer last transitioned clean -> dirty (sim ns); meaningful
   // only while dirty(). The syncer ages dirty buffers off this.
   int64_t dirty_since_ns() const { return dirty_since_ns_; }
@@ -102,10 +80,8 @@ class Buffer {
 
   uint64_t bno_;
   std::unique_ptr<uint8_t[]> data_;
-  LogicalId lid_;
   uint64_t flush_unit_ = kNoFlushUnit;
   int64_t dirty_since_ns_ = 0;
-  bool has_lid_ = false;
   bool dirty_ = false;
   bool staged_ = false;
   int pins_ = 0;
@@ -169,12 +145,6 @@ class BufferCache {
 
   // Lookup by physical address; kNotFound if not resident (no I/O).
   Result<BufferRef> Lookup(uint64_t bno);
-
-  // Lookup by logical identity; kNotFound if not resident (no I/O).
-  Result<BufferRef> LookupLogical(LogicalId id);
-
-  // Attach a logical identity to a resident buffer (see file comment).
-  void Bind(BufferRef& ref, LogicalId id);
 
   // Insert `count` blocks of data read with one command (count *
   // kBlockSize bytes from an IoEngine::ReadRun) by physical
@@ -271,7 +241,6 @@ class BufferCache {
   obs::SpanTracker* spans_ = nullptr;
 
   std::unordered_map<uint64_t, std::unique_ptr<Buffer>> buffers_;
-  std::unordered_map<LogicalId, uint64_t, LogicalIdHash> logical_index_;
   std::list<uint64_t> lru_;  // front = most recent
   // Exactly the dirty buffers, in clean->dirty transition order: the front
   // is the oldest, and flush plans walk only these.

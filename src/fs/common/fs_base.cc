@@ -289,7 +289,6 @@ Result<uint64_t> FsBase::Read(InodeNum num, uint64_t off,
         }
       }
       ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(bno));
-      cache_->Bind(buf, {num, idx});
       std::memcpy(out.data() + done, buf.data().data() + in_block, n);
     }
     done += n;
@@ -366,7 +365,6 @@ Result<uint64_t> FsBase::Write(InodeNum num, uint64_t off,
     std::memcpy(buf.data().data() + in_block, in.data() + done, n);
     cache_->MarkDirty(buf);
     cache_->SetFlushUnit(buf, FlushUnitFor(num, ino, bno));
-    cache_->Bind(buf, {num, idx});
     done += n;
   }
 

@@ -1,8 +1,9 @@
 // Group-granular readahead with a sequential ramp.
 //
 // Two prefetch shapes, both read through the IoEngine and inserted into
-// the buffer cache by physical identity (paper §3: group blocks enter the
-// cache "with an invalid file/offset identity" and are claimed later):
+// the buffer cache by physical address (paper §3: group blocks enter the
+// cache without back-translating to their file/offset identities; a later
+// file read finds them by translating through the block map):
 //
 //   - StageGroup: C-FFS stage-on-miss. A data-block miss inside a live
 //     group fetches the WHOLE group extent with one disk command — the

@@ -13,8 +13,8 @@
 // commit the name before the inode (an R-CREATE violation). Flushing the
 // whole set as a single epoch makes every flush trivially order-correct:
 // the ordering checker treats one epoch as one atomic commit. DESIGN.md §10
-// spells out the argument; tools/cffs_ordercheck --mutate=syncer-reorder
-// demonstrates what breaks without it.
+// spells out the argument; cffs_run --check-ordering
+// --mutate=syncer-reorder demonstrates what breaks without it.
 //
 // Two triggers, checked at every Tick() (SimEnv calls Tick at file-system
 // operation boundaries, so a flush epoch never splits an in-flight op):

@@ -39,7 +39,6 @@ Json ToJson(const cache::CacheStats& s) {
   j.Set("lookups", s.lookups);
   j.Set("hits", s.hits);
   j.Set("misses", s.misses);
-  j.Set("logical_hits", s.logical_hits);
   j.Set("group_reads", s.group_reads);
   j.Set("group_blocks", s.group_blocks);
   j.Set("writebacks", s.writebacks);

@@ -1,74 +1,6 @@
 #include "src/workload/trace.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
-
 namespace cffs::workload {
-
-namespace {
-
-const char* OpName(TraceOp op) {
-  switch (op) {
-    case TraceOp::kCreate: return "create";
-    case TraceOp::kWrite: return "write";
-    case TraceOp::kRead: return "read";
-    case TraceOp::kUnlink: return "unlink";
-    case TraceOp::kMkdir: return "mkdir";
-    case TraceOp::kRmdir: return "rmdir";
-    case TraceOp::kRename: return "rename";
-    case TraceOp::kTruncate: return "truncate";
-    case TraceOp::kSync: return "sync";
-  }
-  return "?";
-}
-
-Result<TraceOp> ParseOp(const std::string& name) {
-  for (int i = 0; i <= static_cast<int>(TraceOp::kSync); ++i) {
-    const TraceOp op = static_cast<TraceOp>(i);
-    if (name == OpName(op)) return op;
-  }
-  return InvalidArgument("unknown trace op: " + name);
-}
-
-}  // namespace
-
-Status Trace::SaveText(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return IoError("cannot write trace: " + path);
-  for (const TraceRecord& r : records_) {
-    std::fprintf(f, "%s %s %s %" PRIu64 " %" PRIu64 "\n", OpName(r.op),
-                 r.a.empty() ? "-" : r.a.c_str(),
-                 r.b.empty() ? "-" : r.b.c_str(), r.offset, r.size);
-  }
-  std::fclose(f);
-  return OkStatus();
-}
-
-Result<Trace> Trace::LoadText(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return IoError("cannot read trace: " + path);
-  Trace trace;
-  char op_buf[32], a_buf[512], b_buf[512];
-  uint64_t offset = 0, size = 0;
-  while (std::fscanf(f, "%31s %511s %511s %" SCNu64 " %" SCNu64, op_buf,
-                     a_buf, b_buf, &offset, &size) == 5) {
-    TraceRecord r;
-    Result<TraceOp> op = ParseOp(op_buf);
-    if (!op.ok()) {
-      std::fclose(f);
-      return op.status();
-    }
-    r.op = *op;
-    if (std::strcmp(a_buf, "-") != 0) r.a = a_buf;
-    if (std::strcmp(b_buf, "-") != 0) r.b = b_buf;
-    r.offset = offset;
-    r.size = size;
-    trace.Add(std::move(r));
-  }
-  std::fclose(f);
-  return trace;
-}
 
 Result<ReplayStats> ReplayTrace(sim::SimEnv* env, const Trace& trace) {
   ReplayStats stats;

@@ -3,8 +3,7 @@
 // Traces decouple workload generation from execution: a generator (or a
 // conversion from an external trace format) produces a Trace, and
 // ReplayTrace() drives any file system with it, measuring simulated time
-// and disk work. The text serialization keeps traces diffable and lets
-// benchmarks ship fixed workloads.
+// and disk work.
 #ifndef CFFS_WORKLOAD_TRACE_H_
 #define CFFS_WORKLOAD_TRACE_H_
 
@@ -41,10 +40,6 @@ class Trace {
   void Add(TraceRecord record) { records_.push_back(std::move(record)); }
   const std::vector<TraceRecord>& records() const { return records_; }
   size_t size() const { return records_.size(); }
-
-  // One record per line: "op path [path2] offset size".
-  Status SaveText(const std::string& path) const;
-  static Result<Trace> LoadText(const std::string& path);
 
  private:
   std::vector<TraceRecord> records_;

@@ -116,26 +116,6 @@ TEST_F(CacheTest, LruOrderEvictsColdest) {
   EXPECT_FALSE(cache_.Lookup(2).ok());
 }
 
-TEST_F(CacheTest, LogicalIndexFindsBuffer) {
-  auto a = cache_.GetZero(77);
-  ASSERT_TRUE(a.ok());
-  cache_.Bind(*a, {.file = 5, .block_index = 3});
-  a.value().Release();
-  auto found = cache_.LookupLogical({.file = 5, .block_index = 3});
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ((*found)->bno(), 77u);
-  EXPECT_FALSE(cache_.LookupLogical({.file = 5, .block_index = 4}).ok());
-}
-
-TEST_F(CacheTest, RebindMovesLogicalIdentity) {
-  auto a = cache_.GetZero(77);
-  cache_.Bind(*a, {.file = 1, .block_index = 0});
-  cache_.Bind(*a, {.file = 2, .block_index = 0});
-  a.value().Release();
-  EXPECT_FALSE(cache_.LookupLogical({.file = 1, .block_index = 0}).ok());
-  EXPECT_TRUE(cache_.LookupLogical({.file = 2, .block_index = 0}).ok());
-}
-
 TEST_F(CacheTest, ReadGroupIsOneDiskCommand) {
   ASSERT_TRUE(readahead_.StageGroup(200, 16, /*demand_bno=*/200).ok());
   EXPECT_EQ(dev_.stats().reads, 1u);

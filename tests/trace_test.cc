@@ -1,8 +1,6 @@
 // Tests for trace record/replay and the PostMark generator.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "src/workload/trace.h"
 
 namespace cffs {
@@ -50,36 +48,6 @@ TEST(TraceTest, FailedOpsCountedNotFatal) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->ops_failed, 1u);
   EXPECT_EQ(stats->ops_applied, 1u);
-}
-
-TEST(TraceTest, TextRoundTrip) {
-  Trace trace;
-  trace.Add({TraceOp::kMkdir, "/dir", "", 0, 0});
-  trace.Add({TraceOp::kWrite, "/dir/file", "", 128, 4096});
-  trace.Add({TraceOp::kRename, "/dir/file", "/dir/other", 0, 0});
-  trace.Add({TraceOp::kSync, "", "", 0, 0});
-  const std::string path = std::string(::testing::TempDir()) + "/trace.txt";
-  ASSERT_TRUE(trace.SaveText(path).ok());
-  auto back = Trace::LoadText(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_EQ(back->size(), trace.size());
-  for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(back->records()[i].op, trace.records()[i].op) << i;
-    EXPECT_EQ(back->records()[i].a, trace.records()[i].a) << i;
-    EXPECT_EQ(back->records()[i].b, trace.records()[i].b) << i;
-    EXPECT_EQ(back->records()[i].offset, trace.records()[i].offset) << i;
-    EXPECT_EQ(back->records()[i].size, trace.records()[i].size) << i;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceTest, LoadRejectsUnknownOp) {
-  const std::string path = std::string(::testing::TempDir()) + "/bad.txt";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("explode /x - 0 0\n", f);
-  std::fclose(f);
-  EXPECT_FALSE(Trace::LoadText(path).ok());
-  std::remove(path.c_str());
 }
 
 TEST(PostmarkTest, GeneratorIsDeterministic) {
