@@ -1,13 +1,14 @@
 // Wall-clock component microbenchmarks (google-benchmark): the in-memory
-// hot paths of the library — cache hits and flush plans, directory record
-// codec, seek-curve evaluation, sector-store copies, the DRR pick, flash
-// batches, whole-FS operation cost. These measure the implementation
-// itself, not the simulated disk.
+// hot paths of the library — cache hits, misses, group inserts and flush
+// plans, dentry lookups, directory record codec, seek-curve evaluation,
+// sector-store copies, the DRR pick, flash batches, whole-FS operation
+// cost. These measure the implementation itself, not the simulated disk.
 #include <benchmark/benchmark.h>
 
 #include "src/disk/seek_curve.h"
 #include "src/flash/flash_device.h"
 #include "src/fs/common/dir_block.h"
+#include "src/fs/common/name_cache.h"
 #include "src/mt/scheduler.h"
 #include "src/sim/sim_env.h"
 #include "src/util/rng.h"
@@ -58,6 +59,64 @@ void BM_CacheHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheHit);
+
+// A 16-block group inserted into a full 1024-block cache of clean blocks:
+// every block of the group misses and evicts one clean block. The groups
+// cycle over twice the capacity, so each is gone by the time it returns.
+void BM_CacheInsertRun(benchmark::State& state) {
+  SimClock clock;
+  disk::DiskModel disk(disk::TestDisk(), &clock);
+  blk::BlockDevice dev(&disk, disk::SchedulerPolicy::kCLook);
+  constexpr uint64_t kCapacity = 1024;
+  cache::BufferCache cache(&dev, kCapacity);
+  for (uint64_t b = 0; b < kCapacity; ++b) {
+    if (!cache.GetZero(b).ok()) {
+      state.SkipWithError("cache fill failed");
+      return;
+    }
+  }
+  std::vector<uint8_t> group(16 * blk::kBlockSize, 0x6b);
+  uint64_t next = 0;
+  for (auto _ : state) {
+    const uint64_t start = 2048 + (next++ % (2 * kCapacity / 16)) * 16;
+    benchmark::DoNotOptimize(cache.InsertRun(start, 16, group, start).ok());
+  }
+  state.SetItemsProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_CacheInsertRun);
+
+// Get misses cycling over twice a 1024-block cache: every access evicts
+// the least recent block and reads one from the device.
+void BM_CacheEvictCycle(benchmark::State& state) {
+  SimClock clock;
+  disk::DiskModel disk(disk::TestDisk(), &clock);
+  blk::BlockDevice dev(&disk, disk::SchedulerPolicy::kCLook);
+  constexpr uint64_t kCapacity = 1024;
+  cache::BufferCache cache(&dev, kCapacity);
+  uint64_t next = 0;
+  for (auto _ : state) {
+    auto ref = cache.Get(next++ % (2 * kCapacity));
+    benchmark::DoNotOptimize(ref.ok());
+  }
+}
+BENCHMARK(BM_CacheEvictCycle);
+
+// Hits in a full 8192-entry dentry cache, cycling over every entry.
+void BM_DentryLookup(benchmark::State& state) {
+  constexpr size_t kEntries = fs::NameCache::kDefaultDentries;
+  fs::DentryCache dentries(kEntries);
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kEntries; ++i) {
+    names.push_back("f" + std::to_string(i));
+    dentries.PutPositive(2 + i % 16, names.back(), 100 + i);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t k = i++ % kEntries;
+    benchmark::DoNotOptimize(dentries.Lookup(2 + k % 16, names[k]));
+  }
+}
+BENCHMARK(BM_DentryLookup);
 
 void BM_InodeCodec(benchmark::State& state) {
   fs::InodeData ino;

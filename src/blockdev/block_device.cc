@@ -80,21 +80,20 @@ Status BlockDevice::WriteBatch(const std::vector<WriteOp>& ops) {
   ++epoch_;  // the whole batch commits under one epoch
   BatchScope scope(&in_batch_);
 
-  std::vector<disk::PendingRequest> reqs;
-  reqs.reserve(ops.size());
+  reqs_.clear();
   for (const WriteOp& op : ops) {
     if (op.bno >= block_count_ || op.data == nullptr) {
       return InvalidArgument("bad batched write op");
     }
-    reqs.push_back({op.bno * kSectorsPerBlock, kSectorsPerBlock});
+    reqs_.push_back({op.bno * kSectorsPerBlock, kSectorsPerBlock});
   }
-  const std::vector<size_t> order = disk::ScheduleOrder(reqs, head_lba_, policy_);
+  const std::vector<size_t> order =
+      disk::ScheduleOrder(reqs_, head_lba_, policy_);
 
   // Coalesce runs of adjacent same-unit blocks in the service order into
   // single commands (scatter/gather).
   const SimTime batch_start = disk_->now();
   uint64_t commands = 0;
-  std::vector<uint8_t> run;
   size_t i = 0;
   while (i < order.size()) {
     size_t j = i + 1;
@@ -110,12 +109,14 @@ Status BlockDevice::WriteBatch(const std::vector<WriteOp>& ops) {
       RETURN_IF_ERROR(WriteRun(start_bno, 1,
                                std::span(ops[order[i]].data, kBlockSize)));
     } else {
-      run.resize(static_cast<size_t>(count) * kBlockSize);
+      const size_t bytes = static_cast<size_t>(count) * kBlockSize;
+      if (run_.size() < bytes) run_.resize(bytes);
       for (size_t k = 0; k < count; ++k) {
-        std::memcpy(run.data() + k * kBlockSize, ops[order[i + k]].data,
+        std::memcpy(run_.data() + k * kBlockSize, ops[order[i + k]].data,
                     kBlockSize);
       }
-      RETURN_IF_ERROR(WriteRun(start_bno, count, run));
+      RETURN_IF_ERROR(
+          WriteRun(start_bno, count, std::span(run_.data(), bytes)));
     }
     ++commands;
     i = j;

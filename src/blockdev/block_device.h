@@ -102,6 +102,11 @@ class BlockDevice {
   obs::TraceRecorder* trace_ = nullptr;
   uint64_t epoch_ = 0;      // monotonic commit-epoch counter
   bool in_batch_ = false;   // WriteRun calls share the batch's epoch
+
+ private:
+  // WriteBatch's scheduler input and coalescing buffer, kept across calls.
+  std::vector<disk::PendingRequest> reqs_;
+  std::vector<uint8_t> run_;
 };
 
 }  // namespace cffs::blk

@@ -32,15 +32,20 @@ BufferCache::BufferCache(blk::BlockDevice* dev, size_t capacity_blocks)
 }
 
 Buffer* BufferCache::FindResident(uint64_t bno) {
-  auto it = buffers_.find(bno);
-  return it == buffers_.end() ? nullptr : it->second.get();
+  Buffer* found = nullptr;
+  index_.Find(SlotIndex::Mix(bno), [&](uint32_t id) {
+    Buffer* b = Frame(id);
+    if (b->bno_ != bno) return false;
+    found = b;
+    return true;
+  });
+  return found;
 }
 
 void BufferCache::Touch(Buffer* buf) {
-  if (buf->in_lru_) lru_.erase(buf->lru_pos_);
-  lru_.push_front(buf->bno_);
-  buf->lru_pos_ = lru_.begin();
-  buf->in_lru_ = true;
+  if (lru_.front() == buf) return;
+  lru_.erase(buf);
+  lru_.push_front(buf);
 }
 
 BufferRef BufferCache::Pin(Buffer* buf) {
@@ -76,9 +81,9 @@ void BufferCache::SetDirty(Buffer* buf, bool dirty) {
   buf->dirty_ = dirty;
   if (dirty) {
     buf->dirty_since_ns_ = dev_->disk()->now().nanos();
-    buf->dirty_pos_ = dirty_.insert(dirty_.end(), buf);
+    dirty_.push_back(buf);
   } else {
-    dirty_.erase(buf->dirty_pos_);
+    dirty_.erase(buf);
   }
 }
 
@@ -103,20 +108,13 @@ Status BufferCache::EvictIfNeeded() {
   // quarter of the cache is dirty and we need space, flush everything in
   // one scheduled, clustered batch instead of dribbling single-block
   // eviction writes.
-  if (buffers_.size() >= capacity_ && dirty_.size() >= capacity_ / 4) {
+  if (size() >= capacity_ && dirty_.size() >= capacity_ / 4) {
     RETURN_IF_ERROR(SyncAll());
   }
-  while (buffers_.size() >= capacity_) {
+  while (size() >= capacity_) {
     // Walk from the LRU end for an unpinned victim.
-    Buffer* victim = nullptr;
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      Buffer* b = FindResident(*it);
-      assert(b != nullptr);
-      if (b->pins_ == 0) {
-        victim = b;
-        break;
-      }
-    }
+    Buffer* victim = lru_.back();
+    while (victim != nullptr && victim->pins_ > 0) victim = lru_.prev(victim);
     if (victim == nullptr) {
       // Everything pinned: allow temporary over-capacity rather than fail.
       return OkStatus();
@@ -136,18 +134,53 @@ Status BufferCache::EvictIfNeeded() {
     }
     NoteStagedDropped(victim);
     ++stats_.evictions;
-    lru_.erase(victim->lru_pos_);
-    buffers_.erase(victim->bno_);
+    Release(victim);
   }
   return OkStatus();
 }
 
 Buffer* BufferCache::InsertNew(uint64_t bno) {
-  auto buf = std::unique_ptr<Buffer>(new Buffer(bno));
-  Buffer* raw = buf.get();
-  buffers_.emplace(bno, std::move(buf));
-  Touch(raw);
-  return raw;
+  if (free_.empty()) {
+    const uint32_t first = static_cast<uint32_t>(slabs_.size()) * kSlabFrames;
+    Slab& slab = slabs_.emplace_back(Slab{
+        std::unique_ptr<Buffer[]>(new Buffer[kSlabFrames]),
+        std::make_unique_for_overwrite<uint8_t[]>(
+            static_cast<size_t>(kSlabFrames) * blk::kBlockSize)});
+    // Reversed, so frames leave the free list in address order.
+    for (uint32_t i = kSlabFrames; i-- > 0;) {
+      Buffer* frame = &slab.frames[i];
+      frame->id_ = first + i;
+      frame->data_ = slab.data.get() + static_cast<size_t>(i) * blk::kBlockSize;
+      free_.push_back(frame);
+    }
+  }
+  Buffer* buf = free_.back();
+  free_.pop_back();
+  buf->bno_ = bno;
+  buf->flush_unit_ = kNoFlushUnit;
+  buf->staged_ = false;
+  index_.Insert(SlotIndex::Mix(bno), buf->id_);
+  lru_.push_front(buf);
+  return buf;
+}
+
+void BufferCache::Release(Buffer* buf) {
+  assert(buf->pins_ == 0 && !buf->dirty_);
+  index_.Erase(SlotIndex::Mix(buf->bno_), buf->id_);
+  lru_.erase(buf);
+  free_.push_back(buf);
+}
+
+void BufferCache::ReleaseAll() {
+  for (Buffer* b = lru_.front(); b != nullptr; b = lru_.next(b)) {
+    assert(b->pins_ == 0);
+    NoteStagedDropped(b);
+    b->dirty_ = false;
+    free_.push_back(b);
+  }
+  index_.Clear();
+  lru_.clear();
+  dirty_.clear();
 }
 
 Result<BufferRef> BufferCache::Get(uint64_t bno) {
@@ -165,8 +198,7 @@ Result<BufferRef> BufferCache::Get(uint64_t bno) {
   Buffer* buf = InsertNew(bno);
   Status s = dev_->ReadBlock(bno, buf->data());
   if (!s.ok()) {
-    lru_.erase(buf->lru_pos_);
-    buffers_.erase(bno);
+    Release(buf);
     return s;
   }
   return Pin(buf);
@@ -226,8 +258,8 @@ Status BufferCache::SyncBlock(uint64_t bno) {
 std::vector<blk::WriteOp> BufferCache::BuildFlushPlan() {
   std::vector<blk::WriteOp> ops;
   ops.reserve(dirty_.size());
-  for (Buffer* buf : dirty_) {
-    ops.push_back({buf->bno_, buf->data().data(), buf->flush_unit_});
+  for (Buffer* buf = dirty_.front(); buf != nullptr; buf = dirty_.next(buf)) {
+    ops.push_back({buf->bno_, buf->data_, buf->flush_unit_});
   }
   if (ops.empty()) return ops;
 
@@ -323,15 +355,15 @@ Status BufferCache::InsertRun(uint64_t start_bno, uint32_t count,
   // clean block evicted mid-loop may come back, since its copy equals the
   // disk. An absent block stays absent until this loop inserts it.
   enum : uint8_t { kAbsent, kClean, kDirty };
-  std::vector<uint8_t> state(count);
+  run_state_.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     const Buffer* b = FindResident(start_bno + i);
-    state[i] = b == nullptr ? kAbsent : b->dirty_ ? kDirty : kClean;
+    run_state_[i] = b == nullptr ? kAbsent : b->dirty_ ? kDirty : kClean;
   }
   for (uint32_t i = 0; i < count; ++i) {
     const uint64_t bno = start_bno + i;
-    if (state[i] == kDirty ||
-        (state[i] == kClean && FindResident(bno) != nullptr)) {
+    if (run_state_[i] == kDirty ||
+        (run_state_[i] == kClean && FindResident(bno) != nullptr)) {
       continue;  // the resident copy is as new or newer
     }
     RETURN_IF_ERROR(EvictIfNeeded());
@@ -356,30 +388,23 @@ void BufferCache::Invalidate(uint64_t bno) {
   assert(buf->pins_ == 0 && "cannot invalidate a pinned buffer");
   NoteStagedDropped(buf);
   if (buf->dirty_) SetDirty(buf, false);
-  lru_.erase(buf->lru_pos_);
-  buffers_.erase(bno);
+  Release(buf);
 }
 
 size_t BufferCache::CrashDropAll() {
   const size_t lost = dirty_.size();
-  for (auto& [bno, buf] : buffers_) {
-    assert(buf->pins_ == 0);
-    NoteStagedDropped(buf.get());
-    (void)bno;
-  }
-  buffers_.clear();
-  lru_.clear();
-  dirty_.clear();
+  ReleaseAll();
   return lost;
 }
 
 std::vector<BufferCache::DirtyBlock> BufferCache::DirtyBlocks() const {
   std::vector<DirtyBlock> out;
   out.reserve(dirty_.size());
-  for (const Buffer* buf : dirty_) {
+  for (const Buffer* buf = dirty_.front(); buf != nullptr;
+       buf = dirty_.next(buf)) {
     DirtyBlock d;
     d.bno = buf->bno_;
-    d.data.assign(buf->data_.get(), buf->data_.get() + blk::kBlockSize);
+    d.data.assign(buf->data_, buf->data_ + blk::kBlockSize);
     out.push_back(std::move(d));
   }
   std::sort(out.begin(), out.end(),
@@ -391,14 +416,7 @@ std::vector<BufferCache::DirtyBlock> BufferCache::DirtyBlocks() const {
 
 void BufferCache::InvalidateAll() {
   assert(dirty_.empty() && "sync before invalidating the whole cache");
-  for (auto& [bno, buf] : buffers_) {
-    assert(buf->pins_ == 0);
-    NoteStagedDropped(buf.get());
-    (void)bno;
-  }
-  buffers_.clear();
-  lru_.clear();
-  dirty_.clear();
+  ReleaseAll();
 }
 
 }  // namespace cffs::cache

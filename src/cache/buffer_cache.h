@@ -10,21 +10,30 @@
 //
 // Buffers are pinned through the RAII BufferRef handle; unpinned buffers are
 // evicted in LRU order, writing dirty victims back first.
+//
+// The cache is a frame pool. A frame is a Buffer (the metadata) plus its
+// 4 KB of data. Frames come from fixed-size slabs, allocated only as the
+// cache first fills, and an evicted or invalidated frame goes back on a
+// free list for the next miss, so a warm cache allocates nothing per
+// access. The recency (LRU) list and the dirty list run through the frames
+// themselves, and one open-addressing table (SlotIndex) maps block numbers
+// to frames. When every resident frame is pinned, a miss does not fail: it
+// takes a frame from a new slab and the cache goes over capacity until
+// later misses evict it back down.
 #ifndef CFFS_CACHE_BUFFER_CACHE_H_
 #define CFFS_CACHE_BUFFER_CACHE_H_
 
 #include <cassert>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <utility>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/blockdev/block_device.h"
 #include "src/obs/span.h"
 #include "src/obs/trace.h"
+#include "src/util/slot_index.h"
 #include "src/util/status.h"
 
 namespace cffs::cache {
@@ -64,8 +73,8 @@ class Buffer {
  public:
   uint64_t bno() const { return bno_; }
   uint64_t flush_unit() const { return flush_unit_; }
-  std::span<uint8_t> data() { return {data_.get(), blk::kBlockSize}; }
-  std::span<const uint8_t> data() const { return {data_.get(), blk::kBlockSize}; }
+  std::span<uint8_t> data() { return {data_, blk::kBlockSize}; }
+  std::span<const uint8_t> data() const { return {data_, blk::kBlockSize}; }
   bool dirty() const { return dirty_; }
   // When this buffer last transitioned clean -> dirty (sim ns); meaningful
   // only while dirty(). The syncer ages dirty buffers off this.
@@ -75,19 +84,24 @@ class Buffer {
 
  private:
   friend class BufferCache;
-  explicit Buffer(uint64_t bno)
-      : bno_(bno), data_(new uint8_t[blk::kBlockSize]) {}
+  // One link of an intrusive list through the frames.
+  struct Links {
+    Buffer* prev = nullptr;
+    Buffer* next = nullptr;
+  };
 
-  uint64_t bno_;
-  std::unique_ptr<uint8_t[]> data_;
+  Buffer() = default;
+
+  uint8_t* data_ = nullptr;  // this frame's kBlockSize bytes in its slab
+  uint64_t bno_ = 0;
   uint64_t flush_unit_ = kNoFlushUnit;
   int64_t dirty_since_ns_ = 0;
+  Links lru_;          // on the recency list while resident
+  Links dirty_links_;  // on the dirty list while dirty_
+  uint32_t id_ = 0;    // frame number: what the block index stores
+  int pins_ = 0;
   bool dirty_ = false;
   bool staged_ = false;
-  int pins_ = 0;
-  std::list<uint64_t>::iterator lru_pos_;
-  bool in_lru_ = false;
-  std::list<Buffer*>::iterator dirty_pos_;  // valid while dirty_
 };
 
 // RAII pin on a cached buffer. While a BufferRef is live the buffer cannot
@@ -124,7 +138,7 @@ class BufferCache {
 
   blk::BlockDevice* device() { return dev_; }
   size_t capacity() const { return capacity_; }
-  size_t size() const { return buffers_.size(); }
+  size_t size() const { return index_.size(); }
   size_t dirty_count() const { return dirty_.size(); }
   CacheStats& stats() { return stats_; }
 
@@ -216,10 +230,65 @@ class BufferCache {
   std::vector<DirtyBlock> FlushPlanBlocks();
 
  private:
+  // A doubly linked list threaded through one Links member of each frame.
+  template <Buffer::Links Buffer::*kLinks>
+  class FrameList {
+   public:
+    Buffer* front() const { return front_; }
+    Buffer* back() const { return back_; }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    static Buffer* next(const Buffer* b) { return (b->*kLinks).next; }
+    static Buffer* prev(const Buffer* b) { return (b->*kLinks).prev; }
+
+    void push_front(Buffer* b) {
+      b->*kLinks = {nullptr, front_};
+      (front_ == nullptr ? back_ : (front_->*kLinks).prev) = b;
+      front_ = b;
+      ++size_;
+    }
+    void push_back(Buffer* b) {
+      b->*kLinks = {back_, nullptr};
+      (back_ == nullptr ? front_ : (back_->*kLinks).next) = b;
+      back_ = b;
+      ++size_;
+    }
+    void erase(Buffer* b) {
+      const Buffer::Links& l = b->*kLinks;
+      (l.prev == nullptr ? front_ : (l.prev->*kLinks).next) = l.next;
+      (l.next == nullptr ? back_ : (l.next->*kLinks).prev) = l.prev;
+      --size_;
+    }
+    void clear() { *this = FrameList(); }
+
+   private:
+    Buffer* front_ = nullptr;
+    Buffer* back_ = nullptr;
+    size_t size_ = 0;
+  };
+
+  // Frames come kSlabFrames at a time, metadata and data allocated apart
+  // so the list and index walks stay in the small metadata array.
+  static constexpr uint32_t kSlabFrames = 64;
+  struct Slab {
+    std::unique_ptr<Buffer[]> frames;
+    std::unique_ptr<uint8_t[]> data;  // kSlabFrames * kBlockSize, not zeroed
+  };
+
+  Buffer* Frame(uint32_t id) {
+    return &slabs_[id / kSlabFrames].frames[id % kSlabFrames];
+  }
   Buffer* FindResident(uint64_t bno);
   // Ensures capacity for one more buffer; evicts LRU unpinned buffers.
   Status EvictIfNeeded();
+  // Takes a free frame (adding a slab if none is left) for `bno`, indexes
+  // it and makes it the most recent.
   Buffer* InsertNew(uint64_t bno);
+  // Returns a resident, clean, unpinned frame to the free list.
+  void Release(Buffer* buf);
+  // Returns every resident frame to the free list, dropping its block
+  // (dirty contents included).
+  void ReleaseAll();
   void Touch(Buffer* buf);
   void Unpin(Buffer* buf);
   BufferRef Pin(Buffer* buf);
@@ -240,11 +309,14 @@ class BufferCache {
   obs::TraceRecorder* trace_ = nullptr;
   obs::SpanTracker* spans_ = nullptr;
 
-  std::unordered_map<uint64_t, std::unique_ptr<Buffer>> buffers_;
-  std::list<uint64_t> lru_;  // front = most recent
+  std::vector<Slab> slabs_;
+  std::vector<Buffer*> free_;  // frames holding no block
+  SlotIndex index_;            // resident frames by block number
+  FrameList<&Buffer::lru_> lru_;  // front = most recent
   // Exactly the dirty buffers, in clean->dirty transition order: the front
   // is the oldest, and flush plans walk only these.
-  std::list<Buffer*> dirty_;
+  FrameList<&Buffer::dirty_links_> dirty_;
+  std::vector<uint8_t> run_state_;  // InsertRun's per-block scratch
 };
 
 }  // namespace cffs::cache

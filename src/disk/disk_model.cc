@@ -198,8 +198,8 @@ uint8_t* DiskModel::SectorPtr(uint64_t lba, bool create) {
   auto it = chunks_.find(chunk);
   if (it == chunks_.end()) {
     if (!create) return nullptr;
+    // make_unique value-initializes: a new chunk reads as zeroes.
     auto buf = std::make_unique<uint8_t[]>(kChunkSectors * kSectorSize);
-    std::memset(buf.get(), 0, kChunkSectors * kSectorSize);
     it = chunks_.emplace(chunk, std::move(buf)).first;
   }
   return it->second.get() + (lba % kChunkSectors) * kSectorSize;

@@ -2,7 +2,10 @@
 // decode/scan work from the lookup path.
 //
 // Three structures, owned by FsBase and dropped on unmount (so a remount
-// always starts cold — an explicit coherence property the tests rely on):
+// always starts cold — an explicit coherence property the tests rely on).
+// All three sit on one bounded table type, FlatLru (src/util/flat_lru.h):
+// a slot vector, an open-addressing index and an intrusive recency list,
+// so a warm cache allocates nothing to look up, refresh or evict an entry.
 //
 // * DentryCache — bounded LRU keyed by (directory inum, name) mapping to
 //   the child's inode number. Holds POSITIVE entries ("x resolves to 17")
@@ -37,14 +40,14 @@
 #define CFFS_FS_COMMON_NAME_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <optional>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 
 #include "src/fs/common/fs_types.h"
 #include "src/fs/common/inode.h"
+#include "src/util/flat_lru.h"
 
 namespace cffs::fs {
 
@@ -55,42 +58,52 @@ class DentryCache {
     bool negative = false;
   };
 
-  explicit DentryCache(size_t capacity) : capacity_(capacity) {}
+  explicit DentryCache(size_t capacity) : lru_(capacity) {}
 
   // nullptr on miss. A returned pointer is valid until the next mutation.
-  const Entry* Lookup(InodeNum dir, std::string_view name);
+  const Entry* Lookup(InodeNum dir, std::string_view name) {
+    return lru_.Lookup({dir, name});
+  }
 
-  void PutPositive(InodeNum dir, std::string_view name, InodeNum inum);
-  void PutNegative(InodeNum dir, std::string_view name);
-  void Erase(InodeNum dir, std::string_view name);
+  void PutPositive(InodeNum dir, std::string_view name, InodeNum inum) {
+    lru_.Put({dir, name}, Entry{inum, /*negative=*/false});
+  }
+  void PutNegative(InodeNum dir, std::string_view name) {
+    lru_.Put({dir, name}, Entry{kInvalidInode, /*negative=*/true});
+  }
+  void Erase(InodeNum dir, std::string_view name) { lru_.Erase({dir, name}); }
   // Drops every entry under `dir` (directory deletion / inum reuse).
-  void EraseDir(InodeNum dir);
-  void Clear();
+  void EraseDir(InodeNum dir) {
+    lru_.EraseIf([dir](const Key& k) { return k.dir == dir; });
+  }
+  void Clear() { lru_.Clear(); }
 
-  size_t size() const { return map_.size(); }
+  size_t size() const { return lru_.size(); }
 
  private:
-  struct Key {
+  // Probes hash and compare (dir, string_view); only an insert copies the
+  // name into a stored Key.
+  struct KeyView {
     InodeNum dir;
+    std::string_view name;
+  };
+  struct Key {
+    Key() = default;
+    explicit Key(const KeyView& v) : dir(v.dir), name(v.name) {}
+    bool operator==(const KeyView& v) const {
+      return dir == v.dir && name == v.name;
+    }
+    InodeNum dir = kInvalidInode;
     std::string name;
-    bool operator==(const Key&) const = default;
   };
   struct KeyHash {
-    size_t operator()(const Key& k) const {
+    size_t operator()(const KeyView& k) const {
       return std::hash<std::string_view>()(k.name) ^
-             (std::hash<uint64_t>()(k.dir) * 0x9e3779b97f4a7c15ULL);
+             (k.dir * 0x9e3779b97f4a7c15ULL);
     }
   };
-  struct Node {
-    Entry entry;
-    std::list<Key>::iterator lru_pos;
-  };
 
-  void Put(InodeNum dir, std::string_view name, Entry entry);
-
-  size_t capacity_;
-  std::unordered_map<Key, Node, KeyHash> map_;
-  std::list<Key> lru_;  // front = most recent
+  FlatLru<Key, Entry, KeyHash, KeyView> lru_;
 };
 
 // Location of one directory record; enough to re-read it with a single
@@ -108,54 +121,36 @@ class DirIndexCache {
     std::unordered_map<std::string, DirEntryLoc> by_name;
   };
 
-  explicit DirIndexCache(size_t max_dirs) : max_dirs_(max_dirs) {}
+  explicit DirIndexCache(size_t max_dirs) : lru_(max_dirs) {}
 
   // The index for `dir` if one has been built (touches LRU), else nullptr.
-  Index* Find(InodeNum dir);
+  Index* Find(InodeNum dir) { return lru_.Lookup(dir); }
   // Registers a freshly built index (evicting the LRU directory if full)
   // and returns it.
-  Index* Install(InodeNum dir, Index index);
-  void Add(InodeNum dir, std::string_view name, const DirEntryLoc& loc);
-  void Remove(InodeNum dir, std::string_view name);
+  Index* Install(InodeNum dir, Index index) {
+    return lru_.Put(dir, std::move(index));
+  }
+  // Incremental maintenance of an index that exists; neither call changes
+  // which directory is evicted next.
+  void Add(InodeNum dir, std::string_view name, const DirEntryLoc& loc) {
+    if (Index* idx = lru_.Peek(dir)) idx->by_name[std::string(name)] = loc;
+  }
+  void Remove(InodeNum dir, std::string_view name) {
+    if (Index* idx = lru_.Peek(dir)) idx->by_name.erase(std::string(name));
+  }
   // Drops the whole index for `dir` (deletion, or a detected stale probe).
-  void EraseDir(InodeNum dir);
-  void Clear();
+  void EraseDir(InodeNum dir) { lru_.Erase(dir); }
+  void Clear() { lru_.Clear(); }
 
-  size_t size() const { return map_.size(); }
-
- private:
-  struct Node {
-    Index index;
-    std::list<InodeNum>::iterator lru_pos;
-  };
-
-  size_t max_dirs_;
-  std::unordered_map<InodeNum, Node> map_;
-  std::list<InodeNum> lru_;  // front = most recent
-};
-
-class InodeCache {
- public:
-  explicit InodeCache(size_t capacity) : capacity_(capacity) {}
-
-  // nullptr on miss. Valid until the next mutation.
-  const InodeData* Lookup(InodeNum num);
-  void Put(InodeNum num, const InodeData& ino);
-  void Erase(InodeNum num);
-  void Clear();
-
-  size_t size() const { return map_.size(); }
+  size_t size() const { return lru_.size(); }
 
  private:
-  struct Node {
-    InodeData ino;
-    std::list<InodeNum>::iterator lru_pos;
-  };
-
-  size_t capacity_;
-  std::unordered_map<InodeNum, Node> map_;
-  std::list<InodeNum> lru_;  // front = most recent
+  FlatLru<InodeNum, Index, std::hash<InodeNum>> lru_;
 };
+
+// Lookup returns nullptr on a miss; a returned pointer is valid until the
+// next mutation.
+using InodeCache = FlatLru<InodeNum, InodeData, std::hash<InodeNum>>;
 
 // The three caches as one per-mount unit with shared sizing defaults.
 struct NameCache {

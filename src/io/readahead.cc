@@ -1,7 +1,7 @@
 #include "src/io/readahead.h"
 
 #include <algorithm>
-#include <vector>
+#include <span>
 
 namespace cffs::io {
 
@@ -43,7 +43,9 @@ Status Readahead::Stage(uint64_t start_bno, uint32_t count,
                         uint64_t demand_bno, bool group) {
   if (count == 0) return InvalidArgument("empty readahead stage");
   stats_.blocks_requested += count;
-  std::vector<uint8_t> raw(static_cast<size_t>(count) * blk::kBlockSize);
+  const size_t bytes = static_cast<size_t>(count) * blk::kBlockSize;
+  if (bounce_.size() < bytes) bounce_.resize(bytes);
+  const std::span<uint8_t> raw(bounce_.data(), bytes);
   RETURN_IF_ERROR(engine_->ReadRun(start_bno, count, raw));
   if (trace_) {
     obs::TraceEvent e;

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "src/cache/buffer_cache.h"
 #include "src/io/io_engine.h"
@@ -74,6 +75,7 @@ class Readahead {
   ReadaheadStats stats_;
   obs::TraceRecorder* trace_ = nullptr;
   std::unordered_map<uint64_t, Stream> streams_;
+  std::vector<uint8_t> bounce_;  // Stage's read buffer, kept across calls
 };
 
 }  // namespace cffs::io

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/cache/buffer_cache.h"
@@ -316,9 +317,9 @@ TEST_F(CacheTest, InsertRunStagesOnlyNonDemandBlocks) {
   EXPECT_EQ(cache_.Lookup(201).value()->flush_unit(), 200u);
 }
 
-// What a BufferCache with no pinned buffers must hold: residency in LRU
-// order with each buffer's flush unit, and the dirty blocks in clean->dirty
-// order with their transition times and the byte last written to them.
+// What a BufferCache must hold: residency in LRU order with each buffer's
+// flush unit and pin count, and the dirty blocks in clean->dirty order with
+// their transition times and the byte last written to them.
 struct CacheModel {
   struct Dirty {
     uint64_t bno;
@@ -341,20 +342,31 @@ struct CacheModel {
     lru.remove(bno);
     lru.push_front(bno);
   }
+  // The least recent unpinned block, or 0 when every block is pinned.
+  uint64_t Victim() const {
+    for (auto it = lru.rbegin(); it != lru.rend(); ++it) {
+      if (pins.count(*it) == 0) return *it;
+    }
+    return 0;
+  }
   // A Get/GetZero of `bno`: a hit touches it; a miss first makes room the
   // way EvictIfNeeded does (a full flush at the dirty high-watermark, then
-  // LRU eviction, writing a dirty victim back).
+  // LRU eviction of unpinned blocks, writing a dirty victim back). With
+  // every block pinned the miss goes over capacity instead.
   void Access(uint64_t bno) {
     if (!resident(bno)) {
       if (unit.size() >= capacity && dirty.size() >= capacity / 4) {
         dirty.clear();
       }
-      while (unit.size() >= capacity) {
-        Drop(lru.back());
+      while (unit.size() >= capacity && Victim() != 0) {
+        Drop(Victim());
       }
       unit[bno] = cache::kNoFlushUnit;
     }
     Touch(bno);
+  }
+  void Unpin(uint64_t bno) {
+    if (--pins.at(bno) == 0) pins.erase(bno);
   }
   void Drop(uint64_t bno) {
     Clean(bno);
@@ -390,8 +402,37 @@ struct CacheModel {
   size_t capacity;
   std::list<uint64_t> lru;            // front = most recent
   std::map<uint64_t, uint64_t> unit;  // resident bno -> flush unit
+  std::map<uint64_t, int> pins;       // pinned bno -> live BufferRefs
   std::vector<Dirty> dirty;           // clean->dirty order
 };
+
+// The cache's dirty list and flush plan against the model: the dirty count,
+// the oldest clean->dirty time, each dirty block's last-written byte, and
+// the plan's blocks in order with the dirty ones' contents.
+void ExpectMatchesModel(cache::BufferCache& cache, const CacheModel& model) {
+  ASSERT_EQ(cache.dirty_count(), model.dirty.size());
+  ASSERT_EQ(cache.oldest_dirty_ns(),
+            model.dirty.empty() ? -1 : model.dirty.front().since_ns);
+  std::map<uint64_t, uint8_t> tags;
+  for (const CacheModel::Dirty& d : model.dirty) tags[d.bno] = d.tag;
+  const auto blocks = cache.DirtyBlocks();
+  ASSERT_EQ(blocks.size(), tags.size());
+  auto want = tags.begin();
+  for (const auto& b : blocks) {
+    ASSERT_EQ(b.bno, want->first);
+    ASSERT_EQ(b.data[0], want->second);
+    ++want;
+  }
+  const std::vector<blk::WriteOp> plan = cache.BuildFlushPlan();
+  const std::vector<uint64_t> plan_want = model.PlanBlocks();
+  ASSERT_EQ(plan.size(), plan_want.size());
+  for (size_t i = 0; i < plan.size(); ++i) {
+    ASSERT_EQ(plan[i].bno, plan_want[i]);
+    if (tags.count(plan[i].bno)) {
+      ASSERT_EQ(plan[i].data[0], tags[plan[i].bno]);
+    }
+  }
+}
 
 // The dirty list against the model under a random mix of dirtying (with
 // and without flush units), clean reads, scans that push dirty blocks out
@@ -414,7 +455,7 @@ TEST_F(CacheTest, DirtyListMatchesAModel) {
     const bool dirty_victim =
         !model.resident(bno) && model.unit.size() >= kCapacity &&
         model.dirty.size() < kCapacity / 4 &&
-        model.FindDirty(model.lru.back()) != model.dirty.end();
+        model.FindDirty(model.Victim()) != model.dirty.end();
     auto ref = zero ? small.GetZero(bno) : small.Get(bno);
     model.Access(bno);
     if (dirty_victim) {
@@ -486,33 +527,106 @@ TEST_F(CacheTest, DirtyListMatchesAModel) {
       clock_.AdvanceBy(SimTime::Nanos(static_cast<int64_t>(rng.Below(3))));
     }
 
-    ASSERT_EQ(small.dirty_count(), model.dirty.size()) << "step " << step;
-    ASSERT_EQ(small.oldest_dirty_ns(),
-              model.dirty.empty() ? -1 : model.dirty.front().since_ns)
-        << "step " << step;
-    std::map<uint64_t, uint8_t> tags;
-    for (const CacheModel::Dirty& d : model.dirty) tags[d.bno] = d.tag;
-    const auto blocks = small.DirtyBlocks();
-    ASSERT_EQ(blocks.size(), tags.size()) << "step " << step;
-    auto want = tags.begin();
-    for (const auto& b : blocks) {
-      ASSERT_EQ(b.bno, want->first) << "step " << step;
-      ASSERT_EQ(b.data[0], want->second) << "step " << step;
-      ++want;
-    }
-    const std::vector<blk::WriteOp> plan = small.BuildFlushPlan();
-    const std::vector<uint64_t> plan_want = model.PlanBlocks();
-    ASSERT_EQ(plan.size(), plan_want.size()) << "step " << step;
-    for (size_t i = 0; i < plan.size(); ++i) {
-      ASSERT_EQ(plan[i].bno, plan_want[i]) << "step " << step;
-      if (tags.count(plan[i].bno)) {
-        ASSERT_EQ(plan[i].data[0], tags[plan[i].bno]) << "step " << step;
-      }
-    }
+    SCOPED_TRACE("step " + std::to_string(step));
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(small, model));
   }
   // The mix reached the paths it is meant to cover.
   EXPECT_GT(dirty_evictions, 50u);
   EXPECT_GT(same_ns_redirties, 50u);
+}
+
+// Pinned buffers against the same model. Some BufferRefs stay live across
+// steps, so the victim walk must skip pinned buffers; pin storms hold more
+// buffers than the cache's capacity, so a miss finds every buffer pinned
+// and the cache must grow past capacity, then evict back down once the pins
+// drop. After every step the resident set, its recency order (probed
+// oldest first, which leaves the order as it was), size(), the dirty list
+// and the flush plan match the model.
+TEST_F(CacheTest, PinnedBuffersMatchAModel) {
+  constexpr size_t kCapacity = 8;
+  cache::BufferCache small(&dev_, kCapacity);
+  CacheModel model(kCapacity);
+  Rng rng(11);
+  std::vector<cache::BufferRef> held;
+  uint8_t next_tag = 1;
+  uint64_t storm_pos = 0;
+  uint64_t pinned_skips = 0, over_capacity = 0, shrinks = 0;
+  // A Get/GetZero in both; with `hold` the pin stays live in `held`.
+  auto access = [&](uint64_t bno, bool zero, bool hold) -> cache::BufferRef {
+    pinned_skips += !model.resident(bno) && model.unit.size() >= kCapacity &&
+                    model.pins.count(model.lru.back()) != 0;
+    auto ref = zero ? small.GetZero(bno) : small.Get(bno);
+    model.Access(bno);
+    EXPECT_TRUE(ref.ok());
+    if (!ref.ok()) return {};
+    auto dirty = model.FindDirty(bno);
+    if (zero && dirty != model.dirty.end()) dirty->tag = 0;  // still dirty
+    if (!hold) return std::move(*ref);
+    ++model.pins[bno];
+    held.push_back(std::move(*ref));
+    return {};
+  };
+  auto release = [&](size_t i) {
+    model.Unpin(held[i]->bno());
+    held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const size_t size_before = small.size();
+    const uint64_t bno = 100 + rng.Below(24);
+    const uint64_t roll = rng.Below(100);
+    if (roll < 35) {
+      access(bno, /*zero=*/rng.Below(2) == 0, /*hold=*/rng.Below(3) == 0);
+    } else if (roll < 45) {
+      cache::BufferRef ref = access(bno, /*zero=*/false, /*hold=*/false);
+      ASSERT_TRUE(ref.valid());
+      const uint8_t tag = next_tag++;
+      ref.data()[0] = tag;
+      small.MarkDirty(ref);
+      auto it = model.FindDirty(bno);
+      if (it == model.dirty.end()) {
+        model.dirty.push_back({bno, clock_.now().nanos(), tag});
+      } else {
+        it->tag = tag;
+      }
+    } else if (roll < 70) {
+      if (!held.empty()) release(rng.Below(held.size()));
+    } else if (roll < 72) {
+      // A pin storm: more live pins than the cache has room for.
+      for (size_t i = 0; i < kCapacity + 3; ++i) {
+        access(200 + storm_pos++ % 64, /*zero=*/false, /*hold=*/true);
+      }
+      ASSERT_GT(small.size(), kCapacity) << "step " << step;
+    } else if (roll < 80) {
+      ASSERT_TRUE(small.SyncAll().ok());
+      model.dirty.clear();
+    } else if (roll < 88) {
+      if (model.pins.count(bno) == 0) {
+        small.Invalidate(bno);
+        if (model.resident(bno)) model.Drop(bno);
+      }
+    } else if (roll < 89) {
+      held.clear();
+      model.pins.clear();
+      EXPECT_EQ(small.CrashDropAll(), model.dirty.size());
+      model = CacheModel(kCapacity);
+    } else {
+      clock_.AdvanceBy(SimTime::Nanos(static_cast<int64_t>(rng.Below(3))));
+    }
+
+    SCOPED_TRACE("step " + std::to_string(step));
+    ASSERT_EQ(small.size(), model.unit.size());
+    for (auto it = model.lru.rbegin(); it != model.lru.rend(); ++it) {
+      ASSERT_TRUE(small.Lookup(*it).ok()) << "block " << *it;
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(small, model));
+    over_capacity += small.size() > kCapacity;
+    shrinks += size_before > kCapacity && small.size() <= kCapacity;
+  }
+  // The mix reached the paths it is meant to cover.
+  EXPECT_GT(pinned_skips, 200u);
+  EXPECT_GT(over_capacity, 200u);
+  EXPECT_GT(shrinks, 20u);
 }
 
 TEST(BlockDeviceTest, RunBoundsChecked) {
