@@ -65,19 +65,18 @@ Status CrashStateEnumerator::ExploreState(
   // Materialize the crash image on a clone; the live disk is untouched.
   auto mounted = sim::SimEnv::Open(
       env_->config(), [&](disk::DiskModel& clone) {
+        Status status = OkStatus();
         env_->disk().ForEachChunk(
             [&](uint64_t chunk_index, std::span<const uint8_t> data) {
-              clone.RestoreChunk(chunk_index, data);
+              if (status.ok()) status = clone.RestoreChunk(chunk_index, data);
             });
-        for (size_t i = 0; i < dirty.size(); ++i) {
+        for (size_t i = 0; i < dirty.size() && status.ok(); ++i) {
           if (!selected[i]) continue;
           const auto& d = dirty[i];
-          for (uint32_t s = 0; s < blk::kSectorsPerBlock; ++s) {
-            clone.PokeSector(d.bno * blk::kSectorsPerBlock + s,
-                             std::span(d.data.data() + s * disk::kSectorSize,
-                                       disk::kSectorSize));
-          }
+          status = clone.PokeSector(d.bno * blk::kSectorsPerBlock,
+                                    std::span(d.data.data(), blk::kBlockSize));
         }
+        return status;
       });
   if (!mounted.ok()) {
     ++report->unmountable;

@@ -4,15 +4,38 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 
 namespace cffs::disk {
+
+namespace {
+
+// Whether the sector at `p` is all zeros. The whole sector is OR-reduced
+// before the one test, with no early exit: a branch per word costs more
+// than the words it would skip. The byte loop compiles to 16-byte vector
+// ORs at -O2, and the two halves give it two independent chains.
+bool ZeroSector(const uint8_t* p) {
+  constexpr uint32_t kHalf = kSectorSize / 2;
+  uint8_t lo = 0;
+  uint8_t hi = 0;
+  for (uint32_t i = 0; i < kHalf; ++i) {
+    lo |= p[i];
+    hi |= p[kHalf + i];
+  }
+  return (lo | hi) == 0;
+}
+
+}  // namespace
 
 DiskModel::DiskModel(DiskSpec spec, SimClock* clock)
     : spec_(std::move(spec)),
       geometry_(spec_.MakeGeometry()),
       seek_curve_(spec_.seek_single, spec_.seek_avg, spec_.seek_max,
                   geometry_.total_cylinders() > 1 ? geometry_.total_cylinders() - 1 : 3),
-      clock_(clock) {
+      clock_(clock),
+      chunks_((geometry_.total_sectors() + kImageChunkSectors - 1) /
+              kImageChunkSectors) {
   assert(clock_ != nullptr);
   cache_.resize(std::max<uint32_t>(1, spec_.cache_segments));
 }
@@ -193,16 +216,37 @@ void DiskModel::RecordIoEvent(const DiskStats& before, SimTime start,
   trace_->Record(e);
 }
 
-uint8_t* DiskModel::SectorPtr(uint64_t lba, bool create) {
-  const uint64_t chunk = lba / kChunkSectors;
-  auto it = chunks_.find(chunk);
-  if (it == chunks_.end()) {
-    if (!create) return nullptr;
-    // make_unique value-initializes: a new chunk reads as zeroes.
-    auto buf = std::make_unique<uint8_t[]>(kChunkSectors * kSectorSize);
-    it = chunks_.emplace(chunk, std::move(buf)).first;
+const DiskModel::Chunk* DiskModel::FindChunk(uint64_t index) const {
+  return index < chunks_.size() ? chunks_[index].get() : nullptr;
+}
+
+DiskModel::Chunk& DiskModel::ChunkOf(uint64_t lba) {
+  std::unique_ptr<Chunk>& slot = chunks_.at(lba / kImageChunkSectors);
+  if (!slot) slot = std::make_unique<Chunk>();
+  return *slot;
+}
+
+void DiskModel::CopyOut(const Chunk* chunk, uint32_t block, uint32_t first,
+                        uint32_t n, uint8_t* out) {
+  const uint32_t kept = chunk != nullptr ? chunk->kept[block] : 0;
+  const uint32_t copied = kept > first ? std::min(n, kept - first) : 0;
+  if (copied > 0) {
+    std::memcpy(out, chunk->data[block].get() + first * kSectorSize,
+                copied * kSectorSize);
   }
-  return it->second.get() + (lba % kChunkSectors) * kSectorSize;
+  std::memset(out + copied * kSectorSize, 0, (n - copied) * kSectorSize);
+}
+
+void DiskModel::StoreBlock(Chunk& chunk, uint32_t block, const uint8_t* in) {
+  uint32_t kept = kBlockSectors;
+  while (kept > 0 && ZeroSector(in + (kept - 1) * kSectorSize)) --kept;
+  if (kept != chunk.kept[block]) {
+    chunk.data[block] =
+        kept == 0 ? nullptr
+                  : std::make_unique_for_overwrite<uint8_t[]>(kept * kSectorSize);
+    chunk.kept[block] = static_cast<uint8_t>(kept);
+  }
+  if (kept > 0) std::memcpy(chunk.data[block].get(), in, kept * kSectorSize);
 }
 
 Status DiskModel::Read(uint64_t lba, uint32_t nsectors, std::span<uint8_t> out) {
@@ -298,13 +342,18 @@ Status DiskModel::Write(uint64_t lba, uint32_t nsectors,
                   /*segment_hit=*/false);
   }
 
-  PokeSector(lba, in.first(static_cast<size_t>(nsectors) * kSectorSize));
-  return OkStatus();
+  return PokeSector(lba, in.first(static_cast<size_t>(nsectors) * kSectorSize));
 }
 
-void DiskModel::CorruptSector(uint64_t lba) {
-  uint8_t* p = SectorPtr(lba, /*create=*/true);
-  for (uint32_t i = 0; i < kSectorSize; i += 16) p[i] ^= 0xa5;
+Status DiskModel::CorruptSector(uint64_t lba) {
+  if (lba >= total_sectors()) {
+    return OutOfRange("corrupt sector " + std::to_string(lba) +
+                      " past the drive's end");
+  }
+  std::array<uint8_t, kSectorSize> sector{};
+  PeekSector(lba, sector);
+  for (uint32_t i = 0; i < kSectorSize; i += 16) sector[i] ^= 0xa5;
+  return PokeSector(lba, sector);
 }
 
 bool DiskModel::HasReadError(uint64_t lba, uint32_t nsectors) const {
@@ -315,49 +364,88 @@ bool DiskModel::HasReadError(uint64_t lba, uint32_t nsectors) const {
   return false;
 }
 
-// Both copies move one chunk run (up to kChunkSectors sectors) per step.
+// Both copies walk the run one block (or part of one) at a time.
 void DiskModel::PeekSector(uint64_t lba, std::span<uint8_t> out) const {
   assert(out.size() % kSectorSize == 0);
-  while (!out.empty()) {
-    const uint64_t offset = lba % kChunkSectors;
-    const size_t bytes = std::min<size_t>(
-        out.size(), (kChunkSectors - offset) * kSectorSize);
-    auto it = chunks_.find(lba / kChunkSectors);
-    if (it == chunks_.end()) {
-      std::memset(out.data(), 0, bytes);
-    } else {
-      std::memcpy(out.data(), it->second.get() + offset * kSectorSize, bytes);
-    }
-    lba += bytes / kSectorSize;
-    out = out.subspan(bytes);
+  uint8_t* p = out.data();
+  for (uint64_t left = out.size() / kSectorSize; left > 0;) {
+    const uint32_t first = lba % kBlockSectors;
+    const uint32_t n =
+        static_cast<uint32_t>(std::min<uint64_t>(left, kBlockSectors - first));
+    CopyOut(FindChunk(lba / kImageChunkSectors),
+            (lba % kImageChunkSectors) / kBlockSectors, first, n, p);
+    lba += n;
+    p += n * kSectorSize;
+    left -= n;
   }
 }
 
-void DiskModel::PokeSector(uint64_t lba, std::span<const uint8_t> in) {
-  assert(in.size() % kSectorSize == 0);
-  while (!in.empty()) {
-    const size_t bytes = std::min<size_t>(
-        in.size(), (kChunkSectors - lba % kChunkSectors) * kSectorSize);
-    std::memcpy(SectorPtr(lba, /*create=*/true), in.data(), bytes);
-    lba += bytes / kSectorSize;
-    in = in.subspan(bytes);
+Status DiskModel::PokeSector(uint64_t lba, std::span<const uint8_t> in) {
+  if (in.size() % kSectorSize != 0) {
+    return InvalidArgument("poke of a partial sector");
   }
+  const uint64_t nsectors = in.size() / kSectorSize;
+  if (lba > total_sectors() || nsectors > total_sectors() - lba) {
+    return OutOfRange("poke of " + std::to_string(nsectors) + " sectors at " +
+                      std::to_string(lba) + " past the drive's end");
+  }
+  const uint8_t* p = in.data();
+  for (uint64_t left = nsectors; left > 0;) {
+    const uint32_t first = lba % kBlockSectors;
+    const uint32_t n =
+        static_cast<uint32_t>(std::min<uint64_t>(left, kBlockSectors - first));
+    Chunk& chunk = ChunkOf(lba);
+    const uint32_t block = (lba % kImageChunkSectors) / kBlockSectors;
+    if (n == kBlockSectors) {
+      StoreBlock(chunk, block, p);
+    } else {
+      std::array<uint8_t, kBlockSectors * kSectorSize> merged{};
+      CopyOut(&chunk, block, 0, kBlockSectors, merged.data());
+      std::memcpy(merged.data() + first * kSectorSize, p, n * kSectorSize);
+      StoreBlock(chunk, block, merged.data());
+    }
+    lba += n;
+    p += n * kSectorSize;
+    left -= n;
+  }
+  return OkStatus();
 }
 
 void DiskModel::ForEachChunk(
     const std::function<void(uint64_t, std::span<const uint8_t>)>& fn) const {
-  static_assert(kImageChunkSectors == kChunkSectors);
-  for (const auto& [idx, data] : chunks_) {
-    fn(idx, std::span<const uint8_t>(data.get(),
-                                     kChunkSectors * kSectorSize));
+  std::vector<uint8_t> bytes(kImageChunkSectors * kSectorSize);
+  for (uint64_t index = 0; index < chunks_.size(); ++index) {
+    if (chunks_[index] == nullptr) continue;
+    PeekSector(index * kImageChunkSectors, bytes);
+    fn(index, bytes);
   }
 }
 
-void DiskModel::RestoreChunk(uint64_t chunk_index,
-                             std::span<const uint8_t> data) {
-  assert(data.size() == kChunkSectors * kSectorSize);
-  uint8_t* dst = SectorPtr(chunk_index * kChunkSectors, /*create=*/true);
-  std::memcpy(dst, data.data(), kChunkSectors * kSectorSize);
+Status DiskModel::RestoreChunk(uint64_t chunk_index,
+                               std::span<const uint8_t> data) {
+  if (data.size() != kImageChunkSectors * kSectorSize) {
+    return InvalidArgument("a chunk is " +
+                           std::to_string(kImageChunkSectors * kSectorSize) +
+                           " bytes, not " + std::to_string(data.size()));
+  }
+  if (chunk_index >= chunks_.size()) {
+    return OutOfRange("chunk " + std::to_string(chunk_index) +
+                      " past the drive's last chunk " +
+                      std::to_string(chunks_.size() - 1));
+  }
+  // Block by block rather than through PokeSector: the drive's last chunk
+  // may run past its last sector.
+  Chunk& chunk = ChunkOf(chunk_index * kImageChunkSectors);
+  for (uint32_t b = 0; b < kChunkBlocks; ++b) {
+    StoreBlock(chunk, b, data.data() + b * kBlockSectors * kSectorSize);
+  }
+  return OkStatus();
+}
+
+void DiskModel::TakeContents(DiskModel& other) {
+  assert(other.chunks_.size() == chunks_.size());
+  chunks_ = std::exchange(other.chunks_, std::vector<std::unique_ptr<Chunk>>(
+                                             other.chunks_.size()));
 }
 
 }  // namespace cffs::disk

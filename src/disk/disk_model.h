@@ -23,16 +23,21 @@
 // precise penalty that made FFS-style one-block-per-file access slow and
 // that explicit grouping eliminates by moving whole groups per command.
 //
-// The backing store is sparse (chunked), so multi-gigabyte drives cost only
-// as much memory as the sectors actually written.
+// The backing store is a flat directory of 128 KB chunks, one slot per
+// chunk of the drive, and a chunk is allocated when a sector in it is first
+// written. Within a chunk each 4 KB block keeps only its sectors up to its
+// last non-zero one (a 1 KB file's block keeps 2 of its 8 sectors, an
+// all-zero block none), and every sector past that prefix reads as zeros.
+// So a drive costs 8 bytes per chunk, a small record per written chunk and
+// each written block's stored sectors, whatever its size.
 #ifndef CFFS_DISK_DISK_MODEL_H_
 #define CFFS_DISK_DISK_MODEL_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -106,29 +111,48 @@ class DiskModel {
   // device models (src/flash) that bypass Read's timing path keep
   // fault-injection parity.
   bool HasReadError(uint64_t lba, uint32_t nsectors) const;
-  // Silently flips bits in a stored sector (media corruption).
-  void CorruptSector(uint64_t lba);
+  // Silently flips bits in a stored sector (media corruption). A sector
+  // past the end of the drive is OutOfRange.
+  Status CorruptSector(uint64_t lba);
 
   // Direct, time-free access for tools (mkfs image inspection, fsck tests)
   // and the flash model: copies out.size() / kSectorSize sectors starting
-  // at `lba` (the span must hold whole sectors). Unwritten sectors read as
-  // zeros.
+  // at `lba` (the span must hold whole sectors). Unwritten sectors, and
+  // sectors past the end of the drive, read as zeros.
   void PeekSector(uint64_t lba, std::span<uint8_t> out) const;
-  void PokeSector(uint64_t lba, std::span<const uint8_t> in);
+  // Writes whole sectors (a partial one is InvalidArgument); a run that
+  // does not fit on the drive is OutOfRange and writes nothing. A poke that covers only part of a 4 KB
+  // block reads, merges and re-stores that block.
+  Status PokeSector(uint64_t lba, std::span<const uint8_t> in);
 
-  // Image (de)serialization support — see src/disk/image.h.
-  static constexpr uint32_t kImageChunkSectors = 256;  // == kChunkSectors
+  // Image (de)serialization support — see src/disk/image.h. The store's
+  // chunks are the image's: kImageChunkSectors sectors each, numbered from
+  // the start of the drive.
+  static constexpr uint32_t kImageChunkSectors = 256;
+  // Calls `fn` once per chunk that any write has touched, in ascending
+  // chunk order, with the chunk's full 128 KB (unstored sectors as zeros).
   void ForEachChunk(
       const std::function<void(uint64_t chunk_index,
                                std::span<const uint8_t> data)>& fn) const;
-  void RestoreChunk(uint64_t chunk_index, std::span<const uint8_t> data);
+  // Stores a whole chunk (`data` must be 128 KB, or InvalidArgument); a
+  // chunk past the drive's last is OutOfRange.
+  Status RestoreChunk(uint64_t chunk_index, std::span<const uint8_t> data);
   // Moves `other`'s contents onto this disk of the same spec, leaving
-  // `other` blank. The chunks keep their order, so an image saved from
-  // this disk has the bytes one saved from `other` would have.
-  void TakeContents(DiskModel& other) { chunks_ = std::move(other.chunks_); }
+  // `other` blank, so an image saved from this disk has the bytes one
+  // saved from `other` would have.
+  void TakeContents(DiskModel& other);
 
  private:
-  static constexpr uint32_t kChunkSectors = 256;  // 128 KB sparse chunks
+  // The store's unit inside a chunk: the file systems' 4 KB block.
+  static constexpr uint32_t kBlockSectors = 8;
+  static constexpr uint32_t kChunkBlocks = kImageChunkSectors / kBlockSectors;
+
+  // One written chunk. Block b stores its first kept[b] sectors in
+  // data[b] (null when kept[b] is 0); the rest of the block is zeros.
+  struct Chunk {
+    std::array<std::unique_ptr<uint8_t[]>, kChunkBlocks> data;
+    std::array<uint8_t, kChunkBlocks> kept{};
+  };
 
   struct CacheSegment {
     uint64_t begin = 0;    // first cached LBA
@@ -155,7 +179,19 @@ class DiskModel {
   void CacheInsert(uint64_t lba, uint32_t nsectors);
   void CacheInvalidate(uint64_t lba, uint32_t nsectors);
 
-  uint8_t* SectorPtr(uint64_t lba, bool create);
+  // The written chunk `index`, or null when it was never written or lies
+  // past the drive's end.
+  const Chunk* FindChunk(uint64_t index) const;
+  // The chunk holding `lba`, created if need be. `lba` must be on the
+  // drive; the directory lookup is bounds-checked in every build.
+  Chunk& ChunkOf(uint64_t lba);
+  // Copies `n` sectors of block `block`, starting at sector `first` of the
+  // block, out of `chunk` (which may be null) into `out`.
+  static void CopyOut(const Chunk* chunk, uint32_t block, uint32_t first,
+                      uint32_t n, uint8_t* out);
+  // Stores one whole 4 KB block, keeping its sectors up to the last
+  // non-zero one.
+  static void StoreBlock(Chunk& chunk, uint32_t block, const uint8_t* in);
 
   DiskSpec spec_;
   Geometry geometry_;
@@ -172,7 +208,7 @@ class DiskModel {
   SimTime last_read_complete_;       // when the most recent media read ended
   int last_read_segment_ = -1;       // segment still being extended, or -1
 
-  std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> chunks_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // one slot per drive chunk
   std::unordered_set<uint64_t> bad_sectors_;
 };
 

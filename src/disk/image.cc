@@ -148,7 +148,7 @@ Result<std::unique_ptr<DiskModel>> LoadDiskImage(const std::string& path,
                      " is past the drive's last chunk " +
                      std::to_string(last_chunk));
     }
-    disk->RestoreChunk(index, chunk);
+    RETURN_IF_ERROR(disk->RestoreChunk(index, chunk));
   }
   return disk;
 }

@@ -175,7 +175,8 @@ Status FlashDevice::WriteRun(uint64_t bno, uint32_t count,
 
   const SimTime start = clock_->now();
   const WindowTimes w = SimulateWindow({{bno, count}}, /*is_write=*/true);
-  disk_->PokeSector(lba, in.first(static_cast<size_t>(count) * blk::kBlockSize));
+  RETURN_IF_ERROR(
+      disk_->PokeSector(lba, in.first(static_cast<size_t>(count) * blk::kBlockSize)));
   ++stats_.writes;
   stats_.blocks_written += count;
   head_lba_ = lba + nsectors;
@@ -226,8 +227,8 @@ Status FlashDevice::WriteBatch(const std::vector<blk::WriteOp>& ops) {
     const Command& cmd = cmds[k];
     for (uint32_t b = 0; b < cmd.count; ++b) {
       const blk::WriteOp& op = ops[cmd_first[k] + b];
-      disk_->PokeSector(op.bno * blk::kSectorsPerBlock,
-                        std::span(op.data, blk::kBlockSize));
+      RETURN_IF_ERROR(disk_->PokeSector(op.bno * blk::kSectorsPerBlock,
+                                        std::span(op.data, blk::kBlockSize)));
     }
     ++stats_.writes;
     stats_.blocks_written += cmd.count;

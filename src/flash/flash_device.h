@@ -1,11 +1,12 @@
 // Flash/NVMe block device: channel/queue-depth timing over the same
-// sparse sector store the mechanical model uses.
+// compact sector store the mechanical model uses.
 //
 // FlashDevice substitutes for blk::BlockDevice behind the virtual
 // ReadRun/WriteRun/WriteBatch interface: the buffer cache, the IoEngine
 // port and both file systems dispatch through the base pointer and never
 // know which media they drive. Data still
-// lives in the wrapped DiskModel's chunked store (via the time-free
+// lives in the wrapped DiskModel's store (each block's sectors up to its
+// last non-zero one, reached through the time-free
 // PeekSector/PokeSector accessors), so disk-image serialization, crash
 // enumeration and sector fault injection keep working unchanged; only the
 // *timing* path is replaced.

@@ -11,10 +11,14 @@ CgAllocator::CgAllocator(cache::BufferCache* cache, std::vector<CgLayout> groups
     : cache_(cache), groups_(std::move(groups)) {
   assert(!groups_.empty());
   free_runs_.resize(groups_.size());
-  for ([[maybe_unused]] const CgLayout& g : groups_) {
-    assert(g.blocks <= kBlockSize * 8);
+  for (uint32_t cg = 0; cg < groups_.size(); ++cg) {
+    [[maybe_unused]] const CgLayout& g = groups_[cg];
+    assert(g.blocks > 0 && g.blocks <= kBlockSize * 8);
     assert(g.data_start >= g.first_block &&
            g.data_start <= g.first_block + g.blocks);
+    // CgOf's arithmetic: equal groups, back to back.
+    assert(g.blocks == groups_[0].blocks &&
+           g.first_block == groups_[0].first_block + cg * g.blocks);
   }
 }
 
@@ -39,11 +43,10 @@ void CgAllocator::TraceMapBit(obs::MetaUpdateKind kind, uint32_t bitmap_block,
 }
 
 uint32_t CgAllocator::CgOf(uint32_t bno) const {
-  for (uint32_t cg = 0; cg < groups_.size(); ++cg) {
-    const CgLayout& g = groups_[cg];
-    if (bno >= g.first_block && bno < g.first_block + g.blocks) return cg;
-  }
-  return 0;
+  const CgLayout& first = groups_.front();
+  if (bno < first.first_block) return 0;
+  const uint32_t cg = (bno - first.first_block) / first.blocks;
+  return cg < groups_.size() ? cg : 0;
 }
 
 Status CgAllocator::FormatBitmaps() {

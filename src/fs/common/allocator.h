@@ -39,6 +39,9 @@ class CgAllocator {
 
   uint32_t cg_count() const { return static_cast<uint32_t>(groups_.size()); }
   const CgLayout& layout(uint32_t cg) const { return groups_[cg]; }
+  // The group holding `bno`, or 0 for a block outside every group. The
+  // groups must be equal in size and back to back, as both file systems
+  // lay them out (1 + cg * blocks_per_cg).
   uint32_t CgOf(uint32_t bno) const;
 
   // Initializes the bitmaps on disk: metadata blocks (everything below

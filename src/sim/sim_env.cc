@@ -101,10 +101,10 @@ Result<std::unique_ptr<SimEnv>> SimEnv::Create(FsKind kind,
 
 Result<std::unique_ptr<SimEnv>> SimEnv::Open(
     const SimConfig& config,
-    const std::function<void(disk::DiskModel&)>& fill) {
+    const std::function<Status(disk::DiskModel&)>& fill) {
   RETURN_IF_ERROR(CheckDevice(config));
   auto env = std::unique_ptr<SimEnv>(new SimEnv(FsKind::kCffs, config));
-  fill(*env->disk_);
+  RETURN_IF_ERROR(fill(*env->disk_));
   // The superblock is read off the platter without a command, so the
   // mount below issues exactly the commands a remount would.
   std::vector<uint8_t> sb(blk::kBlockSize);
@@ -139,8 +139,10 @@ Result<std::unique_ptr<SimEnv>> SimEnv::OpenImage(const std::string& path,
   SimClock load_clock;  // the loaded disk never runs
   ASSIGN_OR_RETURN(auto image, disk::LoadDiskImage(path, &load_clock));
   config.disk_spec = image->spec();
-  return Open(config,
-              [&](disk::DiskModel& platter) { platter.TakeContents(*image); });
+  return Open(config, [&](disk::DiskModel& platter) {
+    platter.TakeContents(*image);
+    return OkStatus();
+  });
 }
 
 void SimEnv::EnableTrace(size_t capacity) {

@@ -118,13 +118,14 @@ class SimEnv {
 
   // Builds the machine and mounts the file system on a platter that `fill`
   // writes first: an image file's contents, a crash-state clone or a peer
-  // shard's disk. The superblock decides kind() and the file-system fields
-  // of config(): blocks_per_cg, extent_alloc and, on C-FFS, group_blocks.
-  // The rest of `config`, disk_spec included, builds the machine. A
-  // platter that holds neither file system is Corrupt.
+  // shard's disk. A failed fill fails the open with its status. The
+  // superblock decides kind() and the file-system fields of config():
+  // blocks_per_cg, extent_alloc and, on C-FFS, group_blocks. The rest of
+  // `config`, disk_spec included, builds the machine. A platter that holds
+  // neither file system is Corrupt.
   static Result<std::unique_ptr<SimEnv>> Open(
       const SimConfig& config,
-      const std::function<void(disk::DiskModel&)>& fill);
+      const std::function<Status(disk::DiskModel&)>& fill);
 
   // Open on the image file at `path` (src/disk/image.h): `config` on the
   // image's drive, holding the image's contents.

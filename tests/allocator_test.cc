@@ -177,5 +177,33 @@ TEST_F(AllocatorTest, MarkUsedBehavesLikeAlloc) {
   EXPECT_EQ(alloc_->MarkUsed(77).code(), ErrorCode::kCorrupt);
 }
 
+// CgOf computes the group; a linear scan of the layouts is the reference,
+// with group 0 for block 0 and for blocks past the last group.
+TEST_F(AllocatorTest, CgOfMatchesALinearScan) {
+  constexpr uint32_t kGroups = 7;
+  constexpr uint32_t kBlocks = 100;
+  std::vector<CgLayout> layouts;
+  for (uint32_t cg = 0; cg < kGroups; ++cg) {
+    CgLayout g;
+    g.first_block = 1 + cg * kBlocks;
+    g.blocks = kBlocks;
+    g.bitmap_block = g.first_block;
+    g.data_start = g.first_block + 1;
+    layouts.push_back(g);
+  }
+  const CgAllocator alloc(&cache_, layouts);
+  for (uint32_t bno = 0; bno < 1 + kGroups * kBlocks + 2 * kBlocks; ++bno) {
+    uint32_t scanned = 0;
+    for (uint32_t cg = 0; cg < kGroups; ++cg) {
+      if (bno >= layouts[cg].first_block &&
+          bno < layouts[cg].first_block + layouts[cg].blocks) {
+        scanned = cg;
+      }
+    }
+    ASSERT_EQ(alloc.CgOf(bno), scanned) << "block " << bno;
+  }
+  EXPECT_EQ(alloc.CgOf(UINT32_MAX), 0u);
+}
+
 }  // namespace
 }  // namespace cffs::fs

@@ -1,11 +1,16 @@
 // Unit tests for the disk simulator: geometry, seek curve, mechanical
-// model, on-board cache, scheduler.
+// model, on-board cache, sector store, scheduler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <set>
 #include <span>
+#include <string>
+#include <utility>
 
 #include "src/disk/disk_model.h"
+#include "src/disk/image.h"
 #include "src/disk/scheduler.h"
 #include "src/util/rng.h"
 
@@ -217,7 +222,7 @@ TEST_F(DiskModelTest, StatsAccumulate) {
 TEST_F(DiskModelTest, PeekPokeBypassTiming) {
   std::vector<uint8_t> in(kSectorSize, 0x42);
   const SimTime t0 = clock_.now();
-  model_.PokeSector(55, in);
+  ASSERT_TRUE(model_.PokeSector(55, in).ok());
   std::vector<uint8_t> out(kSectorSize);
   model_.PeekSector(55, out);
   EXPECT_EQ(clock_.now(), t0);
@@ -243,7 +248,7 @@ TEST_F(DiskModelTest, RunsCrossChunkBoundariesIntoUnwrittenChunks) {
   // Peek/Poke: four sectors at the end of chunk 2, then a 12-sector peek
   // that runs eight sectors into chunk 3.
   const std::vector<uint8_t> tail = pattern(4, 1);
-  model_.PokeSector(3 * kChunk - 4, tail);
+  ASSERT_TRUE(model_.PokeSector(3 * kChunk - 4, tail).ok());
   std::vector<uint8_t> out(12 * kSectorSize, 0xff);
   model_.PeekSector(3 * kChunk - 4, out);
   EXPECT_TRUE(std::equal(tail.begin(), tail.end(), out.begin()));
@@ -251,7 +256,7 @@ TEST_F(DiskModelTest, RunsCrossChunkBoundariesIntoUnwrittenChunks) {
 
   // A poke that itself spans the boundary lands on both sides.
   const std::vector<uint8_t> across = pattern(6, 2);
-  model_.PokeSector(5 * kChunk - 3, across);
+  ASSERT_TRUE(model_.PokeSector(5 * kChunk - 3, across).ok());
   std::vector<uint8_t> one(kSectorSize);
   for (uint64_t s = 0; s < 6; ++s) {
     model_.PeekSector(5 * kChunk - 3 + s, one);
@@ -278,6 +283,221 @@ TEST_F(DiskModelTest, RunsCrossChunkBoundariesIntoUnwrittenChunks) {
   std::fill(back.begin(), back.end(), 0);
   model_.PeekSector(11 * kChunk - 5, back);
   EXPECT_EQ(back, run);
+}
+
+// 13 * 3 * 37 = 1443 sectors: five whole chunks and 163 sectors of a
+// sixth, whose last 4 KB block is cut short too.
+DiskSpec RaggedDisk() { return TestDisk(13, 3, 37); }
+
+constexpr uint64_t kChunkSectors = DiskModel::kImageChunkSectors;
+constexpr size_t kChunkBytes = kChunkSectors * kSectorSize;
+
+uint64_t ChunkCount(const DiskModel& disk) {
+  return (disk.total_sectors() + kChunkSectors - 1) / kChunkSectors;
+}
+
+// Every chunk `disk` yields, in the order it yields them.
+std::vector<std::pair<uint64_t, std::vector<uint8_t>>> Chunks(
+    const DiskModel& disk) {
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> out;
+  disk.ForEachChunk([&](uint64_t index, std::span<const uint8_t> data) {
+    out.emplace_back(index, std::vector<uint8_t>(data.begin(), data.end()));
+  });
+  return out;
+}
+
+TEST(SectorStoreTest, PokePastTheEndIsOutOfRange) {
+  SimClock clock;
+  DiskModel disk(RaggedDisk(), &clock);
+  const uint64_t end = disk.total_sectors();
+  const std::vector<uint8_t> two(2 * kSectorSize, 0x11);
+  const auto one = std::span(two).first(kSectorSize);
+  EXPECT_EQ(disk.PokeSector(end, one).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(disk.PokeSector(end - 1, two).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(disk.PokeSector(UINT64_MAX, two).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(disk.PokeSector(0, std::span(two).first(100)).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(Chunks(disk).empty());  // a refused poke writes nothing
+  ASSERT_TRUE(disk.PokeSector(end - 2, two).ok());
+  EXPECT_EQ(Chunks(disk).size(), 1u);
+}
+
+TEST(SectorStoreTest, CorruptPastTheEndIsOutOfRange) {
+  SimClock clock;
+  DiskModel disk(RaggedDisk(), &clock);
+  const uint64_t end = disk.total_sectors();
+  EXPECT_EQ(disk.CorruptSector(end).code(), ErrorCode::kOutOfRange);
+  EXPECT_TRUE(Chunks(disk).empty());
+  ASSERT_TRUE(disk.CorruptSector(end - 1).ok());
+  std::vector<uint8_t> sector(kSectorSize);
+  disk.PeekSector(end - 1, sector);
+  EXPECT_EQ(sector[0], 0xa5);
+}
+
+TEST(SectorStoreTest, RestorePastTheLastChunkIsOutOfRange) {
+  SimClock clock;
+  DiskModel disk(RaggedDisk(), &clock);
+  const std::vector<uint8_t> chunk(kChunkBytes, 0x22);
+  EXPECT_EQ(disk.RestoreChunk(ChunkCount(disk), chunk).code(),
+            ErrorCode::kOutOfRange);
+  EXPECT_EQ(disk.RestoreChunk(0, std::span(chunk).first(kSectorSize)).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(Chunks(disk).empty());
+  // The last chunk is whole in an image, past the drive's end included.
+  ASSERT_TRUE(disk.RestoreChunk(ChunkCount(disk) - 1, chunk).ok());
+  const auto chunks = Chunks(disk);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0].second, chunk);
+}
+
+TEST(SectorStoreTest, PeekPastTheEndReadsZeros) {
+  SimClock clock;
+  DiskModel disk(RaggedDisk(), &clock);
+  const uint64_t end = disk.total_sectors();
+  ASSERT_TRUE(
+      disk.PokeSector(end - 3, std::vector<uint8_t>(3 * kSectorSize, 0x33))
+          .ok());
+  std::vector<uint8_t> out(8 * kSectorSize, 0xff);
+  disk.PeekSector(end - 3, out);  // three stored sectors, five past the end
+  for (size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], i < 3 * kSectorSize ? 0x33 : 0) << "byte " << i;
+  }
+  std::fill(out.begin(), out.end(), 0xff);
+  disk.PeekSector(end + 100 * kChunkSectors, out);  // past every chunk
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](uint8_t b) { return b == 0; }));
+}
+
+// The store against one flat byte array covering every chunk of the drive
+// (the last chunk runs past the drive's last sector). Pokes cross block
+// and chunk boundaries, whole-block pokes grow and shrink a block's stored
+// prefix, and after every step ForEachChunk must yield exactly the chunks
+// written so far, in ascending order, with the model's bytes.
+TEST(SectorStoreTest, MatchesAFlatByteArray) {
+  SimClock clock;
+  DiskModel disk(RaggedDisk(), &clock);
+  const uint64_t total = disk.total_sectors();
+  const uint64_t nchunks = ChunkCount(disk);
+  std::vector<uint8_t> model(nchunks * kChunkBytes, 0);
+  std::set<uint64_t> written;
+  Rng rng(24);
+
+  // All zeros, a non-zero prefix of random length, or a single non-zero
+  // byte anywhere (the zero sectors before it stay stored).
+  auto fill = [&](std::span<uint8_t> bytes) {
+    std::fill(bytes.begin(), bytes.end(), 0);
+    switch (rng.Below(3)) {
+      case 0:
+        break;
+      case 1:
+        for (size_t i = 0, n = rng.Below(bytes.size() + 1); i < n; ++i) {
+          bytes[i] = static_cast<uint8_t>(rng.Next() | 1);
+        }
+        break;
+      default:
+        bytes[rng.Below(bytes.size())] = 0x80;
+        break;
+    }
+  };
+  auto note_written = [&](uint64_t lba, uint64_t sectors) {
+    for (uint64_t c = lba / kChunkSectors;
+         c <= (lba + sectors - 1) / kChunkSectors; ++c) {
+      written.insert(c);
+    }
+  };
+
+  for (int step = 0; step < 1500; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const uint64_t op = rng.Below(10);
+    if (op < 5) {
+      // Poke: whole blocks half of the time, any sectors otherwise.
+      uint64_t lba = 0;
+      uint64_t n = 0;
+      if (rng.Chance(0.5)) {
+        n = 8 * (1 + rng.Below(6));
+        lba = 8 * rng.Below((total - n) / 8 + 1);
+      } else {
+        n = 1 + rng.Below(24);
+        lba = rng.Below(total - n + 1);
+      }
+      std::vector<uint8_t> in(n * kSectorSize);
+      fill(in);
+      ASSERT_TRUE(disk.PokeSector(lba, in).ok());
+      std::copy(in.begin(), in.end(), model.begin() + lba * kSectorSize);
+      note_written(lba, n);
+    } else if (op < 7) {
+      // Peek, up to a few sectors past the drive's end.
+      const uint64_t n = 1 + rng.Below(24);
+      const uint64_t lba = rng.Below(total + 8);
+      std::vector<uint8_t> out(n * kSectorSize, 0xee);
+      disk.PeekSector(lba, out);
+      for (size_t i = 0; i < out.size(); ++i) {
+        const uint64_t at = lba * kSectorSize + i;
+        ASSERT_EQ(out[i], at < model.size() ? model[at] : 0) << "byte " << at;
+      }
+    } else if (op < 8) {
+      // Corrupt a sector, written before or not.
+      const uint64_t lba = rng.Below(total);
+      ASSERT_TRUE(disk.CorruptSector(lba).ok());
+      for (uint32_t i = 0; i < kSectorSize; i += 16) {
+        model[lba * kSectorSize + i] ^= 0xa5;
+      }
+      note_written(lba, 1);
+    } else if (op < 9) {
+      const uint64_t c = rng.Below(nchunks);
+      std::vector<uint8_t> data(kChunkBytes);
+      for (size_t b = 0; b < kChunkBytes; b += 8 * kSectorSize) {
+        fill(std::span(data).subspan(b, 8 * kSectorSize));
+      }
+      ASSERT_TRUE(disk.RestoreChunk(c, data).ok());
+      std::copy(data.begin(), data.end(), model.begin() + c * kChunkBytes);
+      written.insert(c);
+    } else {
+      // Move the contents away: this disk is blank and still takes
+      // writes. Moving them back drops those writes.
+      DiskModel other(RaggedDisk(), &clock);
+      other.TakeContents(disk);
+      EXPECT_TRUE(Chunks(disk).empty());
+      const std::vector<uint8_t> marker(kSectorSize, 0x5c);
+      ASSERT_TRUE(disk.PokeSector(total - 1, marker).ok());
+      std::vector<uint8_t> back(kSectorSize);
+      disk.PeekSector(total - 1, back);
+      EXPECT_EQ(back, marker);
+      disk.TakeContents(other);
+      EXPECT_TRUE(Chunks(other).empty());
+    }
+
+    const auto chunks = Chunks(disk);
+    std::vector<uint64_t> indices;
+    for (const auto& [index, data] : chunks) {
+      indices.push_back(index);
+      ASSERT_TRUE(std::equal(data.begin(), data.end(),
+                             model.begin() + index * kChunkBytes))
+          << "chunk " << index;
+    }
+    ASSERT_EQ(indices, std::vector<uint64_t>(written.begin(), written.end()));
+  }
+}
+
+TEST(SectorStoreTest, ImageRoundTripKeepsEveryChunk) {
+  SimClock clock;
+  DiskModel disk(RaggedDisk(), &clock);
+  Rng rng(7);
+  for (int i = 0; i < 40; ++i) {
+    std::vector<uint8_t> in((1 + rng.Below(16)) * kSectorSize, 0);
+    for (size_t b = 0, n = rng.Below(in.size()); b < n; ++b) {
+      in[b] = static_cast<uint8_t>(rng.Next());
+    }
+    const uint64_t lba = rng.Below(disk.total_sectors() - in.size() / kSectorSize + 1);
+    ASSERT_TRUE(disk.PokeSector(lba, in).ok());
+  }
+  const std::string path =
+      std::string(::testing::TempDir()) + "/cffs_store_roundtrip.img";
+  ASSERT_TRUE(SaveDiskImage(disk, path).ok());
+  SimClock load_clock;
+  auto loaded = LoadDiskImage(path, &load_clock);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(Chunks(**loaded), Chunks(disk));
 }
 
 TEST(AverageAccessTest, GrowsSlowlyForSmallSizes) {

@@ -125,10 +125,12 @@ TEST(ShardCrashEnumTest, EveryImageAtEveryProtocolBoundaryIsRecoverable) {
       ASSIGN_OR_RETURN(
           auto peer_copy,
           sim::SimEnv::Open(peer_env->config(), [&](disk::DiskModel& platter) {
+            Status restored = OkStatus();
             peer_env->disk().ForEachChunk(
                 [&](uint64_t chunk, std::span<const uint8_t> bytes) {
-                  platter.RestoreChunk(chunk, bytes);
+                  if (restored.ok()) restored = platter.RestoreChunk(chunk, bytes);
                 });
+            return restored;
           }));
       fs::PathOps crashed_ops(crashed_fs);
       fs::PathOps* by_shard[2];

@@ -15,6 +15,15 @@ sim::SimConfig SmallConfig() {
   return config;
 }
 
+// Writes every chunk of `from` onto `to`: a fill for sim::SimEnv::Open.
+Status CopyPlatter(const disk::DiskModel& from, disk::DiskModel& to) {
+  Status restored = OkStatus();
+  from.ForEachChunk([&](uint64_t chunk, std::span<const uint8_t> bytes) {
+    if (restored.ok()) restored = to.RestoreChunk(chunk, bytes);
+  });
+  return restored;
+}
+
 TEST(SimEnvTest, ChargeCpuAdvancesClock) {
   auto env = sim::SimEnv::Create(sim::FsKind::kCffs, SmallConfig());
   ASSERT_TRUE(env.ok());
@@ -97,10 +106,7 @@ TEST(SimEnvTest, OpenMountsWhatThePlatterHolds) {
     sim::SimConfig machine;
     machine.disk_spec = config.disk_spec;
     auto opened = sim::SimEnv::Open(machine, [&](disk::DiskModel& platter) {
-      (*made)->disk().ForEachChunk(
-          [&](uint64_t chunk, std::span<const uint8_t> bytes) {
-            platter.RestoreChunk(chunk, bytes);
-          });
+      return CopyPlatter((*made)->disk(), platter);
     });
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     EXPECT_EQ((*opened)->kind(), kind);
@@ -116,8 +122,18 @@ TEST(SimEnvTest, OpenMountsWhatThePlatterHolds) {
 }
 
 TEST(SimEnvTest, OpenRejectsAPlatterWithoutAFileSystem) {
-  auto opened = sim::SimEnv::Open(SmallConfig(), [](disk::DiskModel&) {});
+  auto opened = sim::SimEnv::Open(SmallConfig(),
+                                  [](disk::DiskModel&) { return OkStatus(); });
   EXPECT_EQ(opened.status().code(), ErrorCode::kCorrupt);
+}
+
+TEST(SimEnvTest, OpenFailsWithItsFillsStatus) {
+  auto opened = sim::SimEnv::Open(SmallConfig(), [](disk::DiskModel& platter) {
+    const std::vector<uint8_t> sector(disk::kSectorSize, 1);
+    return platter.PokeSector(platter.total_sectors(), sector);
+  });
+  EXPECT_EQ(opened.status().code(), ErrorCode::kOutOfRange)
+      << opened.status().ToString();
 }
 
 // Formats `kind` on SmallConfig's drive, overwrites the `width`-byte
@@ -135,12 +151,9 @@ void ExpectPatchedSuperblockCorrupt(sim::FsKind kind, size_t offset,
   for (size_t i = 0; i < width; ++i) {
     sector[offset + i] = static_cast<uint8_t>(value >> (8 * i));
   }
-  (*made)->disk().PokeSector(0, sector);
+  ASSERT_TRUE((*made)->disk().PokeSector(0, sector).ok());
   auto opened = sim::SimEnv::Open(SmallConfig(), [&](disk::DiskModel& platter) {
-    (*made)->disk().ForEachChunk(
-        [&](uint64_t chunk, std::span<const uint8_t> bytes) {
-          platter.RestoreChunk(chunk, bytes);
-        });
+    return CopyPlatter((*made)->disk(), platter);
   });
   EXPECT_EQ(opened.status().code(), ErrorCode::kCorrupt)
       << opened.status().ToString();
