@@ -80,9 +80,7 @@ int main(int argc, char** argv) {
                     ph.disk_transfer_s, ph.disk_overhead_s);
       }
     }
-    obs::Json snap_json = run.snap.ToJson();
-    snap_json.Erase("spans");  // recorded once, under spans.<config>
-    snapshots.Set(name, std::move(snap_json));
+    snapshots.Set(name, bench::SnapshotJson(run.snap));
     results.push_back(std::move(run.result));
   }
   report.Set("snapshots", std::move(snapshots));

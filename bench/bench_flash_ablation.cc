@@ -135,9 +135,7 @@ int main(int argc, char** argv) {
     const bench::SmallFileRun sf_run =
         bench::RunSmallFile(&report, "smallfile/" + name, cell.kind(),
                             cell.config(), sf, std::move(tags));
-    obs::Json snap_json = sf_run.snap.ToJson();
-    snap_json.Erase("spans");  // recorded once, under spans.smallfile/<cell>
-    snapshots.Set(name, std::move(snap_json));
+    snapshots.Set(name, bench::SnapshotJson(sf_run.snap));
     create_rates.push_back(
         {name, sf_run.result.phase("create").files_per_sec});
 

@@ -27,8 +27,8 @@
 // smallfile benches build, run and record their machines through
 // RunSmallFile(), whose rows come from PhaseJson(): the per-phase device
 // time breakdown, so the report can answer "where did the time go" without
-// re-running. Full counter dumps use MetricsSnapshot::ToJson() (see
-// src/stats/metrics.h).
+// re-running. Counter dumps use SnapshotJson() (MetricsSnapshot::ToJson(),
+// see src/stats/metrics.h, less its spans and time series).
 //
 // Header-only on purpose: bench binaries are one file each.
 #ifndef CFFS_BENCH_REPORT_H_
@@ -177,6 +177,17 @@ inline stats::MetricsSnapshot AddMachine(Report* report,
   report->root().FindMutable("spans")->Set(label, snap.spans.ToJson());
   AddConfig(report, label, env->kind(), env->config());
   return snap;
+}
+
+// A machine's snapshot as a report's "snapshots" member keeps it: its
+// counters, without the spans AddMachine records under "spans" and without
+// the sampler's time series (cffs_run --snapshot-out and the Chrome trace's
+// counter track keep that).
+inline obs::Json SnapshotJson(const stats::MetricsSnapshot& snap) {
+  obs::Json j = snap.ToJson();
+  j.Erase("spans");
+  j.Erase("time_series");
+  return j;
 }
 
 // One phase of a smallfile-style workload as a report row.

@@ -5,6 +5,15 @@
 // I/O ordered by a C-LOOK scheduler, and contiguous multi-block transfers
 // issued as a single disk command (the primitive explicit grouping relies
 // on).
+//
+// This class is the one command path for both media. ReadRun, WriteRun and
+// WriteBatch check their arguments, order and coalesce a batch, open its
+// commit epoch, count BlockIoStats and trace it; only the media work is
+// left to two protected hooks. The spinning hooks below drive the
+// DiskModel one command at a time; flash::FlashDevice overrides the same
+// two hooks with its channel/queue-depth timing. Everything above (cache,
+// io engine, file systems) calls through the base and never knows which
+// media it is talking to.
 #ifndef CFFS_BLOCKDEV_BLOCK_DEVICE_H_
 #define CFFS_BLOCKDEV_BLOCK_DEVICE_H_
 
@@ -40,11 +49,6 @@ struct WriteOp {
   uint64_t unit = UINT64_MAX;
 };
 
-// The mechanical (spinning) device is the concrete base; ReadRun /
-// WriteRun / WriteBatch are virtual so an alternative timing model
-// (flash::FlashDevice) can substitute for it behind the same interface —
-// everything above (cache, io engine, file systems) dispatches through
-// the base pointer and never knows which media it is talking to.
 class BlockDevice {
  public:
   BlockDevice(disk::DiskModel* disk,
@@ -53,28 +57,29 @@ class BlockDevice {
 
   uint64_t block_count() const { return block_count_; }
   disk::DiskModel* disk() { return disk_; }
-  disk::SchedulerPolicy policy() const { return policy_; }
-  void set_policy(disk::SchedulerPolicy p) { policy_ = p; }
-  // Scheduler's notion of the head position: where the next batch's service
-  // order starts. Exposed so flush-plan previews (crash enumeration of a
-  // syncer epoch) can reproduce the exact service order a WriteBatch would
-  // use without issuing it.
-  uint64_t head_lba() const { return head_lba_; }
 
   // Single-block transfers.
   Status ReadBlock(uint64_t bno, std::span<uint8_t> out);
   Status WriteBlock(uint64_t bno, std::span<const uint8_t> in);
 
-  // Contiguous run issued as one disk command (scatter/gather read of a
-  // group). out must hold count * kBlockSize bytes.
-  virtual Status ReadRun(uint64_t bno, uint32_t count, std::span<uint8_t> out);
-  virtual Status WriteRun(uint64_t bno, uint32_t count,
-                          std::span<const uint8_t> in);
+  // Contiguous run issued as one command (scatter/gather read of a
+  // group). The buffer must hold count * kBlockSize bytes. A write run is
+  // its own commit epoch.
+  Status ReadRun(uint64_t bno, uint32_t count, std::span<uint8_t> out);
+  Status WriteRun(uint64_t bno, uint32_t count, std::span<const uint8_t> in);
 
   // Batched write-back: orders ops with the scheduler, coalesces adjacent
-  // block numbers into single disk commands, and issues them. This is how
-  // delayed writes (and group writes) reach the disk.
-  virtual Status WriteBatch(const std::vector<WriteOp>& ops);
+  // same-unit blocks into single commands, and issues them under one
+  // commit epoch. This is how delayed writes (and group writes) reach the
+  // disk. A bad op (past the end, or null data) fails the batch before
+  // anything is written.
+  Status WriteBatch(const std::vector<WriteOp>& ops);
+
+  // The order WriteBatch(ops) would issue `ops` in now (indices into ops):
+  // the scheduler's order from the current head position. Flush-plan
+  // previews (crash enumeration of a syncer epoch) use it to reproduce a
+  // batch's service order without issuing it.
+  std::vector<size_t> ServiceOrder(const std::vector<WriteOp>& ops) const;
 
   BlockIoStats& stats() { return stats_; }
   const BlockIoStats& stats() const { return stats_; }
@@ -90,22 +95,50 @@ class BlockDevice {
   uint64_t commit_epoch() const { return epoch_; }
 
  protected:
-  // Emits the per-command kBlockWrite ordering event (shared epoch logic)
-  // so subclasses keep the exact commit-epoch semantics of the base.
-  void RecordBlockWrite(uint64_t bno, uint32_t count, int64_t ts_ns);
+  // One write command: `count` blocks from `bno`.
+  struct Command {
+    uint64_t bno = 0;
+    uint32_t count = 0;
+  };
+  // The write commands of one window (a WriteRun, or all of one
+  // WriteBatch), in service order, and each block's kBlockSize bytes in
+  // the same order: cmds[0]'s blocks first.
+  struct WriteWindow {
+    std::span<const Command> cmds;
+    std::span<const uint8_t* const> blocks;
+  };
+
+  // Media hooks. MediaRead moves one checked run into `out` (exactly
+  // count * kBlockSize bytes). MediaWrite issues a window's commands and
+  // calls Committed for each one as it completes.
+  virtual Status MediaRead(uint64_t bno, uint32_t count,
+                           std::span<uint8_t> out);
+  virtual Status MediaWrite(const WriteWindow& window);
+
+  // Books one completed write command at simulated time `ts_ns`: counts
+  // it, moves the head past it and emits its kBlockWrite event under the
+  // window's commit epoch.
+  void Committed(const Command& cmd, int64_t ts_ns);
+
+  obs::TraceRecorder* trace_ = nullptr;
+
+ private:
+  Status CheckRun(uint64_t bno, uint32_t count, size_t bytes,
+                  const char* what) const;
+  // One command's blocks as one buffer: in place when they lie back to
+  // back in memory (every WriteRun), else gathered into run_.
+  std::span<const uint8_t> Gather(std::span<const uint8_t* const> blocks);
 
   disk::DiskModel* disk_;
   disk::SchedulerPolicy policy_;
   uint64_t block_count_;
+  uint64_t epoch_ = 0;  // monotonic commit-epoch counter
   uint64_t head_lba_ = 0;  // scheduler's notion of the head position
   BlockIoStats stats_;
-  obs::TraceRecorder* trace_ = nullptr;
-  uint64_t epoch_ = 0;      // monotonic commit-epoch counter
-  bool in_batch_ = false;   // WriteRun calls share the batch's epoch
-
- private:
-  // WriteBatch's scheduler input and coalescing buffer, kept across calls.
-  std::vector<disk::PendingRequest> reqs_;
+  // The window being issued and the spinning hook's gather buffer for a
+  // scattered multi-block command, kept across calls.
+  std::vector<Command> cmds_;
+  std::vector<const uint8_t*> blocks_;
   std::vector<uint8_t> run_;
 };
 

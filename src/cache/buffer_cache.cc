@@ -323,13 +323,7 @@ Status BufferCache::SyncAll() {
 
 std::vector<BufferCache::DirtyBlock> BufferCache::FlushPlanBlocks() {
   std::vector<blk::WriteOp> plan = BuildFlushPlan();
-  std::vector<disk::PendingRequest> reqs;
-  reqs.reserve(plan.size());
-  for (const blk::WriteOp& op : plan) {
-    reqs.push_back({op.bno * blk::kSectorsPerBlock, blk::kSectorsPerBlock});
-  }
-  std::vector<size_t> order =
-      disk::ScheduleOrder(reqs, dev_->head_lba(), dev_->policy());
+  const std::vector<size_t> order = dev_->ServiceOrder(plan);
   std::vector<DirtyBlock> out;
   out.reserve(plan.size());
   for (size_t idx : order) {

@@ -47,14 +47,22 @@ double DiskModel::AngleAt(SimTime t) const {
   return frac;
 }
 
+SimTime DiskModel::BusAccess(SimTime start, uint32_t nsectors) {
+  const double bytes = static_cast<double>(nsectors) * kSectorSize;
+  const SimTime bus = SimTime::Seconds(bytes / (spec_.bus_mb_per_s * 1e6));
+  stats_.overhead_time += spec_.command_overhead;
+  stats_.transfer_time += bus;
+  return start + spec_.command_overhead + bus;
+}
+
 SimTime DiskModel::MechanicalAccess(SimTime start, uint64_t lba,
-                                    uint32_t nsectors, DiskStats* stats,
-                                    uint32_t* end_cylinder) const {
+                                    uint32_t nsectors) {
   assert(nsectors > 0);
   assert(lba + nsectors <= geometry_.total_sectors());
   const SimTime period = spec_.RotationPeriod();
 
-  SimTime t = start;
+  stats_.overhead_time += spec_.command_overhead;
+  SimTime t = start + spec_.command_overhead;
   Location loc = geometry_.Locate(lba);
 
   // Seek.
@@ -62,10 +70,8 @@ SimTime DiskModel::MechanicalAccess(SimTime start, uint64_t lba,
   const uint32_t dist = loc.cylinder > from ? loc.cylinder - from : from - loc.cylinder;
   const SimTime seek = seek_curve_.SeekTime(dist);
   t += seek;
-  if (stats) {
-    stats->seek_time += seek;
-    stats->seek_cylinders += dist;
-  }
+  stats_.seek_time += seek;
+  stats_.seek_cylinders += dist;
 
   // Rotational latency: wait for the target sector's leading edge.
   {
@@ -77,7 +83,7 @@ SimTime DiskModel::MechanicalAccess(SimTime start, uint64_t lba,
     const SimTime wait = SimTime::Nanos(
         static_cast<int64_t>(wait_frac * static_cast<double>(period.nanos())));
     t += wait;
-    if (stats) stats->rotation_time += wait;
+    stats_.rotation_time += wait;
   }
 
   // Media transfer, track by track. Track/cylinder skew is assumed optimal,
@@ -93,7 +99,7 @@ SimTime DiskModel::MechanicalAccess(SimTime start, uint64_t lba,
     const SimTime xfer = SimTime::Nanos(
         period.nanos() * on_track / spt);
     t += xfer;
-    if (stats) stats->transfer_time += xfer;
+    stats_.transfer_time += xfer;
     remaining -= on_track;
     if (remaining == 0) break;
     sector = 0;
@@ -105,21 +111,14 @@ SimTime DiskModel::MechanicalAccess(SimTime start, uint64_t lba,
       spt = geometry_.SectorsPerTrackAt(cylinder);
       const SimTime sw = seek_curve_.SeekTime(1);
       t += sw;
-      if (stats) stats->seek_time += sw;
+      stats_.seek_time += sw;
     } else {
       t += spec_.head_switch;
-      if (stats) stats->transfer_time += spec_.head_switch;
+      stats_.transfer_time += spec_.head_switch;
     }
   }
-  if (end_cylinder) *end_cylinder = cylinder;
+  current_cylinder_ = cylinder;
   return t;
-}
-
-SimTime DiskModel::EstimateAccess(uint64_t lba, uint32_t nsectors) const {
-  DiskStats scratch;
-  const SimTime start = clock_->now() + spec_.command_overhead;
-  const SimTime done = MechanicalAccess(start, lba, nsectors, &scratch, nullptr);
-  return done - clock_->now();
 }
 
 SimTime DiskModel::AverageAccessTime(uint64_t bytes) const {
@@ -198,22 +197,44 @@ void DiskModel::CacheInvalidate(uint64_t lba, uint32_t nsectors) {
   }
 }
 
-void DiskModel::RecordIoEvent(const DiskStats& before, SimTime start,
+void DiskModel::FinishCommand(const DiskStats& before, SimTime start,
                               SimTime done, uint64_t lba, uint32_t nsectors,
-                              bool is_write, bool segment_hit) const {
-  obs::TraceEvent e;
-  e.kind = obs::EventKind::kDiskIo;
-  e.ts_ns = start.nanos();
-  e.dur_ns = (done - start).nanos();
-  e.flag = is_write;
-  e.hit = segment_hit;
-  e.a = lba;
-  e.b = nsectors;
-  e.seek_ns = (stats_.seek_time - before.seek_time).nanos();
-  e.rotation_ns = (stats_.rotation_time - before.rotation_time).nanos();
-  e.transfer_ns = (stats_.transfer_time - before.transfer_time).nanos();
-  e.overhead_ns = (stats_.overhead_time - before.overhead_time).nanos();
-  trace_->Record(e);
+                              bool is_write, bool segment_hit) {
+  if (is_write) {
+    ++stats_.write_requests;
+    stats_.sectors_written += nsectors;
+  } else {
+    ++stats_.read_requests;
+    stats_.sectors_read += nsectors;
+  }
+  stats_.busy_time += done - start;
+  clock_->AdvanceTo(done);
+  const int64_t seek = (stats_.seek_time - before.seek_time).nanos();
+  const int64_t rotation =
+      (stats_.rotation_time - before.rotation_time).nanos();
+  const int64_t transfer =
+      (stats_.transfer_time - before.transfer_time).nanos();
+  const int64_t overhead =
+      (stats_.overhead_time - before.overhead_time).nanos();
+  if (spans_) {
+    spans_->AttributeDisk(start.nanos(), seek, rotation, transfer, overhead,
+                          lba);
+  }
+  if (trace_) {
+    obs::TraceEvent e;
+    e.kind = obs::EventKind::kDiskIo;
+    e.ts_ns = start.nanos();
+    e.dur_ns = (done - start).nanos();
+    e.flag = is_write;
+    e.hit = segment_hit;
+    e.a = lba;
+    e.b = nsectors;
+    e.seek_ns = seek;
+    e.rotation_ns = rotation;
+    e.transfer_ns = transfer;
+    e.overhead_ns = overhead;
+    trace_->Record(e);
+  }
 }
 
 const DiskModel::Chunk* DiskModel::FindChunk(uint64_t index) const {
@@ -260,39 +281,15 @@ Status DiskModel::Read(uint64_t lba, uint32_t nsectors, std::span<uint8_t> out) 
 
   const SimTime start = clock_->now();
   const DiskStats before = stats_;
-  SimTime done;
   const bool segment_hit = CacheHit(lba, nsectors);
+  const SimTime done = segment_hit ? BusAccess(start, nsectors)
+                                   : MechanicalAccess(start, lba, nsectors);
+  FinishCommand(before, start, done, lba, nsectors, /*is_write=*/false,
+                segment_hit);
   if (segment_hit) {
-    const double bytes = static_cast<double>(nsectors) * kSectorSize;
-    const SimTime bus = SimTime::Seconds(bytes / (spec_.bus_mb_per_s * 1e6));
-    done = start + spec_.command_overhead + bus;
     ++stats_.cache_hit_requests;
-    stats_.overhead_time += spec_.command_overhead;
-    stats_.transfer_time += bus;
   } else {
-    stats_.overhead_time += spec_.command_overhead;
-    uint32_t end_cyl = current_cylinder_;
-    done = MechanicalAccess(start + spec_.command_overhead, lba, nsectors,
-                            &stats_, &end_cyl);
-    current_cylinder_ = end_cyl;
-    clock_->AdvanceTo(done);
-    CacheInsert(lba, nsectors);  // records completion time for prefetch
-  }
-  ++stats_.read_requests;
-  stats_.sectors_read += nsectors;
-  stats_.busy_time += done - start;
-  clock_->AdvanceTo(done);
-  if (spans_) {
-    spans_->AttributeDisk(start.nanos(),
-                          (stats_.seek_time - before.seek_time).nanos(),
-                          (stats_.rotation_time - before.rotation_time).nanos(),
-                          (stats_.transfer_time - before.transfer_time).nanos(),
-                          (stats_.overhead_time - before.overhead_time).nanos(),
-                          lba);
-  }
-  if (trace_) {
-    RecordIoEvent(before, start, done, lba, nsectors, /*is_write=*/false,
-                  segment_hit);
+    CacheInsert(lba, nsectors);  // records the completion time for prefetch
   }
 
   PeekSector(lba, out.first(static_cast<size_t>(nsectors) * kSectorSize));
@@ -310,37 +307,12 @@ Status DiskModel::Write(uint64_t lba, uint32_t nsectors,
 
   const SimTime start = clock_->now();
   const DiskStats before = stats_;
-  SimTime done;
-  if (spec_.write_cache_enabled) {
-    const double bytes = static_cast<double>(nsectors) * kSectorSize;
-    const SimTime bus = SimTime::Seconds(bytes / (spec_.bus_mb_per_s * 1e6));
-    done = start + spec_.command_overhead + bus;
-    stats_.overhead_time += spec_.command_overhead;
-    stats_.transfer_time += bus;
-  } else {
-    stats_.overhead_time += spec_.command_overhead;
-    uint32_t end_cyl = current_cylinder_;
-    done = MechanicalAccess(start + spec_.command_overhead, lba, nsectors,
-                            &stats_, &end_cyl);
-    current_cylinder_ = end_cyl;
-  }
+  const SimTime done = spec_.write_cache_enabled
+                           ? BusAccess(start, nsectors)
+                           : MechanicalAccess(start, lba, nsectors);
   CacheInvalidate(lba, nsectors);
-  ++stats_.write_requests;
-  stats_.sectors_written += nsectors;
-  stats_.busy_time += done - start;
-  clock_->AdvanceTo(done);
-  if (spans_) {
-    spans_->AttributeDisk(start.nanos(),
-                          (stats_.seek_time - before.seek_time).nanos(),
-                          (stats_.rotation_time - before.rotation_time).nanos(),
-                          (stats_.transfer_time - before.transfer_time).nanos(),
-                          (stats_.overhead_time - before.overhead_time).nanos(),
-                          lba);
-  }
-  if (trace_) {
-    RecordIoEvent(before, start, done, lba, nsectors, /*is_write=*/true,
-                  /*segment_hit=*/false);
-  }
+  FinishCommand(before, start, done, lba, nsectors, /*is_write=*/true,
+                /*segment_hit=*/false);
 
   return PokeSector(lba, in.first(static_cast<size_t>(nsectors) * kSectorSize));
 }

@@ -83,10 +83,6 @@ class DiskModel {
   Status Read(uint64_t lba, uint32_t nsectors, std::span<uint8_t> out);
   Status Write(uint64_t lba, uint32_t nsectors, std::span<const uint8_t> in);
 
-  // Pure timing query: cost of the access if issued now, without moving
-  // data or state. Used by the Figure 2 model bench.
-  SimTime EstimateAccess(uint64_t lba, uint32_t nsectors) const;
-
   // Average access time for a random request of `bytes` bytes: average
   // seek + half-rotation + transfer on a middle-zone track + overhead.
   // This is the quantity plotted in Figure 2 of the paper.
@@ -162,15 +158,21 @@ class DiskModel {
     bool valid = false;
   };
 
-  // Mechanical access; returns completion time starting from `start`.
-  SimTime MechanicalAccess(SimTime start, uint64_t lba, uint32_t nsectors,
-                           DiskStats* stats, uint32_t* end_cylinder) const;
+  // The time a command arriving at `start` completes, with its overhead
+  // and transfer (and for a mechanical access its seek and rotation)
+  // charged to stats_. BusAccess serves it at bus speed (an on-board cache
+  // hit, or a write into the write cache); MechanicalAccess goes to the
+  // platter and leaves the arm on the cylinder where the transfer ends.
+  SimTime BusAccess(SimTime start, uint32_t nsectors);
+  SimTime MechanicalAccess(SimTime start, uint64_t lba, uint32_t nsectors);
 
-  // Emits one kDiskIo trace event; `before` is the stats snapshot taken
-  // when the command arrived (the diff is this command's time breakdown).
-  void RecordIoEvent(const DiskStats& before, SimTime start, SimTime done,
+  // The end of every command: counts it, charges its busy time, advances
+  // the clock to `done`, attributes its time breakdown (the stats' growth
+  // since `before`, the snapshot taken when the command arrived) to the op
+  // in flight and emits its kDiskIo event.
+  void FinishCommand(const DiskStats& before, SimTime start, SimTime done,
                      uint64_t lba, uint32_t nsectors, bool is_write,
-                     bool segment_hit) const;
+                     bool segment_hit);
 
   // Rotational angle in [0,1) at absolute simulated time t.
   double AngleAt(SimTime t) const;

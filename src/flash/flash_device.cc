@@ -1,24 +1,16 @@
 #include "src/flash/flash_device.h"
 
 #include <algorithm>
-#include <cstring>
 #include <queue>
+#include <string>
 
 namespace cffs::flash {
 
-namespace {
-
-// Restores in_batch semantics on every exit path (mirrors the base class).
-struct BatchScope {
-  explicit BatchScope(bool* flag) : flag_(flag) { *flag_ = true; }
-  ~BatchScope() { *flag_ = false; }
-  bool* flag_;
-};
-
-}  // namespace
-
 FlashDevice::FlashDevice(disk::DiskModel* disk, SimClock* clock,
                          FlashSpec spec)
+    // Service order is submission order (FCFS): channel striping makes an
+    // LBA elevator meaningless on flash. Adjacent same-unit blocks still
+    // coalesce into one striped command.
     : blk::BlockDevice(disk, disk::SchedulerPolicy::kFcfs),
       clock_(clock),
       spec_(std::move(spec)) {
@@ -28,21 +20,8 @@ FlashDevice::FlashDevice(disk::DiskModel* disk, SimClock* clock,
   programs_since_erase_.assign(spec_.channels, 0);
 }
 
-Status FlashDevice::CheckRun(uint64_t bno, uint32_t count, size_t buf_size,
-                             bool is_write) const {
-  if (count == 0 || bno + count > block_count_) {
-    return is_write ? OutOfRange("block write past end of device")
-                    : OutOfRange("block read past end of device");
-  }
-  if (buf_size < static_cast<size_t>(count) * blk::kBlockSize) {
-    return is_write ? InvalidArgument("write buffer too small")
-                    : InvalidArgument("read buffer too small");
-  }
-  return OkStatus();
-}
-
 FlashDevice::WindowTimes FlashDevice::SimulateWindow(
-    const std::vector<Command>& cmds, bool is_write) {
+    std::span<const Command> cmds, bool is_write) {
   WindowTimes w;
   if (cmds.empty()) return w;
 
@@ -111,11 +90,20 @@ FlashDevice::WindowTimes FlashDevice::SimulateWindow(
   return w;
 }
 
-void FlashDevice::FinishWindow(const WindowTimes& w, uint64_t first_bno,
-                               uint64_t total_blocks, bool is_write,
+void FlashDevice::FinishWindow(const WindowTimes& w,
+                               std::span<const Command> cmds, bool is_write,
                                SimTime start) {
-  clock_->AdvanceBy(SimTime::Nanos(w.elapsed));
+  uint64_t blocks = 0;
+  for (const Command& cmd : cmds) blocks += cmd.count;
+  if (is_write) {
+    flash_stats_.write_requests += cmds.size();
+    flash_stats_.sectors_written += blocks * blk::kSectorsPerBlock;
+  } else {
+    flash_stats_.read_requests += cmds.size();
+    flash_stats_.sectors_read += blocks * blk::kSectorsPerBlock;
+  }
 
+  clock_->AdvanceBy(SimTime::Nanos(w.elapsed));
   flash_stats_.busy_time += SimTime::Nanos(w.elapsed);
   flash_stats_.overhead_time += SimTime::Nanos(w.overhead);
   flash_stats_.wait_time += SimTime::Nanos(w.wait);
@@ -123,6 +111,7 @@ void FlashDevice::FinishWindow(const WindowTimes& w, uint64_t first_bno,
   flash_stats_.program_time += SimTime::Nanos(w.program);
   flash_stats_.erase_time += SimTime::Nanos(w.erase);
 
+  const uint64_t first_bno = cmds.front().bno;
   if (spans_) {
     spans_->AttributeFlash(start.nanos(), w.overhead, w.wait, w.read,
                            w.program, w.erase, first_bno);
@@ -134,8 +123,8 @@ void FlashDevice::FinishWindow(const WindowTimes& w, uint64_t first_bno,
     e.dur_ns = w.elapsed;
     e.flag = is_write;
     e.a = first_bno;
-    e.b = total_blocks;
-    e.aux = is_write ? epoch_ : 0;
+    e.b = blocks;
+    e.aux = is_write ? commit_epoch() : 0;
     e.wait_ns = w.wait;
     e.transfer_ns = w.read;
     e.program_ns = w.program;
@@ -145,110 +134,35 @@ void FlashDevice::FinishWindow(const WindowTimes& w, uint64_t first_bno,
   }
 }
 
-Status FlashDevice::ReadRun(uint64_t bno, uint32_t count,
-                            std::span<uint8_t> out) {
-  RETURN_IF_ERROR(CheckRun(bno, count, out.size(), /*is_write=*/false));
+Status FlashDevice::MediaRead(uint64_t bno, uint32_t count,
+                              std::span<uint8_t> out) {
   const uint64_t lba = bno * blk::kSectorsPerBlock;
-  const uint32_t nsectors = count * blk::kSectorsPerBlock;
-  if (disk_->HasReadError(lba, nsectors)) {
+  if (disk()->HasReadError(lba, count * blk::kSectorsPerBlock)) {
     return IoError("read error in blocks " + std::to_string(bno) + "+" +
                    std::to_string(count));
   }
-
+  const Command cmd{bno, count};
   const SimTime start = clock_->now();
-  const WindowTimes w = SimulateWindow({{bno, count}}, /*is_write=*/false);
-  disk_->PeekSector(lba, out.first(static_cast<size_t>(count) * blk::kBlockSize));
-  ++stats_.reads;
-  stats_.blocks_read += count;
-  head_lba_ = lba + nsectors;
-  ++flash_stats_.read_requests;
-  flash_stats_.sectors_read += nsectors;
-  FinishWindow(w, bno, count, /*is_write=*/false, start);
+  const WindowTimes w = SimulateWindow({&cmd, 1}, /*is_write=*/false);
+  disk()->PeekSector(lba, out);
+  FinishWindow(w, {&cmd, 1}, /*is_write=*/false, start);
   return OkStatus();
 }
 
-Status FlashDevice::WriteRun(uint64_t bno, uint32_t count,
-                             std::span<const uint8_t> in) {
-  RETURN_IF_ERROR(CheckRun(bno, count, in.size(), /*is_write=*/true));
-  const uint64_t lba = bno * blk::kSectorsPerBlock;
-  const uint32_t nsectors = count * blk::kSectorsPerBlock;
-
+// Each block is stored straight from its own buffer. Every command of the
+// window completes when the window does, so all share its end time.
+Status FlashDevice::MediaWrite(const WriteWindow& window) {
   const SimTime start = clock_->now();
-  const WindowTimes w = SimulateWindow({{bno, count}}, /*is_write=*/true);
-  RETURN_IF_ERROR(
-      disk_->PokeSector(lba, in.first(static_cast<size_t>(count) * blk::kBlockSize)));
-  ++stats_.writes;
-  stats_.blocks_written += count;
-  head_lba_ = lba + nsectors;
-  ++flash_stats_.write_requests;
-  flash_stats_.sectors_written += nsectors;
-  // Epoch/ordering first (RecordBlockWrite bumps the epoch for standalone
-  // writes), so the kFlashIo event carries the command's commit epoch.
-  RecordBlockWrite(bno, count, clock_->now().nanos() + w.elapsed);
-  FinishWindow(w, bno, count, /*is_write=*/true, start);
-  return OkStatus();
-}
-
-Status FlashDevice::WriteBatch(const std::vector<blk::WriteOp>& ops) {
-  if (ops.empty()) return OkStatus();
-  for (const blk::WriteOp& op : ops) {
-    if (op.bno >= block_count_ || op.data == nullptr) {
-      return InvalidArgument("bad batched write op");
+  const WindowTimes w = SimulateWindow(window.cmds, /*is_write=*/true);
+  const uint8_t* const* block = window.blocks.data();
+  for (const Command& cmd : window.cmds) {
+    for (uint32_t k = 0; k < cmd.count; ++k, ++block) {
+      RETURN_IF_ERROR(disk()->PokeSector((cmd.bno + k) * blk::kSectorsPerBlock,
+                                         std::span(*block, blk::kBlockSize)));
     }
+    Committed(cmd, start.nanos() + w.elapsed);
   }
-  ++epoch_;  // the whole batch commits under one epoch
-  BatchScope scope(&in_batch_);
-
-  // Service order is submission order (FCFS): channel striping makes an
-  // LBA elevator meaningless on flash, and keeping the submission order
-  // means flush-plan previews (crash enumeration) stay exact. Adjacent
-  // same-unit blocks still coalesce into one striped command, exactly as
-  // the base device coalesces them after scheduling.
-  std::vector<Command> cmds;
-  cmds.reserve(ops.size());
-  std::vector<size_t> cmd_first;  // index into ops of each command's start
-  size_t i = 0;
-  while (i < ops.size()) {
-    size_t j = i + 1;
-    while (j < ops.size() && ops[j].bno == ops[j - 1].bno + 1 &&
-           ops[j].unit != UINT64_MAX && ops[j].unit == ops[i].unit) {
-      ++j;
-    }
-    cmds.push_back({ops[i].bno, static_cast<uint32_t>(j - i)});
-    cmd_first.push_back(i);
-    i = j;
-  }
-
-  const SimTime start = clock_->now();
-  const WindowTimes w = SimulateWindow(cmds, /*is_write=*/true);
-
-  uint64_t total_blocks = 0;
-  for (size_t k = 0; k < cmds.size(); ++k) {
-    const Command& cmd = cmds[k];
-    for (uint32_t b = 0; b < cmd.count; ++b) {
-      const blk::WriteOp& op = ops[cmd_first[k] + b];
-      RETURN_IF_ERROR(disk_->PokeSector(op.bno * blk::kSectorsPerBlock,
-                                        std::span(op.data, blk::kBlockSize)));
-    }
-    ++stats_.writes;
-    stats_.blocks_written += cmd.count;
-    ++flash_stats_.write_requests;
-    flash_stats_.sectors_written +=
-        static_cast<uint64_t>(cmd.count) * blk::kSectorsPerBlock;
-    head_lba_ = (cmd.bno + cmd.count) * blk::kSectorsPerBlock;
-    RecordBlockWrite(cmd.bno, cmd.count, start.nanos() + w.elapsed);
-    total_blocks += cmd.count;
-  }
-
-  FinishWindow(w, cmds.front().bno, total_blocks, /*is_write=*/true, start);
-  if (trace_) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kWriteBatch;
-    e.ts_ns = start.nanos();
-    e.a = ops.size();
-    e.b = cmds.size();
-    trace_->Record(e);
-  }
+  FinishWindow(w, window.cmds, /*is_write=*/true, start);
   return OkStatus();
 }
 

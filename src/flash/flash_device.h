@@ -1,15 +1,15 @@
 // Flash/NVMe block device: channel/queue-depth timing over the same
 // compact sector store the mechanical model uses.
 //
-// FlashDevice substitutes for blk::BlockDevice behind the virtual
-// ReadRun/WriteRun/WriteBatch interface: the buffer cache, the IoEngine
-// port and both file systems dispatch through the base pointer and never
-// know which media they drive. Data still
-// lives in the wrapped DiskModel's store (each block's sectors up to its
-// last non-zero one, reached through the time-free
-// PeekSector/PokeSector accessors), so disk-image serialization, crash
-// enumeration and sector fault injection keep working unchanged; only the
-// *timing* path is replaced.
+// FlashDevice is a blk::BlockDevice that overrides only its two media
+// hooks. The base runs the whole command path for both media: bounds and
+// batch checks, scheduling (FCFS here) and coalescing, commit epochs,
+// BlockIoStats and the kBlockWrite / kWriteBatch events. This class only
+// times each window and moves its data. Data still lives in the wrapped
+// DiskModel's store (each block's sectors up to its last non-zero one,
+// reached through the time-free PeekSector/PokeSector accessors), so
+// disk-image serialization, crash enumeration and sector fault injection
+// keep working unchanged; only the *timing* is replaced.
 //
 // Timing model (see FlashSpec): no seek, no rotation. Block bno maps to
 // channel bno % channels; a page op (read/program/erase) occupies its
@@ -66,14 +66,9 @@ struct FlashStats {
 class FlashDevice : public blk::BlockDevice {
  public:
   // Wraps `disk` purely as the backing sector store; its mechanical timing
-  // path is never used. `clock` is advanced by each service window.
+  // path is never used. `clock`, the clock `disk` runs on, is advanced by
+  // each service window.
   FlashDevice(disk::DiskModel* disk, SimClock* clock, FlashSpec spec);
-
-  Status ReadRun(uint64_t bno, uint32_t count,
-                 std::span<uint8_t> out) override;
-  Status WriteRun(uint64_t bno, uint32_t count,
-                  std::span<const uint8_t> in) override;
-  Status WriteBatch(const std::vector<blk::WriteOp>& ops) override;
 
   const FlashSpec& flash_spec() const { return spec_; }
   FlashStats& flash_stats() { return flash_stats_; }
@@ -86,12 +81,12 @@ class FlashDevice : public blk::BlockDevice {
     return static_cast<uint32_t>(bno % spec_.channels);
   }
 
+ protected:
+  Status MediaRead(uint64_t bno, uint32_t count,
+                   std::span<uint8_t> out) override;
+  Status MediaWrite(const WriteWindow& window) override;
+
  private:
-  // One command of a service window, after coalescing.
-  struct Command {
-    uint64_t bno = 0;
-    uint32_t count = 0;
-  };
   // The exact decomposition of one window (all values in ns).
   struct WindowTimes {
     int64_t elapsed = 0;
@@ -105,15 +100,12 @@ class FlashDevice : public blk::BlockDevice {
   // List-schedules the commands across channels under the queue-depth
   // bound, mutating the persistent GC counters, and returns the window's
   // critical-channel decomposition.
-  WindowTimes SimulateWindow(const std::vector<Command>& cmds, bool is_write);
+  WindowTimes SimulateWindow(std::span<const Command> cmds, bool is_write);
 
-  // Advances the clock, accumulates FlashStats, attributes spans and emits
-  // the kFlashIo trace event for one window.
-  void FinishWindow(const WindowTimes& w, uint64_t first_bno,
-                    uint64_t total_blocks, bool is_write, SimTime start);
-
-  Status CheckRun(uint64_t bno, uint32_t count, size_t buf_size,
-                  bool is_write) const;
+  // Counts the window's commands, advances the clock, accumulates
+  // FlashStats, attributes spans and emits the window's kFlashIo event.
+  void FinishWindow(const WindowTimes& w, std::span<const Command> cmds,
+                    bool is_write, SimTime start);
 
   SimClock* clock_;
   FlashSpec spec_;

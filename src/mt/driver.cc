@@ -11,6 +11,9 @@ namespace {
 
 std::string FileName(uint32_t n) { return "f" + std::to_string(n); }
 
+// The leading share of each devtree client's ops that create.
+constexpr uint32_t kDevtreeCreatePct = 50;
+
 // devtree sources: log-normal, median 3 KB, capped at 64 KB (the shape
 // workload/devtree.cc uses for the single-disk tree).
 uint32_t DevTreeSize(Rng* rng) {
@@ -62,8 +65,7 @@ MtDriver::MtDriver(std::vector<sim::SimEnv*> envs, MtParams params,
   loop_stats_.resize(envs.size());
   for (uint32_t s = 0; s < envs.size(); ++s) {
     loops_[s].env = envs[s];
-    loops_[s].scheduler = MakeScheduler(params_.scheduler, params_.clients,
-                                        params_.drr_quantum_ns);
+    loops_[s].scheduler = MakeScheduler(params_.scheduler, params_.clients);
     loop_stats_[s].shard_id = s;
   }
   clients_.resize(params_.clients);
@@ -160,7 +162,7 @@ void MtDriver::GenerateNextOp(Client* c) {
   if (params_.devtree) {
     const uint64_t issued = params_.ops_per_client - c->ops_left;
     const bool create_phase =
-        issued * 100 < params_.ops_per_client * params_.devtree_create_pct;
+        issued * 100 < params_.ops_per_client * kDevtreeCreatePct;
     if (!create_phase && c->dirs[op.dir].live.empty()) {
       // The read phase can land on an empty dir: read the first populated
       // one instead, else create.

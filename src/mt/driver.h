@@ -67,7 +67,6 @@ struct MtParams {
   uint64_t ops_per_client = 64;
   SchedulerKind scheduler = SchedulerKind::kDrr;
   bool backpressure = true;
-  int64_t drr_quantum_ns = DrrScheduler::kDefaultQuantumNs;
   uint64_t seed = 42;
 
   // Per-client op mix (percent; remainder after create+read+rename is
@@ -89,7 +88,6 @@ struct MtParams {
   // directories with log-normal (median 3 KB) files, then a read phase over
   // them — the paper's software-tree shape.
   bool devtree = false;
-  uint32_t devtree_create_pct = 50;  // leading share of ops that create
 
   // Antagonist tenant: client 0 issues large sequential overwrites into a
   // single big file instead of the small-file mix.

@@ -97,10 +97,9 @@ void DrrScheduler::NoteServiced(uint64_t client, int64_t service_ns) {
 }
 
 std::unique_ptr<OpScheduler> MakeScheduler(SchedulerKind kind,
-                                           uint32_t clients,
-                                           int64_t drr_quantum_ns) {
+                                           uint32_t clients) {
   if (kind == SchedulerKind::kDrr) {
-    return std::make_unique<DrrScheduler>(clients, drr_quantum_ns);
+    return std::make_unique<DrrScheduler>(clients);
   }
   return std::make_unique<FifoScheduler>(clients);
 }

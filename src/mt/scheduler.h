@@ -135,9 +135,8 @@ class DrrScheduler : public OpScheduler {
   uint32_t cursor_ = 0;  // ring position; stays on a client mid-quantum
 };
 
-std::unique_ptr<OpScheduler> MakeScheduler(
-    SchedulerKind kind, uint32_t clients,
-    int64_t drr_quantum_ns = DrrScheduler::kDefaultQuantumNs);
+std::unique_ptr<OpScheduler> MakeScheduler(SchedulerKind kind,
+                                           uint32_t clients);
 
 }  // namespace cffs::mt
 

@@ -21,7 +21,11 @@ foreach(fs ffs c-ffs)
     "0|-|cffs_run|fs=${fs}|${syncer}|--files=100|--dirs=4|--check-ordering"
     "0|-|cffs_run|fs=${fs}|${syncer}|${postmark}|--check-ordering"
     # The rules must hold under multi-tenant interleaving too.
-    "0|-|cffs_run|fs=${fs}|${syncer}|--workload=mt|--clients=16|--ops=48|--check-ordering")
+    "0|-|cffs_run|fs=${fs}|${syncer}|--workload=mt|--clients=16|--ops=48|--check-ordering"
+    # And on flash, whose commit epochs come from the same device command
+    # path in FCFS order, one epoch per window.
+    "0|-|cffs_run|fs=${fs}|device=flash|metadata=sync|--files=100|--dirs=4|--check-ordering"
+    "0|-|cffs_run|fs=${fs}|device=flash|extent_alloc=1|${syncer}|${postmark}|--check-ordering")
 endforeach()
 list(APPEND cases
   # The cross-shard rename protocol's happens-before rules.
@@ -29,6 +33,9 @@ list(APPEND cases
   # Mutated runs must be convicted of the rule they break.
   "1|R-CREATE|cffs_run|fs=ffs|metadata=sync|--files=100|--dirs=4|--check-ordering|--mutate=defer-inode-init"
   "1|R-CREATE|cffs_run|fs=ffs|${syncer}|--files=100|--dirs=4|--check-ordering|--mutate=syncer-reorder"
+  # On flash the 100-file smallfile run ends before the syncer's first
+  # 100 ms deadline, so its mutated flush never runs; postmark reaches it.
+  "1|R-CREATE|cffs_run|fs=ffs|device=flash|extent_alloc=1|${syncer}|${postmark}|--check-ordering|--mutate=syncer-reorder"
   "1|R-XCOMMIT|cffs_run|shards=2|--workload=xshard|--txns=8|--check-ordering|--mutate=xshard-skip-commit-sync"
   "1|R-XCOMMIT|cffs_run|shards=2|--workload=xshard|--txns=8|--check-ordering|--mutate=xshard-early-clear"
   # A ring too small for the run drops events: R-LOST cannot run, so the
