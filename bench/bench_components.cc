@@ -134,10 +134,13 @@ void BM_InodeCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_InodeCodec);
 
+// Arg: extent_alloc (0 = classic block maps, 1 = extent maps), one per
+// encoding the data-allocation hook serves.
 void BM_CffsCreateWriteDelete(benchmark::State& state) {
   sim::SimConfig config;
   config.disk_spec = disk::TestDisk(512, 4, 64);
   config.blocks_per_cg = 1024;
+  config.extent_alloc = state.range(0) != 0;
   auto env = sim::SimEnv::Create(sim::FsKind::kCffs, config);
   if (!env.ok()) {
     state.SkipWithError("env creation failed");
@@ -167,7 +170,7 @@ void BM_CffsCreateWriteDelete(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_CffsCreateWriteDelete);
+BENCHMARK(BM_CffsCreateWriteDelete)->Arg(0)->Arg(1);
 
 void BM_DiskModelAccess(benchmark::State& state) {
   SimClock clock;

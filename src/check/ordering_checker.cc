@@ -54,16 +54,13 @@ std::string OrderingReport::ToJson(int indent) const {
   return doc.Dump(indent);
 }
 
-OrderingChecker::OrderingChecker(OrderingOptions options)
-    : options_(options) {}
-
 void OrderingChecker::NoteDropped(uint64_t dropped) {
   report_.dropped += dropped;
 }
 
 void OrderingChecker::AddViolation(RuleId rule, const Ann& ann,
                                    std::string detail) {
-  if (report_.violations.size() >= options_.max_violations) return;
+  if (report_.violations.size() >= kMaxViolations) return;
   Violation v;
   v.rule = rule;
   v.op_id = ann.op_id;
@@ -252,8 +249,7 @@ OrderingReport OrderingChecker::Finish() {
     }
   }
 
-  report_.lost_update_checked =
-      options_.check_lost_updates && report_.dropped == 0;
+  report_.lost_update_checked = report_.dropped == 0;
   if (report_.lost_update_checked) {
     for (const Ann& a : anns_) {
       if (a.dead || a.commit_epoch != 0) continue;
@@ -266,9 +262,8 @@ OrderingReport OrderingChecker::Finish() {
   return report_;
 }
 
-OrderingReport OrderingChecker::CheckTrace(const obs::TraceRecorder& trace,
-                                           OrderingOptions options) {
-  OrderingChecker checker(options);
+OrderingReport OrderingChecker::CheckTrace(const obs::TraceRecorder& trace) {
+  OrderingChecker checker;
   checker.NoteDropped(trace.dropped());
   for (const obs::TraceEvent& e : trace.Events()) checker.Consume(e);
   return checker.Finish();

@@ -92,18 +92,13 @@ struct OrderingReport {
   std::string ToJson(int indent = 2) const;
 };
 
-struct OrderingOptions {
-  // Stop recording violations past this many (analysis still completes).
-  size_t max_violations = 256;
-  // Force-skip the R-LOST pass (it is auto-skipped on dropped events).
-  bool check_lost_updates = true;
-};
+// A report records at most this many violations (analysis still
+// completes). Shared by OrderingChecker and CrossShardChecker.
+inline constexpr size_t kMaxViolations = 256;
 
 // Streaming consumer: feed events in recorded order, then Finish() once.
 class OrderingChecker {
  public:
-  explicit OrderingChecker(OrderingOptions options = {});
-
   void Consume(const obs::TraceEvent& e);
 
   // Tell the checker how many events the recorder dropped before the
@@ -114,8 +109,7 @@ class OrderingChecker {
   OrderingReport Finish();
 
   // Convenience: run a whole recorded trace through a fresh checker.
-  static OrderingReport CheckTrace(const obs::TraceRecorder& trace,
-                                   OrderingOptions options = {});
+  static OrderingReport CheckTrace(const obs::TraceRecorder& trace);
 
  private:
   // One annotation with its resolved commit epoch (0 = never committed).
@@ -140,7 +134,6 @@ class OrderingChecker {
   void OnMetaUpdate(const obs::TraceEvent& e);
   void OnBlockWrite(const obs::TraceEvent& e);
 
-  OrderingOptions options_;
   OrderingReport report_;
   bool finished_ = false;
 

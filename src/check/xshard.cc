@@ -26,9 +26,6 @@ const char* RoleName(uint64_t role) {
 
 }  // namespace
 
-CrossShardChecker::CrossShardChecker(OrderingOptions options)
-    : options_(options) {}
-
 void CrossShardChecker::NoteDropped(uint64_t dropped) {
   report_.dropped += dropped;
 }
@@ -88,7 +85,7 @@ void CrossShardChecker::ConsumeShard(uint32_t shard_id,
 
 void CrossShardChecker::AddViolation(RuleId rule, const Step& step,
                                      std::string detail) {
-  if (report_.violations.size() >= options_.max_violations) return;
+  if (report_.violations.size() >= kMaxViolations) return;
   Violation v;
   v.rule = rule;
   v.op_id = step.stamp;

@@ -48,8 +48,6 @@ namespace cffs::check {
 
 class CrossShardChecker {
  public:
-  explicit CrossShardChecker(OrderingOptions options = {});
-
   // Feed one shard's recorded events, in recorded order. Call once per
   // shard (any shard order; cross-shard ordering comes from the stamps).
   void ConsumeShard(uint32_t shard_id, const std::vector<obs::TraceEvent>& events);
@@ -78,7 +76,6 @@ class CrossShardChecker {
   // True when `step` is sealed at a stamp strictly before `before_stamp`.
   static bool SealedBefore(const Step& step, uint64_t before_stamp);
 
-  OrderingOptions options_;
   OrderingReport report_;
   std::map<uint64_t, Tx> txs_;
   bool finished_ = false;

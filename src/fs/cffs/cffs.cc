@@ -178,35 +178,48 @@ Status CffsFileSystem::WriteSuperblock() {
 // IFILE: externalized inodes.
 // ---------------------------------------------------------------------------
 
-Result<uint32_t> CffsFileSystem::IfileBlockFor(uint64_t slot, bool allocate) {
-  const uint64_t idx = slot * kInodeSize / kBlockSize;
-  BmapOps ops;
-  ops.cache = cache_;
-  ops.alloc = [this](uint64_t, bool) -> Result<uint32_t> {
-    // IFILE blocks cluster near the first IFILE block (they never move).
-    const uint32_t goal = ifile_.direct[0] != 0 ? ifile_.direct[0]
-                                                : alloc_->layout(0).data_start;
-    return alloc_->AllocNear(goal);
-  };
-  ops.free_block = [](uint32_t) -> Status {
+// The IFILE's block-map host: data and map blocks alike cluster near the
+// first IFILE block (they never move), and the IFILE never shrinks.
+class CffsFileSystem::IfileHost final : public BmapHost {
+ public:
+  explicit IfileHost(CffsFileSystem* fs) : BmapHost(*fs->cache_), fs_(fs) {}
+
+  Result<BlockRun> AllocData(uint64_t, uint32_t) override {
+    ASSIGN_OR_RETURN(uint32_t bno, AllocMapBlock());
+    return BlockRun{bno, 1};
+  }
+  Result<uint32_t> AllocMapBlock() override {
+    const uint32_t first = fs_->ifile_.direct[0];
+    return fs_->alloc_->AllocNear(
+        first != 0 ? first : fs_->alloc_->layout(0).data_start);
+  }
+  Status FreeBlock(uint32_t) override {
     return Corrupt("IFILE never shrinks");
-  };
-  ops.meta_dirty = [this](cache::BufferRef& ref) -> Status {
+  }
+  Status DirtyMapBlock(cache::BufferRef& ref) override {
     // cffs-lint: allow(dirty-no-annotation): BmapAlloc annotates the map
     // attachment itself (kMapUpdate) at the call sites that grow the IFILE.
-    return MetaDirty(ref, /*order_critical=*/false);
-  };
+    return fs_->MetaDirty(ref, /*order_critical=*/false);
+  }
+
+ private:
+  CffsFileSystem* fs_;
+};
+
+Result<uint32_t> CffsFileSystem::IfileBlockFor(uint64_t slot, bool allocate) {
+  const uint64_t idx = slot * kInodeSize / kBlockSize;
   if (!allocate) {
-    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(ops, ifile_, idx));
+    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(*cache_, ifile_, idx));
     if (bno == 0) return Corrupt("IFILE hole");
     return bno;
   }
   bool dirtied = false;
   const bool was_mapped = [&]() {
-    Result<uint32_t> b = BmapRead(ops, ifile_, idx);
+    Result<uint32_t> b = BmapRead(*cache_, ifile_, idx);
     return b.ok() && *b != 0;
   }();
-  ASSIGN_OR_RETURN(uint32_t bno, BmapAlloc(ops, &ifile_, idx, &dirtied));
+  IfileHost host(this);
+  ASSIGN_OR_RETURN(uint32_t bno, BmapAlloc(host, &ifile_, idx, &dirtied));
   if (!was_mapped) {
     ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->GetZero(bno));
     std::memset(buf.data().data(), 0, kBlockSize);
@@ -322,31 +335,28 @@ Result<uint32_t> CffsFileSystem::InodeHomeBlock(InodeNum num) {
   return IfileBlockFor(num, /*allocate=*/false);
 }
 
-void CffsFileSystem::set_trace(obs::TraceRecorder* trace) {
-  FsBase::set_trace(trace);
-  alloc_->set_trace(trace, &op_seq_, clock_);
-}
-
 // ---------------------------------------------------------------------------
 // Allocation.
 // ---------------------------------------------------------------------------
 
-Result<uint32_t> CffsFileSystem::AllocDataBlock(InodeNum num, InodeData* ino,
-                                                uint64_t idx,
-                                                uint64_t size_hint_blocks) {
+Result<BlockRun> CffsFileSystem::AllocData(InodeNum num, InodeData* ino,
+                                           uint64_t idx, uint32_t want,
+                                           uint64_t size_hint_blocks) {
   if (options_.grouping) {
-    if (ino->is_dir()) {
-      // Directory blocks (which carry the embedded inodes) are allocated
-      // inside the directory's group extents too — one group read then
-      // delivers names, inodes and small-file data together.
-      return AllocGroupedBlock(num, ino);
-    }
-    // A file already known to end up large never enters a group (saves the
-    // later migration); otherwise small prefixes are grouped.
-    const bool known_large = size_hint_blocks > options_.small_file_max_blocks;
-    if (idx < options_.small_file_max_blocks && !known_large &&
-        !(ino->group_start == 0 && ino->BlockCount() > options_.small_file_max_blocks)) {
-      return AllocGroupedBlock(num, ino);
+    // Directory blocks (which carry the embedded inodes) are allocated
+    // inside the directory's group extents too — one group read then
+    // delivers names, inodes and small-file data together. A file already
+    // known to end up large never enters a group (saves the later
+    // migration); otherwise small prefixes are grouped. Grouped blocks are
+    // claimed one slot at a time (an extent map still merges them:
+    // AllocInExtent hands out consecutive slots), so runs only come from
+    // conventional storage.
+    const uint16_t small = options_.small_file_max_blocks;
+    if (ino->is_dir() ||
+        (idx < small && size_hint_blocks <= small &&
+         !(ino->group_start == 0 && ino->BlockCount() > small))) {
+      ASSIGN_OR_RETURN(uint32_t bno, AllocGroupedBlock(num, ino));
+      return BlockRun{bno, 1};
     }
     if (ino->group_start != 0) {
       // The file has outgrown its group: move the grouped prefix out so the
@@ -356,55 +366,11 @@ Result<uint32_t> CffsFileSystem::AllocDataBlock(InodeNum num, InodeData* ino,
   }
   // Conventional placement: right after the previous block, else near the
   // directory's data (or the start of data for the first cylinder group).
-  uint32_t goal = alloc_->layout(0).data_start;
-  if (idx > 0) {
-    const BmapOps ops = MakeReadOnlyBmapOps();
-    Result<uint32_t> prev = BmapRead(ops, *ino, idx - 1);
-    if (prev.ok() && *prev != 0) goal = *prev + 1;
-  } else if (ino->is_dir() && ino->active_group != 0) {
-    goal = ino->active_group;  // keep directory blocks near their groups
-  }
-  return alloc_->AllocNear(goal);
-}
-
-Result<BlockRun> CffsFileSystem::AllocDataRun(InodeNum num, InodeData* ino,
-                                              uint64_t idx, uint32_t want,
-                                              uint64_t size_hint_blocks) {
-  // Same grouping decision as AllocDataBlock. Grouped blocks are claimed
-  // one slot at a time from the group extent (the extent map still merges
-  // them — AllocInExtent hands out consecutive slots), so runs only come
-  // from conventional storage.
-  if (options_.grouping) {
-    if (ino->is_dir()) {
-      ASSIGN_OR_RETURN(uint32_t bno, AllocGroupedBlock(num, ino));
-      return BlockRun{bno, 1};
-    }
-    const bool known_large = size_hint_blocks > options_.small_file_max_blocks;
-    if (idx < options_.small_file_max_blocks && !known_large &&
-        !(ino->group_start == 0 &&
-          ino->BlockCount() > options_.small_file_max_blocks)) {
-      ASSIGN_OR_RETURN(uint32_t bno, AllocGroupedBlock(num, ino));
-      return BlockRun{bno, 1};
-    }
-    if (ino->group_start != 0) {
-      RETURN_IF_ERROR(MigrateOutOfGroup(num, ino));
-    }
-  }
-  uint32_t goal = alloc_->layout(0).data_start;
-  if (idx > 0) {
-    const BmapOps ops = MakeReadOnlyBmapOps();
-    Result<uint32_t> prev = BmapRead(ops, *ino, idx - 1);
-    if (prev.ok() && *prev != 0) goal = *prev + 1;
-  } else if (ino->is_dir() && ino->active_group != 0) {
-    goal = ino->active_group;
-  }
-  if (size_hint_blocks > idx) {
-    want = static_cast<uint32_t>(
-        std::min<uint64_t>(want, size_hint_blocks - idx));
-  } else {
-    want = 1;  // unknown size: grow block-by-block, goal adjacency merges
-  }
-  return alloc_->AllocRun(goal, want);
+  const uint32_t fallback = idx == 0 && ino->is_dir() && ino->active_group != 0
+                                ? ino->active_group
+                                : alloc_->layout(0).data_start;
+  return AllocDataAt(*ino, GoalAfterPrevious(*ino, idx, fallback), idx, want,
+                     size_hint_blocks);
 }
 
 Result<uint32_t> CffsFileSystem::AllocGroupedBlock(InodeNum num,
@@ -457,7 +423,7 @@ Result<uint32_t> CffsFileSystem::AllocGroupedBlock(InodeNum num,
   // BmapRead dispatches on the inode encoding (raw direct[0] would read an
   // extent's `logical` field on flagged inodes).
   uint32_t dir_first = 0;
-  if (Result<uint32_t> r = BmapRead(MakeReadOnlyBmapOps(), *dir, 0); r.ok()) {
+  if (Result<uint32_t> r = BmapRead(*cache_, *dir, 0); r.ok()) {
     dir_first = *r;
   }
   if (dir->active_group != 0) {
@@ -509,9 +475,8 @@ Status CffsFileSystem::MigrateOutOfGroup(InodeNum num, InodeData* ino) {
       uint32_t bno;
     };
     std::vector<Mapping> mapped;
-    const BmapOps ro = MakeReadOnlyBmapOps();
     RETURN_IF_ERROR(
-        BmapForEach(ro, *ino, [&](uint64_t idx, uint32_t bno) -> Status {
+        BmapForEach(*cache_, *ino, [&](uint64_t idx, uint32_t bno) -> Status {
           if (idx != UINT64_MAX) mapped.push_back({idx, bno});
           return OkStatus();
         }));
@@ -542,10 +507,10 @@ Status CffsFileSystem::MigrateOutOfGroup(InodeNum num, InodeData* ino) {
       ino->indirect = 0;
     }
     for (uint32_t i = 0; i < kDirectBlocks; ++i) ino->direct[i] = 0;
-    BmapOps ops = MakeBmapOps(num, ino);
+    MapHost host(this, num, ino);
     bool dirtied = false;
     for (const Mapping& m : mapped) {
-      RETURN_IF_ERROR(ExtentAppendMapping(ops, ino, m.idx, m.bno, &dirtied));
+      RETURN_IF_ERROR(ExtentAppendMapping(host, ino, m.idx, m.bno, &dirtied));
     }
   } else {
     uint32_t prev_new = 0;
@@ -595,7 +560,7 @@ Result<uint32_t> CffsFileSystem::AllocMetaBlock(InodeNum num,
   (void)num;
   // First data block as the goal, read through the encoding-aware map.
   uint32_t first = 0;
-  if (Result<uint32_t> r = BmapRead(MakeReadOnlyBmapOps(), ino, 0); r.ok()) {
+  if (Result<uint32_t> r = BmapRead(*cache_, ino, 0); r.ok()) {
     first = *r;
   }
   const uint32_t goal = first != 0 ? first : alloc_->layout(0).data_start;
@@ -765,8 +730,8 @@ Status CffsFileSystem::Unlink(InodeNum dir, std::string_view name) {
     TraceMeta(obs::MetaUpdateKind::kInodeFree, slot.bno, inum);
     NoteInodeGone(inum);
     RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-    BmapOps ops = MakeBmapOps(inum, &ino);
-    RETURN_IF_ERROR(BmapTruncate(ops, &ino, 0));
+    MapHost host(this, inum, &ino);
+    RETURN_IF_ERROR(BmapTruncate(host, &ino, 0));
     return AfterBlocksFreed(inum, &ino);
   }
 
@@ -778,8 +743,8 @@ Status CffsFileSystem::Unlink(InodeNum dir, std::string_view name) {
     --ino.nlink;
     return StoreInode(inum, ino, /*order_critical=*/true);
   }
-  BmapOps ops = MakeBmapOps(inum, &ino);
-  RETURN_IF_ERROR(BmapTruncate(ops, &ino, 0));
+  MapHost host(this, inum, &ino);
+  RETURN_IF_ERROR(BmapTruncate(host, &ino, 0));
   RETURN_IF_ERROR(AfterBlocksFreed(inum, &ino));
   ino.size = 0;
   RETURN_IF_ERROR(StoreInode(inum, ino, /*order_critical=*/true));
@@ -802,8 +767,8 @@ Status CffsFileSystem::Rmdir(InodeNum dir, std::string_view name) {
   RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
   RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
 
-  BmapOps ops = MakeBmapOps(inum, &ino);
-  RETURN_IF_ERROR(BmapTruncate(ops, &ino, 0));
+  MapHost host(this, inum, &ino);
+  RETURN_IF_ERROR(BmapTruncate(host, &ino, 0));
   if (ino.active_group != 0) {
     RETURN_IF_ERROR(ReleaseGroupIfIdle(ino.active_group, options_.group_blocks));
   }
@@ -945,12 +910,6 @@ Status CffsFileSystem::Rename(InodeNum old_dir, std::string_view old_name,
   RETURN_IF_ERROR(DirRemove(old_dir, old_name, src2.bno, src2.rec.offset,
                             inum));
   return SyncMetaBlock(src2.bno, /*order_critical=*/true);
-}
-
-Status CffsFileSystem::Sync() {
-  OpScope scope(this, obs::FsOp::kSync);
-  RETURN_IF_ERROR(WriteSuperblock());
-  return cache_->SyncAll();
 }
 
 Result<FsSpaceInfo> CffsFileSystem::SpaceInfo() {

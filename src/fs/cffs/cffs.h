@@ -97,17 +97,11 @@ class CffsFileSystem : public FsBase {
   Status Link(InodeNum dir, std::string_view name, InodeNum target) override;
   Status Rename(InodeNum old_dir, std::string_view old_name,
                 InodeNum new_dir, std::string_view new_name) override;
-  Status Sync() override;
   Result<FsSpaceInfo> SpaceInfo() override;
 
   Result<InodeData> LoadInode(InodeNum num) override;
 
-  // Also forwards the recorder to the block allocator so free-map updates
-  // carry ordering annotations.
-  void set_trace(obs::TraceRecorder* trace) override;
-
   const CffsOptions& options() const { return options_; }
-  CgAllocator* allocator() override { return alloc_.get(); }
   const InodeData& ifile_inode() const { return ifile_; }
 
   // External inode slots; public for fsck.
@@ -125,14 +119,12 @@ class CffsFileSystem : public FsBase {
  protected:
   Status StoreInodeImpl(InodeNum num, const InodeData& ino,
                         bool order_critical) override;
-  Result<uint32_t> AllocDataBlock(InodeNum num, InodeData* ino,
-                                  uint64_t idx,
-                                  uint64_t size_hint_blocks) override;
-  Result<BlockRun> AllocDataRun(InodeNum num, InodeData* ino, uint64_t idx,
-                                uint32_t want,
-                                uint64_t size_hint_blocks) override;
+  Result<BlockRun> AllocData(InodeNum num, InodeData* ino, uint64_t idx,
+                             uint32_t want,
+                             uint64_t size_hint_blocks) override;
   Result<uint32_t> AllocMetaBlock(InodeNum num, const InodeData& ino) override;
   Status FreeBlock(uint32_t bno) override;
+  Status WriteSuperblock() override;
   Status PrepareDataRead(const InodeData& ino, uint32_t bno) override;
   Status AfterBlocksFreed(InodeNum num, InodeData* ino) override;
   uint64_t FlushUnitFor(InodeNum num, const InodeData& ino,
@@ -148,6 +140,7 @@ class CffsFileSystem : public FsBase {
   std::vector<CgLayout> MakeLayouts() const;
 
   // IFILE (externalized inodes).
+  class IfileHost;
   Result<uint32_t> IfileBlockFor(uint64_t slot, bool allocate);
   Result<uint64_t> AllocExternalSlot();
   Status ScanExternalFreeSlots();
@@ -166,11 +159,8 @@ class CffsFileSystem : public FsBase {
   Result<InodeNum> CreateCommon(InodeNum dir, std::string_view name,
                                 FileType type);
 
-  Status WriteSuperblock();
-
   CffsOptions options_;
   uint32_t ncg_;
-  std::unique_ptr<CgAllocator> alloc_;
   InodeData ifile_;               // inode of the externalized-inode file
   std::vector<uint64_t> free_slots_;  // free IFILE slots (mount-time scan)
   uint32_t dir_rotor_ = 0;

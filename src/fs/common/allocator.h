@@ -97,7 +97,7 @@ class CgAllocator {
   // Ordering-annotation wiring (see obs::MetaUpdateKind): every free-map
   // bit flip is reported against the bitmap block that carries it. op_id
   // points at the owning file system's operation counter; clock stamps
-  // the events. Set by FsBase::set_trace overrides; nullptr disables.
+  // the events. Set by FsBase::set_trace; nullptr disables.
   void set_trace(obs::TraceRecorder* trace, const uint64_t* op_id,
                  SimClock* clock);
 

@@ -18,39 +18,45 @@ void SetPtr(std::span<uint8_t> block, uint32_t slot, uint32_t bno) {
   PutU32(block, static_cast<size_t>(slot) * 4, bno);
 }
 
+// A classic map holds one block per pointer, so it asks for a run of one.
+Result<uint32_t> AllocOneBlock(BmapHost& host, uint64_t idx) {
+  ASSIGN_OR_RETURN(BlockRun run, host.AllocData(idx, 1));
+  return run.start;
+}
+
 }  // namespace
 
-Result<uint32_t> BmapRead(const BmapOps& ops, const InodeData& ino,
+Result<uint32_t> BmapRead(cache::BufferCache& cache, const InodeData& ino,
                           uint64_t idx) {
-  if (ino.flags & kInodeFlagExtents) return ExtentBmapRead(ops, ino, idx);
+  if (ino.flags & kInodeFlagExtents) return ExtentBmapRead(cache, ino, idx);
   if (idx >= kMaxFileBlocks) return OutOfRange("file block index");
   if (idx < kDirectBlocks) return ino.direct[idx];
 
   idx -= kDirectBlocks;
   if (idx < kPtrsPerBlock) {
     if (ino.indirect == 0) return uint32_t{0};
-    ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(ino.indirect));
+    ASSIGN_OR_RETURN(cache::BufferRef ib, cache.Get(ino.indirect));
     return GetPtr(ib.data(), static_cast<uint32_t>(idx));
   }
 
   idx -= kPtrsPerBlock;
   if (ino.dindirect == 0) return uint32_t{0};
-  ASSIGN_OR_RETURN(cache::BufferRef dib, ops.cache->Get(ino.dindirect));
+  ASSIGN_OR_RETURN(cache::BufferRef dib, cache.Get(ino.dindirect));
   const uint32_t l1 = GetPtr(dib.data(), static_cast<uint32_t>(idx / kPtrsPerBlock));
   if (l1 == 0) return uint32_t{0};
-  ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(l1));
+  ASSIGN_OR_RETURN(cache::BufferRef ib, cache.Get(l1));
   return GetPtr(ib.data(), static_cast<uint32_t>(idx % kPtrsPerBlock));
 }
 
-Result<uint32_t> BmapAlloc(const BmapOps& ops, InodeData* ino, uint64_t idx,
+Result<uint32_t> BmapAlloc(BmapHost& host, InodeData* ino, uint64_t idx,
                            bool* inode_dirtied) {
   if (ino->flags & kInodeFlagExtents) {
-    return ExtentBmapAlloc(ops, ino, idx, inode_dirtied);
+    return ExtentBmapAlloc(host, ino, idx, inode_dirtied);
   }
   if (idx >= kMaxFileBlocks) return OutOfRange("file block index");
   if (idx < kDirectBlocks) {
     if (ino->direct[idx] == 0) {
-      ASSIGN_OR_RETURN(uint32_t bno, ops.alloc(idx, /*metadata=*/false));
+      ASSIGN_OR_RETURN(uint32_t bno, AllocOneBlock(host, idx));
       ino->direct[idx] = bno;
       if (inode_dirtied) *inode_dirtied = true;
     }
@@ -60,19 +66,19 @@ Result<uint32_t> BmapAlloc(const BmapOps& ops, InodeData* ino, uint64_t idx,
   uint64_t rel = idx - kDirectBlocks;
   if (rel < kPtrsPerBlock) {
     if (ino->indirect == 0) {
-      ASSIGN_OR_RETURN(uint32_t ib_bno, ops.alloc(idx, /*metadata=*/true));
-      ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->GetZero(ib_bno));
-      RETURN_IF_ERROR(ops.meta_dirty(ib));
+      ASSIGN_OR_RETURN(uint32_t ib_bno, host.AllocMapBlock());
+      ASSIGN_OR_RETURN(cache::BufferRef ib, host.cache().GetZero(ib_bno));
+      RETURN_IF_ERROR(host.DirtyMapBlock(ib));
       ino->indirect = ib_bno;
       if (inode_dirtied) *inode_dirtied = true;
     }
-    ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(ino->indirect));
+    ASSIGN_OR_RETURN(cache::BufferRef ib, host.cache().Get(ino->indirect));
     uint32_t bno = GetPtr(ib.data(), static_cast<uint32_t>(rel));
     if (bno == 0) {
-      ASSIGN_OR_RETURN(uint32_t nb, ops.alloc(idx, /*metadata=*/false));
+      ASSIGN_OR_RETURN(uint32_t nb, AllocOneBlock(host, idx));
       bno = nb;
       SetPtr(ib.data(), static_cast<uint32_t>(rel), bno);
-      RETURN_IF_ERROR(ops.meta_dirty(ib));
+      RETURN_IF_ERROR(host.DirtyMapBlock(ib));
     }
     return bno;
   }
@@ -81,29 +87,29 @@ Result<uint32_t> BmapAlloc(const BmapOps& ops, InodeData* ino, uint64_t idx,
   const uint32_t l1_slot = static_cast<uint32_t>(rel / kPtrsPerBlock);
   const uint32_t l2_slot = static_cast<uint32_t>(rel % kPtrsPerBlock);
   if (ino->dindirect == 0) {
-    ASSIGN_OR_RETURN(uint32_t db_bno, ops.alloc(idx, /*metadata=*/true));
-    ASSIGN_OR_RETURN(cache::BufferRef dib, ops.cache->GetZero(db_bno));
-    RETURN_IF_ERROR(ops.meta_dirty(dib));
+    ASSIGN_OR_RETURN(uint32_t db_bno, host.AllocMapBlock());
+    ASSIGN_OR_RETURN(cache::BufferRef dib, host.cache().GetZero(db_bno));
+    RETURN_IF_ERROR(host.DirtyMapBlock(dib));
     ino->dindirect = db_bno;
     if (inode_dirtied) *inode_dirtied = true;
   }
-  ASSIGN_OR_RETURN(cache::BufferRef dib, ops.cache->Get(ino->dindirect));
+  ASSIGN_OR_RETURN(cache::BufferRef dib, host.cache().Get(ino->dindirect));
   uint32_t l1 = GetPtr(dib.data(), l1_slot);
   if (l1 == 0) {
-    ASSIGN_OR_RETURN(uint32_t ib_bno, ops.alloc(idx, /*metadata=*/true));
+    ASSIGN_OR_RETURN(uint32_t ib_bno, host.AllocMapBlock());
     l1 = ib_bno;
-    ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->GetZero(l1));
-    RETURN_IF_ERROR(ops.meta_dirty(ib));
+    ASSIGN_OR_RETURN(cache::BufferRef ib, host.cache().GetZero(l1));
+    RETURN_IF_ERROR(host.DirtyMapBlock(ib));
     SetPtr(dib.data(), l1_slot, l1);
-    RETURN_IF_ERROR(ops.meta_dirty(dib));
+    RETURN_IF_ERROR(host.DirtyMapBlock(dib));
   }
-  ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(l1));
+  ASSIGN_OR_RETURN(cache::BufferRef ib, host.cache().Get(l1));
   uint32_t bno = GetPtr(ib.data(), l2_slot);
   if (bno == 0) {
-    ASSIGN_OR_RETURN(uint32_t nb, ops.alloc(idx, /*metadata=*/false));
+    ASSIGN_OR_RETURN(uint32_t nb, AllocOneBlock(host, idx));
     bno = nb;
     SetPtr(ib.data(), l2_slot, bno);
-    RETURN_IF_ERROR(ops.meta_dirty(ib));
+    RETURN_IF_ERROR(host.DirtyMapBlock(ib));
   }
   return bno;
 }
@@ -112,36 +118,36 @@ namespace {
 
 // Frees pointers in an indirect block with slot index >= first_kept_slot.
 // Returns true if the block still maps something.
-Result<bool> TruncateIndirect(const BmapOps& ops, uint32_t ib_bno,
+Result<bool> TruncateIndirect(BmapHost& host, uint32_t ib_bno,
                               uint32_t first_kept_slot) {
-  ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(ib_bno));
+  ASSIGN_OR_RETURN(cache::BufferRef ib, host.cache().Get(ib_bno));
   bool any_left = false;
   bool dirtied = false;
   for (uint32_t s = 0; s < kPtrsPerBlock; ++s) {
     const uint32_t bno = GetPtr(ib.data(), s);
     if (bno == 0) continue;
     if (s >= first_kept_slot) {
-      RETURN_IF_ERROR(ops.free_block(bno));
+      RETURN_IF_ERROR(host.FreeBlock(bno));
       SetPtr(ib.data(), s, 0);
       dirtied = true;
     } else {
       any_left = true;
     }
   }
-  if (dirtied) RETURN_IF_ERROR(ops.meta_dirty(ib));
+  if (dirtied) RETURN_IF_ERROR(host.DirtyMapBlock(ib));
   return any_left;
 }
 
 }  // namespace
 
-Status BmapTruncate(const BmapOps& ops, InodeData* ino, uint64_t keep_blocks) {
+Status BmapTruncate(BmapHost& host, InodeData* ino, uint64_t keep_blocks) {
   if (ino->flags & kInodeFlagExtents) {
-    return ExtentBmapTruncate(ops, ino, keep_blocks);
+    return ExtentBmapTruncate(host, ino, keep_blocks);
   }
   // Direct blocks.
   for (uint64_t i = keep_blocks; i < kDirectBlocks; ++i) {
     if (ino->direct[i] != 0) {
-      RETURN_IF_ERROR(ops.free_block(ino->direct[i]));
+      RETURN_IF_ERROR(host.FreeBlock(ino->direct[i]));
       ino->direct[i] = 0;
     }
   }
@@ -155,10 +161,10 @@ Status BmapTruncate(const BmapOps& ops, InodeData* ino, uint64_t keep_blocks) {
             : static_cast<uint32_t>(
                   std::min<uint64_t>(keep_blocks - base, kPtrsPerBlock));
     ASSIGN_OR_RETURN(bool any_left,
-                     TruncateIndirect(ops, ino->indirect, first_kept));
+                     TruncateIndirect(host, ino->indirect, first_kept));
     if (!any_left) {
-      ops.cache->Invalidate(ino->indirect);
-      RETURN_IF_ERROR(ops.free_block(ino->indirect));
+      host.cache().Invalidate(ino->indirect);
+      RETURN_IF_ERROR(host.FreeBlock(ino->indirect));
       ino->indirect = 0;
     }
   }
@@ -167,7 +173,7 @@ Status BmapTruncate(const BmapOps& ops, InodeData* ino, uint64_t keep_blocks) {
   if (ino->dindirect != 0) {
     const uint64_t base = kDirectBlocks + kPtrsPerBlock;
     const uint64_t kept = keep_blocks <= base ? 0 : keep_blocks - base;
-    ASSIGN_OR_RETURN(cache::BufferRef dib, ops.cache->Get(ino->dindirect));
+    ASSIGN_OR_RETURN(cache::BufferRef dib, host.cache().Get(ino->dindirect));
     bool any_left = false;
     bool dirtied = false;
     for (uint32_t s = 0; s < kPtrsPerBlock; ++s) {
@@ -187,21 +193,21 @@ Status BmapTruncate(const BmapOps& ops, InodeData* ino, uint64_t keep_blocks) {
         continue;
       }
       ASSIGN_OR_RETURN(bool l1_left,
-                       TruncateIndirect(ops, l1, first_kept_slot));
+                       TruncateIndirect(host, l1, first_kept_slot));
       if (!l1_left) {
-        ops.cache->Invalidate(l1);
-        RETURN_IF_ERROR(ops.free_block(l1));
+        host.cache().Invalidate(l1);
+        RETURN_IF_ERROR(host.FreeBlock(l1));
         SetPtr(dib.data(), s, 0);
         dirtied = true;
       } else {
         any_left = true;
       }
     }
-    if (dirtied) RETURN_IF_ERROR(ops.meta_dirty(dib));
+    if (dirtied) RETURN_IF_ERROR(host.DirtyMapBlock(dib));
     dib.Release();
     if (!any_left) {
-      ops.cache->Invalidate(ino->dindirect);
-      RETURN_IF_ERROR(ops.free_block(ino->dindirect));
+      host.cache().Invalidate(ino->dindirect);
+      RETURN_IF_ERROR(host.FreeBlock(ino->dindirect));
       ino->dindirect = 0;
     }
   }
@@ -209,15 +215,15 @@ Status BmapTruncate(const BmapOps& ops, InodeData* ino, uint64_t keep_blocks) {
 }
 
 Status BmapForEach(
-    const BmapOps& ops, const InodeData& ino,
+    cache::BufferCache& cache, const InodeData& ino,
     const std::function<Status(uint64_t idx, uint32_t bno)>& fn) {
-  if (ino.flags & kInodeFlagExtents) return ExtentBmapForEach(ops, ino, fn);
+  if (ino.flags & kInodeFlagExtents) return ExtentBmapForEach(cache, ino, fn);
   for (uint32_t i = 0; i < kDirectBlocks; ++i) {
     if (ino.direct[i] != 0) RETURN_IF_ERROR(fn(i, ino.direct[i]));
   }
   if (ino.indirect != 0) {
     RETURN_IF_ERROR(fn(UINT64_MAX, ino.indirect));
-    ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(ino.indirect));
+    ASSIGN_OR_RETURN(cache::BufferRef ib, cache.Get(ino.indirect));
     for (uint32_t s = 0; s < kPtrsPerBlock; ++s) {
       const uint32_t bno = GetPtr(ib.data(), s);
       if (bno != 0) RETURN_IF_ERROR(fn(kDirectBlocks + s, bno));
@@ -229,7 +235,7 @@ Status BmapForEach(
     // visiting level-2 blocks.
     std::vector<uint32_t> l1s;
     {
-      ASSIGN_OR_RETURN(cache::BufferRef dib, ops.cache->Get(ino.dindirect));
+      ASSIGN_OR_RETURN(cache::BufferRef dib, cache.Get(ino.dindirect));
       for (uint32_t s = 0; s < kPtrsPerBlock; ++s) {
         const uint32_t l1 = GetPtr(dib.data(), s);
         l1s.push_back(l1);
@@ -238,7 +244,7 @@ Status BmapForEach(
     for (uint32_t s = 0; s < kPtrsPerBlock; ++s) {
       if (l1s[s] == 0) continue;
       RETURN_IF_ERROR(fn(UINT64_MAX, l1s[s]));
-      ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(l1s[s]));
+      ASSIGN_OR_RETURN(cache::BufferRef ib, cache.Get(l1s[s]));
       for (uint32_t t = 0; t < kPtrsPerBlock; ++t) {
         const uint32_t bno = GetPtr(ib.data(), t);
         if (bno != 0) {

@@ -63,8 +63,8 @@ struct Scan {
   int free_indirect = -1;      // first empty indirect entry (if block exists)
 };
 
-Status ScanExtents(const BmapOps& ops, const InodeData& ino, uint64_t idx,
-                   Scan* s) {
+Status ScanExtents(cache::BufferCache& cache, const InodeData& ino,
+                   uint64_t idx, Scan* s) {
   const auto visit = [&](const ExtentOnDisk& e, Loc loc) {
     if (e.count == 0) {
       if (loc.direct && s->free_direct < 0) {
@@ -94,7 +94,7 @@ Status ScanExtents(const BmapOps& ops, const InodeData& ino, uint64_t idx,
     visit(DirectExtent(ino, i), {i, /*direct=*/true});
   }
   if (ino.indirect != 0) {
-    ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(ino.indirect));
+    ASSIGN_OR_RETURN(cache::BufferRef ib, cache.Get(ino.indirect));
     for (uint32_t i = 0; i < kExtentsPerBlock; ++i) {
       visit(GetBlockExtent(ib.data(), i), {i, /*direct=*/false});
     }
@@ -102,28 +102,28 @@ Status ScanExtents(const BmapOps& ops, const InodeData& ino, uint64_t idx,
   return OkStatus();
 }
 
-Status StoreExtentAt(const BmapOps& ops, InodeData* ino, Loc loc,
+Status StoreExtentAt(BmapHost& host, InodeData* ino, Loc loc,
                      const ExtentOnDisk& e, bool* inode_dirtied) {
   if (loc.direct) {
     SetDirectExtent(ino, loc.slot, e);
     if (inode_dirtied) *inode_dirtied = true;
     return OkStatus();
   }
-  ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(ino->indirect));
+  ASSIGN_OR_RETURN(cache::BufferRef ib, host.cache().Get(ino->indirect));
   PutBlockExtent(ib.data(), loc.slot, e);
-  return ops.meta_dirty(ib);
+  return host.DirtyMapBlock(ib);
 }
 
 // Merge `run` (the new mapping of file block idx) into the tail extent
 // when logically and physically adjacent, else store it as a new extent.
-Result<uint32_t> InsertRun(const BmapOps& ops, InodeData* ino, uint64_t idx,
+Result<uint32_t> InsertRun(BmapHost& host, InodeData* ino, uint64_t idx,
                            BlockRun run, const Scan& s, bool* inode_dirtied) {
   if (s.has_tail &&
       idx == static_cast<uint64_t>(s.tail.logical) + s.tail.count &&
       run.start == s.tail.start + s.tail.count) {
     ExtentOnDisk grown = s.tail;
     grown.count += run.count;
-    RETURN_IF_ERROR(StoreExtentAt(ops, ino, s.tail_loc, grown,
+    RETURN_IF_ERROR(StoreExtentAt(host, ino, s.tail_loc, grown,
                                   inode_dirtied));
     return run.start;
   }
@@ -139,17 +139,17 @@ Result<uint32_t> InsertRun(const BmapOps& ops, InodeData* ino, uint64_t idx,
     return run.start;
   }
   if (ino->indirect == 0) {
-    ASSIGN_OR_RETURN(uint32_t ib_bno, ops.alloc(idx, /*metadata=*/true));
-    ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->GetZero(ib_bno));
+    ASSIGN_OR_RETURN(uint32_t ib_bno, host.AllocMapBlock());
+    ASSIGN_OR_RETURN(cache::BufferRef ib, host.cache().GetZero(ib_bno));
     PutBlockExtent(ib.data(), 0, e);
-    RETURN_IF_ERROR(ops.meta_dirty(ib));
+    RETURN_IF_ERROR(host.DirtyMapBlock(ib));
     ino->indirect = ib_bno;
     if (inode_dirtied) *inode_dirtied = true;
     return run.start;
   }
   if (s.free_indirect >= 0) {
     RETURN_IF_ERROR(StoreExtentAt(
-        ops, ino, {static_cast<uint32_t>(s.free_indirect), /*direct=*/false},
+        host, ino, {static_cast<uint32_t>(s.free_indirect), /*direct=*/false},
         e, inode_dirtied));
     return run.start;
   }
@@ -158,8 +158,8 @@ Result<uint32_t> InsertRun(const BmapOps& ops, InodeData* ino, uint64_t idx,
 
 }  // namespace
 
-Result<uint32_t> ExtentBmapRead(const BmapOps& ops, const InodeData& ino,
-                                uint64_t idx) {
+Result<uint32_t> ExtentBmapRead(cache::BufferCache& cache,
+                                const InodeData& ino, uint64_t idx) {
   if (idx >= kMaxFileBlocks) return OutOfRange("file block index");
   for (uint32_t i = 0; i < kDirectExtents; ++i) {
     const ExtentOnDisk e = DirectExtent(ino, i);
@@ -168,7 +168,7 @@ Result<uint32_t> ExtentBmapRead(const BmapOps& ops, const InodeData& ino,
     }
   }
   if (ino.indirect != 0) {
-    ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(ino.indirect));
+    ASSIGN_OR_RETURN(cache::BufferRef ib, cache.Get(ino.indirect));
     for (uint32_t i = 0; i < kExtentsPerBlock; ++i) {
       const ExtentOnDisk e = GetBlockExtent(ib.data(), i);
       if (Contains(e, idx)) {
@@ -179,11 +179,11 @@ Result<uint32_t> ExtentBmapRead(const BmapOps& ops, const InodeData& ino,
   return uint32_t{0};
 }
 
-Result<uint32_t> ExtentBmapAlloc(const BmapOps& ops, InodeData* ino,
-                                 uint64_t idx, bool* inode_dirtied) {
+Result<uint32_t> ExtentBmapAlloc(BmapHost& host, InodeData* ino, uint64_t idx,
+                                 bool* inode_dirtied) {
   if (idx >= kMaxFileBlocks) return OutOfRange("file block index");
   Scan s;
-  RETURN_IF_ERROR(ScanExtents(ops, *ino, idx, &s));
+  RETURN_IF_ERROR(ScanExtents(host.cache(), *ino, idx, &s));
   if (s.found) return s.found_bno;
 
   // Never let a run grow into the next stored extent's logical range.
@@ -193,19 +193,12 @@ Result<uint32_t> ExtentBmapAlloc(const BmapOps& ops, InodeData* ino,
         std::min<uint64_t>(want, s.next_logical - idx));
   }
 
-  BlockRun run;
-  if (ops.alloc_run) {
-    ASSIGN_OR_RETURN(BlockRun r, ops.alloc_run(idx, want));
-    run = r;
-  } else {
-    ASSIGN_OR_RETURN(uint32_t bno, ops.alloc(idx, /*metadata=*/false));
-    run = {bno, 1};
-  }
+  ASSIGN_OR_RETURN(BlockRun run, host.AllocData(idx, want));
   if (run.count == 0) return Corrupt("allocator returned an empty run");
   if (run.count > want) {
     // Defensive: return any surplus the allocator handed out.
     for (uint32_t i = want; i < run.count; ++i) {
-      RETURN_IF_ERROR(ops.free_block(run.start + i));
+      RETURN_IF_ERROR(host.FreeBlock(run.start + i));
     }
     run.count = want;
   }
@@ -214,34 +207,34 @@ Result<uint32_t> ExtentBmapAlloc(const BmapOps& ops, InodeData* ino,
   // bound, rebuilding every extent): re-scan so the insert sees current
   // slots, not the pre-allocation snapshot.
   s = Scan{};
-  RETURN_IF_ERROR(ScanExtents(ops, *ino, idx, &s));
+  RETURN_IF_ERROR(ScanExtents(host.cache(), *ino, idx, &s));
   if (s.found) {
     // The rebuild already mapped idx; hand the fresh run back.
     for (uint32_t i = 0; i < run.count; ++i) {
-      RETURN_IF_ERROR(ops.free_block(run.start + i));
+      RETURN_IF_ERROR(host.FreeBlock(run.start + i));
     }
     return s.found_bno;
   }
-  return InsertRun(ops, ino, idx, run, s, inode_dirtied);
+  return InsertRun(host, ino, idx, run, s, inode_dirtied);
 }
 
-Status ExtentAppendMapping(const BmapOps& ops, InodeData* ino, uint64_t idx,
+Status ExtentAppendMapping(BmapHost& host, InodeData* ino, uint64_t idx,
                            uint32_t bno, bool* inode_dirtied) {
   Scan s;
-  RETURN_IF_ERROR(ScanExtents(ops, *ino, idx, &s));
+  RETURN_IF_ERROR(ScanExtents(host.cache(), *ino, idx, &s));
   if (s.found) {
     return s.found_bno == bno
                ? OkStatus()
                : Corrupt("extent append over an existing mapping");
   }
-  return InsertRun(ops, ino, idx, {bno, 1}, s, inode_dirtied).status();
+  return InsertRun(host, ino, idx, {bno, 1}, s, inode_dirtied).status();
 }
 
 namespace {
 
 // Frees the part of `e` at file blocks >= keep; returns the surviving
 // prefix (count 0 when the whole extent went away).
-Result<ExtentOnDisk> ShrinkExtent(const BmapOps& ops, ExtentOnDisk e,
+Result<ExtentOnDisk> ShrinkExtent(BmapHost& host, ExtentOnDisk e,
                                   uint64_t keep) {
   if (e.count == 0 || static_cast<uint64_t>(e.logical) + e.count <= keep) {
     return e;
@@ -249,7 +242,7 @@ Result<ExtentOnDisk> ShrinkExtent(const BmapOps& ops, ExtentOnDisk e,
   const uint32_t kept =
       keep > e.logical ? static_cast<uint32_t>(keep - e.logical) : 0;
   for (uint32_t i = kept; i < e.count; ++i) {
-    RETURN_IF_ERROR(ops.free_block(e.start + i));
+    RETURN_IF_ERROR(host.FreeBlock(e.start + i));
   }
   e.count = kept;
   if (e.count == 0) e = ExtentOnDisk{};
@@ -262,33 +255,33 @@ bool SameExtent(const ExtentOnDisk& a, const ExtentOnDisk& b) {
 
 }  // namespace
 
-Status ExtentBmapTruncate(const BmapOps& ops, InodeData* ino,
+Status ExtentBmapTruncate(BmapHost& host, InodeData* ino,
                           uint64_t keep_blocks) {
   for (uint32_t i = 0; i < kDirectExtents; ++i) {
     const ExtentOnDisk e = DirectExtent(*ino, i);
-    ASSIGN_OR_RETURN(ExtentOnDisk kept, ShrinkExtent(ops, e, keep_blocks));
+    ASSIGN_OR_RETURN(ExtentOnDisk kept, ShrinkExtent(host, e, keep_blocks));
     if (!SameExtent(e, kept)) SetDirectExtent(ino, i, kept);
   }
   if (ino->indirect != 0) {
     bool any_left = false;
     bool dirtied = false;
     {
-      ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(ino->indirect));
+      ASSIGN_OR_RETURN(cache::BufferRef ib, host.cache().Get(ino->indirect));
       for (uint32_t i = 0; i < kExtentsPerBlock; ++i) {
         const ExtentOnDisk e = GetBlockExtent(ib.data(), i);
         ASSIGN_OR_RETURN(ExtentOnDisk kept,
-                         ShrinkExtent(ops, e, keep_blocks));
+                         ShrinkExtent(host, e, keep_blocks));
         if (!SameExtent(e, kept)) {
           PutBlockExtent(ib.data(), i, kept);
           dirtied = true;
         }
         if (kept.count != 0) any_left = true;
       }
-      if (dirtied) RETURN_IF_ERROR(ops.meta_dirty(ib));
+      if (dirtied) RETURN_IF_ERROR(host.DirtyMapBlock(ib));
     }
     if (!any_left) {
-      ops.cache->Invalidate(ino->indirect);
-      RETURN_IF_ERROR(ops.free_block(ino->indirect));
+      host.cache().Invalidate(ino->indirect);
+      RETURN_IF_ERROR(host.FreeBlock(ino->indirect));
       ino->indirect = 0;
     }
   }
@@ -296,7 +289,7 @@ Status ExtentBmapTruncate(const BmapOps& ops, InodeData* ino,
 }
 
 Status ExtentBmapForEach(
-    const BmapOps& ops, const InodeData& ino,
+    cache::BufferCache& cache, const InodeData& ino,
     const std::function<Status(uint64_t idx, uint32_t bno)>& fn) {
   const auto visit = [&](const ExtentOnDisk& e) -> Status {
     for (uint32_t i = 0; i < e.count; ++i) {
@@ -312,7 +305,7 @@ Status ExtentBmapForEach(
     // Copy the entries out so no pin is held while fn touches the cache.
     std::vector<ExtentOnDisk> entries;
     {
-      ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(ino.indirect));
+      ASSIGN_OR_RETURN(cache::BufferRef ib, cache.Get(ino.indirect));
       for (uint32_t i = 0; i < kExtentsPerBlock; ++i) {
         const ExtentOnDisk e = GetBlockExtent(ib.data(), i);
         if (e.count != 0) entries.push_back(e);
@@ -323,7 +316,7 @@ Status ExtentBmapForEach(
   return OkStatus();
 }
 
-Result<std::vector<ExtentOnDisk>> ExtentList(const BmapOps& ops,
+Result<std::vector<ExtentOnDisk>> ExtentList(cache::BufferCache& cache,
                                              const InodeData& ino) {
   std::vector<ExtentOnDisk> out;
   for (uint32_t i = 0; i < kDirectExtents; ++i) {
@@ -331,7 +324,7 @@ Result<std::vector<ExtentOnDisk>> ExtentList(const BmapOps& ops,
     if (e.count != 0) out.push_back(e);
   }
   if (ino.indirect != 0) {
-    ASSIGN_OR_RETURN(cache::BufferRef ib, ops.cache->Get(ino.indirect));
+    ASSIGN_OR_RETURN(cache::BufferRef ib, cache.Get(ino.indirect));
     for (uint32_t i = 0; i < kExtentsPerBlock; ++i) {
       const ExtentOnDisk e = GetBlockExtent(ib.data(), i);
       if (e.count != 0) out.push_back(e);

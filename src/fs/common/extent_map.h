@@ -12,7 +12,7 @@
 // Extents are stored in allocation order and never overlap; lookups scan
 // (the counts are tiny: 4 direct slots, one block of spill). New
 // allocations ask the owning file system for a contiguous run
-// (BmapOps::alloc_run) and merge with the previous extent when the
+// (BmapHost::AllocData) and merge with the previous extent when the
 // allocator returns physically adjacent blocks — which it prefers to do
 // (goal = previous end), so sequential growth coalesces naturally even
 // when blocks are requested one at a time.
@@ -53,7 +53,7 @@ inline constexpr uint32_t kExtentsPerBlock =
     kBlockSize / static_cast<uint32_t>(kExtentOnDiskSize);
 
 // Longest run a single allocation requests. Merging may grow a stored
-// extent beyond this; it only bounds one alloc_run call.
+// extent beyond this; it only bounds one BmapHost::AllocData call.
 inline constexpr uint32_t kMaxExtentLen = 64;
 
 // Direct-extent view of the inode's pointer words.
@@ -62,25 +62,25 @@ void SetDirectExtent(InodeData* ino, uint32_t slot, const ExtentOnDisk& e);
 
 // The extent-encoding implementations behind the block_map.h dispatch.
 // Signatures mirror their classic counterparts exactly.
-Result<uint32_t> ExtentBmapRead(const BmapOps& ops, const InodeData& ino,
-                                uint64_t idx);
-Result<uint32_t> ExtentBmapAlloc(const BmapOps& ops, InodeData* ino,
-                                 uint64_t idx, bool* inode_dirtied);
-Status ExtentBmapTruncate(const BmapOps& ops, InodeData* ino,
+Result<uint32_t> ExtentBmapRead(cache::BufferCache& cache,
+                                const InodeData& ino, uint64_t idx);
+Result<uint32_t> ExtentBmapAlloc(BmapHost& host, InodeData* ino, uint64_t idx,
+                                 bool* inode_dirtied);
+Status ExtentBmapTruncate(BmapHost& host, InodeData* ino,
                           uint64_t keep_blocks);
 Status ExtentBmapForEach(
-    const BmapOps& ops, const InodeData& ino,
+    cache::BufferCache& cache, const InodeData& ino,
     const std::function<Status(uint64_t idx, uint32_t bno)>& fn);
 
 // Records an already-allocated physical block as the mapping of file block
 // `idx` (merge-or-append; may allocate only the indirect extent block).
 // Used by C-FFS group migration to rebuild a map around copied blocks.
-Status ExtentAppendMapping(const BmapOps& ops, InodeData* ino, uint64_t idx,
+Status ExtentAppendMapping(BmapHost& host, InodeData* ino, uint64_t idx,
                            uint32_t bno, bool* inode_dirtied);
 
 // Every stored extent in storage order (direct slots, then the indirect
 // block). For tests, fsck experiments and the dump tool.
-Result<std::vector<ExtentOnDisk>> ExtentList(const BmapOps& ops,
+Result<std::vector<ExtentOnDisk>> ExtentList(cache::BufferCache& cache,
                                              const InodeData& ino);
 
 }  // namespace cffs::fs

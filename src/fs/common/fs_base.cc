@@ -67,43 +67,58 @@ Status FsBase::SyncMetaBlock(uint32_t bno, bool order_critical) {
   return OkStatus();
 }
 
-BmapOps FsBase::MakeBmapOps(InodeNum num, InodeData* ino,
-                            uint64_t size_hint_blocks) {
-  BmapOps ops;
-  ops.cache = cache_;
-  ops.alloc = [this, num, ino, size_hint_blocks](
-                  uint64_t idx, bool metadata) -> Result<uint32_t> {
-    if (metadata) return AllocMetaBlock(num, *ino);
-    return AllocDataBlock(num, ino, idx, size_hint_blocks);
-  };
-  ops.alloc_run = [this, num, ino, size_hint_blocks](
-                      uint64_t idx, uint32_t want) -> Result<BlockRun> {
-    return AllocDataRun(num, ino, idx, want, size_hint_blocks);
-  };
-  ops.free_block = [this](uint32_t bno) -> Status {
-    cache_->Invalidate(bno);
-    return FreeBlock(bno);
-  };
-  ops.meta_dirty = [this](cache::BufferRef& ref) -> Status {
-    // Indirect-block updates are delayed writes in FFS.
-    // cffs-lint: allow(dirty-no-annotation): BmapAlloc emits the kMapUpdate
-    // annotation for the attachment this indirect-block write records.
-    return MetaDirty(ref, /*order_critical=*/false);
-  };
-  return ops;
+Result<BlockRun> FsBase::MapHost::AllocData(uint64_t idx, uint32_t want) {
+  return fs_->AllocData(num_, ino_, idx, want, size_hint_blocks_);
 }
 
-BmapOps FsBase::MakeReadOnlyBmapOps() const {
-  BmapOps ops;
-  ops.cache = cache_;
-  ops.alloc = [](uint64_t, bool) -> Result<uint32_t> {
-    return InvalidArgument("allocation not permitted on read path");
-  };
-  ops.free_block = [](uint32_t) -> Status {
-    return InvalidArgument("free not permitted on read path");
-  };
-  ops.meta_dirty = [](cache::BufferRef&) -> Status { return OkStatus(); };
-  return ops;
+Result<uint32_t> FsBase::MapHost::AllocMapBlock() {
+  return fs_->AllocMetaBlock(num_, *ino_);
+}
+
+Status FsBase::MapHost::FreeBlock(uint32_t bno) {
+  fs_->cache_->Invalidate(bno);
+  return fs_->FreeBlock(bno);
+}
+
+Status FsBase::MapHost::DirtyMapBlock(cache::BufferRef& ref) {
+  // Indirect-block updates are delayed writes in FFS.
+  // cffs-lint: allow(dirty-no-annotation): Write emits the kMapUpdate
+  // annotation for the attachment this indirect-block write records.
+  return fs_->MetaDirty(ref, /*order_critical=*/false);
+}
+
+Result<BlockRun> FsBase::AllocDataAt(const InodeData& ino, uint32_t goal,
+                                     uint64_t idx, uint32_t want,
+                                     uint64_t size_hint_blocks) {
+  if (!(ino.flags & kInodeFlagExtents)) {
+    ASSIGN_OR_RETURN(uint32_t bno, alloc_->AllocNear(goal));
+    return BlockRun{bno, 1};
+  }
+  if (size_hint_blocks > idx) {
+    want = static_cast<uint32_t>(
+        std::min<uint64_t>(want, size_hint_blocks - idx));
+  } else {
+    want = 1;  // unknown size: grow block-by-block, goal adjacency merges
+  }
+  return alloc_->AllocRun(goal, want);
+}
+
+uint32_t FsBase::GoalAfterPrevious(const InodeData& ino, uint64_t idx,
+                                   uint32_t fallback) {
+  if (idx == 0) return fallback;
+  Result<uint32_t> prev = BmapRead(*cache_, ino, idx - 1);
+  return prev.ok() && *prev != 0 ? *prev + 1 : fallback;
+}
+
+void FsBase::set_trace(obs::TraceRecorder* trace) {
+  trace_ = trace;
+  alloc_->set_trace(trace, &op_seq_, clock_);
+}
+
+Status FsBase::Sync() {
+  OpScope scope(this, obs::FsOp::kSync);
+  RETURN_IF_ERROR(WriteSuperblock());
+  return cache_->SyncAll();
 }
 
 void FsBase::set_name_cache_enabled(bool enabled) {
@@ -211,10 +226,9 @@ Result<std::vector<DirEntryInfo>> FsBase::ReadDir(InodeNum dir) {
   ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
   if (!d.is_dir()) return NotDirectory("readdir of non-directory");
   std::vector<DirEntryInfo> out;
-  const BmapOps ops = MakeReadOnlyBmapOps();
   const uint64_t nblocks = d.BlockCount();
   for (uint64_t i = 0; i < nblocks; ++i) {
-    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(ops, d, i));
+    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(*cache_, d, i));
     if (bno == 0) continue;
     RETURN_IF_ERROR(PrepareDataRead(d, bno));
     ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(bno));
@@ -256,7 +270,6 @@ Result<uint64_t> FsBase::Read(InodeNum num, uint64_t off,
   if (ino.is_dir()) return IsDirectory("read of directory");
   if (off >= ino.size) return uint64_t{0};
   const uint64_t want = std::min<uint64_t>(out.size(), ino.size - off);
-  const BmapOps ops = MakeReadOnlyBmapOps();
 
   uint64_t done = 0;
   while (done < want) {
@@ -264,7 +277,7 @@ Result<uint64_t> FsBase::Read(InodeNum num, uint64_t off,
     const uint64_t idx = pos / kBlockSize;
     const uint32_t in_block = static_cast<uint32_t>(pos % kBlockSize);
     const uint64_t n = std::min<uint64_t>(want - done, kBlockSize - in_block);
-    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(ops, ino, idx));
+    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(*cache_, ino, idx));
     if (bno == 0) {
       std::memset(out.data() + done, 0, n);
     } else {
@@ -280,7 +293,7 @@ Result<uint64_t> FsBase::Read(InodeNum num, uint64_t off,
           uint32_t run = 1;
           const uint64_t nblocks = ino.BlockCount();
           while (run < cap && idx + run < nblocks) {
-            Result<uint32_t> next = BmapRead(ops, ino, idx + run);
+            Result<uint32_t> next = BmapRead(*cache_, ino, idx + run);
             if (!next.ok() || *next != bno + run) break;
             ++run;
           }
@@ -304,7 +317,7 @@ Result<uint64_t> FsBase::Write(InodeNum num, uint64_t off,
   if (ino.is_dir()) return IsDirectory("write of directory");
   const uint64_t want = in.size();
   const uint64_t reach = std::max<uint64_t>(ino.size, off + want);
-  BmapOps ops = MakeBmapOps(num, &ino, (reach + kBlockSize - 1) / kBlockSize);
+  MapHost host(this, num, &ino, (reach + kBlockSize - 1) / kBlockSize);
   bool inode_dirty = false;
 
   uint64_t done = 0;
@@ -315,10 +328,10 @@ Result<uint64_t> FsBase::Write(InodeNum num, uint64_t off,
     const uint64_t n = std::min<uint64_t>(want - done, kBlockSize - in_block);
 
     const bool was_hole = [&]() {
-      Result<uint32_t> b = BmapRead(ops, ino, idx);
+      Result<uint32_t> b = BmapRead(*cache_, ino, idx);
       return b.ok() && *b == 0;
     }();
-    Result<uint32_t> bno_or = BmapAlloc(ops, &ino, idx, &inode_dirty);
+    Result<uint32_t> bno_or = BmapAlloc(host, &ino, idx, &inode_dirty);
     if (!bno_or.ok()) {
       if (bno_or.status().code() == ErrorCode::kNoSpace && done > 0) {
         break;  // short write: report what did fit
@@ -384,13 +397,14 @@ Status FsBase::Truncate(InodeNum num, uint64_t new_size) {
   ASSIGN_OR_RETURN(InodeData ino, GetInode(num));
   if (ino.is_dir()) return IsDirectory("truncate of directory");
   if (new_size < ino.size) {
-    BmapOps ops = MakeBmapOps(num, &ino);
+    MapHost host(this, num, &ino);
     const uint64_t keep = (new_size + kBlockSize - 1) / kBlockSize;
-    RETURN_IF_ERROR(BmapTruncate(ops, &ino, keep));
+    RETURN_IF_ERROR(BmapTruncate(host, &ino, keep));
     // Zero the tail of the (kept) partial block so data past the new EOF
     // cannot reappear if the file is later extended.
     if (new_size % kBlockSize != 0) {
-      ASSIGN_OR_RETURN(uint32_t bno, BmapRead(ops, ino, new_size / kBlockSize));
+      ASSIGN_OR_RETURN(uint32_t bno,
+                       BmapRead(*cache_, ino, new_size / kBlockSize));
       if (bno != 0) {
         ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(bno));
         const uint32_t from = static_cast<uint32_t>(new_size % kBlockSize);
@@ -427,10 +441,9 @@ Result<cache::BufferRef> FsBase::DirBlockGet(const InodeData& dir,
 
 Result<DirIndexCache::Index*> FsBase::BuildDirIndex(const InodeData& dir) {
   DirIndexCache::Index index;
-  const BmapOps ops = MakeReadOnlyBmapOps();
   const uint64_t nblocks = dir.BlockCount();
   for (uint64_t i = 0; i < nblocks; ++i) {
-    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(ops, dir, i));
+    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(*cache_, dir, i));
     if (bno == 0) continue;
     ASSIGN_OR_RETURN(cache::BufferRef buf, DirBlockGet(dir, bno));
     RETURN_IF_ERROR(ForEachDirRecord(buf.data(), [&](const DirRecord& r) {
@@ -492,10 +505,9 @@ Result<FsBase::DirSlot> FsBase::DirFind(const InodeData& dir,
       return fast;
     }
   }
-  const BmapOps ops = MakeReadOnlyBmapOps();
   const uint64_t nblocks = dir.BlockCount();
   for (uint64_t i = 0; i < nblocks; ++i) {
-    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(ops, dir, i));
+    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(*cache_, dir, i));
     if (bno == 0) continue;
     ASSIGN_OR_RETURN(cache::BufferRef buf, DirBlockGet(dir, bno));
     Result<DirRecord> rec = FindDirEntry(buf.data(), name);
@@ -518,11 +530,10 @@ Result<FsBase::DirSlot> FsBase::DirAdd(InodeNum dir_num, InodeData* dir,
                                        const InodeData* embedded,
                                        bool* dir_dirtied) {
   if (name.size() > kMaxNameLen) return NameTooLong(std::string(name));
-  BmapOps ops = MakeBmapOps(dir_num, dir);
   const uint64_t nblocks = dir->BlockCount();
 
   for (uint64_t i = 0; i < nblocks; ++i) {
-    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(ops, *dir, i));
+    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(*cache_, *dir, i));
     if (bno == 0) continue;
     ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(bno));
     Result<DirRecord> rec = AddDirEntry(buf.data(), name, kind, inum, embedded);
@@ -554,8 +565,9 @@ Result<FsBase::DirSlot> FsBase::DirAdd(InodeNum dir_num, InodeData* dir,
   }
 
   // Extend the directory with a fresh block.
+  MapHost host(this, dir_num, dir);
   bool inode_dirty = false;
-  ASSIGN_OR_RETURN(uint32_t bno, BmapAlloc(ops, dir, nblocks, &inode_dirty));
+  ASSIGN_OR_RETURN(uint32_t bno, BmapAlloc(host, dir, nblocks, &inode_dirty));
   ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->GetZero(bno));
   InitDirBlock(buf.data());
   ASSIGN_OR_RETURN(DirRecord rec,
@@ -611,10 +623,9 @@ Status FsBase::CheckRenameLoop(InodeNum moved, InodeNum new_dir) {
 }
 
 Result<bool> FsBase::DirIsEmpty(const InodeData& dir) {
-  const BmapOps ops = MakeReadOnlyBmapOps();
   const uint64_t nblocks = dir.BlockCount();
   for (uint64_t i = 0; i < nblocks; ++i) {
-    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(ops, dir, i));
+    ASSIGN_OR_RETURN(uint32_t bno, BmapRead(*cache_, dir, i));
     if (bno == 0) continue;
     RETURN_IF_ERROR(PrepareDataRead(dir, bno));
     ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(bno));

@@ -34,6 +34,8 @@ class FsBase : public FileSystem {
                          std::span<const uint8_t> in) override;
   Status Truncate(InodeNum ino, uint64_t new_size) override;
   Result<Attr> GetAttr(InodeNum ino) override;
+  // Writes the superblock, then every dirty block.
+  Status Sync() override;
   FsOpStats& op_stats() override { return op_stats_; }
 
   MetadataPolicy metadata_policy() const { return policy_; }
@@ -41,10 +43,10 @@ class FsBase : public FileSystem {
   cache::BufferCache* buffer_cache() { return cache_; }
 
   // Emits fs-op complete events, sync-metadata-write instants and
-  // kMetaUpdate ordering annotations into the recorder. nullptr disables.
-  // Virtual so concrete file systems can forward the recorder to helpers
-  // that also annotate (the block allocator's free-map updates).
-  virtual void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
+  // kMetaUpdate ordering annotations into the recorder, and forwards it to
+  // the block allocator, whose free-map updates annotate too. nullptr
+  // disables.
+  void set_trace(obs::TraceRecorder* trace);
 
   // Opens a span per public operation (OpScope drives BeginOp/EndOp) and
   // counts dentry / inode-cache hits into it. nullptr disables. SimEnv
@@ -82,7 +84,7 @@ class FsBase : public FileSystem {
   bool name_cache_enabled() const { return name_cache_enabled_; }
 
   // The block allocator over the cylinder groups, for fsck, dumps and tests.
-  virtual CgAllocator* allocator() = 0;
+  CgAllocator* allocator() { return alloc_.get(); }
 
   // Derive mtimes from the operation sequence number instead of the
   // simulated clock, making on-disk images a function of operation order
@@ -96,6 +98,7 @@ class FsBase : public FileSystem {
   // Every read that misses goes through `readahead`, which stages over the
   // same cache: C-FFS group fetches and the sequential cluster ramp for
   // both file systems (io/readahead.h). It must outlive the file system.
+  // The concrete constructor creates alloc_ over its cylinder groups.
   FsBase(cache::BufferCache* cache, io::Readahead* readahead, SimClock* clock,
          MetadataPolicy policy)
       : cache_(cache), clock_(clock), policy_(policy), readahead_(readahead) {}
@@ -109,25 +112,24 @@ class FsBase : public FileSystem {
   virtual Status StoreInodeImpl(InodeNum num, const InodeData& ino,
                                 bool order_critical) = 0;
 
-  // Allocates a data block for file block `idx` of `ino` (updating any
-  // grouping state in *ino as a side effect). `size_hint_blocks` is the
-  // file size the current operation is known to reach (0 = unknown) — it
-  // lets C-FFS route files that are already known to be large straight to
-  // ungrouped storage instead of migrating them later.
-  virtual Result<uint32_t> AllocDataBlock(InodeNum num, InodeData* ino,
-                                          uint64_t idx,
-                                          uint64_t size_hint_blocks) = 0;
   // Allocates up to `want` contiguous data blocks for file blocks starting
-  // at `idx` (extent-mapped inodes only; see BmapOps::alloc_run). May
-  // return fewer blocks but always at least one. FFS and C-FFS use
-  // CgAllocator::AllocRun with their own placement goals.
-  virtual Result<BlockRun> AllocDataRun(InodeNum num, InodeData* ino,
-                                        uint64_t idx, uint32_t want,
-                                        uint64_t size_hint_blocks) = 0;
+  // at `idx` of `ino` (updating any grouping state in *ino as a side
+  // effect); may return fewer, but always at least one. Classic maps ask
+  // for one block. `size_hint_blocks` is the file size the current
+  // operation is known to reach (0 = unknown): it clamps extent runs, and
+  // lets C-FFS route files already known to be large straight to ungrouped
+  // storage instead of migrating them later. FFS, and C-FFS outside its
+  // groups, place the data through AllocDataAt with their own goals.
+  virtual Result<BlockRun> AllocData(InodeNum num, InodeData* ino,
+                                     uint64_t idx, uint32_t want,
+                                     uint64_t size_hint_blocks) = 0;
 
   // Allocates an indirect/metadata block near the file's data.
   virtual Result<uint32_t> AllocMetaBlock(InodeNum num, const InodeData& ino) = 0;
   virtual Status FreeBlock(uint32_t bno) = 0;
+
+  // Encodes the superblock into the cache (dirty; Sync writes it out).
+  virtual Status WriteSuperblock() = 0;
 
   // Physical block holding `num`'s on-disk image: the static table slot
   // for FFS, the directory block (embedded) or IFILE block (external) for
@@ -214,9 +216,44 @@ class FsBase : public FileSystem {
   // record to reference the new number).
   void NoteDentryGone(InodeNum dir, std::string_view name);
 
-  BmapOps MakeBmapOps(InodeNum num, InodeData* ino,
-                      uint64_t size_hint_blocks = 0);
-  BmapOps MakeReadOnlyBmapOps() const;
+  // The block-map host for one inode during one operation: data comes
+  // from AllocData with the operation's size hint, map blocks from
+  // AllocMetaBlock, frees drop the cached copy before FreeBlock, and map
+  // blocks are delayed writes.
+  class MapHost final : public BmapHost {
+   public:
+    MapHost(FsBase* fs, InodeNum num, InodeData* ino,
+            uint64_t size_hint_blocks = 0)
+        : BmapHost(*fs->cache_),
+          fs_(fs),
+          num_(num),
+          ino_(ino),
+          size_hint_blocks_(size_hint_blocks) {}
+
+    Result<BlockRun> AllocData(uint64_t idx, uint32_t want) override;
+    Result<uint32_t> AllocMapBlock() override;
+    Status FreeBlock(uint32_t bno) override;
+    Status DirtyMapBlock(cache::BufferRef& ref) override;
+
+   private:
+    FsBase* fs_;
+    InodeNum num_;
+    InodeData* ino_;
+    uint64_t size_hint_blocks_;
+  };
+
+  // The data placement both file systems share once they have chosen a
+  // goal: one block from AllocNear for a classic map; for an extent map, a
+  // run from AllocRun of up to `want` blocks, clamped to what the size hint
+  // says the operation still needs (one block when the hint is unknown).
+  Result<BlockRun> AllocDataAt(const InodeData& ino, uint32_t goal,
+                               uint64_t idx, uint32_t want,
+                               uint64_t size_hint_blocks);
+
+  // The block after file block idx-1 when that one is mapped, else
+  // `fallback`: sequential growth stays physically contiguous.
+  uint32_t GoalAfterPrevious(const InodeData& ino, uint64_t idx,
+                             uint32_t fallback);
 
   struct DirSlot {
     uint64_t file_idx = 0;  // which block of the directory
@@ -276,6 +313,7 @@ class FsBase : public FileSystem {
   obs::TraceRecorder* trace_ = nullptr;
   obs::SpanTracker* spans_ = nullptr;
   io::Readahead* readahead_;
+  std::unique_ptr<CgAllocator> alloc_;
   OrderingMutation mutation_ = OrderingMutation::kNone;
   uint64_t op_seq_ = 0;
   bool deterministic_mtime_ = false;

@@ -229,11 +229,6 @@ Result<uint32_t> FfsFileSystem::InodeHomeBlock(InodeNum num) {
   return bno;
 }
 
-void FfsFileSystem::set_trace(obs::TraceRecorder* trace) {
-  FsBase::set_trace(trace);
-  alloc_->set_trace(trace, &op_seq_, clock_);
-}
-
 Result<bool> FfsFileSystem::InodeIsAllocated(InodeNum num) {
   if (num == kInvalidInode ||
       num > static_cast<uint64_t>(ncg_) * params_.inodes_per_cg) {
@@ -277,39 +272,15 @@ Status FfsFileSystem::FreeInode(InodeNum num) {
   return OkStatus();
 }
 
-Result<uint32_t> FfsFileSystem::AllocDataBlock(InodeNum num, InodeData* ino,
-                                               uint64_t idx,
-                                               uint64_t size_hint_blocks) {
-  (void)size_hint_blocks;  // FFS placement does not depend on file size
+Result<BlockRun> FfsFileSystem::AllocData(InodeNum num, InodeData* ino,
+                                          uint64_t idx, uint32_t want,
+                                          uint64_t size_hint_blocks) {
   // Goal: right after the file's previous block; for a file's first block,
   // the start of the inode's cylinder group data area.
-  uint32_t goal = alloc_->layout(CgOfInode(num) % alloc_->cg_count()).data_start;
-  if (idx > 0) {
-    const BmapOps ops = MakeReadOnlyBmapOps();
-    Result<uint32_t> prev = BmapRead(ops, *ino, idx - 1);
-    if (prev.ok() && *prev != 0) goal = *prev + 1;
-  }
-  return alloc_->AllocNear(goal);
-}
-
-Result<BlockRun> FfsFileSystem::AllocDataRun(InodeNum num, InodeData* ino,
-                                             uint64_t idx, uint32_t want,
-                                             uint64_t size_hint_blocks) {
-  // Same goal as AllocDataBlock; the run length is clamped to what the
-  // operation is known to need so extents don't overshoot small files.
-  uint32_t goal = alloc_->layout(CgOfInode(num) % alloc_->cg_count()).data_start;
-  if (idx > 0) {
-    const BmapOps ops = MakeReadOnlyBmapOps();
-    Result<uint32_t> prev = BmapRead(ops, *ino, idx - 1);
-    if (prev.ok() && *prev != 0) goal = *prev + 1;
-  }
-  if (size_hint_blocks > idx) {
-    want = static_cast<uint32_t>(
-        std::min<uint64_t>(want, size_hint_blocks - idx));
-  } else {
-    want = 1;  // unknown size: grow block-by-block, goal adjacency merges
-  }
-  return alloc_->AllocRun(goal, want);
+  const uint32_t cg_data =
+      alloc_->layout(CgOfInode(num) % alloc_->cg_count()).data_start;
+  return AllocDataAt(*ino, GoalAfterPrevious(*ino, idx, cg_data), idx, want,
+                     size_hint_blocks);
 }
 
 Result<uint32_t> FfsFileSystem::AllocMetaBlock(InodeNum num,
@@ -317,7 +288,7 @@ Result<uint32_t> FfsFileSystem::AllocMetaBlock(InodeNum num,
   // First data block as the goal; BmapRead handles both inode encodings
   // (direct[0] would read an extent's `logical` field on flagged inodes).
   uint32_t first = 0;
-  Result<uint32_t> r = BmapRead(MakeReadOnlyBmapOps(), ino, 0);
+  Result<uint32_t> r = BmapRead(*cache_, ino, 0);
   if (r.ok()) first = *r;
   uint32_t goal = first != 0
                       ? first
@@ -424,8 +395,8 @@ Status FfsFileSystem::Unlink(InodeNum dir, std::string_view name) {
   }
   // Free data; 4.4BSD's ffs_truncate writes the zero-length inode
   // synchronously before the blocks are freed (ordered update #2)...
-  BmapOps ops = MakeBmapOps(inum, &ino);
-  RETURN_IF_ERROR(BmapTruncate(ops, &ino, 0));
+  MapHost host(this, inum, &ino);
+  RETURN_IF_ERROR(BmapTruncate(host, &ino, 0));
   ino.size = 0;
   RETURN_IF_ERROR(StoreInode(inum, ino, /*order_critical=*/true));
   // ...and inode deallocation rewrites it once more (ordered update #3).
@@ -448,8 +419,8 @@ Status FfsFileSystem::Rmdir(InodeNum dir, std::string_view name) {
   RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
   RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
 
-  BmapOps ops = MakeBmapOps(inum, &ino);
-  RETURN_IF_ERROR(BmapTruncate(ops, &ino, 0));
+  MapHost host(this, inum, &ino);
+  RETURN_IF_ERROR(BmapTruncate(host, &ino, 0));
   InodeData cleared;
   cleared.self = inum;
   RETURN_IF_ERROR(StoreInode(inum, cleared, /*order_critical=*/true));
@@ -521,12 +492,6 @@ Status FfsFileSystem::Rename(InodeNum old_dir, std::string_view old_name,
     RETURN_IF_ERROR(StoreInode(inum, moved, /*order_critical=*/false));
   }
   return OkStatus();
-}
-
-Status FfsFileSystem::Sync() {
-  OpScope scope(this, obs::FsOp::kSync);
-  RETURN_IF_ERROR(WriteSuperblock());
-  return cache_->SyncAll();
 }
 
 Result<FsSpaceInfo> FfsFileSystem::SpaceInfo() {

@@ -64,21 +64,15 @@ class FfsFileSystem : public FsBase {
   Status Link(InodeNum dir, std::string_view name, InodeNum target) override;
   Status Rename(InodeNum old_dir, std::string_view old_name,
                 InodeNum new_dir, std::string_view new_name) override;
-  Status Sync() override;
   Result<FsSpaceInfo> SpaceInfo() override;
 
   Result<InodeData> LoadInode(InodeNum num) override;
-
-  // Also forwards the recorder to the block allocator so free-map updates
-  // carry ordering annotations.
-  void set_trace(obs::TraceRecorder* trace) override;
 
   // Layout introspection for fsck and tests.
   static constexpr InodeNum kRootInum = 1;
   uint32_t cg_count() const { return ncg_; }
   uint32_t inodes_per_cg() const { return params_.inodes_per_cg; }
   uint32_t blocks_per_cg() const { return params_.blocks_per_cg; }
-  CgAllocator* allocator() override { return alloc_.get(); }
   // Absolute block and byte offset of an inode image.
   Status LocateInode(InodeNum num, uint32_t* bno, uint32_t* off) const;
   uint32_t InodeBitmapBlock(uint32_t cg) const;
@@ -87,14 +81,12 @@ class FfsFileSystem : public FsBase {
  protected:
   Status StoreInodeImpl(InodeNum num, const InodeData& ino,
                         bool order_critical) override;
-  Result<uint32_t> AllocDataBlock(InodeNum num, InodeData* ino,
-                                  uint64_t idx,
-                                  uint64_t size_hint_blocks) override;
-  Result<BlockRun> AllocDataRun(InodeNum num, InodeData* ino, uint64_t idx,
-                                uint32_t want,
-                                uint64_t size_hint_blocks) override;
+  Result<BlockRun> AllocData(InodeNum num, InodeData* ino, uint64_t idx,
+                             uint32_t want,
+                             uint64_t size_hint_blocks) override;
   Result<uint32_t> AllocMetaBlock(InodeNum num, const InodeData& ino) override;
   Status FreeBlock(uint32_t bno) override;
+  Status WriteSuperblock() override;
   Result<uint32_t> InodeHomeBlock(InodeNum num) override;
 
  private:
@@ -116,12 +108,10 @@ class FfsFileSystem : public FsBase {
   Result<InodeNum> AllocInode(InodeNum dir_num, bool is_dir);
   Status FreeInode(InodeNum num);
 
-  Status WriteSuperblock();
   std::vector<CgLayout> MakeLayouts() const;
 
   FfsParams params_;
   uint32_t ncg_;
-  std::unique_ptr<CgAllocator> alloc_;
   uint32_t dir_rotor_ = 0;  // spreads directories across groups
 };
 

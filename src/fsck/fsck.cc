@@ -12,24 +12,10 @@ namespace cffs::fsck {
 namespace {
 
 using fs::BmapForEach;
-using fs::BmapOps;
 using fs::CgLayout;
 using fs::InodeData;
 using fs::InodeNum;
 using fs::kBlockSize;
-
-BmapOps ReadOnlyOps(cache::BufferCache* cache) {
-  BmapOps ops;
-  ops.cache = cache;
-  ops.alloc = [](uint64_t, bool) -> Result<uint32_t> {
-    return InvalidArgument("fsck never allocates");
-  };
-  ops.free_block = [](uint32_t) -> Status {
-    return InvalidArgument("fsck never frees through bmap");
-  };
-  ops.meta_dirty = [](cache::BufferRef&) -> Status { return OkStatus(); };
-  return ops;
-}
 
 // Tracks how many inodes reference each physical block.
 class RefMap {
@@ -60,8 +46,7 @@ class RefMap {
 // Collects every block mapped by an inode (data + indirect).
 Status CollectBlocks(cache::BufferCache* cache, const InodeData& ino,
                      RefMap* refs, FsckReport* report) {
-  const BmapOps ops = ReadOnlyOps(cache);
-  return BmapForEach(ops, ino, [&](uint64_t, uint32_t bno) -> Status {
+  return BmapForEach(*cache, ino, [&](uint64_t, uint32_t bno) -> Status {
     refs->Add(bno, report);
     return OkStatus();
   });
@@ -71,8 +56,7 @@ Status CollectBlocks(cache::BufferCache* cache, const InodeData& ino,
 // orphaned inode is cleared so the bitmap audit frees its blocks.
 Status DropBlocks(cache::BufferCache* cache, const InodeData& ino,
                   RefMap* refs) {
-  const BmapOps ops = ReadOnlyOps(cache);
-  return BmapForEach(ops, ino, [&](uint64_t, uint32_t bno) -> Status {
+  return BmapForEach(*cache, ino, [&](uint64_t, uint32_t bno) -> Status {
     refs->Remove(bno);
     return OkStatus();
   });
@@ -174,11 +158,10 @@ Result<FsckReport> CheckFfs(fs::FfsFileSystem* ffs, const FsckOptions& options) 
   }
 
   // Pass 2: walk directories, validating format and counting name refs.
-  const BmapOps ops = ReadOnlyOps(cache);
   for (InodeNum dnum : dirs) {
     ASSIGN_OR_RETURN(InodeData dino, ffs->LoadInode(dnum));
     for (uint64_t i = 0; i < dino.BlockCount(); ++i) {
-      ASSIGN_OR_RETURN(uint32_t bno, fs::BmapRead(ops, dino, i));
+      ASSIGN_OR_RETURN(uint32_t bno, fs::BmapRead(*cache, dino, i));
       if (bno == 0) continue;
       ASSIGN_OR_RETURN(cache::BufferRef buf, cache->Get(bno));
       std::vector<fs::DirRecord> records;
@@ -286,7 +269,6 @@ Result<FsckReport> CheckCffs(fs::CffsFileSystem* cfs,
 
   // Walk the namespace from the root (embedded inodes are only findable
   // this way — exactly the paper's recovery argument).
-  const BmapOps ops = ReadOnlyOps(cache);
   std::vector<InodeNum> pending{cfs->root()};
   ++ext_refs[cfs->root()];
   while (!pending.empty()) {
@@ -303,7 +285,7 @@ Result<FsckReport> CheckCffs(fs::CffsFileSystem* cfs,
     if (dino.active_group != 0) live_extents.insert(dino.active_group);
 
     for (uint64_t i = 0; i < dino.BlockCount(); ++i) {
-      ASSIGN_OR_RETURN(uint32_t bno, fs::BmapRead(ops, dino, i));
+      ASSIGN_OR_RETURN(uint32_t bno, fs::BmapRead(*cache, dino, i));
       if (bno == 0) continue;
       ASSIGN_OR_RETURN(cache::BufferRef buf, cache->Get(bno));
       std::vector<fs::DirRecord> records;

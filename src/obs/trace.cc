@@ -148,11 +148,6 @@ void AppendEvent(std::string* out, const TraceEvent& e) {
       cat = "cache";
       tid = kCacheLane;
       break;
-    case EventKind::kGroupRead:
-      name = "group-read";
-      cat = "cache";
-      tid = kCacheLane;
-      break;
     case EventKind::kDiskIo:
       name = e.flag ? "disk-write" : "disk-read";
       cat = "disk";
@@ -244,12 +239,6 @@ void AppendEvent(std::string* out, const TraceEvent& e) {
       std::snprintf(args, sizeof args, "\"bno\":%llu,\"dirty\":%s",
                     static_cast<unsigned long long>(e.a),
                     e.flag ? "true" : "false");
-      *out += args;
-      break;
-    case EventKind::kGroupRead:
-      std::snprintf(args, sizeof args, "\"start_bno\":%llu,\"blocks\":%llu",
-                    static_cast<unsigned long long>(e.a),
-                    static_cast<unsigned long long>(e.b));
       *out += args;
       break;
     case EventKind::kDiskIo:
@@ -376,9 +365,12 @@ std::string TraceRecorder::ToChromeJson() const {
 
 namespace {
 
+// The record format stores an event kind by its number, so the version
+// changes whenever EventKind is renumbered.
+constexpr char kRecordFormat[] = "cffs-trace-v2";
+
 // Record-format field order. Every field is written even when zero so the
-// schema stays self-describing; Parse tolerates missing keys (default 0)
-// to keep old dumps loadable.
+// schema stays self-describing; Parse tolerates missing keys (default 0).
 Json EventToRecord(const TraceEvent& e) {
   Json rec = Json::Object();
   rec.Set("kind", static_cast<uint64_t>(e.kind));
@@ -455,7 +447,7 @@ Result<TraceEvent> EventFromRecord(const Json& rec) {
 
 std::string TraceRecorder::ToRecordJson() const {
   Json doc = Json::Object();
-  doc.Set("format", "cffs-trace-v1");
+  doc.Set("format", kRecordFormat);
   doc.Set("dropped", dropped_);
   Json events = Json::Array();
   const size_t first = (next_ + ring_.size() - count_) % ring_.size();
@@ -470,9 +462,13 @@ Result<TraceRecorder> TraceRecorder::FromRecordJson(std::string_view text) {
   ASSIGN_OR_RETURN(Json doc, Json::Parse(text));
   if (!doc.is_object()) return InvalidArgument("trace dump is not an object");
   const Json* format = doc.Find("format");
-  if (format == nullptr || !format->is_string() ||
-      format->as_string() != "cffs-trace-v1") {
-    return InvalidArgument("not a cffs-trace-v1 dump");
+  if (format == nullptr || !format->is_string()) {
+    return InvalidArgument(std::string("not a ") + kRecordFormat + " dump");
+  }
+  if (format->as_string() != kRecordFormat) {
+    return InvalidArgument("trace dump format " + format->as_string() +
+                           " is not " + kRecordFormat +
+                           ": event kinds are numbered differently");
   }
   const Json* events = doc.Find("events");
   if (events == nullptr || !events->is_array()) {

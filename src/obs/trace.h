@@ -8,7 +8,7 @@
 //
 //   tid 1  fs ops          complete events (Lookup/Create/Read/...), plus
 //                          synchronous-metadata-write instants
-//   tid 2  buffer cache    hit / miss / eviction / group-read instants
+//   tid 2  buffer cache    hit / miss / eviction instants
 //   tid 3  disk            one complete event per disk command, with the
 //                          seek / rotation / transfer / overhead breakdown
 //                          in args; write-batch summaries
@@ -34,7 +34,6 @@ enum class EventKind : uint8_t {
   kCacheHit,       // buffer-cache lookup served from memory
   kCacheMiss,      // buffer-cache lookup that went to the device
   kCacheEvict,     // LRU eviction (flag = victim was dirty)
-  kGroupRead,      // whole-group fetch: one command, many blocks inserted
   kDiskIo,         // one disk command (flag = write, hit = on-board cache)
   kWriteBatch,     // scheduler-ordered write-back batch summary
   kDentryLookup,   // dentry-cache consult (flag = hit, hit = negative)
@@ -161,15 +160,17 @@ class TraceRecorder {
   // perfetto and chrome://tracing. `ts` is microseconds of simulated time.
   std::string ToChromeJson() const;
 
-  // Lossless record-format JSON: every TraceEvent field serialized
-  // verbatim, so a dumped trace can be re-loaded and fed to the offline
-  // analyzers (tools/cffs_ordercheck). Chrome JSON is for humans; this
-  // is for machines.
+  // Lossless record-format JSON (cffs-trace-v2): every TraceEvent field
+  // serialized verbatim, so a dumped trace can be re-loaded and fed to the
+  // offline analyzers (tools/cffs_ordercheck). Chrome JSON is for humans;
+  // this is for machines.
   std::string ToRecordJson() const;
 
   // Parses ToRecordJson output back into the event stream. The returned
   // recorder's capacity is max(event count, 1) and dropped() reflects the
-  // drop count recorded at dump time.
+  // drop count recorded at dump time. A dump of any other format version
+  // (cffs-trace-v1 numbered its event kinds differently) is
+  // InvalidArgument, naming the version.
   static Result<TraceRecorder> FromRecordJson(std::string_view text);
 
  private:

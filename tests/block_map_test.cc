@@ -11,39 +11,47 @@
 namespace cffs::fs {
 namespace {
 
+// Hands out consecutive block numbers and records frees.
+class FakeHost final : public BmapHost {
+ public:
+  explicit FakeHost(cache::BufferCache& cache) : BmapHost(cache) {}
+
+  Result<BlockRun> AllocData(uint64_t, uint32_t) override {
+    return BlockRun{next_block++, 1};
+  }
+  Result<uint32_t> AllocMapBlock() override { return next_block++; }
+  Status FreeBlock(uint32_t bno) override {
+    freed.insert(bno);
+    return OkStatus();
+  }
+  Status DirtyMapBlock(cache::BufferRef& ref) override {
+    cache().MarkDirty(ref);
+    return OkStatus();
+  }
+
+  uint32_t next_block = 1000;
+  std::set<uint32_t> freed;
+};
+
 class BlockMapTest : public ::testing::Test {
  protected:
   BlockMapTest()
       : model_(disk::TestDisk(2048, 8, 64), &clock_),
         dev_(&model_, disk::SchedulerPolicy::kCLook),
-        cache_(&dev_, 4096) {
-    ops_.cache = &cache_;
-    ops_.alloc = [this](uint64_t, bool) -> Result<uint32_t> {
-      return next_block_++;
-    };
-    ops_.free_block = [this](uint32_t bno) -> Status {
-      freed_.insert(bno);
-      return OkStatus();
-    };
-    ops_.meta_dirty = [this](cache::BufferRef& ref) -> Status {
-      cache_.MarkDirty(ref);
-      return OkStatus();
-    };
-  }
+        cache_(&dev_, 4096),
+        host_(cache_) {}
 
   SimClock clock_;
   disk::DiskModel model_;
   blk::BlockDevice dev_;
   cache::BufferCache cache_;
-  BmapOps ops_;
-  uint32_t next_block_ = 1000;
-  std::set<uint32_t> freed_;
+  FakeHost host_;
 };
 
 TEST_F(BlockMapTest, ReadOfUnmappedIsHole) {
   InodeData ino;
   for (uint64_t idx : std::vector<uint64_t>{0, 5, 20, 5000, kMaxFileBlocks - 1}) {
-    auto r = BmapRead(ops_, ino, idx);
+    auto r = BmapRead(cache_, ino, idx);
     ASSERT_TRUE(r.ok()) << idx;
     EXPECT_EQ(*r, 0u) << idx;
   }
@@ -51,44 +59,44 @@ TEST_F(BlockMapTest, ReadOfUnmappedIsHole) {
 
 TEST_F(BlockMapTest, IndexPastMaxRejected) {
   InodeData ino;
-  EXPECT_EQ(BmapRead(ops_, ino, kMaxFileBlocks).status().code(),
+  EXPECT_EQ(BmapRead(cache_, ino, kMaxFileBlocks).status().code(),
             ErrorCode::kOutOfRange);
-  EXPECT_EQ(BmapAlloc(ops_, &ino, kMaxFileBlocks, nullptr).status().code(),
+  EXPECT_EQ(BmapAlloc(host_, &ino, kMaxFileBlocks, nullptr).status().code(),
             ErrorCode::kOutOfRange);
 }
 
 TEST_F(BlockMapTest, DirectAllocationRoundTrips) {
   InodeData ino;
   bool dirtied = false;
-  auto b = BmapAlloc(ops_, &ino, 3, &dirtied);
+  auto b = BmapAlloc(host_, &ino, 3, &dirtied);
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(dirtied);
   EXPECT_EQ(ino.direct[3], *b);
-  EXPECT_EQ(*BmapRead(ops_, ino, 3), *b);
+  EXPECT_EQ(*BmapRead(cache_, ino, 3), *b);
   // Second alloc returns the same block.
-  EXPECT_EQ(*BmapAlloc(ops_, &ino, 3, nullptr), *b);
+  EXPECT_EQ(*BmapAlloc(host_, &ino, 3, nullptr), *b);
 }
 
 TEST_F(BlockMapTest, SingleIndirectAllocation) {
   InodeData ino;
   const uint64_t idx = kDirectBlocks + 100;
-  auto b = BmapAlloc(ops_, &ino, idx, nullptr);
+  auto b = BmapAlloc(host_, &ino, idx, nullptr);
   ASSERT_TRUE(b.ok());
   EXPECT_NE(ino.indirect, 0u);
-  EXPECT_EQ(*BmapRead(ops_, ino, idx), *b);
+  EXPECT_EQ(*BmapRead(cache_, ino, idx), *b);
   // Neighbouring indirect slot is still a hole.
-  EXPECT_EQ(*BmapRead(ops_, ino, idx + 1), 0u);
+  EXPECT_EQ(*BmapRead(cache_, ino, idx + 1), 0u);
 }
 
 TEST_F(BlockMapTest, DoubleIndirectAllocation) {
   InodeData ino;
   const uint64_t idx = kDirectBlocks + kPtrsPerBlock + 5 * kPtrsPerBlock + 17;
-  auto b = BmapAlloc(ops_, &ino, idx, nullptr);
+  auto b = BmapAlloc(host_, &ino, idx, nullptr);
   ASSERT_TRUE(b.ok());
   EXPECT_NE(ino.dindirect, 0u);
-  EXPECT_EQ(*BmapRead(ops_, ino, idx), *b);
-  EXPECT_EQ(*BmapRead(ops_, ino, idx - 1), 0u);
-  EXPECT_EQ(*BmapRead(ops_, ino, idx + 1), 0u);
+  EXPECT_EQ(*BmapRead(cache_, ino, idx), *b);
+  EXPECT_EQ(*BmapRead(cache_, ino, idx - 1), 0u);
+  EXPECT_EQ(*BmapRead(cache_, ino, idx + 1), 0u);
 }
 
 TEST_F(BlockMapTest, DistinctIndicesGetDistinctBlocks) {
@@ -98,7 +106,7 @@ TEST_F(BlockMapTest, DistinctIndicesGetDistinctBlocks) {
                             kDirectBlocks + kPtrsPerBlock,
                             kDirectBlocks + kPtrsPerBlock + kPtrsPerBlock};
   for (uint64_t idx : picks) {
-    auto b = BmapAlloc(ops_, &ino, idx, nullptr);
+    auto b = BmapAlloc(host_, &ino, idx, nullptr);
     ASSERT_TRUE(b.ok());
     EXPECT_TRUE(seen.insert(*b).second) << "duplicate for idx " << idx;
   }
@@ -110,19 +118,19 @@ TEST_F(BlockMapTest, TruncateToZeroFreesEverything) {
   for (uint64_t idx : std::vector<uint64_t>{
            0, 5, 11, 12, 600,
            static_cast<uint64_t>(kDirectBlocks) + kPtrsPerBlock + 3}) {
-    auto b = BmapAlloc(ops_, &ino, idx, nullptr);
+    auto b = BmapAlloc(host_, &ino, idx, nullptr);
     ASSERT_TRUE(b.ok());
     allocated.insert(*b);
   }
   // Indirect blocks (including interior level-1 blocks) were allocated too:
   // enumerate everything the inode maps.
   allocated.clear();
-  ASSERT_TRUE(BmapForEach(ops_, ino, [&](uint64_t, uint32_t bno) -> Status {
+  ASSERT_TRUE(BmapForEach(cache_, ino, [&](uint64_t, uint32_t bno) -> Status {
     allocated.insert(bno);
     return OkStatus();
   }).ok());
-  ASSERT_TRUE(BmapTruncate(ops_, &ino, 0).ok());
-  EXPECT_EQ(freed_, allocated);
+  ASSERT_TRUE(BmapTruncate(host_, &ino, 0).ok());
+  EXPECT_EQ(host_.freed, allocated);
   EXPECT_EQ(ino.indirect, 0u);
   EXPECT_EQ(ino.dindirect, 0u);
   for (uint32_t d : ino.direct) EXPECT_EQ(d, 0u);
@@ -132,15 +140,15 @@ TEST_F(BlockMapTest, PartialTruncateKeepsPrefix) {
   InodeData ino;
   std::vector<uint32_t> blocks;
   for (uint64_t idx = 0; idx < 20; ++idx) {
-    blocks.push_back(*BmapAlloc(ops_, &ino, idx, nullptr));
+    blocks.push_back(*BmapAlloc(host_, &ino, idx, nullptr));
   }
-  ASSERT_TRUE(BmapTruncate(ops_, &ino, 10).ok());
+  ASSERT_TRUE(BmapTruncate(host_, &ino, 10).ok());
   for (uint64_t idx = 0; idx < 10; ++idx) {
-    EXPECT_EQ(*BmapRead(ops_, ino, idx), blocks[idx]) << idx;
+    EXPECT_EQ(*BmapRead(cache_, ino, idx), blocks[idx]) << idx;
   }
   for (uint64_t idx = 10; idx < 20; ++idx) {
-    EXPECT_EQ(*BmapRead(ops_, ino, idx), 0u) << idx;
-    EXPECT_TRUE(freed_.count(blocks[idx])) << idx;
+    EXPECT_EQ(*BmapRead(cache_, ino, idx), 0u) << idx;
+    EXPECT_TRUE(host_.freed.count(blocks[idx])) << idx;
   }
   // The single-indirect block survives (blocks 12..19 freed but 10..11 —
   // wait: 12+ are indirect; keep=10 frees all indirect slots, so the
@@ -151,13 +159,13 @@ TEST_F(BlockMapTest, PartialTruncateKeepsPrefix) {
 TEST_F(BlockMapTest, TruncateBoundaryAtIndirectEdge) {
   InodeData ino;
   for (uint64_t idx = 0; idx < kDirectBlocks + 8; ++idx) {
-    ASSERT_TRUE(BmapAlloc(ops_, &ino, idx, nullptr).ok());
+    ASSERT_TRUE(BmapAlloc(host_, &ino, idx, nullptr).ok());
   }
   // Keep exactly the direct blocks plus one indirect slot.
-  ASSERT_TRUE(BmapTruncate(ops_, &ino, kDirectBlocks + 1).ok());
+  ASSERT_TRUE(BmapTruncate(host_, &ino, kDirectBlocks + 1).ok());
   EXPECT_NE(ino.indirect, 0u);
-  EXPECT_NE(*BmapRead(ops_, ino, kDirectBlocks), 0u);
-  EXPECT_EQ(*BmapRead(ops_, ino, kDirectBlocks + 1), 0u);
+  EXPECT_NE(*BmapRead(cache_, ino, kDirectBlocks), 0u);
+  EXPECT_EQ(*BmapRead(cache_, ino, kDirectBlocks + 1), 0u);
 }
 
 TEST_F(BlockMapTest, ForEachVisitsAllBlocksWithIndices) {
@@ -166,11 +174,11 @@ TEST_F(BlockMapTest, ForEachVisitsAllBlocksWithIndices) {
                                 kDirectBlocks + kPtrsPerBlock + 42};
   std::map<uint64_t, uint32_t> expect;
   for (uint64_t idx : indices) {
-    expect[idx] = *BmapAlloc(ops_, &ino, idx, nullptr);
+    expect[idx] = *BmapAlloc(host_, &ino, idx, nullptr);
   }
   std::map<uint64_t, uint32_t> seen;
   uint32_t meta_blocks = 0;
-  ASSERT_TRUE(BmapForEach(ops_, ino, [&](uint64_t idx, uint32_t bno) -> Status {
+  ASSERT_TRUE(BmapForEach(cache_, ino, [&](uint64_t idx, uint32_t bno) -> Status {
     if (idx == UINT64_MAX) {
       ++meta_blocks;
     } else {
@@ -186,9 +194,9 @@ TEST_F(BlockMapTest, ForEachVisitsAllBlocksWithIndices) {
 
 TEST_F(BlockMapTest, SparseFileOnlyAllocatesTouchedBlocks) {
   InodeData ino;
-  ASSERT_TRUE(BmapAlloc(ops_, &ino, 500, nullptr).ok());
+  ASSERT_TRUE(BmapAlloc(host_, &ino, 500, nullptr).ok());
   uint32_t data_blocks = 0;
-  ASSERT_TRUE(BmapForEach(ops_, ino, [&](uint64_t idx, uint32_t) -> Status {
+  ASSERT_TRUE(BmapForEach(cache_, ino, [&](uint64_t idx, uint32_t) -> Status {
     if (idx != UINT64_MAX) ++data_blocks;
     return OkStatus();
   }).ok());

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "src/fs/cffs/cffs.h"
+#include "src/fs/common/block_map.h"
 #include "src/sim/sim_env.h"
 
 namespace cffs {
@@ -16,11 +17,13 @@ using sim::FsKind;
 
 class CffsTest : public ::testing::Test {
  protected:
-  void Make(FsKind kind = FsKind::kCffs, uint16_t group_blocks = 16) {
+  void Make(FsKind kind = FsKind::kCffs, uint16_t group_blocks = 16,
+            bool extent_alloc = false) {
     sim::SimConfig config;
     config.disk_spec = disk::TestDisk(512, 4, 64);
     config.blocks_per_cg = 1024;
     config.group_blocks = group_blocks;
+    config.extent_alloc = extent_alloc;
     auto env = sim::SimEnv::Create(kind, config);
     ASSERT_TRUE(env.ok()) << env.status().ToString();
     env_ = std::move(*env);
@@ -29,6 +32,27 @@ class CffsTest : public ::testing::Test {
 
   std::vector<uint8_t> Payload(size_t n, uint8_t fill = 0x2a) {
     return std::vector<uint8_t>(n, fill);
+  }
+
+  // Runs `body` on a fresh C-FFS under each inode encoding: the classic
+  // block map and extent maps (extent_alloc), the two placement paths of
+  // the data-allocation hook.
+  template <typename Body>
+  void ForEachEncoding(uint16_t group_blocks, Body body) {
+    for (const bool extents : {false, true}) {
+      SCOPED_TRACE(extents ? "extent_alloc=1" : "extent_alloc=0");
+      Make(FsKind::kCffs, group_blocks, extents);
+      if (HasFatalFailure()) return;
+      body();
+    }
+  }
+
+  // Physical block holding file block `idx` of `ino`, read through the
+  // encoding-aware map.
+  uint32_t MappedBlock(const fs::InodeData& ino, uint64_t idx) {
+    Result<uint32_t> bno = fs::BmapRead(*cfs_->buffer_cache(), ino, idx);
+    EXPECT_TRUE(bno.ok()) << bno.status().ToString();
+    return bno.ok() ? *bno : 0;
   }
 
   std::unique_ptr<sim::SimEnv> env_;
@@ -131,37 +155,47 @@ TEST_F(CffsTest, RenameMovesEmbeddedInodeAndRenumbers) {
 }
 
 TEST_F(CffsTest, SmallFilesOfOneDirectoryShareAGroupExtent) {
-  Make();
-  ASSERT_TRUE(env_->path().MkdirAll("/d").ok());
-  std::set<uint32_t> extents;
-  for (int i = 0; i < 8; ++i) {
-    const std::string name = "f" + std::to_string(i);
-    ASSERT_TRUE(
-        env_->path().WriteFile("/d/" + name, Payload(1024)).ok());
-    auto ino = cfs_->Lookup(*env_->path().Resolve("/d"), name);
-    ASSERT_TRUE(ino.ok());
-    auto data = cfs_->LoadInode(*ino);
-    ASSERT_TRUE(data.ok());
-    ASSERT_NE(data->group_start, 0u) << name;
-    extents.insert(data->group_start);
-    // The data block lies inside the extent.
-    EXPECT_GE(data->direct[0], data->group_start);
-    EXPECT_LT(data->direct[0], data->group_start + data->group_len);
-  }
-  // 8 one-block files (+ dir blocks) fit in one 16-block extent.
-  EXPECT_EQ(extents.size(), 1u);
+  ForEachEncoding(16, [&] {
+    ASSERT_TRUE(env_->path().MkdirAll("/d").ok());
+    std::set<uint32_t> extents;
+    for (int i = 0; i < 8; ++i) {
+      const std::string name = "f" + std::to_string(i);
+      ASSERT_TRUE(
+          env_->path().WriteFile("/d/" + name, Payload(1024)).ok());
+      auto ino = cfs_->Lookup(*env_->path().Resolve("/d"), name);
+      ASSERT_TRUE(ino.ok());
+      auto data = cfs_->LoadInode(*ino);
+      ASSERT_TRUE(data.ok());
+      ASSERT_NE(data->group_start, 0u) << name;
+      extents.insert(data->group_start);
+      // The data block lies inside the extent.
+      const uint32_t bno = MappedBlock(*data, 0);
+      EXPECT_GE(bno, data->group_start);
+      EXPECT_LT(bno, data->group_start + data->group_len);
+    }
+    // 8 one-block files (+ dir blocks) fit in one 16-block extent.
+    EXPECT_EQ(extents.size(), 1u);
+  });
 }
 
 TEST_F(CffsTest, DifferentDirectoriesGetDifferentGroups) {
-  Make();
-  ASSERT_TRUE(env_->path().MkdirAll("/a").ok());
-  ASSERT_TRUE(env_->path().MkdirAll("/b").ok());
-  ASSERT_TRUE(env_->path().WriteFile("/a/f", Payload(1024)).ok());
-  ASSERT_TRUE(env_->path().WriteFile("/b/f", Payload(1024)).ok());
-  auto fa = cfs_->LoadInode(*env_->path().Resolve("/a/f"));
-  auto fb = cfs_->LoadInode(*env_->path().Resolve("/b/f"));
-  ASSERT_TRUE(fa.ok() && fb.ok());
-  EXPECT_NE(fa->group_start, fb->group_start);
+  ForEachEncoding(16, [&] {
+    ASSERT_TRUE(env_->path().MkdirAll("/a").ok());
+    ASSERT_TRUE(env_->path().MkdirAll("/b").ok());
+    ASSERT_TRUE(env_->path().WriteFile("/a/f", Payload(1024)).ok());
+    ASSERT_TRUE(env_->path().WriteFile("/b/f", Payload(1024)).ok());
+    auto fa = cfs_->LoadInode(*env_->path().Resolve("/a/f"));
+    auto fb = cfs_->LoadInode(*env_->path().Resolve("/b/f"));
+    ASSERT_TRUE(fa.ok() && fb.ok());
+    EXPECT_NE(fa->group_start, fb->group_start);
+    // Each file's block lies in its own directory's extent.
+    const uint32_t ba = MappedBlock(*fa, 0);
+    const uint32_t bb = MappedBlock(*fb, 0);
+    EXPECT_GE(ba, fa->group_start);
+    EXPECT_LT(ba, fa->group_start + fa->group_len);
+    EXPECT_GE(bb, fb->group_start);
+    EXPECT_LT(bb, fb->group_start + fb->group_len);
+  });
 }
 
 TEST_F(CffsTest, GroupReadFetchesWholeExtentInOneCommand) {
@@ -185,57 +219,74 @@ TEST_F(CffsTest, GroupReadFetchesWholeExtentInOneCommand) {
 }
 
 TEST_F(CffsTest, LargeFileMigratesOutOfGroup) {
-  Make();
-  ASSERT_TRUE(env_->path().MkdirAll("/d").ok());
-  // Starts small (grouped)...
-  ASSERT_TRUE(env_->path().WriteFile("/d/big", Payload(1024)).ok());
-  auto num = env_->path().Resolve("/d/big");
-  ASSERT_TRUE(num.ok());
-  auto before = cfs_->LoadInode(*num);
-  ASSERT_TRUE(before.ok());
-  EXPECT_NE(before->group_start, 0u);
-  // ...then grows past small_file_max_blocks (8 blocks = 32 KB).
-  ASSERT_TRUE(cfs_->Write(*num, 1024, Payload(60 * 1024)).ok());
-  auto after = cfs_->LoadInode(*num);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->group_start, 0u);  // no longer grouped
-  // Content intact after migration.
-  auto data = env_->path().ReadFile("/d/big");
-  ASSERT_TRUE(data.ok());
-  EXPECT_EQ(data->size(), 1024u + 60 * 1024);
-  EXPECT_EQ((*data)[0], 0x2a);
-  // And no block of the file is inside any reserved extent.
-  auto ino = cfs_->LoadInode(*num);
-  for (uint32_t i = 0; i < fs::kDirectBlocks; ++i) {
-    if (ino->direct[i] == 0) continue;
-    // direct blocks are ungrouped now; reservation check:
-    // (group extents are aligned; just assert the inode says ungrouped)
-  }
+  ForEachEncoding(16, [&] {
+    ASSERT_TRUE(env_->path().MkdirAll("/d").ok());
+    // Starts small (grouped)...
+    ASSERT_TRUE(env_->path().WriteFile("/d/big", Payload(1024)).ok());
+    auto num = env_->path().Resolve("/d/big");
+    ASSERT_TRUE(num.ok());
+    auto before = cfs_->LoadInode(*num);
+    ASSERT_TRUE(before.ok());
+    const uint32_t group = before->group_start;
+    const uint32_t group_end = group + before->group_len;
+    ASSERT_NE(group, 0u);
+    const uint32_t first = MappedBlock(*before, 0);
+    EXPECT_GE(first, group);
+    EXPECT_LT(first, group_end);
+    // ...then grows past small_file_max_blocks (8 blocks = 32 KB).
+    ASSERT_TRUE(cfs_->Write(*num, 1024, Payload(60 * 1024)).ok());
+    auto after = cfs_->LoadInode(*num);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after->group_start, 0u);  // no longer grouped
+    // Content intact after migration.
+    auto data = env_->path().ReadFile("/d/big");
+    ASSERT_TRUE(data.ok());
+    EXPECT_EQ(data->size(), 1024u + 60 * 1024);
+    EXPECT_EQ((*data)[0], 0x2a);
+    // And no data block of the file is left inside its old group extent.
+    size_t data_blocks = 0;
+    ASSERT_TRUE(fs::BmapForEach(*cfs_->buffer_cache(), *after,
+                                [&](uint64_t idx, uint32_t bno) -> Status {
+                                  if (idx == UINT64_MAX) return OkStatus();
+                                  ++data_blocks;
+                                  EXPECT_FALSE(bno >= group && bno < group_end)
+                                      << "file block " << idx << " at " << bno;
+                                  return OkStatus();
+                                })
+                    .ok());
+    EXPECT_EQ(data_blocks, 16u);
+  });
 }
 
 TEST_F(CffsTest, DeletingAllGroupFilesReleasesExtent) {
-  Make();
-  ASSERT_TRUE(env_->path().MkdirAll("/d").ok());
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(env_->path()
-                    .WriteFile("/d/f" + std::to_string(i), Payload(1024))
-                    .ok());
-  }
-  auto ino = cfs_->LoadInode(*env_->path().Resolve("/d/f0"));
-  ASSERT_TRUE(ino.ok());
-  const uint32_t extent = ino->group_start;
-  const uint16_t len = ino->group_len;
-  ASSERT_NE(extent, 0u);
-  // Note: the directory's own block lives in the same extent, so deleting
-  // the files does NOT release it...
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(cfs_->Unlink(*env_->path().Resolve("/d"),
-                             "f" + std::to_string(i)).ok());
-  }
-  EXPECT_TRUE(*cfs_->allocator()->ExtentReserved(extent, len));
-  // ...but removing the directory itself does.
-  ASSERT_TRUE(cfs_->Rmdir(cfs_->root(), "d").ok());
-  EXPECT_FALSE(*cfs_->allocator()->ExtentReserved(extent, len));
+  ForEachEncoding(16, [&] {
+    ASSERT_TRUE(env_->path().MkdirAll("/d").ok());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(env_->path()
+                      .WriteFile("/d/f" + std::to_string(i), Payload(1024))
+                      .ok());
+    }
+    auto ino = cfs_->LoadInode(*env_->path().Resolve("/d/f0"));
+    ASSERT_TRUE(ino.ok());
+    const uint32_t extent = ino->group_start;
+    const uint16_t len = ino->group_len;
+    ASSERT_NE(extent, 0u);
+    // Note: the directory's own block lives in the same extent, so deleting
+    // the files does NOT release it...
+    auto dir = cfs_->LoadInode(*env_->path().Resolve("/d"));
+    ASSERT_TRUE(dir.ok());
+    const uint32_t dir_block = MappedBlock(*dir, 0);
+    EXPECT_GE(dir_block, extent);
+    EXPECT_LT(dir_block, extent + len);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(cfs_->Unlink(*env_->path().Resolve("/d"),
+                               "f" + std::to_string(i)).ok());
+    }
+    EXPECT_TRUE(*cfs_->allocator()->ExtentReserved(extent, len));
+    // ...but removing the directory itself does.
+    ASSERT_TRUE(cfs_->Rmdir(cfs_->root(), "d").ok());
+    EXPECT_FALSE(*cfs_->allocator()->ExtentReserved(extent, len));
+  });
 }
 
 TEST_F(CffsTest, GroupFlushIsOneCommandPerExtent) {
@@ -336,23 +387,27 @@ TEST_F(CffsTest, StaleEmbeddedNumberFailsCleanly) {
 }
 
 TEST_F(CffsTest, GroupSizeRespectedByAllocator) {
-  Make(FsKind::kCffs, /*group_blocks=*/4);
-  ASSERT_TRUE(env_->path().MkdirAll("/d").ok());
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(env_->path()
-                    .WriteFile("/d/f" + std::to_string(i), Payload(1024))
-                    .ok());
-  }
-  std::set<uint32_t> extents;
-  for (int i = 0; i < 6; ++i) {
-    auto ino = cfs_->LoadInode(
-        *env_->path().Resolve("/d/f" + std::to_string(i)));
-    ASSERT_TRUE(ino.ok());
-    EXPECT_EQ(ino->group_len, 4u);
-    extents.insert(ino->group_start);
-  }
-  // 6 file blocks + dir block don't fit in one 4-block extent.
-  EXPECT_GE(extents.size(), 2u);
+  ForEachEncoding(/*group_blocks=*/4, [&] {
+    ASSERT_TRUE(env_->path().MkdirAll("/d").ok());
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(env_->path()
+                      .WriteFile("/d/f" + std::to_string(i), Payload(1024))
+                      .ok());
+    }
+    std::set<uint32_t> extents;
+    for (int i = 0; i < 6; ++i) {
+      auto ino = cfs_->LoadInode(
+          *env_->path().Resolve("/d/f" + std::to_string(i)));
+      ASSERT_TRUE(ino.ok());
+      EXPECT_EQ(ino->group_len, 4u);
+      extents.insert(ino->group_start);
+      const uint32_t bno = MappedBlock(*ino, 0);
+      EXPECT_GE(bno, ino->group_start);
+      EXPECT_LT(bno, ino->group_start + 4u);
+    }
+    // 6 file blocks + dir block don't fit in one 4-block extent.
+    EXPECT_GE(extents.size(), 2u);
+  });
 }
 
 }  // namespace

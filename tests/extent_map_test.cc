@@ -17,63 +17,70 @@
 namespace cffs::fs {
 namespace {
 
+// Grants runs of up to `grant_cap` blocks and records frees; `gap` > 0
+// breaks physical adjacency between calls so every allocation starts a new
+// extent.
+class FakeHost final : public BmapHost {
+ public:
+  explicit FakeHost(cache::BufferCache& cache) : BmapHost(cache) {}
+
+  Result<BlockRun> AllocData(uint64_t, uint32_t want) override {
+    return TakeRun(want > grant_cap ? grant_cap : want);
+  }
+  Result<uint32_t> AllocMapBlock() override { return TakeRun(1).start; }
+  Status FreeBlock(uint32_t bno) override {
+    freed.insert(bno);
+    return OkStatus();
+  }
+  Status DirtyMapBlock(cache::BufferRef& ref) override {
+    cache().MarkDirty(ref);
+    return OkStatus();
+  }
+
+  uint32_t next_block = 1000;
+  uint32_t gap = 0;
+  uint32_t grant_cap = 1;  // blocks granted per AllocData call
+  std::set<uint32_t> freed;
+
+ private:
+  BlockRun TakeRun(uint32_t count) {
+    next_block += gap;
+    BlockRun r{next_block, count};
+    next_block += count;
+    return r;
+  }
+};
+
 class ExtentMapTest : public ::testing::Test {
  protected:
   ExtentMapTest()
       : model_(disk::TestDisk(2048, 8, 64), &clock_),
         dev_(&model_, disk::SchedulerPolicy::kCLook),
-        cache_(&dev_, 4096) {
+        cache_(&dev_, 4096),
+        host_(cache_) {
     ino_.flags |= kInodeFlagExtents;
-    ops_.cache = &cache_;
-    ops_.alloc = [this](uint64_t, bool) -> Result<uint32_t> {
-      return TakeRun(1).start;
-    };
-    ops_.alloc_run = [this](uint64_t, uint32_t want) -> Result<BlockRun> {
-      return TakeRun(want > grant_cap_ ? grant_cap_ : want);
-    };
-    ops_.free_block = [this](uint32_t bno) -> Status {
-      freed_.insert(bno);
-      return OkStatus();
-    };
-    ops_.meta_dirty = [this](cache::BufferRef& ref) -> Status {
-      cache_.MarkDirty(ref);
-      return OkStatus();
-    };
-  }
-
-  // Hands out a run of `count` physical blocks; `gap_` > 0 breaks physical
-  // adjacency between calls so every allocation starts a new extent.
-  BlockRun TakeRun(uint32_t count) {
-    next_block_ += gap_;
-    BlockRun r{next_block_, count};
-    next_block_ += count;
-    return r;
   }
 
   SimClock clock_;
   disk::DiskModel model_;
   blk::BlockDevice dev_;
   cache::BufferCache cache_;
-  BmapOps ops_;
+  FakeHost host_;
   InodeData ino_;
-  uint32_t next_block_ = 1000;
-  uint32_t gap_ = 0;
-  uint32_t grant_cap_ = 1;  // blocks granted per alloc_run call
-  std::set<uint32_t> freed_;
 };
 
 TEST_F(ExtentMapTest, ReadOfUnmappedIsHole) {
   for (uint64_t idx : std::vector<uint64_t>{0, 7, 512, kMaxFileBlocks - 1}) {
-    auto r = BmapRead(ops_, ino_, idx);
+    auto r = BmapRead(cache_, ino_, idx);
     ASSERT_TRUE(r.ok()) << idx;
     EXPECT_EQ(*r, 0u) << idx;
   }
 }
 
 TEST_F(ExtentMapTest, IndexPastMaxRejected) {
-  EXPECT_EQ(BmapRead(ops_, ino_, kMaxFileBlocks).status().code(),
+  EXPECT_EQ(BmapRead(cache_, ino_, kMaxFileBlocks).status().code(),
             ErrorCode::kOutOfRange);
-  EXPECT_EQ(BmapAlloc(ops_, &ino_, kMaxFileBlocks, nullptr).status().code(),
+  EXPECT_EQ(BmapAlloc(host_, &ino_, kMaxFileBlocks, nullptr).status().code(),
             ErrorCode::kOutOfRange);
 }
 
@@ -82,68 +89,68 @@ TEST_F(ExtentMapTest, SequentialGrowthCoalescesIntoOneExtent) {
   std::vector<uint32_t> blocks;
   for (uint64_t idx = 0; idx < 10; ++idx) {
     bool dirtied = false;
-    auto b = BmapAlloc(ops_, &ino_, idx, &dirtied);
+    auto b = BmapAlloc(host_, &ino_, idx, &dirtied);
     ASSERT_TRUE(b.ok()) << idx;
     EXPECT_TRUE(dirtied) << idx;
     blocks.push_back(*b);
   }
   for (uint64_t idx = 0; idx < 10; ++idx) {
-    EXPECT_EQ(*BmapRead(ops_, ino_, idx), blocks[idx]) << idx;
+    EXPECT_EQ(*BmapRead(cache_, ino_, idx), blocks[idx]) << idx;
   }
-  auto list = ExtentList(ops_, ino_);
+  auto list = ExtentList(cache_, ino_);
   ASSERT_TRUE(list.ok());
   ASSERT_EQ(list->size(), 1u);
   EXPECT_EQ((*list)[0].logical, 0u);
   EXPECT_EQ((*list)[0].count, 10u);
   EXPECT_EQ(ino_.indirect, 0u);
   // Re-alloc of a mapped index returns the same block, no new extent.
-  EXPECT_EQ(*BmapAlloc(ops_, &ino_, 4, nullptr), blocks[4]);
-  EXPECT_EQ(ExtentList(ops_, ino_)->size(), 1u);
+  EXPECT_EQ(*BmapAlloc(host_, &ino_, 4, nullptr), blocks[4]);
+  EXPECT_EQ(ExtentList(cache_, ino_)->size(), 1u);
 }
 
 TEST_F(ExtentMapTest, MultiBlockRunsMapAllTheirBlocks) {
-  grant_cap_ = 8;  // allocator grants 8-block runs
-  ASSERT_TRUE(BmapAlloc(ops_, &ino_, 0, nullptr).ok());
-  auto list = ExtentList(ops_, ino_);
+  host_.grant_cap = 8;  // allocator grants 8-block runs
+  ASSERT_TRUE(BmapAlloc(host_, &ino_, 0, nullptr).ok());
+  auto list = ExtentList(cache_, ino_);
   ASSERT_TRUE(list.ok());
   ASSERT_EQ(list->size(), 1u);
   const ExtentOnDisk e = (*list)[0];
   EXPECT_EQ(e.count, 8u);
   for (uint32_t i = 0; i < e.count; ++i) {
-    EXPECT_EQ(*BmapRead(ops_, ino_, i), e.start + i) << i;
+    EXPECT_EQ(*BmapRead(cache_, ino_, i), e.start + i) << i;
   }
 }
 
 TEST_F(ExtentMapTest, DiscontiguousRunsSpillIntoIndirectBlock) {
-  gap_ = 5;  // every run physically disjoint -> no merging
+  host_.gap = 5;  // every run physically disjoint -> no merging
   const uint32_t n = kDirectExtents + 12;
   std::vector<uint32_t> blocks;
   for (uint64_t idx = 0; idx < n; ++idx) {
-    auto b = BmapAlloc(ops_, &ino_, idx, nullptr);
+    auto b = BmapAlloc(host_, &ino_, idx, nullptr);
     ASSERT_TRUE(b.ok()) << idx;
     blocks.push_back(*b);
   }
   EXPECT_NE(ino_.indirect, 0u);
   for (uint64_t idx = 0; idx < n; ++idx) {
-    EXPECT_EQ(*BmapRead(ops_, ino_, idx), blocks[idx]) << idx;
+    EXPECT_EQ(*BmapRead(cache_, ino_, idx), blocks[idx]) << idx;
   }
-  auto list = ExtentList(ops_, ino_);
+  auto list = ExtentList(cache_, ino_);
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(list->size(), static_cast<size_t>(n));
 }
 
 TEST_F(ExtentMapTest, ForEachVisitsEveryMappingAndTheIndirectBlock) {
-  gap_ = 3;
+  host_.gap = 3;
   const uint32_t n = kDirectExtents + 4;
   std::map<uint64_t, uint32_t> want;
   for (uint64_t idx = 0; idx < n; ++idx) {
-    auto b = BmapAlloc(ops_, &ino_, idx, nullptr);
+    auto b = BmapAlloc(host_, &ino_, idx, nullptr);
     ASSERT_TRUE(b.ok());
     want[idx] = *b;
   }
   std::map<uint64_t, uint32_t> got;
   uint32_t meta_blocks = 0;
-  auto st = BmapForEach(ops_, ino_, [&](uint64_t idx, uint32_t bno) -> Status {
+  auto st = BmapForEach(cache_, ino_, [&](uint64_t idx, uint32_t bno) -> Status {
     if (idx == UINT64_MAX) {
       ++meta_blocks;
       EXPECT_EQ(bno, ino_.indirect);
@@ -160,36 +167,36 @@ TEST_F(ExtentMapTest, ForEachVisitsEveryMappingAndTheIndirectBlock) {
 TEST_F(ExtentMapTest, TruncateFreesTailAndKeepsHead) {
   std::vector<uint32_t> blocks;
   for (uint64_t idx = 0; idx < 10; ++idx) {
-    blocks.push_back(*BmapAlloc(ops_, &ino_, idx, nullptr));
+    blocks.push_back(*BmapAlloc(host_, &ino_, idx, nullptr));
   }
-  ASSERT_TRUE(BmapTruncate(ops_, &ino_, 4).ok());
+  ASSERT_TRUE(BmapTruncate(host_, &ino_, 4).ok());
   for (uint64_t idx = 0; idx < 4; ++idx) {
-    EXPECT_EQ(*BmapRead(ops_, ino_, idx), blocks[idx]) << idx;
+    EXPECT_EQ(*BmapRead(cache_, ino_, idx), blocks[idx]) << idx;
   }
   for (uint64_t idx = 4; idx < 10; ++idx) {
-    EXPECT_EQ(*BmapRead(ops_, ino_, idx), 0u) << idx;
-    EXPECT_TRUE(freed_.count(blocks[idx])) << idx;
+    EXPECT_EQ(*BmapRead(cache_, ino_, idx), 0u) << idx;
+    EXPECT_TRUE(host_.freed.count(blocks[idx])) << idx;
   }
   for (uint64_t idx = 0; idx < 4; ++idx) {
-    EXPECT_FALSE(freed_.count(blocks[idx])) << idx;
+    EXPECT_FALSE(host_.freed.count(blocks[idx])) << idx;
   }
 }
 
 TEST_F(ExtentMapTest, TruncateToZeroFreesEverythingIncludingIndirect) {
-  gap_ = 5;
+  host_.gap = 5;
   const uint32_t n = kDirectExtents + 6;
   std::vector<uint32_t> blocks;
   for (uint64_t idx = 0; idx < n; ++idx) {
-    blocks.push_back(*BmapAlloc(ops_, &ino_, idx, nullptr));
+    blocks.push_back(*BmapAlloc(host_, &ino_, idx, nullptr));
   }
   const uint32_t indirect = ino_.indirect;
   ASSERT_NE(indirect, 0u);
-  ASSERT_TRUE(BmapTruncate(ops_, &ino_, 0).ok());
+  ASSERT_TRUE(BmapTruncate(host_, &ino_, 0).ok());
   EXPECT_EQ(ino_.indirect, 0u);
-  EXPECT_TRUE(freed_.count(indirect));
-  for (uint32_t b : blocks) EXPECT_TRUE(freed_.count(b)) << b;
+  EXPECT_TRUE(host_.freed.count(indirect));
+  for (uint32_t b : blocks) EXPECT_TRUE(host_.freed.count(b)) << b;
   for (uint64_t idx = 0; idx < n; ++idx) {
-    EXPECT_EQ(*BmapRead(ops_, ino_, idx), 0u) << idx;
+    EXPECT_EQ(*BmapRead(cache_, ino_, idx), 0u) << idx;
   }
 }
 
@@ -197,21 +204,21 @@ TEST_F(ExtentMapTest, AppendMappingRebuildsAMap) {
   // The C-FFS migration path: record pre-allocated blocks one by one.
   bool dirtied = false;
   for (uint64_t idx = 0; idx < 6; ++idx) {
-    ASSERT_TRUE(ExtentAppendMapping(ops_, &ino_, idx,
+    ASSERT_TRUE(ExtentAppendMapping(host_, &ino_, idx,
                                     2000 + static_cast<uint32_t>(idx),
                                     &dirtied)
                     .ok());
   }
   EXPECT_TRUE(dirtied);
-  auto list = ExtentList(ops_, ino_);
+  auto list = ExtentList(cache_, ino_);
   ASSERT_TRUE(list.ok());
   ASSERT_EQ(list->size(), 1u);  // adjacent appends coalesce
   for (uint64_t idx = 0; idx < 6; ++idx) {
-    EXPECT_EQ(*BmapRead(ops_, ino_, idx), 2000 + idx) << idx;
+    EXPECT_EQ(*BmapRead(cache_, ino_, idx), 2000 + idx) << idx;
   }
   // Re-append of an existing mapping is a no-op; a conflicting one fails.
-  EXPECT_TRUE(ExtentAppendMapping(ops_, &ino_, 2, 2002, nullptr).ok());
-  EXPECT_EQ(ExtentAppendMapping(ops_, &ino_, 2, 9999, nullptr).code(),
+  EXPECT_TRUE(ExtentAppendMapping(host_, &ino_, 2, 2002, nullptr).ok());
+  EXPECT_EQ(ExtentAppendMapping(host_, &ino_, 2, 9999, nullptr).code(),
             ErrorCode::kCorrupt);
 }
 

@@ -95,6 +95,23 @@ TEST(TraceRecorderTest, ClearEmptiesButKeepsCapacity) {
   EXPECT_EQ(rec.capacity(), 8u);
 }
 
+TEST(TraceRecorderTest, RecordJsonOfAnOlderFormatIsRejectedByVersion) {
+  // cffs-trace-v1 numbered the event kinds differently (it still had
+  // kGroupRead), so reading one as v2 would misfile every later kind.
+  const auto v1 = obs::TraceRecorder::FromRecordJson(
+      R"({"format":"cffs-trace-v1","dropped":0,"events":[]})");
+  ASSERT_FALSE(v1.ok());
+  EXPECT_EQ(v1.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(v1.status().ToString().find("cffs-trace-v1"), std::string::npos)
+      << v1.status().ToString();
+
+  obs::TraceRecorder rec(4);
+  rec.Record(DiskEvent(1));
+  const auto v2 = obs::TraceRecorder::FromRecordJson(rec.ToRecordJson());
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  EXPECT_EQ(v2->size(), 1u);
+}
+
 TEST(TraceRecorderTest, ChromeJsonHasExpectedSchema) {
   obs::TraceRecorder rec(16);
   rec.Record(DiskEvent(1'000'000));

@@ -3,9 +3,10 @@
 //
 //   cffs_ordercheck --trace=PATH [--report-out=PATH]
 //
-// PATH is a lossless record-format trace (cffs-trace-v1), as written by
-// cffs_run --record-out. To trace a workload and check it in one step, run
-// cffs_run --check-ordering instead.
+// PATH is a lossless record-format trace (cffs-trace-v2), as written by
+// cffs_run --record-out; a dump of another format version is refused. To
+// trace a workload and check it in one step, run cffs_run --check-ordering
+// instead.
 //
 // Exit status: 0 when the trace is clean, 1 on violations or errors, 2 on a
 // bad argument (so a typo can never pass for a conviction).
