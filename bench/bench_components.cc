@@ -172,6 +172,42 @@ void BM_CffsCreateWriteDelete(benchmark::State& state) {
 }
 BENCHMARK(BM_CffsCreateWriteDelete)->Arg(0)->Arg(1);
 
+// One cycle of the shared namespace operations: mkdir /a/d, create /a/g,
+// link /b/g2 to it, rename /a/g to /b/f, unlink /b/g2 and /b/f, rmdir
+// /a/d. Each cycle leaves the tree as it found it. Arg: 0 = ffs,
+// 1 = conventional, 2 = c-ffs.
+void BM_NamespaceCycle(benchmark::State& state) {
+  const sim::FsKind kinds[] = {sim::FsKind::kFfs, sim::FsKind::kConventional,
+                               sim::FsKind::kCffs};
+  sim::SimConfig config;
+  config.disk_spec = disk::TestDisk(512, 4, 64);
+  auto env = sim::SimEnv::Create(kinds[state.range(0)], config);
+  if (!env.ok()) {
+    state.SkipWithError("env creation failed");
+    return;
+  }
+  fs::FileSystem* fs = (*env)->fs();
+  auto a = fs->Mkdir(fs->root(), "a");
+  auto b = fs->Mkdir(fs->root(), "b");
+  if (!a.ok() || !b.ok()) {
+    state.SkipWithError("mkdir /a or /b failed");
+    return;
+  }
+  for (auto _ : state) {
+    const bool made = fs->Mkdir(*a, "d").ok();
+    auto g = fs->Create(*a, "g");
+    const bool ok = made && g.ok() && fs->Link(*b, "g2", *g).ok() &&
+                    fs->Rename(*a, "g", *b, "f").ok() &&
+                    fs->Unlink(*b, "g2").ok() && fs->Unlink(*b, "f").ok() &&
+                    fs->Rmdir(*a, "d").ok();
+    if (!ok) {
+      state.SkipWithError("namespace cycle failed");
+      return;
+    }
+  }
+}
+BENCHMARK(BM_NamespaceCycle)->Arg(0)->Arg(1)->Arg(2);
+
 void BM_DiskModelAccess(benchmark::State& state) {
   SimClock clock;
   disk::DiskModel disk(disk::SeagateSt31200(), &clock);

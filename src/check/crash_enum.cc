@@ -106,8 +106,6 @@ Status CrashStateEnumerator::ExploreState(
     return OkStatus();
   };
 
-  if (!options_.repair) return run_post_check();
-
   // Repair until the image converges. One round can expose new damage
   // (clearing an orphaned directory orphans its children), so re-run like
   // classic fsck does — but bound the rounds so a non-converging repair

@@ -45,8 +45,6 @@ struct CrashEnumOptions {
   uint64_t seed = 1;
   // Quick mode for sanitizer CI: a handful of states of each shape.
   bool quick = false;
-  // Also run fsck with repair and verify the repaired image is clean.
-  bool repair = true;
   // Enumerate the blocks the NEXT syncer flush epoch would write — the
   // cache's flush plan (clean gap-fillers included), in the device
   // scheduler's service order from the real head position — instead of the
@@ -55,7 +53,7 @@ struct CrashEnumOptions {
   // prefix of exactly this sequence on the platter.
   bool syncer_plan = false;
   // Extra semantic predicate run on each crash image after fsck's repair
-  // converges (or right after the read-only pass when `repair` is off).
+  // converges.
   // fsck only knows structural invariants; callers with a protocol on top
   // — e.g. the cross-shard rename journal, which must roll a transaction
   // forward or back, never both — use this to assert the protocol-level

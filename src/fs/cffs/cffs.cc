@@ -99,13 +99,9 @@ Result<std::unique_ptr<CffsFileSystem>> CffsFileSystem::Format(
   (void)slot0;  // reserved slot 0
   ASSIGN_OR_RETURN(uint64_t root_slot, fs->AllocExternalSlot());
   if (root_slot != kRootSlot) return Corrupt("unexpected root slot");
-  InodeData root;
-  root.type = FileType::kDirectory;
-  root.nlink = 1;
-  if (options.extent_alloc) root.flags |= kInodeFlagExtents;
+  InodeData root =
+      fs->NewImage(kRootSlot, FileType::kDirectory, options.extent_alloc);
   root.self = kRootSlot;
-  root.parent = kRootSlot;
-  root.mtime_ns = clock->now().nanos();
   RETURN_IF_ERROR(fs->StoreInode(kRootSlot, root, /*order_critical=*/false));
 
   RETURN_IF_ERROR(fs->WriteSuperblock());
@@ -364,13 +360,11 @@ Result<BlockRun> CffsFileSystem::AllocData(InodeNum num, InodeData* ino,
       RETURN_IF_ERROR(MigrateOutOfGroup(num, ino));
     }
   }
-  // Conventional placement: right after the previous block, else near the
-  // directory's data (or the start of data for the first cylinder group).
-  const uint32_t fallback = idx == 0 && ino->is_dir() && ino->active_group != 0
-                                ? ino->active_group
-                                : alloc_->layout(0).data_start;
-  return AllocDataAt(*ino, GoalAfterPrevious(*ino, idx, fallback), idx, want,
-                     size_hint_blocks);
+  // Conventional placement: right after the previous block, else the start
+  // of data in the first cylinder group.
+  return AllocDataAt(
+      *ino, GoalAfterPrevious(*ino, idx, alloc_->layout(0).data_start), idx,
+      want, size_hint_blocks);
 }
 
 Result<uint32_t> CffsFileSystem::AllocGroupedBlock(InodeNum num,
@@ -624,6 +618,10 @@ uint64_t CffsFileSystem::FlushUnitFor(InodeNum num, const InodeData& ino,
 
 Status CffsFileSystem::AfterBlocksFreed(InodeNum num, InodeData* ino) {
   (void)num;
+  // A removed directory's active group goes once it is idle.
+  if (ino->is_dir()) {
+    return ReleaseGroupIfIdle(ino->active_group, options_.group_blocks);
+  }
   if (ino->group_start == 0) return OkStatus();
   ASSIGN_OR_RETURN(bool idle,
                    alloc_->ExtentIdle(ino->group_start, ino->group_len));
@@ -639,277 +637,133 @@ Status CffsFileSystem::AfterBlocksFreed(InodeNum num, InodeData* ino) {
 // Name-space operations.
 // ---------------------------------------------------------------------------
 
-Result<InodeNum> CffsFileSystem::CreateCommon(InodeNum dir,
-                                              std::string_view name,
-                                              FileType type) {
-  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
-  if (!d.is_dir()) return NotDirectory("create in non-directory");
-  if (DirFind(d, name).ok()) return Exists(std::string(name));
+Result<InodeNum> CffsFileSystem::NewInode(InodeNum dir, FileType type,
+                                          InodeData* ino) {
+  *ino = NewImage(dir, type, options_.extent_alloc);
+  ASSIGN_OR_RETURN(ino->self, AllocExternalSlot());
+  return ino->self;
+}
 
-  InodeData ino;
-  ino.type = type;
-  ino.nlink = 1;
-  if (options_.extent_alloc) ino.flags |= kInodeFlagExtents;
-  ino.parent = dir;
-  ino.mtime_ns = MtimeNs();
+Status CffsFileSystem::ReleaseInode(InodeNum num) {
+  RETURN_IF_ERROR(StoreInode(num, InodeData{}, /*order_critical=*/true));
+  free_slots_.push_back(num);
+  return OkStatus();
+}
 
-  const bool embed = options_.embed_inodes && type == FileType::kRegular;
-  bool dir_dirty = false;
-  InodeNum inum = kInvalidInode;
-
-  if (embed) {
-    // The name and the inode are created together in one directory block:
-    // a single ordered metadata write replaces FFS's two.
-    ASSIGN_OR_RETURN(DirSlot slot, DirAdd(dir, &d, name, kEmbeddedRecord,
-                                          kInvalidInode, &ino, &dir_dirty));
-    inum = MakeEmbedded(slot.bno, slot.rec.inode_off);
-    {
-      ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(slot.bno));
-      ino.self = inum;
-      ino.Encode(buf.data(), slot.rec.inode_off);
-      SetDirEntryInum(buf.data(), slot.rec.offset, inum);
-      cache_->MarkDirty(buf);
-    }
-    // The image was encoded straight into the directory block, bypassing
-    // StoreInode — keep the inode cache coherent by hand. Both ordering
-    // annotations land on the SAME home block: this is the paper's claim
-    // (name+inode share a sector), which the checker verifies (R-EMBED).
-    TraceMeta(obs::MetaUpdateKind::kInodeInit, slot.bno, inum);
-    TraceMeta(obs::MetaUpdateKind::kDentryAdd, slot.bno, inum, dir,
-              /*flag=*/true);
-    NoteInodeWritten(inum, ino);
-    RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-  } else {
-    ASSIGN_OR_RETURN(uint64_t slot_idx, AllocExternalSlot());
-    inum = slot_idx;
-    ino.self = inum;
-    // Ordered update #1: inode before name.
-    RETURN_IF_ERROR(StoreInode(inum, ino, /*order_critical=*/true));
-    ASSIGN_OR_RETURN(DirSlot slot, DirAdd(dir, &d, name, kExternalRecord,
-                                          inum, nullptr, &dir_dirty));
-    // Ordered update #2: the name.
-    RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
+Result<InodeNum> CffsFileSystem::AddEmbedded(InodeNum dir, InodeData* d,
+                                             std::string_view name,
+                                             InodeData* ino, bool* grown) {
+  ASSIGN_OR_RETURN(DirSlot slot, DirAdd(dir, d, name, kEmbeddedRecord,
+                                        kInvalidInode, ino, grown));
+  const InodeNum inum = MakeEmbedded(slot.bno, slot.rec.inode_off);
+  {
+    ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(slot.bno));
+    ino->self = inum;
+    ino->Encode(buf.data(), slot.rec.inode_off);
+    SetDirEntryInum(buf.data(), slot.rec.offset, inum);
+    cache_->MarkDirty(buf);
   }
-
-  if (dir_dirty) {
-    // The directory grew: its inode (new block pointer, size) must reach
-    // the disk before the operation is durable.
-    RETURN_IF_ERROR(StoreInode(dir, d, /*order_critical=*/true));
-  }
+  // The image was encoded straight into the directory block, bypassing
+  // StoreInode — keep the inode cache coherent by hand. Both ordering
+  // annotations land on the SAME home block: this is the paper's claim
+  // (name+inode share a sector), which the checker verifies (R-EMBED).
+  TraceMeta(obs::MetaUpdateKind::kInodeInit, slot.bno, inum);
+  TraceMeta(obs::MetaUpdateKind::kDentryAdd, slot.bno, inum, dir,
+            /*flag=*/true);
+  NoteInodeWritten(inum, *ino);
+  RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
   return inum;
 }
 
-Result<InodeNum> CffsFileSystem::Create(InodeNum dir, std::string_view name) {
-  ++op_stats_.creates;
-  OpScope scope(this, obs::FsOp::kCreate, dir);
-  return CreateCommon(dir, name, FileType::kRegular);
-}
-
-Result<InodeNum> CffsFileSystem::Mkdir(InodeNum dir, std::string_view name) {
-  ++op_stats_.mkdirs;
-  OpScope scope(this, obs::FsOp::kMkdir, dir);
+Result<InodeNum> CffsFileSystem::CreateStep(InodeNum dir, InodeData* d,
+                                            std::string_view name,
+                                            FileType type, bool* grown) {
   // Directory inodes are externalized (see class comment).
-  return CreateCommon(dir, name, FileType::kDirectory);
+  if (!options_.embed_inodes || type != FileType::kRegular) {
+    return FsBase::CreateStep(dir, d, name, type, grown);
+  }
+  // The name and the inode are created together in one directory block:
+  // a single ordered metadata write replaces FFS's two.
+  InodeData ino = NewImage(dir, type, options_.extent_alloc);
+  return AddEmbedded(dir, d, name, &ino, grown);
 }
 
-Status CffsFileSystem::Unlink(InodeNum dir, std::string_view name) {
-  ++op_stats_.unlinks;
-  OpScope scope(this, obs::FsOp::kUnlink, dir);
-  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
-  if (!d.is_dir()) return NotDirectory("unlink in non-directory");
-  ASSIGN_OR_RETURN(DirSlot slot, DirFind(d, name));
+Status CffsFileSystem::UnlinkStep(InodeNum dir, std::string_view name,
+                                  const DirSlot& slot, InodeData* ino) {
   const InodeNum inum = slot.rec.inum;
-  ASSIGN_OR_RETURN(InodeData ino, GetInode(inum));
-  if (ino.is_dir()) return IsDirectory(std::string(name));
-
-  if (IsEmbedded(inum)) {
-    // Name and inode vanish in one atomic sector update — the single
-    // ordered write. The image died with the record: drop it from the
-    // inode cache so a stale number cannot validate from memory.
-    RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
-    TraceMeta(obs::MetaUpdateKind::kInodeFree, slot.bno, inum);
-    NoteInodeGone(inum);
-    RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-    MapHost host(this, inum, &ino);
-    RETURN_IF_ERROR(BmapTruncate(host, &ino, 0));
-    return AfterBlocksFreed(inum, &ino);
-  }
-
-  // Externalized: the conventional ordered writes (name removal, truncate-
-  // time inode update, inode deallocation — as in 4.4BSD).
-  RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
+  if (!IsEmbedded(inum)) return FsBase::UnlinkStep(dir, name, slot, ino);
+  // Name and inode vanish in one atomic sector update — the single
+  // ordered write. The image died with the record: drop it from the
+  // inode cache so a stale number cannot validate from memory.
+  RETURN_IF_ERROR(DirRemove(dir, name, slot));
+  TraceMeta(obs::MetaUpdateKind::kInodeFree, slot.bno, inum);
+  NoteInodeGone(inum);
   RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-  if (ino.nlink > 1) {
-    --ino.nlink;
-    return StoreInode(inum, ino, /*order_critical=*/true);
-  }
-  MapHost host(this, inum, &ino);
-  RETURN_IF_ERROR(BmapTruncate(host, &ino, 0));
-  RETURN_IF_ERROR(AfterBlocksFreed(inum, &ino));
-  ino.size = 0;
-  RETURN_IF_ERROR(StoreInode(inum, ino, /*order_critical=*/true));
-  InodeData cleared;
-  RETURN_IF_ERROR(StoreInode(inum, cleared, /*order_critical=*/true));
-  free_slots_.push_back(inum);
-  return OkStatus();
+  return FreeAllBlocks(inum, ino);
 }
 
-Status CffsFileSystem::Rmdir(InodeNum dir, std::string_view name) {
-  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
-  if (!d.is_dir()) return NotDirectory("rmdir in non-directory");
-  ASSIGN_OR_RETURN(DirSlot slot, DirFind(d, name));
-  const InodeNum inum = slot.rec.inum;
-  ASSIGN_OR_RETURN(InodeData ino, GetInode(inum));
-  if (!ino.is_dir()) return NotDirectory(std::string(name));
-  ASSIGN_OR_RETURN(bool empty, DirIsEmpty(ino));
-  if (!empty) return NotEmpty(std::string(name));
-
-  RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
-  RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-
-  MapHost host(this, inum, &ino);
-  RETURN_IF_ERROR(BmapTruncate(host, &ino, 0));
-  if (ino.active_group != 0) {
-    RETURN_IF_ERROR(ReleaseGroupIfIdle(ino.active_group, options_.group_blocks));
+Status CffsFileSystem::LinkStep(InodeNum dir, InodeData* d,
+                                std::string_view name, InodeNum target,
+                                InodeData* tino, bool* grown) {
+  if (!IsEmbedded(target)) {
+    return FsBase::LinkStep(dir, d, name, target, tino, grown);
   }
-  InodeData cleared;
-  RETURN_IF_ERROR(StoreInode(inum, cleared, /*order_critical=*/true));
-  // The directory's slot goes back on the free list: drop every dentry and
-  // the index keyed under its (reusable) number.
-  NoteDirGone(inum);
-  free_slots_.push_back(inum);
-  return OkStatus();
-}
+  // Multi-link files cannot stay embedded (they would need two homes):
+  // externalize the inode, rewriting the original entry to reference it.
+  ASSIGN_OR_RETURN(const InodeNum final_target, AllocExternalSlot());
+  tino->self = final_target;
+  tino->nlink = 2;
+  RETURN_IF_ERROR(StoreInode(final_target, *tino, /*order_critical=*/true));
 
-Status CffsFileSystem::Link(InodeNum dir, std::string_view name,
-                            InodeNum target) {
-  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
-  if (!d.is_dir()) return NotDirectory("link in non-directory");
-  if (DirFind(d, name).ok()) return Exists(std::string(name));
-  ASSIGN_OR_RETURN(InodeData tino, GetInode(target));
-  if (tino.is_dir()) return IsDirectory("hard link to directory");
-
-  InodeNum final_target = target;
-  if (IsEmbedded(target)) {
-    // Multi-link files cannot stay embedded (they would need two homes):
-    // externalize the inode, rewriting the original entry to reference it.
-    ASSIGN_OR_RETURN(uint64_t slot_idx, AllocExternalSlot());
-    final_target = slot_idx;
-    tino.self = final_target;
-    tino.nlink = 2;
-    RETURN_IF_ERROR(StoreInode(final_target, tino, /*order_critical=*/true));
-
-    const uint32_t bno = EmbeddedBlock(target);
-    ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(bno));
-    // Find the record owning this embedded inode and flip it to external.
-    bool rewritten = false;
-    std::string old_entry_name;
-    RETURN_IF_ERROR(ForEachDirRecord(buf.data(), [&](const DirRecord& r) {
-      if (r.kind == kEmbeddedRecord && r.inum == target) {
-        old_entry_name = std::string(r.name);
-        buf.data()[r.offset + 2] = kExternalRecord;
-        SetDirEntryInum(buf.data(), r.offset, final_target);
-        // Clear the now-slack inode image so stale ids cannot validate.
-        std::memset(buf.data().data() + r.inode_off, 0, kInodeSize);
-        rewritten = true;
-        return false;
-      }
-      return true;
-    }));
-    if (!rewritten) return Corrupt("embedded inode record not found");
-    cache_->MarkDirty(buf);
-    buf.Release();
-    // One block write retargets the record: the embedded name dies and an
-    // external reference appears. The externalized inode was stored (and
-    // annotated) above, giving the R-CREATE edge its initialization side.
-    TraceMeta(obs::MetaUpdateKind::kDentryRemove, bno, target, tino.parent);
-    TraceMeta(obs::MetaUpdateKind::kDentryAdd, bno, final_target, tino.parent);
-    // The embedded number is dead (its image was cleared above); the
-    // externalized number was cached by StoreInode. The dentry mapping the
-    // original name to the embedded number must go too. The directory
-    // index survives: the record stayed in place, only its kind changed.
-    NoteInodeGone(target);
-    NoteDentryGone(tino.parent, old_entry_name);
-    RETURN_IF_ERROR(SyncMetaBlock(bno, /*order_critical=*/true));
-  } else {
-    ++tino.nlink;
-    RETURN_IF_ERROR(StoreInode(final_target, tino, /*order_critical=*/true));
-  }
-
-  bool dir_dirty = false;
-  ASSIGN_OR_RETURN(DirSlot slot, DirAdd(dir, &d, name, kExternalRecord,
-                                        final_target, nullptr, &dir_dirty));
-  RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-  if (dir_dirty) {
-    // The directory grew: its inode (new block pointer, size) must reach
-    // the disk before the operation is durable.
-    RETURN_IF_ERROR(StoreInode(dir, d, /*order_critical=*/true));
-  }
-  return OkStatus();
-}
-
-Status CffsFileSystem::Rename(InodeNum old_dir, std::string_view old_name,
-                              InodeNum new_dir, std::string_view new_name) {
-  ASSIGN_OR_RETURN(InodeData od, GetInode(old_dir));
-  if (!od.is_dir()) return NotDirectory("rename source dir");
-  ASSIGN_OR_RETURN(InodeData nd, GetInode(new_dir));
-  if (!nd.is_dir()) return NotDirectory("rename target dir");
-  ASSIGN_OR_RETURN(DirSlot src, DirFind(od, old_name));
-  if (DirFind(nd, new_name).ok()) return Exists(std::string(new_name));
-
-  const InodeNum inum = src.rec.inum;
-  {
-    ASSIGN_OR_RETURN(InodeData moved, GetInode(inum));
-    if (moved.is_dir()) RETURN_IF_ERROR(CheckRenameLoop(inum, new_dir));
-  }
-  InodeData* nd_ptr = (new_dir == old_dir) ? &od : &nd;
-  bool dir_dirty = false;
-
-  if (IsEmbedded(inum)) {
-    // The inode image moves with the name; it gets a new number.
-    ASSIGN_OR_RETURN(InodeData ino, GetInode(inum));
-    ino.parent = new_dir;
-    ASSIGN_OR_RETURN(DirSlot dst, DirAdd(new_dir, nd_ptr, new_name,
-                                         kEmbeddedRecord, kInvalidInode,
-                                         &ino, &dir_dirty));
-    const InodeNum new_inum = MakeEmbedded(dst.bno, dst.rec.inode_off);
-    {
-      ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(dst.bno));
-      ino.self = new_inum;
-      ino.Encode(buf.data(), dst.rec.inode_off);
-      SetDirEntryInum(buf.data(), dst.rec.offset, new_inum);
-      cache_->MarkDirty(buf);
+  const uint32_t bno = EmbeddedBlock(target);
+  ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(bno));
+  // Find the record owning this embedded inode and flip it to external.
+  bool rewritten = false;
+  std::string old_entry_name;
+  RETURN_IF_ERROR(ForEachDirRecord(buf.data(), [&](const DirRecord& r) {
+    if (r.kind == kEmbeddedRecord && r.inum == target) {
+      old_entry_name = std::string(r.name);
+      buf.data()[r.offset + 2] = kExternalRecord;
+      SetDirEntryInum(buf.data(), r.offset, final_target);
+      // Clear the now-slack inode image so stale ids cannot validate.
+      std::memset(buf.data().data() + r.inode_off, 0, kInodeSize);
+      rewritten = true;
+      return false;
     }
-    // The inode changed number: the new image was encoded in place
-    // (bypassing StoreInode) and the old number is about to die with the
-    // source record. Keep the inode cache coherent by hand.
-    TraceMeta(obs::MetaUpdateKind::kInodeInit, dst.bno, new_inum);
-    TraceMeta(obs::MetaUpdateKind::kDentryAdd, dst.bno, new_inum, new_dir,
-              /*flag=*/true);
-    NoteInodeWritten(new_inum, ino);
-    NoteInodeGone(inum);
-    RETURN_IF_ERROR(SyncMetaBlock(dst.bno, /*order_critical=*/true));
-  } else {
-    ASSIGN_OR_RETURN(DirSlot dst, DirAdd(new_dir, nd_ptr, new_name,
-                                         kExternalRecord, inum, nullptr,
-                                         &dir_dirty));
-    RETURN_IF_ERROR(SyncMetaBlock(dst.bno, /*order_critical=*/true));
-    ASSIGN_OR_RETURN(InodeData moved, GetInode(inum));
-    if (moved.parent != new_dir) {
-      moved.parent = new_dir;
-      RETURN_IF_ERROR(StoreInode(inum, moved, /*order_critical=*/false));
-    }
-  }
-  if (dir_dirty) {
-    RETURN_IF_ERROR(StoreInode(new_dir, *nd_ptr, /*order_critical=*/true));
-  }
+    return true;
+  }));
+  if (!rewritten) return Corrupt("embedded inode record not found");
+  cache_->MarkDirty(buf);
+  buf.Release();
+  // One block write retargets the record: the embedded name dies and an
+  // external reference appears. The externalized inode was stored (and
+  // annotated) above, giving the R-CREATE edge its initialization side.
+  TraceMeta(obs::MetaUpdateKind::kDentryRemove, bno, target, tino->parent);
+  TraceMeta(obs::MetaUpdateKind::kDentryAdd, bno, final_target, tino->parent);
+  // The embedded number is dead (its image was cleared above); the
+  // externalized number was cached by StoreInode. The dentry mapping the
+  // original name to the embedded number must go too. The directory
+  // index survives: the record stayed in place, only its kind changed.
+  NoteInodeGone(target);
+  NoteDentryGone(tino->parent, old_entry_name);
+  RETURN_IF_ERROR(SyncMetaBlock(bno, /*order_critical=*/true));
+  // The new name references the inode just stored.
+  return AddName(dir, d, name, final_target, /*ino=*/nullptr, grown);
+}
 
-  // Remove the old name (re-find: the add may have reshaped blocks).
-  ASSIGN_OR_RETURN(InodeData od2, GetInode(old_dir));
-  ASSIGN_OR_RETURN(DirSlot src2, DirFind(od2, old_name));
-  RETURN_IF_ERROR(DirRemove(old_dir, old_name, src2.bno, src2.rec.offset,
-                            inum));
-  return SyncMetaBlock(src2.bno, /*order_critical=*/true);
+Status CffsFileSystem::RenameStep(InodeNum inum, InodeNum new_dir,
+                                  InodeData* nd, std::string_view new_name,
+                                  bool* grown) {
+  if (!IsEmbedded(inum)) {
+    return FsBase::RenameStep(inum, new_dir, nd, new_name, grown);
+  }
+  // The inode image moves with the name and gets a new number; the old
+  // number dies with the source record.
+  ASSIGN_OR_RETURN(InodeData ino, GetInode(inum));
+  ino.parent = new_dir;
+  RETURN_IF_ERROR(AddEmbedded(new_dir, nd, new_name, &ino, grown).status());
+  NoteInodeGone(inum);
+  return OkStatus();
 }
 
 Result<FsSpaceInfo> CffsFileSystem::SpaceInfo() {

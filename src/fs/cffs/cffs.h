@@ -16,6 +16,10 @@
 //     inum = kEmbeddedBit | (block << 9) | (byte_offset / 8)
 //   Directory blocks never move and directory records never shift, so the
 //   number is stable until the entry itself is renamed or externalized.
+//   The namespace operations are FsBase's, written once over externalized
+//   inodes (the IFILE supplies NewInode and ReleaseInode); this class
+//   overrides one step of each (CreateStep, UnlinkStep, LinkStep,
+//   RenameStep) for embedded inodes and falls back to FsBase's for the rest.
 //
 // * Explicit grouping — the data blocks of small files created in the same
 //   directory are allocated inside a contiguous, aligned "group" extent and
@@ -90,13 +94,6 @@ class CffsFileSystem : public FsBase {
   std::string name() const override;
   InodeNum root() const override { return kRootSlot; }
 
-  Result<InodeNum> Create(InodeNum dir, std::string_view name) override;
-  Result<InodeNum> Mkdir(InodeNum dir, std::string_view name) override;
-  Status Unlink(InodeNum dir, std::string_view name) override;
-  Status Rmdir(InodeNum dir, std::string_view name) override;
-  Status Link(InodeNum dir, std::string_view name, InodeNum target) override;
-  Status Rename(InodeNum old_dir, std::string_view old_name,
-                InodeNum new_dir, std::string_view new_name) override;
   Result<FsSpaceInfo> SpaceInfo() override;
 
   Result<InodeData> LoadInode(InodeNum num) override;
@@ -124,12 +121,26 @@ class CffsFileSystem : public FsBase {
                              uint64_t size_hint_blocks) override;
   Result<uint32_t> AllocMetaBlock(InodeNum num, const InodeData& ino) override;
   Status FreeBlock(uint32_t bno) override;
+  Result<InodeNum> NewInode(InodeNum dir, FileType type,
+                            InodeData* ino) override;
+  Status ReleaseInode(InodeNum num) override;
   Status WriteSuperblock() override;
   Status PrepareDataRead(const InodeData& ino, uint32_t bno) override;
   Status AfterBlocksFreed(InodeNum num, InodeData* ino) override;
   uint64_t FlushUnitFor(InodeNum num, const InodeData& ino,
                         uint32_t bno) override;
   Result<uint32_t> InodeHomeBlock(InodeNum num) override;
+
+  // Embedded inodes; each falls back to FsBase's step for external ones.
+  Result<InodeNum> CreateStep(InodeNum dir, InodeData* d,
+                              std::string_view name, FileType type,
+                              bool* grown) override;
+  Status UnlinkStep(InodeNum dir, std::string_view name, const DirSlot& slot,
+                    InodeData* ino) override;
+  Status LinkStep(InodeNum dir, InodeData* d, std::string_view name,
+                  InodeNum target, InodeData* tino, bool* grown) override;
+  Status RenameStep(InodeNum inum, InodeNum new_dir, InodeData* nd,
+                    std::string_view new_name, bool* grown) override;
 
  private:
   CffsFileSystem(cache::BufferCache* cache, io::Readahead* readahead,
@@ -155,9 +166,12 @@ class CffsFileSystem : public FsBase {
   Status MigrateOutOfGroup(InodeNum num, InodeData* ino);
   Status ReleaseGroupIfIdle(uint32_t group_start, uint16_t group_len);
 
-  // Shared create path for embedded vs external files.
-  Result<InodeNum> CreateCommon(InodeNum dir, std::string_view name,
-                                FileType type);
+  // Adds an embedded record for `ino` to `dir`, encodes the image beside
+  // the name and writes the block once; returns the number, which encodes
+  // the image's place (create and rename).
+  Result<InodeNum> AddEmbedded(InodeNum dir, InodeData* d,
+                               std::string_view name, InodeData* ino,
+                               bool* grown);
 
   CffsOptions options_;
   uint32_t ncg_;

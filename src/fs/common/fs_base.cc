@@ -38,18 +38,7 @@ Status FsBase::MetaDirty(cache::BufferRef& ref, bool order_critical) {
   // cffs-lint: allow(dirty-no-annotation): this IS the annotation funnel;
   // callers emit the TraceMeta describing what the dirty block means.
   cache_->MarkDirty(ref);
-  if (order_critical && policy_ == MetadataPolicy::kSynchronous) {
-    ++op_stats_.sync_metadata_writes;
-    if (trace_) {
-      obs::TraceEvent e;
-      e.kind = obs::EventKind::kSyncMetaWrite;
-      e.ts_ns = NowNs();
-      e.a = ref->bno();
-      trace_->Record(e);
-    }
-    return cache_->SyncBlock(ref->bno());
-  }
-  return OkStatus();
+  return SyncMetaBlock(ref->bno(), order_critical);
 }
 
 Status FsBase::SyncMetaBlock(uint32_t bno, bool order_critical) {
@@ -594,12 +583,13 @@ Result<FsBase::DirSlot> FsBase::DirAdd(InodeNum dir_num, InodeData* dir,
   return slot;
 }
 
-Status FsBase::DirRemove(InodeNum dir_num, std::string_view name, uint32_t bno,
-                         uint16_t offset, InodeNum inum) {
-  ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(bno));
-  RETURN_IF_ERROR(RemoveDirEntry(buf.data(), offset));
+Status FsBase::DirRemove(InodeNum dir_num, std::string_view name,
+                         const DirSlot& slot) {
+  ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(slot.bno));
+  RETURN_IF_ERROR(RemoveDirEntry(buf.data(), slot.rec.offset));
   cache_->MarkDirty(buf);
-  TraceMeta(obs::MetaUpdateKind::kDentryRemove, bno, inum, dir_num);
+  TraceMeta(obs::MetaUpdateKind::kDentryRemove, slot.bno, slot.rec.inum,
+            dir_num);
   if (name_cache_enabled_) {
     name_cache_.dir_indexes.Remove(dir_num, name);
     // A lookup-after-unlink answers kNotFound without touching the
@@ -632,6 +622,190 @@ Result<bool> FsBase::DirIsEmpty(const InodeData& dir) {
     if (!DirBlockEmpty(buf.data())) return false;
   }
   return true;
+}
+
+// ---------------------------------------------------------------------------
+// Namespace operations.
+// ---------------------------------------------------------------------------
+
+Result<InodeNum> FsBase::Create(InodeNum dir, std::string_view name) {
+  ++op_stats_.creates;
+  OpScope scope(this, obs::FsOp::kCreate, dir);
+  return MakeNode(dir, name, FileType::kRegular);
+}
+
+Result<InodeNum> FsBase::Mkdir(InodeNum dir, std::string_view name) {
+  ++op_stats_.mkdirs;
+  OpScope scope(this, obs::FsOp::kMkdir, dir);
+  return MakeNode(dir, name, FileType::kDirectory);
+}
+
+Result<InodeNum> FsBase::MakeNode(InodeNum dir, std::string_view name,
+                                  FileType type) {
+  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
+  if (!d.is_dir()) {
+    return NotDirectory(type == FileType::kDirectory
+                            ? "mkdir in non-directory"
+                            : "create in non-directory");
+  }
+  if (DirFind(d, name).ok()) return Exists(std::string(name));
+  bool grown = false;
+  ASSIGN_OR_RETURN(const InodeNum inum,
+                   CreateStep(dir, &d, name, type, &grown));
+  // The directory grew: its inode (new block pointer, size) must reach the
+  // disk before the operation is durable.
+  if (grown) RETURN_IF_ERROR(StoreInode(dir, d, /*order_critical=*/true));
+  return inum;
+}
+
+Result<InodeNum> FsBase::CreateStep(InodeNum dir, InodeData* d,
+                                    std::string_view name, FileType type,
+                                    bool* grown) {
+  InodeData ino;
+  ASSIGN_OR_RETURN(const InodeNum inum, NewInode(dir, type, &ino));
+  RETURN_IF_ERROR(AddName(dir, d, name, inum, &ino, grown));
+  return inum;
+}
+
+InodeData FsBase::NewImage(InodeNum dir, FileType type, bool extents) const {
+  InodeData ino;
+  ino.type = type;
+  ino.nlink = 1;
+  if (extents) ino.flags |= kInodeFlagExtents;
+  ino.parent = dir;
+  ino.mtime_ns = MtimeNs();
+  return ino;
+}
+
+Status FsBase::AddName(InodeNum dir, InodeData* d, std::string_view name,
+                       InodeNum inum, const InodeData* ino, bool* grown) {
+  // The self-test mutation commits the name before the inode it names.
+  const bool defer =
+      ino != nullptr && mutation_ == OrderingMutation::kDeferInodeInit;
+  if (ino != nullptr && !defer) {
+    RETURN_IF_ERROR(StoreInode(inum, *ino, /*order_critical=*/true));
+  }
+  ASSIGN_OR_RETURN(DirSlot slot, DirAdd(dir, d, name, kExternalRecord, inum,
+                                        nullptr, grown));
+  RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
+  if (defer) RETURN_IF_ERROR(StoreInode(inum, *ino, /*order_critical=*/true));
+  return OkStatus();
+}
+
+Status FsBase::FreeAllBlocks(InodeNum num, InodeData* ino) {
+  MapHost host(this, num, ino);
+  RETURN_IF_ERROR(BmapTruncate(host, ino, 0));
+  return AfterBlocksFreed(num, ino);
+}
+
+Status FsBase::Unlink(InodeNum dir, std::string_view name) {
+  ++op_stats_.unlinks;
+  OpScope scope(this, obs::FsOp::kUnlink, dir);
+  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
+  if (!d.is_dir()) return NotDirectory("unlink in non-directory");
+  ASSIGN_OR_RETURN(DirSlot slot, DirFind(d, name));
+  ASSIGN_OR_RETURN(InodeData ino, GetInode(slot.rec.inum));
+  if (ino.is_dir()) return IsDirectory(std::string(name));
+  return UnlinkStep(dir, name, slot, &ino);
+}
+
+Status FsBase::UnlinkStep(InodeNum dir, std::string_view name,
+                          const DirSlot& slot, InodeData* ino) {
+  // Ordered update #1: remove the name before freeing the inode.
+  const InodeNum inum = slot.rec.inum;
+  RETURN_IF_ERROR(DirRemove(dir, name, slot));
+  RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
+  if (ino->nlink > 1) {
+    --ino->nlink;
+    return StoreInode(inum, *ino, /*order_critical=*/true);
+  }
+  // Free data; 4.4BSD's ffs_truncate writes the zero-length inode
+  // synchronously before the blocks are freed (ordered update #2), and
+  // ReleaseInode rewrites it once more (ordered update #3).
+  RETURN_IF_ERROR(FreeAllBlocks(inum, ino));
+  ino->size = 0;
+  RETURN_IF_ERROR(StoreInode(inum, *ino, /*order_critical=*/true));
+  return ReleaseInode(inum);
+}
+
+Status FsBase::Rmdir(InodeNum dir, std::string_view name) {
+  ++op_stats_.rmdirs;
+  OpScope scope(this, obs::FsOp::kRmdir, dir);
+  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
+  if (!d.is_dir()) return NotDirectory("rmdir in non-directory");
+  ASSIGN_OR_RETURN(DirSlot slot, DirFind(d, name));
+  const InodeNum inum = slot.rec.inum;
+  ASSIGN_OR_RETURN(InodeData ino, GetInode(inum));
+  if (!ino.is_dir()) return NotDirectory(std::string(name));
+  ASSIGN_OR_RETURN(bool empty, DirIsEmpty(ino));
+  if (!empty) return NotEmpty(std::string(name));
+
+  RETURN_IF_ERROR(DirRemove(dir, name, slot));
+  RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
+  RETURN_IF_ERROR(FreeAllBlocks(inum, &ino));
+  // The directory's number is free for reuse: drop every dentry and the
+  // index keyed under it.
+  NoteDirGone(inum);
+  return ReleaseInode(inum);
+}
+
+Status FsBase::Link(InodeNum dir, std::string_view name, InodeNum target) {
+  ++op_stats_.links;
+  OpScope scope(this, obs::FsOp::kLink, dir);
+  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
+  if (!d.is_dir()) return NotDirectory("link in non-directory");
+  if (DirFind(d, name).ok()) return Exists(std::string(name));
+  ASSIGN_OR_RETURN(InodeData tino, GetInode(target));
+  if (tino.is_dir()) return IsDirectory("hard link to directory");
+  bool grown = false;
+  RETURN_IF_ERROR(LinkStep(dir, &d, name, target, &tino, &grown));
+  if (grown) RETURN_IF_ERROR(StoreInode(dir, d, /*order_critical=*/true));
+  return OkStatus();
+}
+
+Status FsBase::LinkStep(InodeNum dir, InodeData* d, std::string_view name,
+                        InodeNum target, InodeData* tino, bool* grown) {
+  ++tino->nlink;
+  return AddName(dir, d, name, target, tino, grown);
+}
+
+Status FsBase::Rename(InodeNum old_dir, std::string_view old_name,
+                      InodeNum new_dir, std::string_view new_name) {
+  ++op_stats_.renames;
+  OpScope scope(this, obs::FsOp::kRename, old_dir);
+  ASSIGN_OR_RETURN(InodeData od, GetInode(old_dir));
+  if (!od.is_dir()) return NotDirectory("rename source dir");
+  ASSIGN_OR_RETURN(InodeData nd, GetInode(new_dir));
+  if (!nd.is_dir()) return NotDirectory("rename target dir");
+  ASSIGN_OR_RETURN(DirSlot src, DirFind(od, old_name));
+  if (DirFind(nd, new_name).ok()) return Exists(std::string(new_name));
+  const InodeNum inum = src.rec.inum;
+  {
+    ASSIGN_OR_RETURN(InodeData moved, GetInode(inum));
+    if (moved.is_dir()) RETURN_IF_ERROR(CheckRenameLoop(inum, new_dir));
+  }
+  // New name first (sync), then remove the old one — a crash in between
+  // leaves an extra link, never a lost file.
+  InodeData* nd_ptr = new_dir == old_dir ? &od : &nd;
+  bool grown = false;
+  RETURN_IF_ERROR(RenameStep(inum, new_dir, nd_ptr, new_name, &grown));
+  if (grown) {
+    RETURN_IF_ERROR(StoreInode(new_dir, *nd_ptr, /*order_critical=*/true));
+  }
+  // Re-find the source: the add may have reshaped blocks.
+  ASSIGN_OR_RETURN(InodeData od2, GetInode(old_dir));
+  ASSIGN_OR_RETURN(DirSlot src2, DirFind(od2, old_name));
+  RETURN_IF_ERROR(DirRemove(old_dir, old_name, src2));
+  return SyncMetaBlock(src2.bno, /*order_critical=*/true);
+}
+
+Status FsBase::RenameStep(InodeNum inum, InodeNum new_dir, InodeData* nd,
+                          std::string_view new_name, bool* grown) {
+  RETURN_IF_ERROR(AddName(new_dir, nd, new_name, inum, nullptr, grown));
+  ASSIGN_OR_RETURN(InodeData moved, GetInode(inum));
+  if (moved.parent == new_dir) return OkStatus();
+  moved.parent = new_dir;
+  return StoreInode(inum, moved, /*order_critical=*/false);
 }
 
 }  // namespace cffs::fs

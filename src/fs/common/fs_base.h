@@ -1,11 +1,13 @@
 // FsBase: shared implementation core for the conventional FFS and C-FFS.
 //
 // Both file systems share the directory block format, the block-mapping
-// logic and the read/write data paths; they differ in where inodes live
-// (static tables vs. embedded in directories / IFILE), in allocation policy
-// (plain cylinder-group vs. explicit grouping) and in which metadata writes
-// must be synchronous. Those differences are expressed through the
-// protected virtual hooks below.
+// logic, the read/write data paths and the namespace operations, written
+// once over externalized inodes with the conventional ordered synchronous
+// writes. They differ in where inodes live (static tables vs. embedded in
+// directories / IFILE) and in allocation policy (plain cylinder-group vs.
+// explicit grouping). Those differences are expressed through the
+// protected virtual hooks below; C-FFS's embedded inodes override one step
+// of each namespace operation.
 #ifndef CFFS_FS_COMMON_FS_BASE_H_
 #define CFFS_FS_COMMON_FS_BASE_H_
 
@@ -27,6 +29,13 @@ class FsBase : public FileSystem {
  public:
   // Common FileSystem operations.
   Result<InodeNum> Lookup(InodeNum dir, std::string_view name) override;
+  Result<InodeNum> Create(InodeNum dir, std::string_view name) final;
+  Result<InodeNum> Mkdir(InodeNum dir, std::string_view name) final;
+  Status Unlink(InodeNum dir, std::string_view name) final;
+  Status Rmdir(InodeNum dir, std::string_view name) final;
+  Status Link(InodeNum dir, std::string_view name, InodeNum target) final;
+  Status Rename(InodeNum old_dir, std::string_view old_name, InodeNum new_dir,
+                std::string_view new_name) final;
   Result<std::vector<DirEntryInfo>> ReadDir(InodeNum dir) override;
   Result<uint64_t> Read(InodeNum ino, uint64_t off,
                         std::span<uint8_t> out) override;
@@ -59,9 +68,9 @@ class FsBase : public FileSystem {
   // real configuration.
   enum class OrderingMutation : uint8_t {
     kNone,
-    // FFS create writes the dirent before the inode it names — the exact
-    // corruption window the paper's rule #1 (and soft updates) exists to
-    // prevent.
+    // Inode-before-name writes (create, mkdir, link of an external inode)
+    // commit the dirent before the inode it names — the exact corruption
+    // window the paper's rule #1 (and soft updates) exists to prevent.
     kDeferInodeInit,
   };
   void set_ordering_mutation_for_test(OrderingMutation m) { mutation_ = m; }
@@ -128,6 +137,15 @@ class FsBase : public FileSystem {
   virtual Result<uint32_t> AllocMetaBlock(InodeNum num, const InodeData& ino) = 0;
   virtual Status FreeBlock(uint32_t bno) = 0;
 
+  // A fresh externalized inode for a new name in `dir`: returns its number
+  // and sets *ino to its image (NewImage, `self` set). FFS takes a bit in
+  // its inode bitmap, C-FFS an IFILE slot.
+  virtual Result<InodeNum> NewInode(InodeNum dir, FileType type,
+                                    InodeData* ino) = 0;
+  // Releases a dead externalized inode: writes its cleared image (order-
+  // critical), then frees the number (FFS's bitmap bit, C-FFS's slot).
+  virtual Status ReleaseInode(InodeNum num) = 0;
+
   // Encodes the superblock into the cache (dirty; Sync writes it out).
   virtual Status WriteSuperblock() = 0;
 
@@ -145,8 +163,8 @@ class FsBase : public FileSystem {
     return OkStatus();
   }
 
-  // Called after blocks were freed from `ino` (truncate/unlink) so C-FFS
-  // can release an idle group extent.
+  // Called after blocks were freed from `ino` (truncate, unlink, rmdir) so
+  // C-FFS can release an idle group extent.
   virtual Status AfterBlocksFreed(InodeNum num, InodeData* ino) {
     (void)num;
     (void)ino;
@@ -166,9 +184,8 @@ class FsBase : public FileSystem {
   // --- shared machinery ---
 
   // RAII scope around one public operation: it opens the op's span and, on
-  // destruction, closes it and emits a kFsOp trace event. Concrete file
-  // systems open one at the top of the operations they implement
-  // themselves (Create/Mkdir/Unlink/Sync).
+  // destruction, closes it and emits a kFsOp trace event. Opened at the top
+  // of every public operation but ReadDir, GetAttr and SpaceInfo.
   class OpScope {
    public:
     OpScope(FsBase* fs, obs::FsOp op, InodeNum ino = kInvalidInode)
@@ -276,14 +293,14 @@ class FsBase : public FileSystem {
                          std::string_view name, uint8_t kind, InodeNum inum,
                          const InodeData* embedded, bool* dir_dirtied);
 
-  // Removes the record for `name` at (bno, offset); marks the block dirty.
+  // Removes the record `slot` found for `name`; marks the block dirty.
   // Maintains the directory index and installs a NEGATIVE dentry so a
   // lookup-after-unlink answers kNotFound without touching the directory.
-  // `inum` is the inode the record named — carried on the kDentryRemove
-  // ordering annotation so the checker can pair the removal with the
-  // subsequent inode/block frees of the same operation.
-  Status DirRemove(InodeNum dir_num, std::string_view name, uint32_t bno,
-                   uint16_t offset, InodeNum inum);
+  // The inode the record named is carried on the kDentryRemove ordering
+  // annotation so the checker can pair the removal with the subsequent
+  // inode/block frees of the same operation.
+  Status DirRemove(InodeNum dir_num, std::string_view name,
+                   const DirSlot& slot);
 
   Result<bool> DirIsEmpty(const InodeData& dir);
 
@@ -293,6 +310,45 @@ class FsBase : public FileSystem {
 
   // Write-through one metadata block if the policy demands it.
   Status SyncMetaBlock(uint32_t bno, bool order_critical);
+
+  // --- the namespace operations' steps ---
+  //
+  // Each operation checks its arguments, then runs its one step that
+  // depends on where the inode lives. The defaults are the conventional
+  // ordered writes over an externalized inode; C-FFS overrides each for
+  // embedded inodes and falls back to these for external ones. *grown is
+  // set when the directory `d` gaining a name gained a block; the operation
+  // then stores `d` (order-critical) once the step is done.
+
+  // Create and mkdir: a fresh inode (NewInode), then its name (AddName).
+  virtual Result<InodeNum> CreateStep(InodeNum dir, InodeData* d,
+                                      std::string_view name, FileType type,
+                                      bool* grown);
+  // Unlink of `ino`, named by `slot`: the name goes first; a last link
+  // then writes the zero-length inode and releases it.
+  virtual Status UnlinkStep(InodeNum dir, std::string_view name,
+                            const DirSlot& slot, InodeData* ino);
+  // Link: the target's raised link count, then the new name.
+  virtual Status LinkStep(InodeNum dir, InodeData* d, std::string_view name,
+                          InodeNum target, InodeData* tino, bool* grown);
+  // Rename: the new name for `inum` in new_dir (the old name goes after),
+  // then the moved inode's parent.
+  virtual Status RenameStep(InodeNum inum, InodeNum new_dir, InodeData* nd,
+                            std::string_view new_name, bool* grown);
+
+  // A new inode's image: one link, named in `dir`, stamped now, mapped with
+  // extents when `extents`; `self` is the caller's to set.
+  InodeData NewImage(InodeNum dir, FileType type, bool extents) const;
+
+  // Adds an external record naming `inum` to `dir` and writes its block.
+  // With `ino`, the inode's image is stored first: inode before name, so a
+  // crash between the two writes leaves an unnamed inode, never a name
+  // without one.
+  Status AddName(InodeNum dir, InodeData* d, std::string_view name,
+                 InodeNum inum, const InodeData* ino, bool* grown);
+
+  // Truncates `ino` to no blocks, then lets AfterBlocksFreed run.
+  Status FreeAllBlocks(InodeNum num, InodeData* ino);
 
   // Emits one kMetaUpdate ordering annotation: the mutation of `kind`
   // about `subject` now sits dirty in cached block `home_bno`. See
@@ -329,6 +385,9 @@ class FsBase : public FileSystem {
   // linear scan" (index disabled, unbuildable, or found stale).
   Result<DirSlot> DirFindIndexed(const InodeData& dir, std::string_view name);
   void TraceDentry(InodeNum dir, bool hit, bool negative);
+  // Create and Mkdir after the op's scope is open.
+  Result<InodeNum> MakeNode(InodeNum dir, std::string_view name,
+                            FileType type);
 
   NameCache name_cache_;
   bool name_cache_enabled_ = true;

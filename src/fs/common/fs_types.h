@@ -72,6 +72,9 @@ struct FsOpStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
   uint64_t mkdirs = 0;
+  uint64_t rmdirs = 0;
+  uint64_t links = 0;
+  uint64_t renames = 0;
   uint64_t sync_metadata_writes = 0;  // synchronous writes actually issued
   uint64_t group_reads = 0;           // C-FFS group fetches triggered
 

@@ -112,13 +112,9 @@ Result<std::unique_ptr<FfsFileSystem>> FfsFileSystem::Format(
     // cffs-lint: allow(dirty-no-annotation): mkfs-time formatting.
     cache->MarkDirty(bm);
   }
-  InodeData root;
-  root.type = FileType::kDirectory;
-  root.nlink = 1;
-  if (params.extent_alloc) root.flags |= kInodeFlagExtents;
+  InodeData root =
+      fs->NewImage(kRootInum, FileType::kDirectory, params.extent_alloc);
   root.self = kRootInum;
-  root.parent = kRootInum;
-  root.mtime_ns = clock->now().nanos();
   RETURN_IF_ERROR(fs->StoreInode(kRootInum, root, /*order_critical=*/false));
 
   RETURN_IF_ERROR(fs->WriteSuperblock());
@@ -241,8 +237,12 @@ Result<bool> FfsFileSystem::InodeIsAllocated(InodeNum num) {
   return BitGet(bm.data(), slot);
 }
 
-Result<InodeNum> FfsFileSystem::AllocInode(InodeNum dir_num, bool is_dir) {
-  const uint32_t home = is_dir ? (dir_rotor_++ % ncg_) : CgOfInode(dir_num);
+Result<InodeNum> FfsFileSystem::NewInode(InodeNum dir, FileType type,
+                                         InodeData* ino) {
+  // Directories round-robin across cylinder groups, files go in the same
+  // group as their directory (the FFS policy).
+  const uint32_t home =
+      type == FileType::kDirectory ? (dir_rotor_++ % ncg_) : CgOfInode(dir);
   for (uint32_t n = 0; n < ncg_; ++n) {
     const uint32_t cg = (home + n) % ncg_;
     ASSIGN_OR_RETURN(cache::BufferRef bm, cache_->Get(InodeBitmapBlock(cg)));
@@ -255,12 +255,17 @@ Result<InodeNum> FfsFileSystem::AllocInode(InodeNum dir_num, bool is_dir) {
     const InodeNum num =
         1 + static_cast<uint64_t>(cg) * params_.inodes_per_cg + *slot;
     TraceMeta(obs::MetaUpdateKind::kInodeMapUpdate, InodeBitmapBlock(cg), num);
+    *ino = NewImage(dir, type, params_.extent_alloc);
+    ino->self = num;
     return num;
   }
   return NoSpace("out of inodes");
 }
 
-Status FfsFileSystem::FreeInode(InodeNum num) {
+Status FfsFileSystem::ReleaseInode(InodeNum num) {
+  InodeData cleared;
+  cleared.self = num;
+  RETURN_IF_ERROR(StoreInode(num, cleared, /*order_critical=*/true));
   const uint64_t idx0 = num - 1;
   const uint32_t cg = static_cast<uint32_t>(idx0 / params_.inodes_per_cg);
   const uint32_t slot = static_cast<uint32_t>(idx0 % params_.inodes_per_cg);
@@ -297,202 +302,6 @@ Result<uint32_t> FfsFileSystem::AllocMetaBlock(InodeNum num,
 }
 
 Status FfsFileSystem::FreeBlock(uint32_t bno) { return alloc_->Free(bno); }
-
-Result<InodeNum> FfsFileSystem::Create(InodeNum dir, std::string_view name) {
-  ++op_stats_.creates;
-  OpScope scope(this, obs::FsOp::kCreate, dir);
-  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
-  if (!d.is_dir()) return NotDirectory("create in non-directory");
-  if (DirFind(d, name).ok()) return Exists(std::string(name));
-
-  ASSIGN_OR_RETURN(InodeNum inum, AllocInode(dir, /*is_dir=*/false));
-  InodeData ino;
-  ino.type = FileType::kRegular;
-  ino.nlink = 1;
-  if (params_.extent_alloc) ino.flags |= kInodeFlagExtents;
-  ino.self = inum;
-  ino.parent = dir;
-  ino.mtime_ns = MtimeNs();
-
-  if (ordering_mutation() == OrderingMutation::kDeferInodeInit) {
-    // Self-test mutation: commit the name FIRST, then the inode — the
-    // broken ordering the analyzer must flag (rule R-CREATE). A crash
-    // between the two writes leaves a name pointing at a free inode.
-    bool dir_dirty = false;
-    ASSIGN_OR_RETURN(DirSlot slot, DirAdd(dir, &d, name, kExternalRecord,
-                                          inum, nullptr, &dir_dirty));
-    RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-    RETURN_IF_ERROR(StoreInode(inum, ino, /*order_critical=*/true));
-    if (dir_dirty) {
-      RETURN_IF_ERROR(StoreInode(dir, d, /*order_critical=*/true));
-    }
-    return inum;
-  }
-
-  // Ordered update #1: the inode must be on disk before the name that
-  // references it.
-  RETURN_IF_ERROR(StoreInode(inum, ino, /*order_critical=*/true));
-
-  bool dir_dirty = false;
-  ASSIGN_OR_RETURN(DirSlot slot, DirAdd(dir, &d, name, kExternalRecord, inum,
-                                        nullptr, &dir_dirty));
-  // Ordered update #2: the directory block.
-  RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-  if (dir_dirty) {
-    // The directory grew: its inode (new block pointer, size) must reach
-    // the disk before the operation is durable.
-    RETURN_IF_ERROR(StoreInode(dir, d, /*order_critical=*/true));
-  }
-  return inum;
-}
-
-Result<InodeNum> FfsFileSystem::Mkdir(InodeNum dir, std::string_view name) {
-  ++op_stats_.mkdirs;
-  OpScope scope(this, obs::FsOp::kMkdir, dir);
-  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
-  if (!d.is_dir()) return NotDirectory("mkdir in non-directory");
-  if (DirFind(d, name).ok()) return Exists(std::string(name));
-
-  ASSIGN_OR_RETURN(InodeNum inum, AllocInode(dir, /*is_dir=*/true));
-  InodeData ino;
-  ino.type = FileType::kDirectory;
-  ino.nlink = 1;
-  if (params_.extent_alloc) ino.flags |= kInodeFlagExtents;
-  ino.self = inum;
-  ino.parent = dir;
-  ino.mtime_ns = MtimeNs();
-  RETURN_IF_ERROR(StoreInode(inum, ino, /*order_critical=*/true));
-
-  bool dir_dirty = false;
-  ASSIGN_OR_RETURN(DirSlot slot, DirAdd(dir, &d, name, kExternalRecord, inum,
-                                        nullptr, &dir_dirty));
-  RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-  if (dir_dirty) {
-    // The directory grew: its inode (new block pointer, size) must reach
-    // the disk before the operation is durable.
-    RETURN_IF_ERROR(StoreInode(dir, d, /*order_critical=*/true));
-  }
-  return inum;
-}
-
-Status FfsFileSystem::Unlink(InodeNum dir, std::string_view name) {
-  ++op_stats_.unlinks;
-  OpScope scope(this, obs::FsOp::kUnlink, dir);
-  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
-  if (!d.is_dir()) return NotDirectory("unlink in non-directory");
-  ASSIGN_OR_RETURN(DirSlot slot, DirFind(d, name));
-  const InodeNum inum = slot.rec.inum;
-  ASSIGN_OR_RETURN(InodeData ino, GetInode(inum));
-  if (ino.is_dir()) return IsDirectory(std::string(name));
-
-  // Ordered update #1: remove the name before freeing the inode.
-  RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
-  RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-
-  if (ino.nlink > 1) {
-    --ino.nlink;
-    return StoreInode(inum, ino, /*order_critical=*/true);
-  }
-  // Free data; 4.4BSD's ffs_truncate writes the zero-length inode
-  // synchronously before the blocks are freed (ordered update #2)...
-  MapHost host(this, inum, &ino);
-  RETURN_IF_ERROR(BmapTruncate(host, &ino, 0));
-  ino.size = 0;
-  RETURN_IF_ERROR(StoreInode(inum, ino, /*order_critical=*/true));
-  // ...and inode deallocation rewrites it once more (ordered update #3).
-  InodeData cleared;
-  cleared.self = inum;
-  RETURN_IF_ERROR(StoreInode(inum, cleared, /*order_critical=*/true));
-  return FreeInode(inum);
-}
-
-Status FfsFileSystem::Rmdir(InodeNum dir, std::string_view name) {
-  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
-  if (!d.is_dir()) return NotDirectory("rmdir in non-directory");
-  ASSIGN_OR_RETURN(DirSlot slot, DirFind(d, name));
-  const InodeNum inum = slot.rec.inum;
-  ASSIGN_OR_RETURN(InodeData ino, GetInode(inum));
-  if (!ino.is_dir()) return NotDirectory(std::string(name));
-  ASSIGN_OR_RETURN(bool empty, DirIsEmpty(ino));
-  if (!empty) return NotEmpty(std::string(name));
-
-  RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
-  RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-
-  MapHost host(this, inum, &ino);
-  RETURN_IF_ERROR(BmapTruncate(host, &ino, 0));
-  InodeData cleared;
-  cleared.self = inum;
-  RETURN_IF_ERROR(StoreInode(inum, cleared, /*order_critical=*/true));
-  // The directory's inum is free for reuse: drop every dentry and the
-  // index keyed under it.
-  NoteDirGone(inum);
-  return FreeInode(inum);
-}
-
-Status FfsFileSystem::Link(InodeNum dir, std::string_view name,
-                           InodeNum target) {
-  ASSIGN_OR_RETURN(InodeData d, GetInode(dir));
-  if (!d.is_dir()) return NotDirectory("link in non-directory");
-  if (DirFind(d, name).ok()) return Exists(std::string(name));
-  ASSIGN_OR_RETURN(InodeData tino, GetInode(target));
-  if (tino.is_dir()) return IsDirectory("hard link to directory");
-
-  ++tino.nlink;
-  // Inode (with the higher link count) goes to disk before the new name.
-  RETURN_IF_ERROR(StoreInode(target, tino, /*order_critical=*/true));
-  bool dir_dirty = false;
-  ASSIGN_OR_RETURN(DirSlot slot, DirAdd(dir, &d, name, kExternalRecord,
-                                        target, nullptr, &dir_dirty));
-  RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
-  if (dir_dirty) {
-    // The directory grew: its inode (new block pointer, size) must reach
-    // the disk before the operation is durable.
-    RETURN_IF_ERROR(StoreInode(dir, d, /*order_critical=*/true));
-  }
-  return OkStatus();
-}
-
-Status FfsFileSystem::Rename(InodeNum old_dir, std::string_view old_name,
-                             InodeNum new_dir, std::string_view new_name) {
-  ASSIGN_OR_RETURN(InodeData od, GetInode(old_dir));
-  if (!od.is_dir()) return NotDirectory("rename source dir");
-  ASSIGN_OR_RETURN(InodeData nd, GetInode(new_dir));
-  if (!nd.is_dir()) return NotDirectory("rename target dir");
-  ASSIGN_OR_RETURN(DirSlot src, DirFind(od, old_name));
-  if (DirFind(nd, new_name).ok()) return Exists(std::string(new_name));
-
-  const InodeNum inum = src.rec.inum;
-  {
-    ASSIGN_OR_RETURN(InodeData moved, GetInode(inum));
-    if (moved.is_dir()) RETURN_IF_ERROR(CheckRenameLoop(inum, new_dir));
-  }
-  // New name first (sync), then remove the old one — a crash in between
-  // leaves an extra link, never a lost file.
-  InodeData* nd_ptr = (new_dir == old_dir) ? &od : &nd;
-  bool dir_dirty = false;
-  ASSIGN_OR_RETURN(DirSlot dst, DirAdd(new_dir, nd_ptr, new_name,
-                                       kExternalRecord, inum, nullptr,
-                                       &dir_dirty));
-  RETURN_IF_ERROR(SyncMetaBlock(dst.bno, /*order_critical=*/true));
-  if (dir_dirty) {
-    RETURN_IF_ERROR(StoreInode(new_dir, *nd_ptr, /*order_critical=*/true));
-  }
-  // Re-find the source: DirAdd may have changed the source block if the
-  // two directories are the same.
-  ASSIGN_OR_RETURN(InodeData od2, GetInode(old_dir));
-  ASSIGN_OR_RETURN(DirSlot src2, DirFind(od2, old_name));
-  RETURN_IF_ERROR(DirRemove(old_dir, old_name, src2.bno, src2.rec.offset,
-                            inum));
-  RETURN_IF_ERROR(SyncMetaBlock(src2.bno, /*order_critical=*/true));
-
-  ASSIGN_OR_RETURN(InodeData moved, GetInode(inum));
-  if (moved.is_dir() && moved.parent != new_dir) {
-    moved.parent = new_dir;
-    RETURN_IF_ERROR(StoreInode(inum, moved, /*order_critical=*/false));
-  }
-  return OkStatus();
-}
 
 Result<FsSpaceInfo> FfsFileSystem::SpaceInfo() {
   FsSpaceInfo info;

@@ -1,12 +1,13 @@
 // Conventional FFS-like file system — the paper's baseline.
 //
 // Inodes live in static per-cylinder-group tables ("static
-// (over-)allocation of inodes" [Forin94]); directory entries carry inode
-// numbers; metadata integrity is maintained with the classic ordered
-// synchronous writes:
+// (over-)allocation of inodes" [Forin94]), found through a per-group inode
+// bitmap; directory entries carry inode numbers. The namespace operations
+// and their classic ordered synchronous writes are FsBase's:
 //   create: initialize inode (sync), then add directory entry (sync);
 //   remove: delete directory entry (sync), then free inode (sync);
-// free-bitmap and indirect-block updates are delayed, as in FFS. There is
+// this class supplies only where an inode lives (NewInode, ReleaseInode).
+// Free-bitmap and indirect-block updates are delayed, as in FFS. There is
 // no explicit grouping: data blocks are allocated in the file's cylinder
 // group near related objects — locality, not adjacency.
 //
@@ -57,13 +58,6 @@ class FfsFileSystem : public FsBase {
   std::string name() const override { return "ffs"; }
   InodeNum root() const override { return kRootInum; }
 
-  Result<InodeNum> Create(InodeNum dir, std::string_view name) override;
-  Result<InodeNum> Mkdir(InodeNum dir, std::string_view name) override;
-  Status Unlink(InodeNum dir, std::string_view name) override;
-  Status Rmdir(InodeNum dir, std::string_view name) override;
-  Status Link(InodeNum dir, std::string_view name, InodeNum target) override;
-  Status Rename(InodeNum old_dir, std::string_view old_name,
-                InodeNum new_dir, std::string_view new_name) override;
   Result<FsSpaceInfo> SpaceInfo() override;
 
   Result<InodeData> LoadInode(InodeNum num) override;
@@ -86,6 +80,9 @@ class FfsFileSystem : public FsBase {
                              uint64_t size_hint_blocks) override;
   Result<uint32_t> AllocMetaBlock(InodeNum num, const InodeData& ino) override;
   Status FreeBlock(uint32_t bno) override;
+  Result<InodeNum> NewInode(InodeNum dir, FileType type,
+                            InodeData* ino) override;
+  Status ReleaseInode(InodeNum num) override;
   Status WriteSuperblock() override;
   Result<uint32_t> InodeHomeBlock(InodeNum num) override;
 
@@ -102,11 +99,6 @@ class FfsFileSystem : public FsBase {
   uint32_t CgOfInode(InodeNum num) const {
     return static_cast<uint32_t>((num - 1) / params_.inodes_per_cg);
   }
-
-  // Allocates an inode: directories round-robin across cylinder groups,
-  // files in the same group as their directory (the FFS policy).
-  Result<InodeNum> AllocInode(InodeNum dir_num, bool is_dir);
-  Status FreeInode(InodeNum num);
 
   std::vector<CgLayout> MakeLayouts() const;
 

@@ -55,13 +55,4 @@ void TimeSeriesSampler::Reset(int64_t now_ns) {
   last_ns_ = now_ns;
 }
 
-Json TimeSeriesSampler::ToJson() const {
-  Json j = Json::Object();
-  j.Set("interval_ns", interval_.nanos());
-  Json rows = Json::Array();
-  for (const TimeSample& s : samples_) rows.Push(obs::ToJson(s));
-  j.Set("samples", std::move(rows));
-  return j;
-}
-
 }  // namespace cffs::obs

@@ -59,15 +59,12 @@ class TimeSeriesSampler {
 
   const std::vector<TimeSample>& samples() const { return samples_; }
   SimTime interval() const { return interval_; }
-  int64_t last_sample_ns() const { return last_ns_; }
 
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
   // Drops the series and re-arms the next sample `interval` after
   // `now_ns`. The interval keeps any decimation-doubled value.
   void Reset(int64_t now_ns);
-
-  Json ToJson() const;
 
  private:
   SimTime interval_;

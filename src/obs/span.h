@@ -112,7 +112,7 @@ struct OpContext {
 };
 
 // Ops with per-type aggregates: every FsOp except kOther.
-inline constexpr int kTrackedOps = 8;
+inline constexpr int kTrackedOps = 11;
 // Index into PhaseBreakdown::per_op, or -1 for untracked (kOther).
 int TrackedOpIndex(FsOp op);
 FsOp TrackedOpAt(int index);

@@ -39,6 +39,9 @@ const char* FsOpName(FsOp op) {
     case FsOp::kMkdir: return "mkdir";
     case FsOp::kUnlink: return "unlink";
     case FsOp::kTruncate: return "truncate";
+    case FsOp::kRmdir: return "rmdir";
+    case FsOp::kLink: return "link";
+    case FsOp::kRename: return "rename";
     case FsOp::kOther: return "op";
   }
   return "op";
@@ -365,9 +368,9 @@ std::string TraceRecorder::ToChromeJson() const {
 
 namespace {
 
-// The record format stores an event kind by its number, so the version
-// changes whenever EventKind is renumbered.
-constexpr char kRecordFormat[] = "cffs-trace-v2";
+// The record format stores an event kind and an fs op by their numbers, so
+// the version changes whenever EventKind or FsOp is renumbered.
+constexpr char kRecordFormat[] = "cffs-trace-v3";
 
 // Record-format field order. Every field is written even when zero so the
 // schema stays self-describing; Parse tolerates missing keys (default 0).
@@ -468,7 +471,7 @@ Result<TraceRecorder> TraceRecorder::FromRecordJson(std::string_view text) {
   if (format->as_string() != kRecordFormat) {
     return InvalidArgument("trace dump format " + format->as_string() +
                            " is not " + kRecordFormat +
-                           ": event kinds are numbered differently");
+                           ": event kinds or fs ops are numbered differently");
   }
   const Json* events = doc.Find("events");
   if (events == nullptr || !events->is_array()) {

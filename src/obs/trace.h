@@ -102,6 +102,9 @@ enum class FsOp : uint8_t {
   kMkdir,
   kUnlink,
   kTruncate,
+  kRmdir,
+  kLink,
+  kRename,
   kOther,
 };
 
@@ -160,7 +163,7 @@ class TraceRecorder {
   // perfetto and chrome://tracing. `ts` is microseconds of simulated time.
   std::string ToChromeJson() const;
 
-  // Lossless record-format JSON (cffs-trace-v2): every TraceEvent field
+  // Lossless record-format JSON (cffs-trace-v3): every TraceEvent field
   // serialized verbatim, so a dumped trace can be re-loaded and fed to the
   // offline analyzers (tools/cffs_ordercheck). Chrome JSON is for humans;
   // this is for machines.
@@ -169,8 +172,8 @@ class TraceRecorder {
   // Parses ToRecordJson output back into the event stream. The returned
   // recorder's capacity is max(event count, 1) and dropped() reflects the
   // drop count recorded at dump time. A dump of any other format version
-  // (cffs-trace-v1 numbered its event kinds differently) is
-  // InvalidArgument, naming the version.
+  // (cffs-trace-v1 numbered its event kinds differently, cffs-trace-v2 its
+  // fs ops) is InvalidArgument, naming the version.
   static Result<TraceRecorder> FromRecordJson(std::string_view text);
 
  private:

@@ -20,6 +20,9 @@ Json ToJson(const fs::FsOpStats& s) {
   j.Set("reads", s.reads);
   j.Set("writes", s.writes);
   j.Set("mkdirs", s.mkdirs);
+  j.Set("rmdirs", s.rmdirs);
+  j.Set("links", s.links);
+  j.Set("renames", s.renames);
   j.Set("sync_metadata_writes", s.sync_metadata_writes);
   j.Set("group_reads", s.group_reads);
   j.Set("dentry_hits", s.dentry_hits);
@@ -295,6 +298,9 @@ std::vector<std::string> MetricsSnapshot::CheckInvariants() const {
         {"write", obs::FsOp::kWrite, fs_ops.writes},
         {"mkdir", obs::FsOp::kMkdir, fs_ops.mkdirs},
         {"unlink", obs::FsOp::kUnlink, fs_ops.unlinks},
+        {"rmdir", obs::FsOp::kRmdir, fs_ops.rmdirs},
+        {"link", obs::FsOp::kLink, fs_ops.links},
+        {"rename", obs::FsOp::kRename, fs_ops.renames},
     };
     for (const auto& p : span_pairs) {
       const uint64_t span_count = spans.ForOp(p.op)->count();

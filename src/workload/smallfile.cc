@@ -118,7 +118,7 @@ Result<SmallFileResult> RunSmallFile(sim::SimEnv* env,
     RETURN_IF_ERROR(env->fs()->Sync());
     result.phases.push_back(rec.Finish(params.num_files));
   }
-  if (params.cold_between_phases) RETURN_IF_ERROR(env->ColdCache());
+  RETURN_IF_ERROR(env->ColdCache());
 
   // Phase 2: read in the same order.
   {
@@ -133,7 +133,7 @@ Result<SmallFileResult> RunSmallFile(sim::SimEnv* env,
     }
     result.phases.push_back(rec.Finish(params.num_files));
   }
-  if (params.cold_between_phases) RETURN_IF_ERROR(env->ColdCache());
+  RETURN_IF_ERROR(env->ColdCache());
 
   // Phase 3: overwrite in the same order.
   {
@@ -148,7 +148,7 @@ Result<SmallFileResult> RunSmallFile(sim::SimEnv* env,
     RETURN_IF_ERROR(env->fs()->Sync());
     result.phases.push_back(rec.Finish(params.num_files));
   }
-  if (params.cold_between_phases) RETURN_IF_ERROR(env->ColdCache());
+  RETURN_IF_ERROR(env->ColdCache());
 
   // Phase 4: remove in the same order.
   {

@@ -22,7 +22,6 @@ struct SmallFileParams {
   uint32_t num_files = 10000;
   uint32_t file_bytes = 1024;
   uint32_t num_dirs = 100;       // files spread round-robin-free: dir-major
-  bool cold_between_phases = true;
   uint64_t seed = 42;            // payload generation
 };
 

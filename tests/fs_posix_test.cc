@@ -241,6 +241,12 @@ TEST_P(PosixTest, RenameAcrossDirectories) {
   ASSERT_TRUE(fs()->Rename(*d1, "f", *d2, "f2").ok());
   EXPECT_FALSE(path().Resolve("/d1/f").ok());
   EXPECT_EQ(*path().ReadFile("/d2/f2"), Bytes("move me"));
+  // The moved file's inode names its new directory as its parent.
+  auto moved = path().Resolve("/d2/f2");
+  ASSERT_TRUE(moved.ok());
+  auto ino = env_->fs_base()->LoadInode(*moved);
+  ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+  EXPECT_EQ(ino->parent, *d2);
 }
 
 TEST_P(PosixTest, RenameDirectoryUpdatesParent) {
@@ -463,6 +469,59 @@ TEST_P(PosixTest, SyncThenRemountPreservesEverything) {
   EXPECT_EQ(*env_->path().ReadFile("/x/y/one"), Bytes("1"));
   EXPECT_EQ(*env_->path().ReadFile("/x/alias"), Bytes("22"));
   EXPECT_EQ(env_->fs()->GetAttr(*env_->path().Resolve("/x/two"))->nlink, 2u);
+}
+
+// The ordered synchronous metadata writes of each namespace operation, on
+// a synchronous-metadata machine with /a holding file f and /b empty. The
+// columns are ffs, conventional and c-ffs: C-FFS writes an embedded
+// file's name and inode together, and externalizes it on its first link.
+TEST(NamespaceSyncWritesTest, OrderedWritesPerOperation) {
+  const FsKind kinds[] = {FsKind::kFfs, FsKind::kConventional, FsKind::kCffs};
+  struct Step {
+    const char* op;
+    int writes[3];
+  };
+  const Step steps[] = {
+      {"mkdir /a/d", {2, 2, 2}},
+      {"create /a/g", {2, 2, 1}},
+      {"link /b/g2 to /a/g", {3, 3, 4}},  // /b grows: its inode too
+      {"rename /a/f to /b/f", {2, 2, 2}},
+      {"unlink /b/g2", {2, 2, 2}},  // /a/g keeps a link
+      {"unlink /b/f", {3, 3, 1}},
+      {"rmdir /a/d", {2, 2, 2}},
+  };
+  for (int k = 0; k < 3; ++k) {
+    sim::SimConfig config;
+    config.disk_spec = disk::TestDisk(512, 4, 64);
+    config.blocks_per_cg = 1024;
+    auto env_or = sim::SimEnv::Create(kinds[k], config);
+    ASSERT_TRUE(env_or.ok()) << env_or.status().ToString();
+    sim::SimEnv& env = **env_or;
+    fs::PathOps& p = env.path();
+    ASSERT_TRUE(p.MkdirAll("/a").ok());
+    ASSERT_TRUE(p.MkdirAll("/b").ok());
+    ASSERT_TRUE(p.WriteFile("/a/f", std::vector<uint8_t>(1024, 7)).ok());
+    const fs::InodeNum a = *p.Resolve("/a");
+    const fs::InodeNum b = *p.Resolve("/b");
+    const auto run = [&](int i) -> Status {
+      switch (i) {
+        case 0: return p.Mkdir("/a/d").status();
+        case 1: return p.CreateFile("/a/g").status();
+        case 2: return env.fs()->Link(b, "g2", *p.Resolve("/a/g"));
+        case 3: return p.Rename("/a/f", "/b/f");
+        case 4: return p.Unlink("/b/g2");
+        case 5: return p.Unlink("/b/f");
+        default: return env.fs()->Rmdir(a, "d");
+      }
+    };
+    for (int i = 0; i < static_cast<int>(std::size(steps)); ++i) {
+      const uint64_t before = env.fs()->op_stats().sync_metadata_writes;
+      ASSERT_TRUE(run(i).ok()) << steps[i].op;
+      EXPECT_EQ(env.fs()->op_stats().sync_metadata_writes - before,
+                static_cast<uint64_t>(steps[i].writes[k]))
+          << sim::FsKindName(kinds[k]) << ": " << steps[i].op;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

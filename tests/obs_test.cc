@@ -97,19 +97,23 @@ TEST(TraceRecorderTest, ClearEmptiesButKeepsCapacity) {
 
 TEST(TraceRecorderTest, RecordJsonOfAnOlderFormatIsRejectedByVersion) {
   // cffs-trace-v1 numbered the event kinds differently (it still had
-  // kGroupRead), so reading one as v2 would misfile every later kind.
-  const auto v1 = obs::TraceRecorder::FromRecordJson(
-      R"({"format":"cffs-trace-v1","dropped":0,"events":[]})");
-  ASSERT_FALSE(v1.ok());
-  EXPECT_EQ(v1.status().code(), ErrorCode::kInvalidArgument);
-  EXPECT_NE(v1.status().ToString().find("cffs-trace-v1"), std::string::npos)
-      << v1.status().ToString();
+  // kGroupRead), and cffs-trace-v2 the fs ops (kOther came right after
+  // kTruncate), so reading either as v3 would misfile kinds or ops.
+  for (const char* old : {"cffs-trace-v1", "cffs-trace-v2"}) {
+    const auto dump = obs::TraceRecorder::FromRecordJson(
+        std::string(R"({"format":")") + old +
+        R"(","dropped":0,"events":[]})");
+    ASSERT_FALSE(dump.ok()) << old;
+    EXPECT_EQ(dump.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(dump.status().ToString().find(old), std::string::npos)
+        << dump.status().ToString();
+  }
 
   obs::TraceRecorder rec(4);
   rec.Record(DiskEvent(1));
-  const auto v2 = obs::TraceRecorder::FromRecordJson(rec.ToRecordJson());
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  EXPECT_EQ(v2->size(), 1u);
+  const auto v3 = obs::TraceRecorder::FromRecordJson(rec.ToRecordJson());
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  EXPECT_EQ(v3->size(), 1u);
 }
 
 TEST(TraceRecorderTest, ChromeJsonHasExpectedSchema) {

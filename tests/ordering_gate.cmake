@@ -28,10 +28,15 @@ foreach(fs ffs c-ffs)
     "0|-|cffs_run|fs=${fs}|device=flash|extent_alloc=1|${syncer}|${postmark}|--check-ordering")
 endforeach()
 list(APPEND cases
+  # C-FFS with neither technique writes every name the conventional way,
+  # through the same ordered writes as FFS.
+  "0|-|cffs_run|fs=conventional|metadata=sync|--files=100|--dirs=4|--check-ordering"
+  "0|-|cffs_run|fs=conventional|${syncer}|${postmark}|--check-ordering"
   # The cross-shard rename protocol's happens-before rules.
   "0|-|cffs_run|shards=4|--workload=xshard|--txns=8|--check-ordering"
   # Mutated runs must be convicted of the rule they break.
   "1|R-CREATE|cffs_run|fs=ffs|metadata=sync|--files=100|--dirs=4|--check-ordering|--mutate=defer-inode-init"
+  "1|R-CREATE|cffs_run|fs=conventional|metadata=sync|--files=100|--dirs=4|--check-ordering|--mutate=defer-inode-init"
   "1|R-CREATE|cffs_run|fs=ffs|${syncer}|--files=100|--dirs=4|--check-ordering|--mutate=syncer-reorder"
   # On flash the 100-file smallfile run ends before the syncer's first
   # 100 ms deadline, so its mutated flush never runs; postmark reaches it.

@@ -353,5 +353,53 @@ TEST(ThrottleSpanTest, StallTimeIsMeasuredAndAttributed) {
   }
 }
 
+// Rename, rmdir and link each open their own span: their disk time lands
+// neither in the background bucket (meant for mount and format I/O) nor in
+// the boundary window of whichever op comes next.
+TEST(NamespaceSpanTest, RenameRmdirAndLinkEachOpenASpan) {
+  for (const sim::FsKind kind : {sim::FsKind::kFfs, sim::FsKind::kCffs}) {
+    auto env_or = sim::SimEnv::Create(kind, sim::SimConfig{});
+    ASSERT_TRUE(env_or.ok()) << env_or.status().ToString();
+    sim::SimEnv* env = env_or->get();
+    fs::PathOps& p = env->path();
+    ASSERT_TRUE(p.MkdirAll("/a/d").ok());
+    ASSERT_TRUE(p.MkdirAll("/b").ok());
+    ASSERT_TRUE(p.WriteFile("/a/f", std::vector<uint8_t>(1024, 1)).ok());
+    ASSERT_TRUE(p.WriteFile("/a/g", std::vector<uint8_t>(1024, 2)).ok());
+    const fs::InodeNum b = *p.Resolve("/b");
+    const fs::InodeNum g = *p.Resolve("/a/g");
+    ASSERT_TRUE(env->fs()->Sync().ok());
+    env->ResetStats();
+    const int64_t start_ns = env->clock().now().nanos();
+
+    env->ChargeCpu();
+    ASSERT_TRUE(p.Rename("/a/f", "/b/f").ok());
+    env->ChargeCpu();
+    ASSERT_TRUE(p.Rmdir("/a/d").ok());
+    env->ChargeCpu();
+    ASSERT_TRUE(env->fs()->Link(b, "g2", g).ok());
+    ASSERT_TRUE(p.Resolve("/b/g2").ok());
+
+    const stats::MetricsSnapshot snap = stats::Snapshot(*env);
+    for (const std::string& v : snap.CheckInvariants()) ADD_FAILURE() << v;
+    const std::string name = sim::FsKindName(kind);
+    EXPECT_EQ(snap.spans.background.TotalNs(), 0) << name;
+    for (const FsOp op : {FsOp::kRename, FsOp::kRmdir, FsOp::kLink}) {
+      EXPECT_EQ(snap.spans.ForOp(op)->count(), 1u)
+          << name << " " << obs::FsOpName(op);
+      EXPECT_GT(snap.spans.ForOp(op)->e2e_total_ns, 0)
+          << name << " " << obs::FsOpName(op);
+    }
+    EXPECT_EQ(snap.fs_ops.renames, 1u) << name;
+    EXPECT_EQ(snap.fs_ops.rmdirs, 1u) << name;
+    EXPECT_EQ(snap.fs_ops.links, 1u) << name;
+    int64_t e2e_ns = 0;
+    for (const obs::OpTypeBreakdown& op : snap.spans.per_op) {
+      e2e_ns += op.e2e_total_ns;
+    }
+    EXPECT_EQ(e2e_ns, env->clock().now().nanos() - start_ns) << name;
+  }
+}
+
 }  // namespace
 }  // namespace cffs

@@ -3,7 +3,7 @@
 //
 //   cffs_ordercheck --trace=PATH [--report-out=PATH]
 //
-// PATH is a lossless record-format trace (cffs-trace-v2), as written by
+// PATH is a lossless record-format trace (cffs-trace-v3), as written by
 // cffs_run --record-out; a dump of another format version is refused. To
 // trace a workload and check it in one step, run cffs_run --check-ordering
 // instead.

@@ -47,10 +47,10 @@
 //     each env's dirty tail to disk; on a sharded run it checks each
 //     shard's trace and the cross-shard rename rules (src/check/xshard.h)
 //     too. --report-out writes its report; --mutate breaks the discipline
-//     on purpose so the check must convict: defer-inode-init (FFS create
-//     writes the name before the inode) and syncer-reorder (needs
-//     syncer=1) on one env, xshard-skip-commit-sync and xshard-early-clear
-//     on xshard.
+//     on purpose so the check must convict: defer-inode-init (a create,
+//     mkdir or link of an external inode writes the name before the inode)
+//     and syncer-reorder (needs syncer=1) on one env,
+//     xshard-skip-commit-sync and xshard-early-clear on xshard.
 //
 // Every env's MetricsSnapshot invariants are checked at the end, each
 // shard's included; a trace ring that dropped events fails the run.
